@@ -258,7 +258,7 @@ def parse_method_token(token: str) -> MethodSpec:
             raise ValueError(f"malformed method token {token!r}: expected param=value")
         key, value = part.split("=", 1)
         key = key.strip().lower()
-        if key not in ("alpha", "beta", "mu", "gamma", "lam"):
+        if key not in MethodSpec.PARAMS:
             raise ValueError(f"unknown method parameter {key!r} in {token!r}")
         kwargs[key] = float(value)
     return MethodSpec(kind, **kwargs)
@@ -566,7 +566,7 @@ def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
                                                record_trace=True)
             if resolved.kind == "drm":
                 op = DrOperator(u, v, resolved.alpha)
-                result = iterate(op, q, policy)
+                result = iterate(lambda x, k: (op(x), x), q, policy)
             else:
                 result = solve_best_approximation(resolved, [u, v], q,
                                                   policy=policy, theta=theta)

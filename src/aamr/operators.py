@@ -25,6 +25,7 @@ __all__ = [
     "modified_reflect",
     "AamrOperator",
     "DrOperator",
+    "aamr_update",
     "fixed_point_residual",
     "iterate",
 ]
@@ -134,6 +135,15 @@ def modified_reflect(set_: ConvexSet, beta: float, x) -> np.ndarray:
     return 2.0 * beta * set_.project(x) - x
 
 
+def aamr_update(x: np.ndarray, pa: np.ndarray, b_set: ConvexSet, alpha: float,
+                beta: float) -> np.ndarray:
+    """(1-alpha)x + alpha(2 beta P_B - I)(2 beta pa - x), given ``pa = P_A(x)``:
+    the update of both operators (DR is beta = 1) and of the solver steps."""
+    y = 2.0 * beta * pa - x
+    z = 2.0 * beta * b_set.project(y) - y
+    return (1.0 - alpha) * x + alpha * z
+
+
 class AamrOperator:
     """(1-alpha)I + alpha(2 beta P_B - I)(2 beta P_A - I).
 
@@ -156,11 +166,8 @@ class AamrOperator:
         self.dim = a_set.dim
 
     def __call__(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
-        b = self.beta
-        y = 2.0 * b * self.a_set.project(x) - x
-        z = 2.0 * b * self.b_set.project(y) - y
-        return (1.0 - self.alpha) * x + self.alpha * z
+        x = np.asarray(x, dtype=float)
+        return aamr_update(x, self.a_set.project(x), self.b_set, self.alpha, self.beta)
 
     def displacement(self, x) -> np.ndarray:
         """x - T(x) via the two-projection shortcut."""
@@ -186,10 +193,13 @@ class DrOperator:
         self.dim = a_set.dim
 
     def __call__(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
-        y = 2.0 * self.a_set.project(x) - x
-        z = 2.0 * self.b_set.project(y) - y
-        return (1.0 - self.alpha) * x + self.alpha * z
+        return self.step(np.asarray(x, dtype=float), 0)[0]
+
+    def step(self, x: np.ndarray, k: int):
+        """Engine step: ``(T(x), P_A(x))``, the shadow being the projection
+        the update already needs."""
+        pa = self.a_set.project(x)
+        return aamr_update(x, pa, self.b_set, self.alpha, 1.0), pa
 
 
 def fixed_point_residual(op, x) -> float:
@@ -204,56 +214,46 @@ def fixed_point_residual(op, x) -> float:
     return _norm(pb - pa)
 
 
-def iterate(op, x0, policy: StoppingPolicy, monitor=None) -> SolveResult:
-    """Apply ``op`` repeatedly from ``x0`` under a stopping policy.
+def iterate(step, x0, policy: StoppingPolicy) -> SolveResult:
+    """Run ``step`` from ``x0`` under a stopping policy.
 
-    ``monitor`` maps an iterate to the point whose error the policy judges
-    (default: the iterate itself).  Returns CONVERGED at the first index whose
-    error drops below ``policy.eps``, DIVERGED when the iterate norm exceeds
-    the policy threshold after monotone growth, BUDGET_EXHAUSTED otherwise,
-    and NUMERICAL_FAILURE if the step function raises
-    :class:`NumericalFailure`.
+    ``step(x, k)`` returns ``(x_next, shadow)``: iterate k+1 and the monitored
+    point of iterate k, which the step already computed.  Returns CONVERGED at
+    the first index whose error drops below ``policy.eps``, DIVERGED when the
+    iterate norm exceeds the policy threshold after monotone growth,
+    BUDGET_EXHAUSTED at the budget, and NUMERICAL_FAILURE (with the last
+    shadow computed and a NaN error) at the index whose step raises
+    :class:`NumericalFailure` or at the first non-finite iterate.
     """
     x = np.array(as_vector(x0), dtype=float)
-    if monitor is None:
-        monitor = lambda v: v
+    prev = x  # the previous iterate; the drift prev - x is formed only when used
+    residual = policy.mode == StoppingPolicy.RESIDUAL
     trace = [] if policy.record_trace else None
-    drift = np.zeros_like(x)
-    prev_step = math.nan
+    shadow = x
     norm_x = _norm(x)
     mono_len = 1  # length of the current nondecreasing norm run
     k = 0
     while True:
-        monitored = monitor(x)
-        x_next = None
-        if policy.mode == StoppingPolicy.RESIDUAL:
-            try:
-                x_next = op(x)
-            except NumericalFailure:
-                return SolveResult(Status.NUMERICAL_FAILURE, k, monitored, x,
-                                   drift, math.nan, trace)
-            err = _norm(x_next - x)
-        else:
-            err = policy.error_of(monitored)
+        try:
+            x_next, shadow = step(x, k)
+        except NumericalFailure:
+            return SolveResult(Status.NUMERICAL_FAILURE, k, shadow, x, prev - x,
+                               math.nan, trace)
+        err = _norm(x_next - x) if residual else policy.error_of(shadow)
         if trace is not None:
-            trace.append((k, err, prev_step))
+            trace.append((k, err, _norm(prev - x) if k else math.nan))
         if err < policy.eps:
-            return SolveResult(Status.CONVERGED, k, monitored, x, drift, err, trace)
+            return SolveResult(Status.CONVERGED, k, shadow, x, prev - x, err, trace)
         if (norm_x > policy.divergence_threshold and k >= 1
                 and mono_len >= min(k + 1, _MONO_WINDOW)):
-            return SolveResult(Status.DIVERGED, k, monitored, x, drift, err, trace)
+            return SolveResult(Status.DIVERGED, k, shadow, x, prev - x, err, trace)
         if k >= policy.max_iter:
-            return SolveResult(Status.BUDGET_EXHAUSTED, k, monitored, x, drift, err, trace)
-        if x_next is None:
-            try:
-                x_next = op(x)
-            except NumericalFailure:
-                return SolveResult(Status.NUMERICAL_FAILURE, k, monitored, x,
-                                   drift, err, trace)
-        drift = x - x_next
-        prev_step = _norm(drift)
+            return SolveResult(Status.BUDGET_EXHAUSTED, k, shadow, x, prev - x, err, trace)
         norm_next = _norm(x_next)
+        k += 1
+        prev, x = x, x_next
+        if not math.isfinite(norm_next):
+            return SolveResult(Status.NUMERICAL_FAILURE, k, shadow, x, prev - x,
+                               math.nan, trace)
         mono_len = mono_len + 1 if norm_next >= norm_x else 1
         norm_x = norm_next
-        x = x_next
-        k += 1

@@ -20,12 +20,13 @@ arbitrary starting point.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (AamrOperator, DrOperator, NumericalFailure, SolveResult,
-                        StoppingPolicy, iterate)
-from .sets import (ConvexSet, Diagonal, ProductSet, Translate, as_vector)
+from .operators import (DrOperator, NumericalFailure, SolveResult, StoppingPolicy,
+                        aamr_update, iterate)
+from .sets import ConvexSet, Diagonal, ProductSet, Translate, as_vector
 
 __all__ = [
     "aamr_solve",
@@ -51,6 +52,38 @@ def _default_policy(policy):
     return policy
 
 
+def _common_dim(sets) -> int:
+    """Ambient dimension of a nonempty list of sets that all share it."""
+    if not sets:
+        raise ValueError("need at least one set")
+    n = sets[0].dim
+    if any(s.dim != n for s in sets):
+        raise ValueError("sets have mixed ambient dimensions")
+    return n
+
+
+def _lift(x0, q, copies: int) -> np.ndarray:
+    """Product-space start: the tiled ``q`` by default, a tiled base-space
+    vector, or an ``(r, n)`` / flat ``r*n`` array."""
+    n = q.size
+    x0 = np.asarray(q if x0 is None else x0, dtype=float)
+    x0 = np.tile(x0, copies) if x0.shape == (n,) else x0.ravel()
+    return as_vector(x0, copies * n)
+
+
+def _scheduled(value, k: int, hi: float, name: str) -> float:
+    """Constant or ``k -> value`` schedule, checked to lie in (0, hi]."""
+    v = float(value(k) if callable(value) else value)
+    if not 0.0 < v <= hi:
+        raise ValueError(f"{name} must lie in (0, {hi:g}], got {v!r} at step {k}")
+    return v
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie in (0, 1); use DrOperator for beta = 1")
+
+
 def optimal_rap_mu(theta: float) -> float:
     """Relaxation parameter 2/(1 + sin^2 theta) minimizing the RAP rate for
     a subspace pair with Friedrichs angle ``theta``."""
@@ -71,25 +104,6 @@ def combettes_beta(gamma: float) -> float:
     return 1.0 / (1.0 + gamma)
 
 
-def _aamr_stepper(a_shift, b_shift, alpha, beta):
-    """Step callable for constant or scheduled alpha."""
-    if not callable(alpha):
-        return AamrOperator(a_shift, b_shift, alpha, beta)
-    # schedule hook: alpha(k) must stay in (0, 1] with inf alpha_k > 0;
-    # relies on the engine applying the operator exactly once per iteration
-    base = AamrOperator(a_shift, b_shift, 1.0, beta)
-    counter = [0]
-
-    def step(x):
-        a_k = float(alpha(counter[0]))
-        counter[0] += 1
-        if not 0.0 < a_k <= 1.0:
-            raise ValueError(f"alpha schedule left (0, 1] at step {counter[0] - 1}")
-        return (1.0 - a_k) * x + a_k * base(x)
-
-    return step
-
-
 def aamr_solve(a_set: ConvexSet, b_set: ConvexSet, q, x0=None, alpha=0.9,
                beta: float = 0.7, policy: StoppingPolicy | None = None) -> SolveResult:
     """Project ``q`` onto ``A ∩ B`` by averaged alternating modified reflections.
@@ -101,11 +115,19 @@ def aamr_solve(a_set: ConvexSet, b_set: ConvexSet, q, x0=None, alpha=0.9,
     without bound.  ``alpha`` may be a constant in (0, 1] or a callable
     ``k -> alpha_k`` schedule with ``inf alpha_k > 0``.
     """
+    n = _common_dim([a_set, b_set])
+    _check_beta(beta)
     policy = _default_policy(policy)
-    q = as_vector(q, a_set.dim)
-    x0 = q if x0 is None else as_vector(x0, a_set.dim)
-    op = _aamr_stepper(Translate(a_set, q), Translate(b_set, q), alpha, beta)
-    return iterate(op, x0, policy, monitor=lambda x: a_set.project(x + q))
+    q = as_vector(q, n)
+    x0 = q if x0 is None else as_vector(x0, n)
+    b_shifted = Translate(b_set, q)
+
+    def step(x, k):
+        pa = a_set.project(x + q)  # the shadow; P_{A-q}(x) = pa - q
+        return aamr_update(x, pa - q, b_shifted, _scheduled(alpha, k, 1.0, "alpha"),
+                           beta), pa
+
+    return iterate(step, x0, policy)
 
 
 def aamr_product_solve(sets, q, x0=None, alpha=0.9, beta: float = 0.7,
@@ -119,29 +141,19 @@ def aamr_product_solve(sets, q, x0=None, alpha=0.9, beta: float = 0.7,
     ``(r, n)`` array, or a flat ``r*n`` vector; default is the lift of ``q``.
     """
     sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one set")
-    n = sets[0].dim
-    copies = len(sets)
-    for s in sets:
-        if s.dim != n:
-            raise ValueError("sets have mixed ambient dimensions")
+    n = _common_dim(sets)
+    _check_beta(beta)
     policy = _default_policy(policy)
     q = as_vector(q, n)
-    if x0 is None:
-        x0 = np.tile(q, copies)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape == (n,):
-            x0 = np.tile(x0, copies)
-        elif x0.shape == (copies, n):
-            x0 = x0.ravel()
-        x0 = as_vector(x0, copies * n)
-    diag = Diagonal(copies, n)
+    diag = Diagonal(len(sets), n)
     shifted = ProductSet([Translate(s, q) for s in sets])
-    op = _aamr_stepper(diag, shifted, alpha, beta)
-    monitor = lambda x: q + x.reshape(copies, n).mean(axis=0)
-    return iterate(op, x0, policy, monitor=monitor)
+
+    def step(x, k):
+        pd = diag.project(x)  # every block is the mean of the blocks of x
+        return aamr_update(x, pd, shifted, _scheduled(alpha, k, 1.0, "alpha"),
+                           beta), q + pd[:n]
+
+    return iterate(step, _lift(x0, q, len(sets)), policy)
 
 
 def rap_solve(u_set: ConvexSet, v_set: ConvexSet, q, mu: float = 1.0,
@@ -149,13 +161,11 @@ def rap_solve(u_set: ConvexSet, v_set: ConvexSet, q, mu: float = 1.0,
     """Relaxed alternating projections x <- (1-mu)x + mu P_V(P_U(x)) from q."""
     if not 0.0 < mu < 2.0:
         raise ValueError("mu must lie in (0, 2)")
-    if u_set.dim != v_set.dim:
-        raise ValueError("sets have different ambient dimensions")
     policy = _default_policy(policy)
-    q = as_vector(q, u_set.dim)
+    q = as_vector(q, _common_dim([u_set, v_set]))
 
-    def step(x):
-        return (1.0 - mu) * x + mu * v_set.project(u_set.project(x))
+    def step(x, k):
+        return (1.0 - mu) * x + mu * v_set.project(u_set.project(x)), x
 
     return iterate(step, q, policy)
 
@@ -175,9 +185,8 @@ def dr_solve(a_set: ConvexSet, b_set: ConvexSet, q, alpha: float = 0.5,
     the intersection.
     """
     policy = _default_policy(policy)
-    q = as_vector(q, a_set.dim)
     op = DrOperator(a_set, b_set, alpha)
-    return iterate(op, q, policy, monitor=lambda x: a_set.project(x))
+    return iterate(op.step, as_vector(q, a_set.dim), policy)
 
 
 def _haugazeau_project(x, y, z):
@@ -211,20 +220,16 @@ def haugazeau_solve(u_set: ConvexSet, v_set: ConvexSet, q,
     """Anchored alternating scheme, strongly convergent to ``P_{U∩V}(q)``.
 
     Each step projects the anchor ``q`` onto the intersection of two
-    halfspaces built from the current iterate and its projection onto U or V
-    (alternating).  Inconsistent geometry is reported as a
+    halfspaces built from the current iterate and its projection onto U
+    (even steps) or V (odd steps).  Inconsistent geometry is reported as a
     ``NUMERICAL_FAILURE`` status.
     """
-    if u_set.dim != v_set.dim:
-        raise ValueError("sets have different ambient dimensions")
     policy = _default_policy(policy)
-    q = as_vector(q, u_set.dim)
-    counter = [0]
+    q = as_vector(q, _common_dim([u_set, v_set]))
+    pair = (u_set, v_set)
 
-    def step(x):
-        current = u_set if counter[0] % 2 == 0 else v_set
-        counter[0] += 1
-        return _haugazeau_project(q, x, current.project(x))
+    def step(x, k):
+        return _haugazeau_project(q, x, pair[k % 2].project(x)), x
 
     return iterate(step, q, policy)
 
@@ -236,36 +241,19 @@ def hlwb_solve(sets, q, policy: StoppingPolicy | None = None) -> SolveResult:
     intersection, slowly (the anchor weight decays like 1/k).
     """
     sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one set")
-    dim = sets[0].dim
-    for s in sets:
-        if s.dim != dim:
-            raise ValueError("sets have mixed ambient dimensions")
     policy = _default_policy(policy)
-    q = as_vector(q, dim)
-    counter = [0]
+    q = as_vector(q, _common_dim(sets))
 
-    def step(x):
-        k = counter[0]
-        counter[0] += 1
+    def step(x, k):
         lam = 1.0 / (k + 1)
-        return lam * q + (1.0 - lam) * sets[k % len(sets)].project(x)
+        return lam * q + (1.0 - lam) * sets[k % len(sets)].project(x), x
 
     return iterate(step, q, policy)
 
 
-def _lambda_schedule(lam):
-    if callable(lam):
-        return lam
-    lam = float(lam)
-    if not 0.0 < lam <= 2.0:
-        raise ValueError("lambda must lie in (0, 2]")
-    return lambda k: lam
-
-
 def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8, form: str = "direct"):
-    """Step and monitor callables for Combettes' product-space recurrence.
+    """Engine step ``(z, k) -> (z_next, shadow)`` of Combettes' product-space
+    recurrence.
 
     The governing vector z lives in (R^n)^r.  The direct form is
 
@@ -275,61 +263,44 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8, form: str = "direct"):
     ``"recast"`` form rewrites the same update through a modified reflector of
     strength beta = 1/(1 + gamma) acting on the scaled-and-shifted product set
     (1/beta)C - ((1-beta)/beta) q; the two trajectories coincide exactly.
+    ``lam`` is a constant in (0, 2] or a schedule ``k -> lam_k``.
 
-    The monitored point is the diagonal value of P_D P_C evaluated at the
-    blend (z + gamma*q)/(gamma + 1) — the projection already computed inside
-    the step — which converges to the projection of q onto the intersection.
+    The shadow is the diagonal value of P_D P_C evaluated at the blend
+    (z + gamma*q)/(gamma + 1), which converges to the projection of q onto
+    the intersection.  The direct form reuses the P_C it already computes.
     """
     sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one set")
-    n = sets[0].dim
-    copies = len(sets)
-    for s in sets:
-        if s.dim != n:
-            raise ValueError("sets have mixed ambient dimensions")
+    n = _common_dim(sets)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    schedule = _lambda_schedule(lam)
-    q = as_vector(q, n)
-    q_lift = np.tile(q, copies)
-    product = ProductSet(sets)
-    diag = Diagonal(copies, n)
-    beta = combettes_beta(gamma)
-    counter = [0]
-
-    def blend(z):
-        return (z + gamma * q_lift) / (gamma + 1.0)
-
-    def monitor(z):
-        return diag.project(product.project(blend(z)))[:n]
-
-    if form == "direct":
-        def step(z):
-            lam_k = float(schedule(counter[0]))
-            counter[0] += 1
-            if not 0.0 < lam_k <= 2.0:
-                raise ValueError("lambda schedule left (0, 2]")
-            w = 2.0 * product.project(blend(z)) - z
-            return (1.0 - lam_k / 2.0) * z + (lam_k / 2.0) * (2.0 * diag.project(w) - w)
-    elif form == "recast":
-        shift = ((1.0 - beta) / beta) * q_lift
-
-        def project_scaled(z):
-            # P over (1/beta)C - shift, via the dilation and translation rules
-            return product.project(beta * (z + shift)) / beta - shift
-
-        def step(z):
-            a_k = float(schedule(counter[0])) / 2.0
-            counter[0] += 1
-            if not 0.0 < a_k <= 1.0:
-                raise ValueError("lambda schedule left (0, 2]")
-            u = 2.0 * beta * project_scaled(z) - z
-            return ((1.0 - a_k) * z + a_k * (2.0 * diag.project(u) - u)
-                    + 2.0 * a_k * (1.0 - beta) * q_lift)
-    else:
+    if form not in ("direct", "recast"):
         raise ValueError(f"unknown form {form!r}; expected 'direct' or 'recast'")
-    return step, monitor
+    q = as_vector(q, n)
+    q_lift = np.tile(q, len(sets))
+    product = ProductSet(sets)
+    diag = Diagonal(len(sets), n)
+    beta = combettes_beta(gamma)
+    shift = ((1.0 - beta) / beta) * q_lift
+
+    def blended_projection(z):
+        return product.project((z + gamma * q_lift) / (gamma + 1.0))
+
+    def direct(z, k):
+        lam_k = _scheduled(lam, k, 2.0, "lambda")
+        pc = blended_projection(z)
+        w = 2.0 * pc - z
+        z_next = (1.0 - lam_k / 2.0) * z + (lam_k / 2.0) * (2.0 * diag.project(w) - w)
+        return z_next, diag.project(pc)[:n]
+
+    def recast(z, k):
+        a_k = _scheduled(lam, k, 2.0, "lambda") / 2.0
+        # P over (1/beta)C - shift, via the dilation and translation rules
+        u = 2.0 * beta * (product.project(beta * (z + shift)) / beta - shift) - z
+        z_next = ((1.0 - a_k) * z + a_k * (2.0 * diag.project(u) - u)
+                  + 2.0 * a_k * (1.0 - beta) * q_lift)
+        return z_next, diag.project(blended_projection(z))[:n]
+
+    return direct if form == "direct" else recast
 
 
 def cm_solve(sets, q, gamma: float = 0.25, lam=1.8,
@@ -339,108 +310,137 @@ def cm_solve(sets, q, gamma: float = 0.25, lam=1.8,
 
     ``lam`` is a constant in (0, 2] or a callable schedule with positive
     infimum; the default 1.8 corresponds to an averaging weight of 0.9.  With
-    ``verify_forms=True`` the direct and recast recurrences are run in
-    lockstep and checked to agree to 1e-12 at every step.
+    ``verify_forms=True`` the other form (recast or direct) is also applied to
+    every iterate and its step checked to agree to 1e-12.
     """
     sets = list(sets)
     policy = _default_policy(policy)
-    n = sets[0].dim
-    q = as_vector(q, n)
-    if x0 is None:
-        z0 = np.tile(q, len(sets))
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        z0 = np.tile(as_vector(x0, n), len(sets)) if x0.shape == (n,) \
-            else as_vector(x0.ravel(), len(sets) * n)
-    step, monitor = cm_recurrence(sets, q, gamma=gamma, lam=lam, form=form)
+    step = cm_recurrence(sets, q, gamma=gamma, lam=lam, form=form)
+    z0 = _lift(x0, as_vector(q, sets[0].dim), len(sets))
     if not verify_forms:
-        return iterate(step, z0, policy, monitor=monitor)
+        return iterate(step, z0, policy)
 
-    other, _ = cm_recurrence(sets, q, gamma=gamma, lam=lam,
-                             form="recast" if form == "direct" else "direct")
-    mirror = [np.array(z0)]
+    other = cm_recurrence(sets, q, gamma=gamma, lam=lam,
+                          form="recast" if form == "direct" else "direct")
 
-    def checked(z):
-        z_next = step(z)
-        twin = other(mirror[0])
+    def checked(z, k):
+        z_next, shadow = step(z, k)
+        twin = other(z, k)[0]
         scale = 1.0 + float(np.linalg.norm(z_next))
         if np.linalg.norm(twin - z_next) > 1e-12 * scale:
             raise NumericalFailure("direct and recast recurrences drifted apart")
-        mirror[0] = twin
-        return z_next
+        return z_next, shadow
 
-    return iterate(checked, z0, policy, monitor=monitor)
+    return iterate(checked, z0, policy)
+
+
+@dataclass(frozen=True)
+class _Param:
+    """A method parameter: its range (0, hi) or (0, hi], and its default or
+    its fall-back rule from the instance angle."""
+
+    hi: float = math.inf
+    closed: bool = False
+    default: float | None = None
+    fallback: object = None
+    schedule: bool = False  # a callable k -> value is accepted as is
+    hint: str = ""
+
+    def check(self, kind: str, name: str, value) -> None:
+        if self.schedule and callable(value):
+            return
+        if not (0.0 < value < self.hi or (self.closed and value == self.hi)):
+            interval = ("be positive" if self.hi == math.inf else
+                        f"lie in (0, {self.hi:g}{']' if self.closed else ')'}")
+            raise ValueError(f"{name} must {interval} for {kind}{self.hint}")
+
+
+@dataclass(frozen=True)
+class _Method:
+    """One solver kind: the driver for a pair of sets ``(u, v, q, ...)``
+    and/or for a list of any length ``(sets, q, ...)``, the parameters it
+    takes, and whether its starting point ``x0`` is free."""
+
+    params: dict
+    pair: str | None = None
+    many: str | None = None
+    free_x0: bool = False
+
+
+_METHODS = {
+    "aamr": _Method({"alpha": _Param(1.0, closed=True, default=0.9),
+                     "beta": _Param(1.0, fallback=recommended_beta,
+                                    hint="; use the drm method for beta = 1")},
+                    pair="aamr_solve", many="aamr_product_solve", free_x0=True),
+    "drm": _Method({"alpha": _Param(1.0, default=0.5)}, pair="dr_solve"),
+    "map": _Method({}, pair="map_solve"),
+    "rap": _Method({"mu": _Param(2.0, fallback=optimal_rap_mu)}, pair="rap_solve"),
+    "haugazeau": _Method({}, pair="haugazeau_solve"),
+    "hlwb": _Method({}, many="hlwb_solve"),
+    "cm": _Method({"gamma": _Param(default=0.25),
+                   "lam": _Param(2.0, closed=True, default=1.8, schedule=True)},
+                  many="cm_solve", free_x0=True),
+}
 
 
 class MethodSpec:
     """Tagged description of a solver and its parameters.
 
-    ``kind`` is one of aamr, drm, map, rap, haugazeau, hlwb, cm.  Unset
-    parameters fall back at solve time: alpha to 0.9 (aamr) or 0.5 (drm), mu
-    to the angle-optimal relaxation, beta to the angle-based rule (both need
-    the instance angle), gamma to 0.25 and lambda to 1.8 for cm.
+    ``kind`` is one of aamr, drm, map, rap, haugazeau, hlwb, cm; each kind
+    takes only its own parameters (aamr: alpha, beta; drm: alpha; rap: mu;
+    cm: gamma, lam).  Unset parameters fall back at solve time: alpha to 0.9
+    (aamr) or 0.5 (drm), mu to the angle-optimal relaxation, beta to the
+    angle-based rule (both need the instance angle), gamma to 0.25 and lambda
+    to 1.8 for cm.
     """
 
-    KINDS = ("aamr", "drm", "map", "rap", "haugazeau", "hlwb", "cm")
+    KINDS = tuple(_METHODS)
+    PARAMS = ("alpha", "beta", "mu", "gamma", "lam")
+    _LABELS = {"alpha": "a", "beta": "b", "mu": "mu", "gamma": "g", "lam": "l"}
 
     def __init__(self, kind: str, alpha=None, beta=None, mu=None, gamma=None, lam=None):
-        if kind not in self.KINDS:
+        if kind not in _METHODS:
             raise ValueError(f"unknown method {kind!r}; expected one of {self.KINDS}")
         self.kind = kind
-        self.alpha = None if alpha is None else float(alpha)
-        self.beta = None if beta is None else float(beta)
-        self.mu = None if mu is None else float(mu)
-        self.gamma = None if gamma is None else float(gamma)
-        self.lam = lam
-        if self.alpha is not None:
-            hi_open = kind == "drm"
-            if not (0.0 < self.alpha < 1.0 or (not hi_open and self.alpha == 1.0)):
-                raise ValueError(f"alpha out of range for {kind}")
-        if self.beta is not None and not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1); use the drm method for beta = 1")
-        if self.mu is not None and not 0.0 < self.mu < 2.0:
-            raise ValueError("mu must lie in (0, 2)")
-        if self.gamma is not None and not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-        if self.lam is not None and not callable(self.lam) and not 0.0 < float(self.lam) <= 2.0:
-            raise ValueError("lambda must lie in (0, 2]")
+        params = _METHODS[kind].params
+        given = dict(alpha=alpha, beta=beta, mu=mu, gamma=gamma, lam=lam)
+        for name, value in given.items():
+            if value is not None:
+                if name not in params:
+                    raise ValueError(f"method {kind} takes no parameter {name}")
+                if not callable(value):
+                    value = float(value)
+                params[name].check(kind, name, value)
+            setattr(self, name, value)
+
+    def _items(self):
+        return [(name, getattr(self, name)) for name in self.PARAMS
+                if getattr(self, name) is not None]
 
     def __repr__(self):
-        parts = [f"{k}={getattr(self, k)}" for k in ("alpha", "beta", "mu", "gamma", "lam")
-                 if getattr(self, k) is not None]
+        parts = [f"{name}={value}" for name, value in self._items()]
         return f"MethodSpec({self.kind}" + (", " + ", ".join(parts) if parts else "") + ")"
 
     def display(self) -> str:
-        """Short human-readable label, e.g. ``aamr(a=0.9, b=0.9)``."""
-        names = {"alpha": "a", "beta": "b", "mu": "mu", "gamma": "g", "lam": "l"}
-        parts = [f"{names[k]}={getattr(self, k):g}"
-                 for k in ("alpha", "beta", "mu", "gamma")
-                 if getattr(self, k) is not None]
-        if self.lam is not None and not callable(self.lam):
-            parts.append(f"l={float(self.lam):g}")
+        """Short human-readable label, e.g. ``aamr(a=0.9 b=0.9)``."""
+        parts = [f"{self._LABELS[name]}={value:g}" for name, value in self._items()
+                 if not callable(value)]
         return self.kind + (f"({' '.join(parts)})" if parts else "")
 
     def resolve(self, theta: float | None = None) -> "MethodSpec":
         """Fill parameter fall-backs, using the instance angle where needed."""
-        kind = self.kind
-        alpha, beta, mu, gamma, lam = self.alpha, self.beta, self.mu, self.gamma, self.lam
-        if kind == "aamr":
-            alpha = 0.9 if alpha is None else alpha
-            if beta is None:
+        values = {}
+        for name, param in _METHODS[self.kind].params.items():
+            value = getattr(self, name)
+            if value is None:
+                value = param.default
+            if value is None:
                 if theta is None:
-                    raise ValueError("aamr needs beta, or an instance angle for the beta rule")
-                beta = recommended_beta(theta)
-        elif kind == "drm":
-            alpha = 0.5 if alpha is None else alpha
-        elif kind == "rap":
-            if mu is None:
-                if theta is None:
-                    raise ValueError("rap needs mu, or an instance angle for the optimal rule")
-                mu = optimal_rap_mu(theta)
-        elif kind == "cm":
-            gamma = 0.25 if gamma is None else gamma
-            lam = 1.8 if lam is None else lam
-        return MethodSpec(kind, alpha=alpha, beta=beta, mu=mu, gamma=gamma, lam=lam)
+                    raise ValueError(f"{self.kind} needs {name}, or an instance "
+                                     f"angle for its {param.fallback.__name__} rule")
+                value = param.fallback(theta)
+            values[name] = value
+        return MethodSpec(self.kind, **values)
 
 
 def solve_best_approximation(spec: MethodSpec, sets, q,
@@ -453,31 +453,23 @@ def solve_best_approximation(spec: MethodSpec, sets, q,
     aamr uses the two-set driver for pairs and the product-space driver
     otherwise; hlwb and cm accept any number.  ``theta`` (the Friedrichs angle
     of a subspace instance) feeds the parameter fall-backs for ``rap`` and for
-    aamr's angle-based beta rule.
+    aamr's angle-based beta rule.  Only aamr and cm take a free ``x0``.
     """
     sets = list(sets)
-    kind = spec.kind
-    if kind in ("drm", "map", "rap", "haugazeau") and len(sets) != 2:
-        raise ValueError(f"method {kind} requires exactly two sets, got {len(sets)}")
+    method = _METHODS[spec.kind]
+    _common_dim(sets)
+    if len(sets) == 2 and method.pair:
+        driver, head = method.pair, sets
+    elif method.many:
+        driver, head = method.many, [sets]
+    else:
+        raise ValueError(f"method {spec.kind} requires exactly two sets, got {len(sets)}")
     spec = spec.resolve(theta)
-    if kind == "aamr":
-        if len(sets) == 2:
-            return aamr_solve(sets[0], sets[1], q, x0=x0, alpha=spec.alpha,
-                              beta=spec.beta, policy=policy)
-        return aamr_product_solve(sets, q, x0=x0, alpha=spec.alpha, beta=spec.beta,
-                                  policy=policy)
-    if x0 is not None and kind != "cm":
-        raise ValueError(f"method {kind} starts at the projected point; x0 is not free")
-    if kind == "drm":
-        return dr_solve(sets[0], sets[1], q, alpha=spec.alpha, policy=policy)
-    if kind == "map":
-        return map_solve(sets[0], sets[1], q, policy=policy)
-    if kind == "rap":
-        return rap_solve(sets[0], sets[1], q, mu=spec.mu, policy=policy)
-    if kind == "haugazeau":
-        return haugazeau_solve(sets[0], sets[1], q, policy=policy)
-    if kind == "hlwb":
-        return hlwb_solve(sets, q, policy=policy)
-    if kind == "cm":
-        return cm_solve(sets, q, gamma=spec.gamma, lam=spec.lam, policy=policy, x0=x0)
-    raise AssertionError(f"unhandled method {kind}")
+    kwargs = {name: getattr(spec, name) for name in method.params}
+    if method.free_x0:
+        kwargs["x0"] = x0
+    elif x0 is not None:
+        raise ValueError(f"method {spec.kind} starts at the projected point; "
+                         "x0 is not free")
+    # looked up per call, so wrappers installed on this module see the solve
+    return globals()[driver](*head, q, policy=policy, **kwargs)

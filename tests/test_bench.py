@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +247,33 @@ def test_parse_method_token():
         parse_method_token("aamr:rho=1")
     with pytest.raises(ValueError):
         parse_method_token("dykstra")
+    # a parameter the method does not take is rejected, naming both
+    for token in ("map:alpha=0.5", "cm:beta=0.5", "drm:mu=1.5", "hlwb:lam=1.0"):
+        kind, param = token.split(":")[0], token.split(":")[1].split("=")[0]
+        with pytest.raises(ValueError, match=f"{kind} takes no parameter {param}"):
+            parse_method_token(token)
+    with pytest.raises(ValueError, match="cm takes no parameter beta"):
+        MethodSpec("cm", beta=0.5)
+    with pytest.raises(ValueError, match="drm takes no parameter mu"):
+        MethodSpec("drm", mu=1.5)
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def test_runs_csv_match_golden_files(tmp_path):
+    # The golden files hold the output of the code before the step(x, k)
+    # engine contract and pin the solvers bit for bit across refactors; never
+    # regenerate them to make a change pass.
+    config = SweepConfig(n=10, n_instances=4, n_starts=2, angle_bins=4, seed=0)
+    runs, _ = angle_profile(config)
+    write_runs_csv(tmp_path / "profile.csv", runs)
+    runs, _, _ = rate_profile(seed=0)
+    write_runs_csv(tmp_path / "rates.csv", runs)
+    assert ((tmp_path / "profile.csv").read_bytes()
+            == (GOLDEN / "golden_runs_angle_profile.csv").read_bytes())
+    assert ((tmp_path / "rates.csv").read_bytes()
+            == (GOLDEN / "golden_runs_rates.csv").read_bytes())
 
 
 def test_parallel_jobs_match_serial():

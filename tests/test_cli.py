@@ -66,6 +66,13 @@ def test_solve_rejects_beta_one(two_balls, capsys):
     assert "drm" in err
 
 
+def test_solve_rejects_parameter_the_method_does_not_take(two_balls, capsys):
+    code = main(["solve", two_balls, "--q", "2,1", "--method", "map",
+                 "--alpha", "0.5"])
+    assert code == 1
+    assert "map takes no parameter alpha" in capsys.readouterr().err
+
+
 def test_solve_budget_exit_code(two_balls):
     code = main(["solve", two_balls, "--q", "2,1", "--alpha", "0.9",
                  "--beta", "0.7", "--eps", "1e-14", "--max-iter", "3"])

@@ -185,7 +185,7 @@ def test_fixed_point_residual_examples():
 # --- iteration engine ----------------------------------------------------------
 
 def test_engine_identity_converges_immediately():
-    res = iterate(lambda x: x, np.array([1.0, 2.0]),
+    res = iterate(lambda x, k: (x, x), np.array([1.0, 2.0]),
                   StoppingPolicy.residual(eps=1e-12))
     assert res.status is Status.CONVERGED
     assert res.iterations == 0
@@ -193,7 +193,7 @@ def test_engine_identity_converges_immediately():
 
 
 def test_engine_doubling_diverges_at_logarithmic_index():
-    res = iterate(lambda x: 2.0 * x, np.array([1.0, 0.0]),
+    res = iterate(lambda x, k: (2.0 * x, x), np.array([1.0, 0.0]),
                   StoppingPolicy.residual(eps=1e-15, max_iter=100))
     assert res.status is Status.DIVERGED
     assert res.iterations == math.ceil(math.log2(1e6 / 1.0))
@@ -201,7 +201,7 @@ def test_engine_doubling_diverges_at_logarithmic_index():
 
 def test_engine_budget_exhaustion_and_trace():
     policy = StoppingPolicy.budget_only(max_iter=5, record_trace=True)
-    res = iterate(lambda x: 0.5 * x, np.array([8.0]), policy)
+    res = iterate(lambda x, k: (0.5 * x, x), np.array([8.0]), policy)
     assert res.status is Status.BUDGET_EXHAUSTED
     assert res.iterations == 5
     assert len(res.trace) == 6
@@ -215,19 +215,16 @@ def test_engine_budget_exhaustion_and_trace():
 
 def test_engine_divergence_needs_monotone_growth():
     # bounded orbit above the threshold: norms oscillate, never diverges
-    k = [0]
-
-    def wobble(x):
-        k[0] += 1
-        scale = 2e6 * (1.0 + 0.3 * math.sin(k[0] / 3.0))
-        return scale * x / np.linalg.norm(x)
+    def wobble(x, k):
+        scale = 2e6 * (1.0 + 0.3 * math.sin((k + 1) / 3.0))
+        return scale * x / np.linalg.norm(x), x
 
     res = iterate(wobble, np.array([2.7e6, 0.0]),
                   StoppingPolicy.budget_only(max_iter=400))
     assert res.status is Status.BUDGET_EXHAUSTED
 
     # decreasing norms above the threshold: no divergence either
-    res2 = iterate(lambda x: 0.999 * x, np.array([5e6, 0.0]),
+    res2 = iterate(lambda x, k: (0.999 * x, x), np.array([5e6, 0.0]),
                    StoppingPolicy.budget_only(max_iter=300))
     assert res2.status is Status.BUDGET_EXHAUSTED
 
@@ -235,7 +232,7 @@ def test_engine_divergence_needs_monotone_growth():
 def test_engine_true_error_against_target_set():
     line = LinearSubspace([[1.0], [0.0]])
     policy = StoppingPolicy.true_error(line, eps=1e-6, max_iter=50)
-    res = iterate(lambda x: 0.5 * x, np.array([0.0, 3.0]), policy)
+    res = iterate(lambda x, k: (0.5 * x, x), np.array([0.0, 3.0]), policy)
     assert res.status is Status.CONVERGED
     assert res.final_error < 1e-6
 
@@ -243,11 +240,65 @@ def test_engine_true_error_against_target_set():
 def test_engine_reports_numerical_failure():
     from aamr import NumericalFailure
 
-    def broken(x):
+    def broken(x, k):
         raise NumericalFailure("boom")
 
     res = iterate(broken, np.array([1.0]), StoppingPolicy.budget_only(max_iter=10))
     assert res.status is Status.NUMERICAL_FAILURE
+
+
+def test_engine_passes_each_index_once_in_order():
+    seen = []
+
+    def step(x, k):
+        seen.append(k)
+        return 0.5 * x, x
+
+    res = iterate(step, np.array([1.0]), StoppingPolicy.budget_only(max_iter=5))
+    assert res.iterations == 5
+    assert seen == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("policy", [StoppingPolicy.budget_only(max_iter=50),
+                                    StoppingPolicy.residual(eps=1e-12, max_iter=50)])
+def test_engine_non_finite_iterate_is_numerical_failure(policy):
+    res = iterate(lambda x, k: (x * math.nan, x), np.array([1.0, 2.0]), policy)
+    assert res.status is Status.NUMERICAL_FAILURE
+    assert res.iterations == 1
+    assert np.array_equal(res.shadow, [1.0, 2.0])
+
+    # a blow-up midway fails at the index of the first non-finite iterate
+    res = iterate(lambda x, k: (np.full_like(x, math.inf) if k == 3 else 0.9 * x, x),
+                  np.array([1e10]), policy)
+    assert res.status is Status.NUMERICAL_FAILURE
+    assert res.iterations == 4
+
+
+class CountingSet:
+    """Wraps a set and counts its projections."""
+
+    def __init__(self, inner):
+        self.inner, self.dim, self.calls = inner, inner.dim, 0
+
+    def project(self, x):
+        self.calls += 1
+        return self.inner.project(x)
+
+
+@pytest.mark.parametrize("method", ["aamr", "drm"])
+def test_aamr_and_dr_spend_two_projections_per_iteration(method):
+    from aamr import aamr_solve, dr_solve
+    rng = np.random.default_rng(47)
+    a = CountingSet(LinearSubspace(rng.standard_normal((6, 3))))
+    b = CountingSet(LinearSubspace(rng.standard_normal((6, 4))))
+    policy = StoppingPolicy.budget_only(max_iter=40)
+    q = rng.standard_normal(6)
+    if method == "aamr":
+        res = aamr_solve(a, b, q, alpha=0.9, beta=0.7, policy=policy)
+    else:
+        res = dr_solve(a, b, q, alpha=0.5, policy=policy)
+    steps = res.iterations + 1  # the engine steps at every index, the last included
+    assert (a.calls, b.calls) == (steps, steps)
 
 
 def test_engine_two_ball_divergence_with_small_threshold():

@@ -333,15 +333,15 @@ def test_cm_direct_and_recast_forms_coincide():
         pair = random_subspace_pair(12, [71, seed])
         u, v, _ = pair_sets(pair)
         q = rng.standard_normal(12)
-        step_direct, monitor = cm_recurrence([u, v], q, gamma=0.25, lam=1.8,
-                                             form="direct")
-        step_recast, _ = cm_recurrence([u, v], q, gamma=0.25, lam=1.8,
-                                       form="recast")
+        step_direct = cm_recurrence([u, v], q, gamma=0.25, lam=1.8,
+                                    form="direct")
+        step_recast = cm_recurrence([u, v], q, gamma=0.25, lam=1.8,
+                                    form="recast")
         z_a = np.tile(q, 2)
         z_b = z_a.copy()
         for k in range(100):
-            z_a = step_direct(z_a)
-            z_b = step_recast(z_b)
+            z_a = step_direct(z_a, k)[0]
+            z_b = step_recast(z_b, k)[0]
             assert norm(z_a - z_b) <= 1e-12 * (1 + norm(z_a))
 
 
@@ -412,6 +412,10 @@ def test_dispatch_validation():
                                  x0=np.ones(2))
     with pytest.raises(ValueError, match="unknown method"):
         MethodSpec("dykstra")
+    with pytest.raises(ValueError, match="need at least one set"):
+        solve_best_approximation(MethodSpec("cm"), [], np.zeros(2))
+    with pytest.raises(ValueError, match="need at least one set"):
+        cm_solve([], np.zeros(2))
 
 
 def test_recommended_beta_rule_shape():
