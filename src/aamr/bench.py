@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
+from . import svgplot
 from .geometry import SubspacePair, random_subspace_pair
 from .operators import DrOperator, Status, StoppingPolicy, iterate
 from .sets import LinearSubspace, zero_subspace
-from .solvers import MethodSpec, recommended_beta, solve_best_approximation
+from .solvers import _METHODS, MethodSpec, recommended_beta, solve_best_approximation
 
 __all__ = [
     "CSV_HEADER",
@@ -40,6 +41,8 @@ __all__ = [
     "estimate_rate",
     "write_runs_csv",
     "write_table_csv",
+    "Sweep",
+    "SWEEPS",
 ]
 
 CSV_HEADER = ("instance_id,theta_F,method,alpha,beta,mu,gamma,"
@@ -392,72 +395,62 @@ def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
     return status, iterations.tolist(), final_error.tolist()
 
 
-def _alpha_task(args):
-    config, instance_id, pair, kind, beta = args
-    q = start_point(config, instance_id, 0)
-    grid = [a for a in config.alpha_grid if kind == "aamr" or a < 1.0]
-    rows_beta = 1.0 if kind == "drm" else beta
+def _grid_task(args):
+    """Run one instance's ``(MethodSpec, start_id)`` rows through the row
+    engine.  A kind without a beta parameter runs the plain double
+    reflection (beta = 1)."""
+    config, instance_id, pair, rows = args
+    starts = {s: start_point(config, instance_id, s) for s in {s for _, s in rows}}
+    # the reshape keeps a grid emptied by the alpha range at shape (0, n)
+    q_rows = np.array([starts[s] for _, s in rows]).reshape(len(rows), config.n)
+    betas = [spec.beta if "beta" in _METHODS[spec.kind].params else 1.0
+             for spec, _ in rows]
     status, iters, errs = _batched_pair_sweep(
-        pair, np.tile(q, (len(grid), 1)), grid, [rows_beta] * len(grid),
+        pair, q_rows, [spec.alpha for spec, _ in rows], betas,
         config.eps, config.max_iter)
-    rows = []
-    outcomes = []
-    for alpha, st, it, err in zip(grid, status, iters, errs):
-        rows.append(RunRecord(instance_id, pair.angle, kind, alpha, beta,
-                              None, None, 0, st, it, err, config.seed))
-        outcomes.append((alpha, Status(st), it))
-    return rows, outcomes
+    return [RunRecord(instance_id, pair.angle, spec.kind, spec.alpha, spec.beta,
+                      None, None, start_id, st, it, err, config.seed)
+            for (spec, start_id), st, it, err in zip(rows, status, iters, errs)]
+
+
+def _grid_sweep(config, row_sets, jobs):
+    """Each row set on every instance, one engine batch per pair; returns
+    the runs and the converged ones per batch."""
+    tasks = [(config, i, pair, rows) for i, pair in enumerate(make_instances(config))
+             for rows in row_sets]
+    batches = _pmap(_grid_task, tasks, jobs)
+    runs = [r for batch in batches for r in batch]
+    return runs, [[r for r in batch if r.status == Status.CONVERGED.value]
+                  for batch in batches]
 
 
 def sweep_alpha(config: SweepConfig, kind: str = "aamr", jobs: int = 1):
     """Best averaging weight per instance (ties go to the smaller alpha).
 
-    For ``aamr`` the grid is swept once per ``alpha_sweep_betas`` entry; for
-    ``drm`` there is no beta.  Non-converged runs are recorded but excluded
-    from the argmin.  Returns ``(runs, best_records)``.
+    The grid keeps the alphas in the method's range (drm drops alpha = 1).
+    For ``aamr`` it is swept once per ``alpha_sweep_betas`` entry; ``drm``
+    has no beta.  Non-converged runs are recorded but excluded from the
+    argmin.  Returns ``(runs, best_records)``.
     """
     if kind not in ("aamr", "drm"):
         raise ValueError("alpha sweep supports the aamr and drm methods")
-    instances = make_instances(config)
-    betas = config.alpha_sweep_betas if kind == "aamr" else (None,)
-    tasks = [(config, i, pair, kind, beta)
-             for i, pair in enumerate(instances) for beta in betas]
-    results = _pmap(_alpha_task, tasks, jobs)
-    runs, best = [], []
-    for (cfg, i, pair, knd, beta), (rows, outcomes) in zip(tasks, results):
-        runs.extend(rows)
-        converged = [(a, k) for a, status, k in outcomes
-                     if status is Status.CONVERGED]
-        if not converged:
-            continue
-        best_alpha, best_iters = min(converged, key=lambda ak: (ak[1], ak[0]))
-        best.append(BestAlphaRecord(i, pair.angle, knd, beta, best_alpha,
-                                    best_iters))
+    params = _METHODS[kind].params
+    grid = [a for a in config.alpha_grid if params["alpha"].admits(a)]
+    betas = config.alpha_sweep_betas if "beta" in params else (None,)
+    runs, converged = _grid_sweep(
+        config, [[(MethodSpec(kind, alpha=a, beta=beta), 0) for a in grid]
+                 for beta in betas], jobs)
+    best = []
+    for batch in filter(None, converged):
+        iterations, alpha = min((r.iterations, r.alpha) for r in batch)
+        r = batch[0]
+        best.append(BestAlphaRecord(r.instance_id, r.theta, r.method, r.beta,
+                                    alpha, iterations))
     return runs, best
 
 
 # ---------------------------------------------------------------------------
 # beta sweep
-
-
-def _beta_task(args):
-    config, instance_id, pair = args
-    starts = [start_point(config, instance_id, s) for s in range(config.n_starts)]
-    grid = [(beta, s) for beta in config.beta_grid for s in range(config.n_starts)]
-    q_rows = np.stack([starts[s] for _, s in grid])
-    status, iters, errs = _batched_pair_sweep(
-        pair, q_rows, [0.9] * len(grid), [beta for beta, _ in grid],
-        config.eps, config.max_iter)
-    rows = []
-    converged = {}
-    for (beta, start_id), st, it, err in zip(grid, status, iters, errs):
-        rows.append(RunRecord(instance_id, pair.angle, "aamr", 0.9, beta,
-                              None, None, start_id, st, it, err, config.seed))
-        if st == "converged":
-            converged.setdefault(beta, []).append(it)
-    medians = [(beta, float(np.median(converged[beta])))
-               for beta in config.beta_grid if beta in converged]
-    return rows, medians
 
 
 def sweep_beta(config: SweepConfig, jobs: int = 1):
@@ -468,16 +461,17 @@ def sweep_beta(config: SweepConfig, jobs: int = 1):
     together with the residual of the shipped ``recommended_beta`` rule on the
     same data.
     """
-    instances = make_instances(config)
-    tasks = [(config, i, pair) for i, pair in enumerate(instances)]
-    results = _pmap(_beta_task, tasks, jobs)
-    runs, best = [], []
-    for (cfg, i, pair), (rows, medians) in zip(tasks, results):
-        runs.extend(rows)
-        if not medians:
-            continue
-        best_beta, best_med = min(medians, key=lambda bm: (bm[1], bm[0]))
-        best.append(BestBetaRecord(i, pair.angle, best_beta, best_med))
+    runs, converged = _grid_sweep(
+        config, [[(MethodSpec("aamr", alpha=0.9, beta=beta), s)
+                  for beta in config.beta_grid for s in range(config.n_starts)]],
+        jobs)
+    best = []
+    for batch in filter(None, converged):
+        by_beta = {}
+        for r in batch:
+            by_beta.setdefault(r.beta, []).append(r.iterations)
+        median, beta = min((float(np.median(its)), b) for b, its in by_beta.items())
+        best.append(BestBetaRecord(batch[0].instance_id, batch[0].theta, beta, median))
     fit = _fit_beta_curve(best)
     return runs, best, fit
 
@@ -538,6 +532,17 @@ def _planar_lines(theta: float):
     return u, v, zero_subspace(2)
 
 
+def _dr_raw_iterate(spec, u, v, q, policy):
+    op = DrOperator(u, v, spec.alpha)
+    return iterate(lambda x, k: (op(x), x), q, policy)
+
+
+# the kinds whose trace follows a run other than their solver (see
+# rate_profile), and the rates theory predicts for two lines at angle theta
+_RATE_RUNS = {"drm": _dr_raw_iterate}
+_EXPECTED_RATES = {"map": lambda theta: math.cos(theta) ** 2, "drm": math.cos}
+
+
 def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
                  eps: float = 1e-13, max_iter: int = 200_000,
                  start_norm: float = 10.0):
@@ -564,9 +569,9 @@ def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
             resolved = spec.resolve(theta)
             policy = StoppingPolicy.true_error(target, eps=eps, max_iter=max_iter,
                                                record_trace=True)
-            if resolved.kind == "drm":
-                op = DrOperator(u, v, resolved.alpha)
-                result = iterate(lambda x, k: (op(x), x), q, policy)
+            run = _RATE_RUNS.get(resolved.kind)
+            if run is not None:
+                result = run(resolved, u, v, q, policy)
             else:
                 result = solve_best_approximation(resolved, [u, v], q,
                                                   policy=policy, theta=theta)
@@ -574,11 +579,8 @@ def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
                 rate = estimate_rate(result.trace)
             except ValueError:  # contraction too steep: trace shorter than 20
                 rate = math.nan
-            expected = None
-            if resolved.kind == "map":
-                expected = math.cos(theta) ** 2
-            elif resolved.kind == "drm":
-                expected = math.cos(theta)
+            rule = _EXPECTED_RATES.get(resolved.kind)
+            expected = None if rule is None else rule(theta)
             label = resolved.display()
             runs.append(RunRecord(t_index, theta, resolved.kind, resolved.alpha,
                                   resolved.beta, resolved.mu, resolved.gamma, 0,
@@ -587,3 +589,144 @@ def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
             records.append(RateRecord(theta, resolved.kind, label, rate, expected))
             traces[(theta, label)] = list(result.trace)
     return runs, records, traces
+
+
+# ---------------------------------------------------------------------------
+# the sweeps behind ``aamr bench``
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One ``aamr bench`` sweep.  ``run(config, methods, thetas, jobs)``
+    returns ``(runs, rows, charts, lines)``: the records of the ``runs_csv``
+    file, the rows of the ``table_csv`` file under ``header``, the charts as
+    ``(file name, series, render_chart keyword arguments)`` and the console
+    summary lines.  ``methods`` is None for the sweep's default roster.
+    ``full_scale`` holds the SweepConfig overrides of ``--full-scale``."""
+
+    run: object
+    runs_csv: str
+    table_csv: str
+    header: tuple
+    full_scale: dict
+
+
+def _profile_report(config, methods, thetas, jobs):
+    runs, records = angle_profile(config, methods=methods, jobs=jobs)
+    rows = [[r.instance_id, r.theta, r.method.display(), r.n_starts,
+             r.median_iterations, r.std_iterations,
+             *(r.status_counts[s.value] for s in Status), r.seed] for r in records]
+    labels = sorted({r.method.display() for r in records})
+    charts = []
+    for stat, name in (("median_iterations", "median_vs_angle.svg"),
+                       ("std_iterations", "std_vs_angle.svg")):
+        series = []
+        for label in labels:
+            pts = sorted((r.theta, getattr(r, stat)) for r in records
+                         if r.method.display() == label
+                         and math.isfinite(getattr(r, stat)))
+            series.append(svgplot.Series(label, [p[0] for p in pts],
+                                         [max(p[1], 0.5) for p in pts]))
+        charts.append((name, series, dict(
+            title=f"{stat.replace('_', ' ')} to reach eps={config.eps:g}",
+            xlabel="Friedrichs angle (radians)", ylabel="iterations", ylog=True)))
+    lines = [f"instances: {config.n_instances}  starts: {config.n_starts}  "
+             f"eps: {config.eps:g}"]
+    for r in records:
+        med = "-" if math.isnan(r.median_iterations) else f"{r.median_iterations:.0f}"
+        lines.append(f"  instance {r.instance_id:3d}  theta {r.theta:8.4f}  "
+                     f"{r.method.display():24s} median {med}")
+    return runs, rows, charts, lines
+
+
+def _alpha_report(config, methods, thetas, jobs):
+    runs, best = [], []
+    for kind in [m.kind for m in methods] if methods else ["aamr"]:
+        k_runs, k_best = sweep_alpha(config, kind=kind, jobs=jobs)
+        runs.extend(k_runs)
+        best.extend(k_best)
+    groups = {}
+    for r in best:
+        groups.setdefault((r.method, r.beta), []).append(r)
+    series, lines = [], []
+    # drm's beta is None, but its kind already tells its key from aamr's
+    for (method, beta), sel in sorted(groups.items()):
+        label = method if beta is None else f"{method} beta={beta:g}"
+        xs = [r.theta for r in sel]
+        mean_alpha = float(np.mean([r.best_alpha for r in sel]))
+        series.append(svgplot.Series(label, xs, [r.best_alpha for r in sel],
+                                     style="scatter"))
+        series.append(svgplot.Series(f"{label} mean={mean_alpha:.2f}",
+                                     [min(xs), max(xs)], [mean_alpha, mean_alpha],
+                                     style="dashed"))
+        lines.append(f"  {label:20s} mean best alpha {mean_alpha:.3f} "
+                     f"over {len(sel)} instances")
+    rows = [[r.instance_id, r.theta, r.method, r.beta, r.best_alpha, r.iterations]
+            for r in best]
+    return runs, rows, [("best_alpha.svg", series, dict(
+        title="best averaging weight vs angle",
+        xlabel="Friedrichs angle (radians)", ylabel="best alpha"))], lines
+
+
+def _beta_report(config, methods, thetas, jobs):
+    runs, best, fit = sweep_beta(config, jobs=jobs)
+    xs = [r.theta for r in best]
+    series = [svgplot.Series("best beta", xs, [r.best_beta for r in best],
+                             style="scatter")]
+    grid = np.linspace(min(xs), max(xs), 60) if xs else []
+    if fit is not None:
+        series.append(svgplot.Series(
+            f"fit {fit.a:.3f}*exp({fit.b:.3f}t)+{fit.c:.3f}",
+            list(grid), list(fit(grid))))
+        line = (f"  exponential fit: beta = {fit.a:.4f}*exp({fit.b:.4f}*theta) "
+                f"+ {fit.c:.4f}   (rms {fit.rms_residual:.4f}, "
+                f"shipped rule rms {fit.rule_rms_residual:.4f})")
+    else:
+        line = "  fit degenerate: not enough converged instances"
+    series.append(svgplot.Series("shipped rule", list(grid),
+                                 [recommended_beta(t) for t in grid],
+                                 style="dashed"))
+    rows = [[r.instance_id, r.theta, r.best_beta, r.median_iterations] for r in best]
+    return runs, rows, [("best_beta.svg", series, dict(
+        title="best reflection strength vs angle",
+        xlabel="Friedrichs angle (radians)", ylabel="beta"))], [line]
+
+
+def _rates_report(config, methods, thetas, jobs):
+    runs, records, traces = rate_profile(
+        thetas=thetas, methods=methods, seed=config.seed,
+        max_iter=config.max_iter, start_norm=config.start_norm)
+    series = [svgplot.Series(f"{label} theta={theta:g}",
+                             [entry[0] for entry in trace],
+                             [entry[1] for entry in trace])
+              for (theta, label), trace in sorted(traces.items())]
+    lines = []
+    for r in records:
+        expected = "-" if r.expected_rate is None else f"{r.expected_rate:.4f}"
+        lines.append(f"  theta {r.theta:6.3f}  {r.label:20s} rate "
+                     f"{r.estimated_rate:.4f}  expected {expected}")
+    rows = [[r.theta, r.label, r.estimated_rate, r.expected_rate] for r in records]
+    return runs, rows, [("error_vs_iteration.svg", series, dict(
+        title="monitored error by iteration", xlabel="iteration",
+        ylabel="error", ylog=True))], lines
+
+
+SWEEPS = {
+    "alpha": Sweep(_alpha_report, "runs_alpha.csv", "best_alpha.csv",
+                   ("instance_id", "theta_F", "method", "beta", "best_alpha",
+                    "iterations"),
+                   dict(n_instances=1000, n_starts=1)),
+    "beta": Sweep(_beta_report, "runs_beta.csv", "best_beta.csv",
+                  ("instance_id", "theta_F", "best_beta", "median_iterations"),
+                  dict(n_instances=100, n_starts=100, angle_bins=100,
+                       beta_grid=tuple(round(0.4 + 0.005 * i, 3)
+                                       for i in range(120)))),
+    "angle-profile": Sweep(_profile_report, "runs_angle_profile.csv",
+                           "angle_profile.csv",
+                           ("instance_id", "theta_F", "method", "n_starts",
+                            "median_iterations", "std_iterations", "n_converged",
+                            "n_diverged", "n_budget", "n_failed", "seed"),
+                           dict(n_instances=100, n_starts=10)),
+    "rates": Sweep(_rates_report, "runs_rates.csv", "rates.csv",
+                   ("theta", "method", "estimated_rate", "expected_rate"), {}),
+}

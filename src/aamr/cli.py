@@ -9,7 +9,6 @@ budget exhausted, 4 numerical failure.
 """
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from .geometry import friedrichs_angle, principal_angles, subspace_intersection
 from .operators import Status, StoppingPolicy
 from .sets import (LinearSubspace, NoOracleError, ProblemFormatError,
                    load_problem, project_intersection_oracle)
-from .solvers import MethodSpec, recommended_beta, solve_best_approximation
+from .solvers import MethodSpec, solve_best_approximation
 
 EXIT_CODES = {
     Status.CONVERGED: 0,
@@ -81,7 +80,7 @@ def _build_parser() -> _Parser:
     angle.add_argument("file", help="problem file containing exactly two subspaces")
 
     bench_p = sub.add_parser("bench", help="benchmark sweeps (CSV + SVG artifacts)")
-    bench_p.add_argument("sweep", choices=["alpha", "beta", "angle-profile", "rates"])
+    bench_p.add_argument("sweep", choices=list(bench.SWEEPS))
     bench_p.add_argument("--out-dir", default="aamr-bench")
     bench_p.add_argument("--seed", type=int, default=None,
                          help="defaults to $AAMR_SEED, then 0")
@@ -175,13 +174,7 @@ def _bench_config(args) -> bench.SweepConfig:
                   start_norm=args.start_norm, eps=args.eps,
                   max_iter=args.max_iter, angle_bins=args.bins, seed=seed)
     if args.full_scale:
-        scale = {"alpha": dict(n_instances=1000, n_starts=1),
-                 "beta": dict(n_instances=100, n_starts=100, angle_bins=100,
-                              beta_grid=tuple(round(0.4 + 0.005 * i, 3)
-                                              for i in range(120))),
-                 "angle-profile": dict(n_instances=100, n_starts=10),
-                 "rates": {}}[args.sweep]
-        kwargs.update(scale)
+        kwargs.update(bench.SWEEPS[args.sweep].full_scale)
     if args.alphas is not None:
         kwargs["alpha_grid"] = _parse_grid(args.alphas)
     if args.betas is not None:
@@ -199,150 +192,17 @@ def _cmd_bench(args) -> int:
     config = _bench_config(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    if args.sweep == "angle-profile":
-        methods = _parse_methods(args.methods)
-        runs, records = bench.angle_profile(config, methods=methods, jobs=args.jobs)
-        runs_path = out / "runs_angle_profile.csv"
-        bench.write_runs_csv(runs_path, runs)
-        summary_path = out / "angle_profile.csv"
-        bench.write_table_csv(summary_path, [
-            "instance_id", "theta_F", "method", "n_starts", "median_iterations",
-            "std_iterations", "n_converged", "n_diverged", "n_budget",
-            "n_failed", "seed",
-        ], [[r.instance_id, r.theta, r.method.display(), r.n_starts,
-             r.median_iterations, r.std_iterations,
-             r.status_counts["converged"], r.status_counts["diverged"],
-             r.status_counts["budget_exhausted"],
-             r.status_counts["numerical_failure"], r.seed] for r in records])
-        for stat, fname in (("median_iterations", "median_vs_angle.svg"),
-                            ("std_iterations", "std_vs_angle.svg")):
-            series = []
-            labels = sorted({r.method.display() for r in records})
-            for label in labels:
-                pts = sorted((r.theta, getattr(r, stat)) for r in records
-                             if r.method.display() == label
-                             and math.isfinite(getattr(r, stat)))
-                series.append(svgplot.Series(label, [p[0] for p in pts],
-                                             [max(p[1], 0.5) for p in pts]))
-            svgplot.render_chart(out / fname, series,
-                                 title=f"{stat.replace('_', ' ')} to reach "
-                                       f"eps={config.eps:g}",
-                                 xlabel="Friedrichs angle (radians)",
-                                 ylabel="iterations", ylog=True)
-            written.append(out / fname)
-        written = [runs_path, summary_path] + written
-        print(f"instances: {config.n_instances}  starts: {config.n_starts}  "
-              f"eps: {config.eps:g}")
-        for r in records:
-            med = "-" if math.isnan(r.median_iterations) else f"{r.median_iterations:.0f}"
-            print(f"  instance {r.instance_id:3d}  theta {r.theta:8.4f}  "
-                  f"{r.method.display():24s} median {med}")
-
-    elif args.sweep == "alpha":
-        methods = _parse_methods(args.methods)
-        kinds = [m.kind for m in methods] if methods else ["aamr"]
-        runs, best = [], []
-        for kind in kinds:
-            k_runs, k_best = bench.sweep_alpha(config, kind=kind, jobs=args.jobs)
-            runs.extend(k_runs)
-            best.extend(k_best)
-        runs_path = out / "runs_alpha.csv"
-        bench.write_runs_csv(runs_path, runs)
-        best_path = out / "best_alpha.csv"
-        bench.write_table_csv(best_path,
-                              ["instance_id", "theta_F", "method", "beta",
-                               "best_alpha", "iterations"],
-                              [[r.instance_id, r.theta, r.method, r.beta,
-                                r.best_alpha, r.iterations] for r in best])
-        series = []
-        groups = sorted({(r.method, r.beta if r.beta is not None else -1.0)
-                         for r in best})
-        for method, beta in groups:
-            sel = [r for r in best if r.method == method
-                   and (r.beta if r.beta is not None else -1.0) == beta]
-            label = method if beta < 0 else f"{method} beta={beta:g}"
-            xs = [r.theta for r in sel]
-            ys = [r.best_alpha for r in sel]
-            series.append(svgplot.Series(label, xs, ys, style="scatter"))
-            mean_alpha = float(np.mean(ys))
-            series.append(svgplot.Series(f"{label} mean={mean_alpha:.2f}",
-                                         [min(xs), max(xs)],
-                                         [mean_alpha, mean_alpha], style="dashed"))
-        svgplot.render_chart(out / "best_alpha.svg", series,
-                             title="best averaging weight vs angle",
-                             xlabel="Friedrichs angle (radians)",
-                             ylabel="best alpha")
-        written = [runs_path, best_path, out / "best_alpha.svg"]
-        for method, beta in groups:
-            sel = [r.best_alpha for r in best if r.method == method
-                   and (r.beta if r.beta is not None else -1.0) == beta]
-            tag = method if beta < 0 else f"{method} beta={beta:g}"
-            print(f"  {tag:20s} mean best alpha {np.mean(sel):.3f} over {len(sel)} instances")
-
-    elif args.sweep == "beta":
-        runs, best, fit = bench.sweep_beta(config, jobs=args.jobs)
-        runs_path = out / "runs_beta.csv"
-        bench.write_runs_csv(runs_path, runs)
-        best_path = out / "best_beta.csv"
-        bench.write_table_csv(best_path,
-                              ["instance_id", "theta_F", "best_beta",
-                               "median_iterations"],
-                              [[r.instance_id, r.theta, r.best_beta,
-                                r.median_iterations] for r in best])
-        xs = [r.theta for r in best]
-        series = [svgplot.Series("best beta", xs, [r.best_beta for r in best],
-                                 style="scatter")]
-        grid = np.linspace(min(xs), max(xs), 60) if xs else []
-        if fit is not None:
-            series.append(svgplot.Series(
-                f"fit {fit.a:.3f}*exp({fit.b:.3f}t)+{fit.c:.3f}",
-                list(grid), list(fit(grid))))
-        series.append(svgplot.Series("shipped rule", list(grid),
-                                     [recommended_beta(t) for t in grid],
-                                     style="dashed"))
-        svgplot.render_chart(out / "best_beta.svg", series,
-                             title="best reflection strength vs angle",
-                             xlabel="Friedrichs angle (radians)", ylabel="beta")
-        written = [runs_path, best_path, out / "best_beta.svg"]
-        if fit is not None:
-            print(f"  exponential fit: beta = {fit.a:.4f}*exp({fit.b:.4f}*theta) "
-                  f"+ {fit.c:.4f}   (rms {fit.rms_residual:.4f}, "
-                  f"shipped rule rms {fit.rule_rms_residual:.4f})")
-        else:
-            print("  fit degenerate: not enough converged instances")
-
-    else:  # rates
-        thetas = _parse_grid(args.thetas)
-        methods = _parse_methods(args.methods)
-        runs, records, traces = bench.rate_profile(
-            thetas=thetas, methods=methods, seed=config.seed,
-            max_iter=config.max_iter, start_norm=config.start_norm)
-        runs_path = out / "runs_rates.csv"
-        bench.write_runs_csv(runs_path, runs)
-        rates_path = out / "rates.csv"
-        bench.write_table_csv(rates_path,
-                              ["theta", "method", "estimated_rate",
-                               "expected_rate"],
-                              [[r.theta, r.label, r.estimated_rate,
-                                r.expected_rate] for r in records])
-        series = []
-        for (theta, label), trace in sorted(traces.items()):
-            ks = [entry[0] for entry in trace]
-            errs = [entry[1] for entry in trace]
-            series.append(svgplot.Series(f"{label} theta={theta:g}", ks, errs))
-        svgplot.render_chart(out / "error_vs_iteration.svg", series,
-                             title="monitored error by iteration",
-                             xlabel="iteration", ylabel="error", ylog=True)
-        written = [runs_path, rates_path, out / "error_vs_iteration.svg"]
-        for r in records:
-            expected = "-" if r.expected_rate is None else f"{r.expected_rate:.4f}"
-            print(f"  theta {r.theta:6.3f}  {r.label:20s} rate {r.estimated_rate:.4f}"
-                  f"  expected {expected}")
-
-    for path in written:
-        print(f"wrote {path}")
+    sweep = bench.SWEEPS[args.sweep]
+    runs, rows, charts, lines = sweep.run(
+        config, methods=_parse_methods(args.methods),
+        thetas=_parse_grid(args.thetas), jobs=args.jobs)
+    bench.write_runs_csv(out / sweep.runs_csv, runs)
+    bench.write_table_csv(out / sweep.table_csv, sweep.header, rows)
+    for name, series, options in charts:
+        svgplot.render_chart(out / name, series, **options)
+    names = [sweep.runs_csv, sweep.table_csv] + [name for name, _, _ in charts]
+    for line in lines + [f"wrote {out / name}" for name in names]:
+        print(line)
     return 0
 
 

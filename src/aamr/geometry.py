@@ -163,7 +163,7 @@ class SubspacePair:
         return self.basis_u.shape[0]
 
 
-def _sample_dims(rng, n, min_meet, need_angle_room):
+def _sample_dims(rng, n, min_meet):
     lo = math.ceil(n / 4)
     hi = math.ceil(3 * n / 4)
     for _ in range(10_000):
@@ -172,7 +172,7 @@ def _sample_dims(rng, n, min_meet, need_angle_room):
         meet = du + dv - n
         if meet < max(1, min_meet):
             continue
-        if need_angle_room and min(du, dv) - meet < 1:
+        if min(du, dv) - meet < 1:  # one inside the other: no angle (n = 3)
             continue
         return du, dv
     raise ValueError(f"cannot sample dimensions for n={n} with "
@@ -217,8 +217,9 @@ def random_subspace_pair(n: int, seed, min_intersection_dim: int = 1,
     """Seeded random pair of subspaces of R^n with nontrivial intersection.
 
     Dimensions are drawn uniformly from [ceil(n/4), ceil(3n/4)] subject to
-    d_u + d_v >= n + min_intersection_dim.  Without a target interval the
-    bases are orthonormalized standard-Gaussian matrices.  With
+    d_u + d_v >= n + min_intersection_dim and d_u, d_v < n, so that neither
+    subspace contains the other.  Without a target interval the bases are
+    orthonormalized standard-Gaussian matrices.  With
     ``target_angle_interval = (lo, hi)`` the pair is built constructively so
     that the Friedrichs angle lands inside the interval (rejection sampling
     cannot reach large angles under this dimension law).  Deterministic for a
@@ -229,7 +230,7 @@ def random_subspace_pair(n: int, seed, min_intersection_dim: int = 1,
     rng = np.random.default_rng(seed)
     if target_angle_interval is None:
         for _ in range(100):
-            du, dv = _sample_dims(rng, n, min_intersection_dim, need_angle_room=False)
+            du, dv = _sample_dims(rng, n, min_intersection_dim)
             Qu = orthonormal_columns(rng.standard_normal((n, du)))
             Qv = orthonormal_columns(rng.standard_normal((n, dv)))
             pair = SubspacePair.from_bases(Qu, Qv)
@@ -240,7 +241,7 @@ def random_subspace_pair(n: int, seed, min_intersection_dim: int = 1,
     lo, hi = (float(target_angle_interval[0]), float(target_angle_interval[1]))
     if not (0.0 < lo <= hi <= np.pi / 2):
         raise ValueError("target_angle_interval must satisfy 0 < lo <= hi <= pi/2")
-    du, dv = _sample_dims(rng, n, min_intersection_dim, need_angle_room=True)
+    du, dv = _sample_dims(rng, n, min_intersection_dim)
     theta = float(rng.uniform(lo, hi)) if lo < hi else lo
     Qu, Qv = _constructed_pair(rng, n, du, dv, theta)
     pair = SubspacePair.from_bases(Qu, Qv)

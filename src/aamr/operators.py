@@ -15,7 +15,7 @@ from .sets import ConvexSet, as_vector
 
 
 def _norm(v) -> float:
-    return math.sqrt(float(v @ v))
+    return math.sqrt(float(v.dot(v)))
 
 __all__ = [
     "Status",

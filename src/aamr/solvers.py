@@ -12,7 +12,7 @@ of convex sets closest to a query point ``q``, reporting through the shared
   ``P_A(x_k)``; solves the best approximation problem for affine subspaces.
 * ``haugazeau_solve``: anchored halfspace-intersection steps, strongly
   convergent to the projection of the starting point.
-* ``hlwb_solve``: Halpern-type anchored projections with weights 1/(n+1).
+* ``hlwb_solve``: Halpern-type anchored projections with weights 1/(k+2).
 * ``cm_solve``: Combettes' strongly convergent product-space recurrence.
 
 All comparison methods start at ``x0 = q``; the AAMR and CM drivers accept an
@@ -202,9 +202,9 @@ def _haugazeau_project(x, y, z):
     """
     d_xy = x - y
     d_yz = y - z
-    pi = float(d_xy @ d_yz)
-    mu = float(d_xy @ d_xy)
-    nu = float(d_yz @ d_yz)
+    pi = float(d_xy.dot(d_yz))
+    mu = float(d_xy.dot(d_xy))
+    nu = float(d_yz.dot(d_yz))
     rho = mu * nu - pi * pi
     if rho <= 1e-14 * max(mu * nu, 1e-300):  # rank-deficient Gram: rho == 0
         if pi >= 0.0:
@@ -235,18 +235,21 @@ def haugazeau_solve(u_set: ConvexSet, v_set: ConvexSet, q,
 
 
 def hlwb_solve(sets, q, policy: StoppingPolicy | None = None) -> SolveResult:
-    """Anchored projections x_{k+1} = q/(k+1) + (1 - 1/(k+1)) P_{C_k}(x_k).
+    """Anchored projections x_{k+1} = q/(k+2) + (1 - 1/(k+2)) P_{C_{k+1}}(x_k)
+    from x_0 = q.
 
-    Cycles through the sets; converges to the projection of ``q`` onto the
-    intersection, slowly (the anchor weight decays like 1/k).
+    Cycles through the sets, starting at the second; converges to the
+    projection of ``q`` onto the intersection, slowly (the anchor weight
+    decays like 1/k).  The weights start at 1/2: a first weight of 1 would
+    return ``q`` unchanged, which a residual stop reads as convergence.
     """
     sets = list(sets)
     policy = _default_policy(policy)
     q = as_vector(q, _common_dim(sets))
 
     def step(x, k):
-        lam = 1.0 / (k + 1)
-        return lam * q + (1.0 - lam) * sets[k % len(sets)].project(x), x
+        lam = 1.0 / (k + 2)
+        return lam * q + (1.0 - lam) * sets[(k + 1) % len(sets)].project(x), x
 
     return iterate(step, q, policy)
 
@@ -304,34 +307,16 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8, form: str = "direct"):
 
 
 def cm_solve(sets, q, gamma: float = 0.25, lam=1.8,
-             policy: StoppingPolicy | None = None, x0=None,
-             form: str = "direct", verify_forms: bool = False) -> SolveResult:
+             policy: StoppingPolicy | None = None, x0=None) -> SolveResult:
     """Combettes' strongly convergent method in the product space.
 
     ``lam`` is a constant in (0, 2] or a callable schedule with positive
-    infimum; the default 1.8 corresponds to an averaging weight of 0.9.  With
-    ``verify_forms=True`` the other form (recast or direct) is also applied to
-    every iterate and its step checked to agree to 1e-12.
+    infimum; the default 1.8 corresponds to an averaging weight of 0.9.
     """
     sets = list(sets)
     policy = _default_policy(policy)
-    step = cm_recurrence(sets, q, gamma=gamma, lam=lam, form=form)
-    z0 = _lift(x0, as_vector(q, sets[0].dim), len(sets))
-    if not verify_forms:
-        return iterate(step, z0, policy)
-
-    other = cm_recurrence(sets, q, gamma=gamma, lam=lam,
-                          form="recast" if form == "direct" else "direct")
-
-    def checked(z, k):
-        z_next, shadow = step(z, k)
-        twin = other(z, k)[0]
-        scale = 1.0 + float(np.linalg.norm(z_next))
-        if np.linalg.norm(twin - z_next) > 1e-12 * scale:
-            raise NumericalFailure("direct and recast recurrences drifted apart")
-        return z_next, shadow
-
-    return iterate(checked, z0, policy)
+    step = cm_recurrence(sets, q, gamma=gamma, lam=lam)
+    return iterate(step, _lift(x0, as_vector(q, sets[0].dim), len(sets)), policy)
 
 
 @dataclass(frozen=True)
@@ -346,10 +331,13 @@ class _Param:
     schedule: bool = False  # a callable k -> value is accepted as is
     hint: str = ""
 
+    def admits(self, value: float) -> bool:
+        return 0.0 < value < self.hi or (self.closed and value == self.hi)
+
     def check(self, kind: str, name: str, value) -> None:
         if self.schedule and callable(value):
             return
-        if not (0.0 < value < self.hi or (self.closed and value == self.hi)):
+        if not self.admits(value):
             interval = ("be positive" if self.hi == math.inf else
                         f"lie in (0, {self.hi:g}{']' if self.closed else ')'}")
             raise ValueError(f"{name} must {interval} for {kind}{self.hint}")

@@ -276,6 +276,23 @@ def test_runs_csv_match_golden_files(tmp_path):
             == (GOLDEN / "golden_runs_rates.csv").read_bytes())
 
 
+def test_sweep_runs_csv_match_golden_files(tmp_path):
+    # Written before the grid sweeps shared one driver; the alpha grid holds
+    # 1.0, which drm skips, and the budget leaves a few rows unconverged.
+    # Never regenerate these files to make a change pass.
+    config = SweepConfig(n=10, n_instances=3, n_starts=2, angle_bins=3, seed=0,
+                         alpha_grid=(0.3, 0.6, 0.9, 1.0),
+                         alpha_sweep_betas=(0.7, 0.9),
+                         beta_grid=(0.5, 0.7, 0.9, 0.99), max_iter=100)
+    runs = sweep_alpha(config, kind="aamr")[0] + sweep_alpha(config, kind="drm")[0]
+    write_runs_csv(tmp_path / "alpha.csv", runs)
+    write_runs_csv(tmp_path / "beta.csv", sweep_beta(config)[0])
+    assert ((tmp_path / "alpha.csv").read_bytes()
+            == (GOLDEN / "golden_runs_alpha.csv").read_bytes())
+    assert ((tmp_path / "beta.csv").read_bytes()
+            == (GOLDEN / "golden_runs_beta.csv").read_bytes())
+
+
 def test_parallel_jobs_match_serial():
     config = small_config(n_instances=2, n_starts=2)
     methods = [MethodSpec("map")]

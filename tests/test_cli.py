@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from aamr.bench import SweepConfig, sweep_alpha, sweep_beta
 from aamr.cli import main
 
 
@@ -225,3 +227,66 @@ def test_solve_with_explicit_method_roster(two_balls, planes):
     # pairwise method on a three-set file fails cleanly
     code = main(["solve", planes, "--q", "1,2,3", "--method", "rap"])
     assert code == 1  # mu needs an explicit value without an instance angle
+
+
+def _bench_artifacts(out_dir, capsys):
+    """Files in ``out_dir`` and the stdout of the bench run that wrote them."""
+    out = capsys.readouterr().out.splitlines()
+    wrote = [line[len("wrote "):] for line in out if line.startswith("wrote ")]
+    assert sorted(wrote) == sorted(str(p) for p in out_dir.iterdir())
+    assert out[-len(wrote):] == [f"wrote {p}" for p in wrote]
+    for path in wrote:
+        if path.endswith(".svg"):
+            text = Path(path).read_text()
+            assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+    return out[:-len(wrote)], [Path(p).read_text().splitlines() for p in wrote]
+
+
+def test_bench_alpha_writes_every_artifact(tmp_path, capsys):
+    out_dir = tmp_path / "alpha"
+    code = main(["bench", "alpha", "--n", "16", "--instances", "3", "--bins", "3",
+                 "--alphas", "0.5,0.7,0.9,1.0", "--seed", "4",
+                 "--out-dir", str(out_dir)])
+    assert code == 0
+    lines, (runs, best, svg) = _bench_artifacts(out_dir, capsys)
+    config = SweepConfig(n=16, n_instances=3, angle_bins=3, seed=4,
+                         alpha_grid=(0.5, 0.7, 0.9, 1.0))
+    expected_runs, expected_best = sweep_alpha(config)
+    assert len(runs) == 1 + 3 * 4 * 4  # instances x default betas x alphas
+    assert [tuple(r.split(",")[:5]) for r in runs[1:]] == [
+        (str(r.instance_id), repr(r.theta), "aamr", repr(r.alpha), repr(r.beta))
+        for r in expected_runs]
+    assert best[0] == "instance_id,theta_F,method,beta,best_alpha,iterations"
+    assert best[1:] == [f"{r.instance_id},{r.theta!r},aamr,{r.beta!r},"
+                        f"{r.best_alpha!r},{r.iterations}" for r in expected_best]
+    for beta in config.alpha_sweep_betas:
+        assert sum(f"aamr beta={beta:g}" in line for line in svg) >= 2
+    assert lines == [
+        f"  {'aamr beta=' + format(beta, 'g'):20s} mean best alpha "
+        f"{np.mean([r.best_alpha for r in expected_best if r.beta == beta]):.3f}"
+        f" over 3 instances" for beta in config.alpha_sweep_betas]
+
+
+def test_bench_beta_writes_every_artifact(tmp_path, capsys):
+    out_dir = tmp_path / "beta"
+    code = main(["bench", "beta", "--n", "16", "--instances", "5", "--bins", "5",
+                 "--starts", "2", "--betas", "0.5,0.7,0.9", "--seed", "4",
+                 "--out-dir", str(out_dir)])
+    assert code == 0
+    lines, (runs, best, svg) = _bench_artifacts(out_dir, capsys)
+    config = SweepConfig(n=16, n_instances=5, angle_bins=5, n_starts=2, seed=4,
+                         beta_grid=(0.5, 0.7, 0.9))
+    expected_runs, expected_best, fit = sweep_beta(config)
+    assert len(runs) == 1 + 5 * 3 * 2  # instances x betas x starts
+    assert [tuple(r.split(",")[2:5]) + (r.split(",")[7],) for r in runs[1:]] == [
+        ("aamr", "0.9", repr(r.beta), str(r.start_id)) for r in expected_runs]
+    assert best[0] == "instance_id,theta_F,best_beta,median_iterations"
+    assert best[1:] == [f"{r.instance_id},{r.theta!r},{r.best_beta!r},"
+                        f"{r.median_iterations!r}" for r in expected_best]
+    assert any("best beta" in line for line in svg)
+    assert any("shipped rule" in line for line in svg)
+    assert fit is not None
+    assert any(f"fit {fit.a:.3f}*exp(" in line for line in svg)
+    assert lines == [f"  exponential fit: beta = {fit.a:.4f}*exp({fit.b:.4f}*theta) "
+                     f"+ {fit.c:.4f}   (rms {fit.rms_residual:.4f}, "
+                     f"shipped rule rms {fit.rule_rms_residual:.4f})"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,12 @@ def test_orthonormal_columns_rank_cut():
 def test_subspace_pair_requires_small_n_error():
     with pytest.raises(ValueError):
         random_subspace_pair(2, 0)
+
+
+def test_pair_in_three_dimensions_has_an_angle():
+    # at n = 3 the dimension law can draw all of R^3, which contains the
+    # other subspace and leaves no Friedrichs angle
+    for seed in range(200):
+        pair = random_subspace_pair(3, [5, seed])
+        assert 0.0 < pair.angle <= math.pi / 2
+        assert max(pair.basis_u.shape[1], pair.basis_v.shape[1]) < 3

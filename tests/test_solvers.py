@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from aamr import (AamrOperator, Ball, Box, LinearSubspace, MethodSpec, Status,
-                  StoppingPolicy, Translate, aamr_product_solve, aamr_solve,
+from aamr import (AamrOperator, Ball, Box, Halfspace, LinearSubspace, MethodSpec,
+                  Status, StoppingPolicy, Translate, aamr_product_solve, aamr_solve,
                   cm_recurrence, cm_solve, combettes_beta, dr_solve,
                   fixed_point_residual, full_space, haugazeau_solve,
                   hlwb_solve, map_solve, optimal_rap_mu,
                   project_intersection_oracle, random_subspace_pair, rap_solve,
                   recommended_beta, solve_best_approximation)
+from aamr.operators import iterate
 from aamr.solvers import _haugazeau_project
 
 
@@ -293,11 +294,21 @@ def test_haugazeau_step_degenerate_zero_move():
 
 # --- HLWB -------------------------------------------------------------------------
 
-def test_hlwb_first_step_returns_anchor_exactly():
+def test_hlwb_first_step_averages_anchor_and_projection():
     u, v = planar_lines(0.4)
-    res = hlwb_solve([u, v], np.array([3.0, 1.0]),
-                     policy=StoppingPolicy.budget_only(max_iter=1))
-    assert np.array_equal(res.iterate, [3.0, 1.0])  # weight 1/(0+1) = 1
+    q = np.array([3.0, 1.0])
+    res = hlwb_solve([u, v], q, policy=StoppingPolicy.budget_only(max_iter=1))
+    assert np.array_equal(res.iterate, 0.5 * q + 0.5 * v.project(q))
+
+
+def test_hlwb_residual_stop_does_not_accept_the_anchor():
+    # a first anchor weight of 1 made step 0 the identity, which the residual
+    # rule read as convergence at k = 0 with shadow q, outside both sets
+    q = np.array([2.0, 0.3])
+    res = hlwb_solve([Ball([0.0, 0.0], 1.0), Halfspace([1.0, 0.0], 0.5)], q,
+                     policy=StoppingPolicy.residual(eps=1e-8, max_iter=2000))
+    assert res.status is Status.BUDGET_EXHAUSTED
+    assert norm(res.shadow - [0.5, 0.3]) <= 2e-3
 
 
 def test_hlwb_single_set_converges_to_projection():
@@ -358,10 +369,20 @@ def test_cm_converges_to_oracle_with_verification():
     pair = random_subspace_pair(12, 77)
     u, v, target = pair_sets(pair)
     q = np.random.default_rng(77).standard_normal(12)
-    res = cm_solve([u, v], q, gamma=0.25, lam=1.8, verify_forms=True,
-                   policy=StoppingPolicy.true_error(target, eps=1e-6,
-                                                    max_iter=200_000))
+    policy = StoppingPolicy.true_error(target, eps=1e-6, max_iter=200_000)
+    direct = cm_recurrence([u, v], q, gamma=0.25, lam=1.8)
+    recast = cm_recurrence([u, v], q, gamma=0.25, lam=1.8, form="recast")
+
+    def checked(z, k):  # the recast step applied to every direct iterate
+        z_next, shadow = direct(z, k)
+        assert norm(recast(z, k)[0] - z_next) <= 1e-12 * (1.0 + norm(z_next))
+        return z_next, shadow
+
+    checked_res = iterate(checked, np.tile(q, 2), policy)
+    res = cm_solve([u, v], q, gamma=0.25, lam=1.8, policy=policy)
     assert res.status is Status.CONVERGED
+    assert checked_res.iterations == res.iterations
+    assert np.array_equal(checked_res.shadow, res.shadow)
     oracle = project_intersection_oracle([u, v], q)
     assert norm(res.shadow - oracle) <= 1e-5
 
