@@ -76,8 +76,6 @@ class SweepConfig:
     alpha_grid: tuple = _DEFAULT_ALPHA_GRID
     alpha_sweep_betas: tuple = (0.6, 0.7, 0.8, 0.9)
     beta_grid: tuple = _DEFAULT_BETA_GRID
-    mu_grid: tuple = (0.5, 1.0, 1.5)
-    gamma_grid: tuple = (0.1, 0.25, 1.0)
     angle_bins: int = 20
     angle_binned: bool = True
     seed: int = 0
@@ -215,15 +213,13 @@ def make_instances(config: SweepConfig, count: int | None = None) -> list[Subspa
     pairs = []
     width = (math.pi / 2) / config.angle_bins
     for i in range(count):
-        key = [config.seed, 11, i]
+        interval = None
         if config.angle_binned:
             b = i % config.angle_bins
             lo = max(b * width + 0.025 * width, 0.02)
-            hi = max((b + 1) * width - 0.025 * width, lo + 1e-6)
-            pairs.append(random_subspace_pair(config.n, key,
-                                              target_angle_interval=(lo, hi)))
-        else:
-            pairs.append(random_subspace_pair(config.n, key))
+            interval = (lo, max((b + 1) * width - 0.025 * width, lo + 1e-6))
+        pairs.append(random_subspace_pair(config.n, [config.seed, 11, i],
+                                          target_angle_interval=interval))
     return pairs
 
 
@@ -267,13 +263,6 @@ def parse_method_token(token: str) -> MethodSpec:
     return MethodSpec(kind, **kwargs)
 
 
-def _pair_sets(pair: SubspacePair):
-    u = LinearSubspace(pair.basis_u)
-    v = LinearSubspace(pair.basis_v)
-    target = LinearSubspace(pair.intersection)
-    return u, v, target
-
-
 def _pmap(fn, tasks, jobs):
     if jobs <= 1:
         return [fn(t) for t in tasks]
@@ -281,39 +270,52 @@ def _pmap(fn, tasks, jobs):
         return list(pool.map(fn, tasks, chunksize=1))
 
 
+def _grid_sweep(config, instances, row_sets, run_task, jobs):
+    """Each set of ``(MethodSpec, start_id)`` rows on every instance, one
+    ``run_task`` call per pair, with the starts drawn once per instance;
+    returns the runs and the converged ones per call."""
+    used = {s for rows in row_sets for _, s in rows}
+    tasks = []
+    for i, pair in enumerate(instances):
+        starts = {s: start_point(config, i, s) for s in used}
+        tasks += [(config, i, pair, rows, starts) for rows in row_sets]
+    batches = _pmap(run_task, tasks, jobs)
+    runs = [r for batch in batches for r in batch]
+    return runs, [[r for r in batch if r.status == Status.CONVERGED.value]
+                  for batch in batches]
+
+
 # ---------------------------------------------------------------------------
 # angle profile
 
 
-def _profile_task(args):
-    config, instance_id, pair, spec = args
-    u, v, target = _pair_sets(pair)
-    policy = StoppingPolicy.true_error(target, eps=config.eps,
-                                       max_iter=config.max_iter)
-    resolved = spec.resolve(pair.angle)
-    rows = []
-    iters = []
-    for start_id in range(config.n_starts):
-        q = start_point(config, instance_id, start_id)
-        result = solve_best_approximation(resolved, [u, v], q, policy=policy,
-                                          theta=pair.angle)
-        rows.append(RunRecord(instance_id, pair.angle, spec.kind,
+def _scalar_task(args):
+    """Solve one instance's rows one at a time, building its sets and
+    stopping policy once."""
+    config, instance_id, pair, rows, starts = args
+    u, v = LinearSubspace(pair.basis_u), LinearSubspace(pair.basis_v)
+    policy = StoppingPolicy.true_error(LinearSubspace(pair.intersection),
+                                       eps=config.eps, max_iter=config.max_iter)
+    runs = []
+    for spec, start_id in rows:
+        resolved = spec.resolve(pair.angle)
+        result = solve_best_approximation(resolved, [u, v], starts[start_id],
+                                          policy=policy, theta=pair.angle)
+        runs.append(RunRecord(instance_id, pair.angle, spec.kind,
                               resolved.alpha, resolved.beta, resolved.mu,
                               resolved.gamma, start_id, result.status.value,
                               result.iterations, result.final_error, config.seed))
-        iters.append((result.status, result.iterations))
-    return rows, iters
+    return runs
 
 
-def _aggregate(instance_id, theta, spec, iters, config) -> ExperimentRecord:
-    converged = [k for status, k in iters if status is Status.CONVERGED]
-    counts = {s.value: 0 for s in Status}
-    for status, _ in iters:
-        counts[status.value] += 1
+def _aggregate(spec, runs, config) -> ExperimentRecord:
+    """Statistics of one (instance, method) block of runs."""
+    converged = [r.iterations for r in runs if r.status == Status.CONVERGED.value]
+    counts = {s.value: sum(r.status == s.value for r in runs) for s in Status}
     med = float(np.median(converged)) if converged else math.nan
     std = float(np.std(converged)) if converged else math.nan
-    return ExperimentRecord(instance_id, theta, spec, len(iters), med, std,
-                            counts, config.seed)
+    return ExperimentRecord(runs[0].instance_id, runs[0].theta, spec, len(runs),
+                            med, std, counts, config.seed)
 
 
 def angle_profile(config: SweepConfig, methods=None, instances=None,
@@ -326,13 +328,12 @@ def angle_profile(config: SweepConfig, methods=None, instances=None,
     """
     methods = default_profile_methods() if methods is None else list(methods)
     instances = make_instances(config) if instances is None else list(instances)
-    tasks = [(config, i, pair, spec)
-             for i, pair in enumerate(instances) for spec in methods]
-    results = _pmap(_profile_task, tasks, jobs)
-    runs, records = [], []
-    for (cfg, i, pair, spec), (rows, iters) in zip(tasks, results):
-        runs.extend(rows)
-        records.append(_aggregate(i, pair.angle, spec, iters, config))
+    n = config.n_starts
+    rows = [(spec, s) for spec in methods for s in range(n)]
+    runs, _ = _grid_sweep(config, instances, [rows], _scalar_task, jobs)
+    # each instance's runs hold n starts per method, in roster order
+    records = [_aggregate(spec, runs[j * n:(j + 1) * n], config)
+               for j, spec in enumerate(methods * len(instances))]
     return runs, records
 
 
@@ -395,12 +396,11 @@ def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
     return status, iterations.tolist(), final_error.tolist()
 
 
-def _grid_task(args):
+def _batched_task(args):
     """Run one instance's ``(MethodSpec, start_id)`` rows through the row
     engine.  A kind without a beta parameter runs the plain double
     reflection (beta = 1)."""
-    config, instance_id, pair, rows = args
-    starts = {s: start_point(config, instance_id, s) for s in {s for _, s in rows}}
+    config, instance_id, pair, rows, starts = args
     # the reshape keeps a grid emptied by the alpha range at shape (0, n)
     q_rows = np.array([starts[s] for _, s in rows]).reshape(len(rows), config.n)
     betas = [spec.beta if "beta" in _METHODS[spec.kind].params else 1.0
@@ -411,17 +411,6 @@ def _grid_task(args):
     return [RunRecord(instance_id, pair.angle, spec.kind, spec.alpha, spec.beta,
                       None, None, start_id, st, it, err, config.seed)
             for (spec, start_id), st, it, err in zip(rows, status, iters, errs)]
-
-
-def _grid_sweep(config, row_sets, jobs):
-    """Each row set on every instance, one engine batch per pair; returns
-    the runs and the converged ones per batch."""
-    tasks = [(config, i, pair, rows) for i, pair in enumerate(make_instances(config))
-             for rows in row_sets]
-    batches = _pmap(_grid_task, tasks, jobs)
-    runs = [r for batch in batches for r in batch]
-    return runs, [[r for r in batch if r.status == Status.CONVERGED.value]
-                  for batch in batches]
 
 
 def sweep_alpha(config: SweepConfig, kind: str = "aamr", jobs: int = 1):
@@ -438,8 +427,9 @@ def sweep_alpha(config: SweepConfig, kind: str = "aamr", jobs: int = 1):
     grid = [a for a in config.alpha_grid if params["alpha"].admits(a)]
     betas = config.alpha_sweep_betas if "beta" in params else (None,)
     runs, converged = _grid_sweep(
-        config, [[(MethodSpec(kind, alpha=a, beta=beta), 0) for a in grid]
-                 for beta in betas], jobs)
+        config, make_instances(config),
+        [[(MethodSpec(kind, alpha=a, beta=beta), 0) for a in grid] for beta in betas],
+        _batched_task, jobs)
     best = []
     for batch in filter(None, converged):
         iterations, alpha = min((r.iterations, r.alpha) for r in batch)
@@ -462,9 +452,10 @@ def sweep_beta(config: SweepConfig, jobs: int = 1):
     same data.
     """
     runs, converged = _grid_sweep(
-        config, [[(MethodSpec("aamr", alpha=0.9, beta=beta), s)
-                  for beta in config.beta_grid for s in range(config.n_starts)]],
-        jobs)
+        config, make_instances(config),
+        [[(MethodSpec("aamr", alpha=0.9, beta=beta), s)
+          for beta in config.beta_grid for s in range(config.n_starts)]],
+        _batched_task, jobs)
     best = []
     for batch in filter(None, converged):
         by_beta = {}

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, svgplot
-from .geometry import friedrichs_angle, principal_angles, subspace_intersection
+from .geometry import SubspacePair, principal_angles
 from .operators import Status, StoppingPolicy
 from .sets import (LinearSubspace, NoOracleError, ProblemFormatError,
                    load_problem, project_intersection_oracle)
@@ -152,13 +152,12 @@ def _cmd_angle(args) -> int:
     subspaces = [s for s in sets if isinstance(s, LinearSubspace)]
     if len(subspaces) != 2:
         raise _UsageError("angle needs a problem file with exactly two subspace sets")
-    basis_u, basis_v = subspaces[0].basis, subspaces[1].basis
-    angles = principal_angles(basis_u, basis_v)
-    meet = subspace_intersection(basis_u, basis_v)
-    theta = friedrichs_angle(basis_u, basis_v)  # may raise "coincident subspaces"
+    # may raise "coincident subspaces"
+    pair = SubspacePair.from_bases(subspaces[0].basis, subspaces[1].basis)
+    angles = principal_angles(pair.basis_u, pair.basis_v)
     print("principal angles (radians): " + ", ".join(f"{a:.6f}" for a in angles))
-    print(f"intersection dimension: {meet.shape[1]}")
-    print(f"Friedrichs angle (radians): {theta:.6f}")
+    print(f"intersection dimension: {pair.intersection.shape[1]}")
+    print(f"Friedrichs angle (radians): {pair.angle:.6f}")
     return 0
 
 

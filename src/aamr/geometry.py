@@ -28,11 +28,11 @@ __all__ = [
 ZERO_ANGLE_TOL = 1e-8
 
 
-def orthonormal_columns(matrix, rtol: float = 1e-12, scale: float | None = None) -> np.ndarray:
+def orthonormal_columns(matrix, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the column span of ``matrix``.
 
     Uses QR with column pivoting; columns whose pivot magnitude is at most
-    ``rtol * scale`` are dropped, so rank deficiency is resolved here.
+    ``1e-12 * scale`` are dropped, so rank deficiency is resolved here.
     ``scale`` defaults to the largest pivot; pass an absolute scale (e.g. 1.0
     for unit-norm inputs) when the whole matrix may be numerically zero.
     """
@@ -47,21 +47,20 @@ def orthonormal_columns(matrix, rtol: float = 1e-12, scale: float | None = None)
     if pivots.size == 0:
         return np.zeros((n, 0))
     ref = pivots[0] if scale is None else scale
-    rank = int(np.count_nonzero(pivots > rtol * ref))
+    rank = int(np.count_nonzero(pivots > 1e-12 * ref))
     return Q[:, :rank].copy()
 
 
-def check_orthonormal(basis, name: str = "basis", tol: float | None = None) -> np.ndarray:
-    """Validate that ``basis`` has orthonormal columns; returns it as float array."""
+def check_orthonormal(basis, name: str = "basis") -> np.ndarray:
+    """Validate that ``basis`` has orthonormal columns, to ``1e-12`` times the
+    ambient dimension; returns it as float array."""
     Q = np.asarray(basis, dtype=float)
     if Q.ndim != 2:
         raise ValueError(f"{name}: expected a 2-D matrix, got shape {Q.shape}")
     n, d = Q.shape
-    if tol is None:
-        tol = 1e-12 * max(n, 1)
     if d:
         gram = Q.T @ Q
-        if np.max(np.abs(gram - np.eye(d))) > tol:
+        if np.max(np.abs(gram - np.eye(d))) > 1e-12 * max(n, 1):
             raise ValueError(f"{name}: columns are not orthonormal")
     return Q
 
@@ -83,13 +82,14 @@ def principal_angles(basis_u, basis_v) -> np.ndarray:
     return np.sort(angles)
 
 
-def common_directions(bases, tol: float = ZERO_ANGLE_TOL) -> np.ndarray:
+def common_directions(bases) -> np.ndarray:
     """Orthonormal basis of the intersection of several subspaces.
 
     Stacks the projector complements ``I - Qi Qi.T`` and takes the right
-    singular vectors with singular value at most ``tol``: for a unit vector x
-    the stacked norm is sqrt(sum_i d(x, U_i)^2), which vanishes exactly on the
-    intersection.  Genuinely shared directions come out at the 1e-15 level.
+    singular vectors with singular value at most ``ZERO_ANGLE_TOL``: for a unit
+    vector x the stacked norm is sqrt(sum_i d(x, U_i)^2), which vanishes
+    exactly on the intersection.  Genuinely shared directions come out at the
+    1e-15 level.
     """
     mats = [check_orthonormal(Q, f"bases[{i}]") for i, Q in enumerate(bases)]
     if not mats:
@@ -101,16 +101,16 @@ def common_directions(bases, tol: float = ZERO_ANGLE_TOL) -> np.ndarray:
     eye = np.eye(n)
     K = np.vstack([eye - Q @ Q.T for Q in mats])
     _, svals, Vt = np.linalg.svd(K)
-    keep = svals <= tol
+    keep = svals <= ZERO_ANGLE_TOL
     return Vt[keep].T.copy()
 
 
-def subspace_intersection(basis_u, basis_v, tol: float = ZERO_ANGLE_TOL) -> np.ndarray:
+def subspace_intersection(basis_u, basis_v) -> np.ndarray:
     """Orthonormal basis of span(U) ∩ span(V); may have zero columns."""
-    return common_directions([basis_u, basis_v], tol=tol)
+    return common_directions([basis_u, basis_v])
 
 
-def friedrichs_angle(basis_u, basis_v, zero_tol: float = ZERO_ANGLE_TOL) -> float:
+def friedrichs_angle(basis_u, basis_v) -> float:
     """Friedrichs angle between two subspaces, in (0, pi/2].
 
     Equals the first principal angle past the shared directions: the
@@ -120,7 +120,12 @@ def friedrichs_angle(basis_u, basis_v, zero_tol: float = ZERO_ANGLE_TOL) -> floa
     """
     Qu = check_orthonormal(basis_u, "basis_u")
     Qv = check_orthonormal(basis_v, "basis_v")
-    meet = subspace_intersection(Qu, Qv, tol=zero_tol)
+    return _angle_past(Qu, Qv, subspace_intersection(Qu, Qv))
+
+
+def _angle_past(Qu, Qv, meet) -> float:
+    """Smallest principal angle between orthonormal ``Qu`` and ``Qv`` once
+    their intersection basis ``meet`` is removed from both."""
     if meet.shape[1]:
         deflate = np.eye(Qu.shape[0]) - meet @ meet.T
         # columns were unit vectors, so rank-cut against an absolute scale
@@ -149,18 +154,14 @@ class SubspacePair:
     angle: float
 
     @classmethod
-    def from_bases(cls, basis_u, basis_v, zero_tol: float = ZERO_ANGLE_TOL):
+    def from_bases(cls, basis_u, basis_v):
         Qu = check_orthonormal(basis_u, "basis_u")
         Qv = check_orthonormal(basis_v, "basis_v")
-        meet = subspace_intersection(Qu, Qv, tol=zero_tol)
-        angle = friedrichs_angle(Qu, Qv, zero_tol=zero_tol)
+        meet = subspace_intersection(Qu, Qv)
+        angle = _angle_past(Qu, Qv, meet)
         for arr in (Qu, Qv, meet):
             arr.flags.writeable = False
         return cls(Qu, Qv, meet, angle)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis_u.shape[0]
 
 
 def _sample_dims(rng, n, min_meet):

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sets import ConvexSet, as_vector
+from .sets import ConvexSet, _conform, as_vector
 
 
 def _norm(v) -> float:
@@ -103,6 +103,9 @@ class StoppingPolicy:
             raise ValueError("divergence_threshold must be positive")
         if self.mode == self.TRUE_ERROR and self.target is None:
             raise ValueError("true_error mode needs a target")
+        if not (self.target is None or isinstance(self.target, ConvexSet)
+                or callable(self.target)):  # a point: validated once, here
+            object.__setattr__(self, "target", as_vector(self.target))
 
     @classmethod
     def true_error(cls, target, eps: float, **kwargs) -> "StoppingPolicy":
@@ -124,7 +127,7 @@ class StoppingPolicy:
             return self.target.distance(monitored)
         if callable(self.target):
             return float(self.target(monitored))
-        return _norm(monitored - as_vector(self.target, monitored.size))
+        return _norm(monitored - _conform(self.target, monitored.size))
 
 
 def modified_reflect(set_: ConvexSet, beta: float, x) -> np.ndarray:

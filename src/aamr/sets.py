@@ -314,7 +314,7 @@ def _affine_parts(set_):
     return (set_.offset / (normal @ normal)) * normal, directions
 
 
-def project_intersection_oracle(sets, x, tol: float = 1e-9) -> np.ndarray:
+def project_intersection_oracle(sets, x) -> np.ndarray:
     """Ground-truth projection onto an intersection, by a closed-form route.
 
     Supported families: a single set of any kind, boxes (the intersection is
@@ -339,7 +339,7 @@ def project_intersection_oracle(sets, x, tol: float = 1e-9) -> np.ndarray:
         lo = np.maximum.reduce([np.asarray(s.lower) for s in sets])
         hi = np.minimum.reduce([np.asarray(s.upper) for s in sets])
         gap = lo - hi
-        if np.any(gap > tol * (1.0 + np.abs(lo) + np.abs(hi))):
+        if np.any(gap > 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))):
             raise ValueError("box intersection is empty")
         crossed = gap > 0
         if np.any(crossed):  # collapse tolerance-level slivers to a point
@@ -356,7 +356,7 @@ def project_intersection_oracle(sets, x, tol: float = 1e-9) -> np.ndarray:
         rhs = np.concatenate([C @ y for C, (y, _) in zip(complements, parts)])
         point, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
         scale = 1.0 + max(float(np.linalg.norm(y)) for y, _ in parts)
-        if np.linalg.norm(stacked @ point - rhs) > max(tol, 1e-8) * scale:
+        if np.linalg.norm(stacked @ point - rhs) > 1e-8 * scale:
             raise ValueError("affine family has empty intersection")
         meet = geometry.common_directions([Q for _, Q in parts])
         return point + meet @ (meet.T @ (x - point))

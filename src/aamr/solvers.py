@@ -221,15 +221,20 @@ def haugazeau_solve(u_set: ConvexSet, v_set: ConvexSet, q,
 
     Each step projects the anchor ``q`` onto the intersection of two
     halfspaces built from the current iterate and its projection onto U
-    (even steps) or V (odd steps).  Inconsistent geometry is reported as a
-    ``NUMERICAL_FAILURE`` status.
+    (even steps) or V (odd steps), or onto the other set when the iterate
+    lies in that one: each iterate projects ``q`` onto a superset of U ∩ V,
+    so the step is zero only at ``P_{U∩V}(q)``.  Inconsistent geometry is
+    reported as a ``NUMERICAL_FAILURE`` status.
     """
     policy = _default_policy(policy)
     q = as_vector(q, _common_dim([u_set, v_set]))
     pair = (u_set, v_set)
 
     def step(x, k):
-        return _haugazeau_project(q, x, pair[k % 2].project(x)), x
+        p = pair[k % 2].project(x)
+        if (p == x).all():
+            p = pair[(k + 1) % 2].project(x)
+        return _haugazeau_project(q, x, p), x
 
     return iterate(step, q, policy)
 

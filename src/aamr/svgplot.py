@@ -13,6 +13,7 @@ __all__ = ["Series", "render_chart", "PALETTE"]
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
+_WIDTH, _HEIGHT = 720, 480
 _MARGIN = {"left": 74.0, "right": 18.0, "top": 38.0, "bottom": 52.0}
 _FONT = 'font-family="Helvetica,Arial,sans-serif"'
 
@@ -23,7 +24,6 @@ class Series:
     x: list
     y: list
     style: str = "line"  # "line" | "dashed" | "scatter"
-    color: str | None = None
 
 
 def _finite_points(series, ylog):
@@ -63,8 +63,7 @@ def _decade_ticks(lo, hi):
     return [float(d) for d in range(first, last + 1, step)]
 
 
-def render_chart(path, series, title="", xlabel="", ylabel="",
-                 ylog=False, width=720, height=480):
+def render_chart(path, series, title="", xlabel="", ylabel="", ylog=False):
     """Write a chart of the given :class:`Series` list to ``path``."""
     series = list(series)
     pointsets = [_finite_points(s, ylog) for s in series]
@@ -85,8 +84,8 @@ def render_chart(path, series, title="", xlabel="", ylabel="",
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
-    plot_w = width - _MARGIN["left"] - _MARGIN["right"]
-    plot_h = height - _MARGIN["top"] - _MARGIN["bottom"]
+    plot_w = _WIDTH - _MARGIN["left"] - _MARGIN["right"]
+    plot_h = _HEIGHT - _MARGIN["top"] - _MARGIN["bottom"]
 
     def px(v):
         return _MARGIN["left"] + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -95,9 +94,9 @@ def render_chart(path, series, title="", xlabel="", ylabel="",
         return _MARGIN["top"] + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     out = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-               f'height="{height}" viewBox="0 0 {width} {height}">')
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+               f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
 
     x_ticks = _nice_ticks(x_lo, x_hi)
     y_ticks = _decade_ticks(y_lo, y_hi) if ylog else _nice_ticks(y_lo, y_hi)
@@ -119,7 +118,7 @@ def render_chart(path, series, title="", xlabel="", ylabel="",
                f'fill="none" stroke="#444" stroke-width="1"/>')
 
     for idx, (s, pts) in enumerate(zip(series, pointsets)):
-        color = s.color or PALETTE[idx % len(PALETTE)]
+        color = PALETTE[idx % len(PALETTE)]
         if s.style == "scatter":
             for fx, fy in pts:
                 out.append(f'<circle cx="{px(fx):.2f}" cy="{py(fy):.2f}" r="3" '
@@ -130,10 +129,10 @@ def render_chart(path, series, title="", xlabel="", ylabel="",
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                        f'stroke-width="1.6"{dash}/>')
 
-    legend_x = width - _MARGIN["right"] - 170
+    legend_x = _WIDTH - _MARGIN["right"] - 170
     legend_y = _MARGIN["top"] + 8
     for idx, s in enumerate(series):
-        color = s.color or PALETTE[idx % len(PALETTE)]
+        color = PALETTE[idx % len(PALETTE)]
         row_y = legend_y + 16 * idx
         if s.style == "scatter":
             out.append(f'<circle cx="{legend_x + 12:.2f}" cy="{row_y - 3:.2f}" r="3" '
@@ -147,11 +146,11 @@ def render_chart(path, series, title="", xlabel="", ylabel="",
                    f'font-size="11">{s.label}</text>')
 
     if title:
-        out.append(f'<text x="{width / 2:.2f}" y="22" {_FONT} font-size="14" '
+        out.append(f'<text x="{_WIDTH / 2:.2f}" y="22" {_FONT} font-size="14" '
                    f'text-anchor="middle">{title}</text>')
     if xlabel:
         out.append(f'<text x="{_MARGIN["left"] + plot_w / 2:.2f}" '
-                   f'y="{height - 12:.2f}" {_FONT} font-size="12" '
+                   f'y="{_HEIGHT - 12:.2f}" {_FONT} font-size="12" '
                    f'text-anchor="middle">{xlabel}</text>')
     if ylabel:
         cx, cy = 18.0, _MARGIN["top"] + plot_h / 2

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from aamr import MethodSpec, Status
-from aamr.bench import (CSV_HEADER, SweepConfig, angle_profile, estimate_rate,
-                        make_instances, parse_method_token, rate_profile,
-                        start_point, sweep_alpha, sweep_beta, write_runs_csv)
+from aamr import bench
+from aamr.bench import (CSV_HEADER, SWEEPS, SweepConfig, angle_profile,
+                        estimate_rate, make_instances, parse_method_token,
+                        rate_profile, start_point, sweep_alpha, sweep_beta,
+                        write_runs_csv, write_table_csv)
 
 
 def small_config(**overrides):
@@ -102,6 +104,28 @@ def test_angle_profile_single_start_zero_std():
     config = small_config(n_instances=1, n_starts=1)
     _, records = angle_profile(config, methods=[MethodSpec("map")])
     assert records[0].std_iterations == 0.0
+
+
+def test_angle_profile_builds_each_instance_once(monkeypatch):
+    counts = {"subspaces": 0, "starts": 0}
+
+    class CountingSubspace(bench.LinearSubspace):
+        def __init__(self, basis):
+            counts["subspaces"] += 1
+            super().__init__(basis)
+
+    def counting_start(*args):
+        counts["starts"] += 1
+        return start_point(*args)
+
+    monkeypatch.setattr(bench, "LinearSubspace", CountingSubspace)
+    monkeypatch.setattr(bench, "start_point", counting_start)
+    config = small_config(n_instances=2, n_starts=3)
+    methods = [MethodSpec("map"), MethodSpec("rap"),
+               MethodSpec("aamr", alpha=0.9, beta=0.7)]
+    runs, _ = angle_profile(config, methods=methods)
+    assert len(runs) == 2 * 3 * 3
+    assert counts == {"subspaces": 2 * 3, "starts": 2 * 3}
 
 
 def test_reported_count_is_first_index_below_eps():
@@ -274,6 +298,22 @@ def test_runs_csv_match_golden_files(tmp_path):
             == (GOLDEN / "golden_runs_angle_profile.csv").read_bytes())
     assert ((tmp_path / "rates.csv").read_bytes()
             == (GOLDEN / "golden_runs_rates.csv").read_bytes())
+
+
+def test_profile_table_matches_golden_file(tmp_path):
+    # Written before the angle profile ran one task per instance.  The roster
+    # repeats a kind and resolves rap's mu from the angle, and the budget
+    # leaves some blocks unconverged, so the grouping of runs into records is
+    # pinned.  Never regenerate this file to make a change pass.
+    config = SweepConfig(n=10, n_instances=4, n_starts=3, angle_bins=4, seed=0,
+                         max_iter=45)
+    methods = [MethodSpec("rap"), MethodSpec("aamr", alpha=0.9, beta=0.7),
+               MethodSpec("map"), MethodSpec("aamr", alpha=0.6, beta=0.9)]
+    sweep = SWEEPS["angle-profile"]
+    _, rows, _, _ = sweep.run(config, methods, None, 1)
+    write_table_csv(tmp_path / "table.csv", sweep.header, rows)
+    assert ((tmp_path / "table.csv").read_bytes()
+            == (GOLDEN / "golden_angle_profile.csv").read_bytes())
 
 
 def test_sweep_runs_csv_match_golden_files(tmp_path):

@@ -7,7 +7,8 @@ from aamr import (LinearSubspace, friedrichs_angle, map_solve,
                   orthonormal_columns, principal_angles,
                   project_intersection_oracle, random_subspace_pair,
                   subspace_intersection, StoppingPolicy)
-from aamr.geometry import common_directions
+from aamr import geometry
+from aamr.geometry import SubspacePair, common_directions
 
 
 def col(*vs):
@@ -181,3 +182,17 @@ def test_pair_in_three_dimensions_has_an_angle():
         pair = random_subspace_pair(3, [5, seed])
         assert 0.0 < pair.angle <= math.pi / 2
         assert max(pair.basis_u.shape[1], pair.basis_v.shape[1]) < 3
+
+
+def test_pair_computes_its_intersection_once(monkeypatch):
+    calls = []
+
+    def counting(bases, *args, **kwargs):
+        calls.append(len(bases))
+        return common_directions(bases, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "common_directions", counting)
+    pair = SubspacePair.from_bases(col(E1, E2), col(E1, E3))
+    assert calls == [2]
+    assert pair.angle == pytest.approx(math.pi / 2)
+    assert np.allclose(np.abs(pair.intersection[:, 0]), E1)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from aamr import (AamrOperator, AffineSubspace, Ball, DrOperator, Hyperplane,
-                  LinearSubspace, Status, StoppingPolicy,
+from aamr import (AamrOperator, AffineSubspace, Ball, DimensionMismatchError,
+                  DrOperator, Hyperplane, LinearSubspace, Status, StoppingPolicy,
                   fixed_point_residual, full_space, iterate, modified_reflect,
                   zero_subspace)
 from conftest import VARIANTS, make_variant
@@ -321,3 +321,14 @@ def test_policy_validation():
         StoppingPolicy(mode="nonsense")
     with pytest.raises(ValueError):
         StoppingPolicy(mode=StoppingPolicy.TRUE_ERROR, eps=1e-3)  # no target
+
+
+def test_point_target_is_checked_at_construction():
+    with pytest.raises(ValueError, match="non-finite"):
+        StoppingPolicy.true_error([0.0, math.nan], eps=1e-3)
+    with pytest.raises(ValueError, match="1-D"):
+        StoppingPolicy.true_error([[0.0, 1.0]], eps=1e-3)
+    policy = StoppingPolicy.true_error([0.0, 1.0], eps=1e-3)
+    assert policy.error_of(np.array([3.0, 5.0])) == 5.0
+    with pytest.raises(DimensionMismatchError):
+        policy.error_of(np.zeros(3))

@@ -292,6 +292,16 @@ def test_haugazeau_step_degenerate_zero_move():
     assert np.array_equal(out, y)
 
 
+def test_haugazeau_iterate_inside_the_set_is_not_read_as_convergence():
+    # at k = 2 the iterate already lies in the first box, so projecting onto
+    # it alone is a zero step, which a residual stop would accept
+    boxes = [Box([0.0, 0.0], [2.0, 2.0]), Box([1.0, 1.0], [3.0, 3.0])]
+    q = np.array([-1.0, 0.5])
+    res = haugazeau_solve(*boxes, q)
+    assert res.status is Status.CONVERGED
+    assert np.allclose(res.shadow, project_intersection_oracle(boxes, q), atol=1e-12)
+
+
 # --- HLWB -------------------------------------------------------------------------
 
 def test_hlwb_first_step_averages_anchor_and_projection():
