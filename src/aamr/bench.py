@@ -207,12 +207,11 @@ def write_table_csv(path, header, rows) -> None:
 # instances, starts, method rosters
 
 
-def make_instances(config: SweepConfig, count: int | None = None) -> list[SubspacePair]:
+def make_instances(config: SweepConfig) -> list[SubspacePair]:
     """Seeded subspace pairs; angle-binned over (0, pi/2) unless disabled."""
-    count = config.n_instances if count is None else count
     pairs = []
     width = (math.pi / 2) / config.angle_bins
-    for i in range(count):
+    for i in range(config.n_instances):
         interval = None
         if config.angle_binned:
             b = i % config.angle_bins

@@ -6,6 +6,7 @@ descriptions (zero normals, negative radii, crossed box bounds) are rejected
 at construction time, never inside ``project``.
 """
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -264,15 +265,14 @@ class ProductSet(ConvexSet):
         if not factors:
             raise ValueError("product of zero sets is undefined")
         self.factors = factors
-        ends = np.cumsum([f.dim for f in factors])
-        self._starts = np.concatenate([[0], ends[:-1]])
-        self._ends = ends
-        self.dim = int(ends[-1])
+        ends = list(itertools.accumulate(int(f.dim) for f in factors))
+        self._blocks = tuple(zip(factors, [0] + ends[:-1], ends))
+        self.dim = ends[-1]
 
     def project(self, x) -> np.ndarray:
         x = _conform(x, self.dim)
         out = np.empty_like(x)
-        for f, a, b in zip(self.factors, self._starts, self._ends):
+        for f, a, b in self._blocks:
             out[a:b] = f.project(x[a:b])
         return out
 
@@ -287,10 +287,14 @@ class Diagonal(ConvexSet):
         self.base_dim = int(base_dim)
         self.dim = self.copies * self.base_dim
 
+    def mean(self, x) -> np.ndarray:
+        """The mean of the ``copies`` blocks of ``x``: the base-space value of
+        the projection."""
+        return np.add.reduce(x.reshape(self.copies, self.base_dim), axis=0) / self.copies
+
     def project(self, x) -> np.ndarray:
         x = _conform(x, self.dim)
-        mean = x.reshape(self.copies, self.base_dim).mean(axis=0)
-        return np.tile(mean, self.copies)
+        return np.concatenate([self.mean(x)] * self.copies)
 
 
 def project(set_: ConvexSet, x) -> np.ndarray:

@@ -71,12 +71,20 @@ def _lift(x0, q, copies: int) -> np.ndarray:
     return as_vector(x0, copies * n)
 
 
-def _scheduled(value, k: int, hi: float, name: str) -> float:
-    """Constant or ``k -> value`` schedule, checked to lie in (0, hi]."""
-    v = float(value(k) if callable(value) else value)
-    if not 0.0 < v <= hi:
-        raise ValueError(f"{name} must lie in (0, {hi:g}], got {v!r} at step {k}")
-    return v
+def _schedule(value, hi: float, name: str):
+    """``k -> value_k`` for a constant or a ``k -> value`` schedule, each value
+    checked to lie in (0, hi]: a constant once, here, as the value of step 0;
+    a schedule at every step."""
+    def checked(k):
+        v = float(value(k) if callable(value) else value)
+        if not 0.0 < v <= hi:
+            raise ValueError(f"{name} must lie in (0, {hi:g}], got {v!r} at step {k}")
+        return v
+
+    if callable(value):
+        return checked
+    v = checked(0)
+    return lambda k: v
 
 
 def _check_beta(beta: float) -> None:
@@ -121,11 +129,11 @@ def aamr_solve(a_set: ConvexSet, b_set: ConvexSet, q, x0=None, alpha=0.9,
     q = as_vector(q, n)
     x0 = q if x0 is None else as_vector(x0, n)
     b_shifted = Translate(b_set, q)
+    alpha_of = _schedule(alpha, 1.0, "alpha")
 
     def step(x, k):
         pa = a_set.project(x + q)  # the shadow; P_{A-q}(x) = pa - q
-        return aamr_update(x, pa - q, b_shifted, _scheduled(alpha, k, 1.0, "alpha"),
-                           beta), pa
+        return aamr_update(x, pa - q, b_shifted, alpha_of(k), beta), pa
 
     return iterate(step, x0, policy)
 
@@ -147,13 +155,14 @@ def aamr_product_solve(sets, q, x0=None, alpha=0.9, beta: float = 0.7,
     q = as_vector(q, n)
     diag = Diagonal(len(sets), n)
     shifted = ProductSet([Translate(s, q) for s in sets])
+    x0 = _lift(x0, q, len(sets))
+    alpha_of = _schedule(alpha, 1.0, "alpha")
 
     def step(x, k):
         pd = diag.project(x)  # every block is the mean of the blocks of x
-        return aamr_update(x, pd, shifted, _scheduled(alpha, k, 1.0, "alpha"),
-                           beta), q + pd[:n]
+        return aamr_update(x, pd, shifted, alpha_of(k), beta), q + pd[:n]
 
-    return iterate(step, _lift(x0, q, len(sets)), policy)
+    return iterate(step, x0, policy)
 
 
 def rap_solve(u_set: ConvexSet, v_set: ConvexSet, q, mu: float = 1.0,
@@ -275,7 +284,9 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8, form: str = "direct"):
 
     The shadow is the diagonal value of P_D P_C evaluated at the blend
     (z + gamma*q)/(gamma + 1), which converges to the projection of q onto
-    the intersection.  The direct form reuses the P_C it already computes.
+    the intersection.  The direct form reuses the P_C it already computes and
+    takes R_D and the shadow from block means, without building the r-fold
+    diagonal point.
     """
     sets = list(sets)
     n = _common_dim(sets)
@@ -284,24 +295,28 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8, form: str = "direct"):
     if form not in ("direct", "recast"):
         raise ValueError(f"unknown form {form!r}; expected 'direct' or 'recast'")
     q = as_vector(q, n)
-    q_lift = np.tile(q, len(sets))
+    r = len(sets)
+    q_lift = np.tile(q, r)
+    gamma_q = gamma * q_lift
     product = ProductSet(sets)
-    diag = Diagonal(len(sets), n)
+    diag = Diagonal(r, n)
     beta = combettes_beta(gamma)
     shift = ((1.0 - beta) / beta) * q_lift
+    lam_of = _schedule(lam, 2.0, "lambda")
 
     def blended_projection(z):
-        return product.project((z + gamma * q_lift) / (gamma + 1.0))
+        return product.project((z + gamma_q) / (gamma + 1.0))
 
     def direct(z, k):
-        lam_k = _scheduled(lam, k, 2.0, "lambda")
+        lam_k = lam_of(k)
         pc = blended_projection(z)
         w = 2.0 * pc - z
-        z_next = (1.0 - lam_k / 2.0) * z + (lam_k / 2.0) * (2.0 * diag.project(w) - w)
-        return z_next, diag.project(pc)[:n]
+        reflected = (2.0 * diag.mean(w) - w.reshape(r, n)).ravel()  # R_D(w)
+        z_next = (1.0 - lam_k / 2.0) * z + (lam_k / 2.0) * reflected
+        return z_next, diag.mean(pc)
 
     def recast(z, k):
-        a_k = _scheduled(lam, k, 2.0, "lambda") / 2.0
+        a_k = lam_of(k) / 2.0
         # P over (1/beta)C - shift, via the dilation and translation rules
         u = 2.0 * beta * (product.project(beta * (z + shift)) / beta - shift) - z
         z_next = ((1.0 - a_k) * z + a_k * (2.0 * diag.project(u) - u)

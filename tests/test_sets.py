@@ -83,6 +83,17 @@ def test_product_and_diagonal_shapes():
     assert np.allclose(got, np.tile([3.0, 4.0], 3))
 
 
+def test_diagonal_projection_is_the_tiled_block_mean_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for _ in range(400):
+        r, n = int(rng.integers(1, 6)), int(rng.integers(1, 61))
+        diag = Diagonal(r, n)
+        x = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(r * n)
+        got = diag.project(x)
+        assert np.array_equal(got, np.tile(x.reshape(r, n).mean(axis=0), r))
+        assert np.array_equal(diag.mean(x), got[:n])
+
+
 def test_construction_rejects_degenerate_descriptions():
     with pytest.raises(ValueError):
         Ball((0.0, 0.0), -1.0)

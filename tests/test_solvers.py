@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from aamr import (AamrOperator, Ball, Box, Halfspace, LinearSubspace, MethodSpec
                   recommended_beta, solve_best_approximation)
 from aamr.operators import iterate
 from aamr.solvers import _haugazeau_project
+from conftest import make_variant
 
 
 def norm(v):
@@ -408,6 +411,99 @@ def test_cm_lambda_validation():
     with pytest.raises(ValueError, match="lambda"):
         cm_solve(boxes, np.array([0.5]), lam=2.5,
                  policy=StoppingPolicy.budget_only(max_iter=5))
+
+
+class _CountingFloat:
+    """A constant parameter that counts how often it is read."""
+
+    def __init__(self, value):
+        self.value = value
+        self.reads = 0
+
+    def __float__(self):
+        self.reads += 1
+        return self.value
+
+
+SCHEDULED = {  # driver: (solve with the parameter set to value, name, upper bound)
+    "aamr_solve": (lambda sets, q, value, policy: aamr_solve(
+        sets[0], sets[1], q, alpha=value, beta=0.7, policy=policy), "alpha", 1.0),
+    "aamr_product_solve": (lambda sets, q, value, policy: aamr_product_solve(
+        sets, q, alpha=value, beta=0.7, policy=policy), "alpha", 1.0),
+    "cm_solve": (lambda sets, q, value, policy: cm_solve(
+        sets, q, lam=value, policy=policy), "lambda", 2.0),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(SCHEDULED))
+def test_parameter_range_errors_name_the_step(driver):
+    solve, name, hi = SCHEDULED[driver]
+    boxes = [Box([0.0, 0.0], [2.0, 2.0]), Box([1.0, 1.0], [3.0, 3.0]),
+             Box([0.5, 0.5], [2.5, 2.5])]
+    q = np.array([-1.0, 0.5])
+    policy = StoppingPolicy.budget_only(max_iter=10)
+    leaves = lambda k: 0.5 if k < 3 else hi + 0.5  # noqa: E731
+    with pytest.raises(ValueError, match=f"^{name} .* got {hi + 0.5!r} at step 3$"):
+        solve(boxes, q, leaves, policy)
+    for bad in (0.0, hi + 0.5):
+        with pytest.raises(ValueError, match=f"^{name} .* got {bad!r} at step 0$"):
+            solve(boxes, q, bad, policy)
+    constant = _CountingFloat(0.5)
+    assert solve(boxes, q, constant, policy).iterations == 10
+    assert constant.reads == 1  # a constant is checked once per solve
+
+
+# --- product-space golden file --------------------------------------------------
+
+GOLDEN_PRODUCT = Path(__file__).parent / "data" / "golden_product_solves.csv"
+
+PRODUCT_DRIVERS = {
+    "cm lam=1.8": lambda sets, q, policy: cm_solve(sets, q, lam=1.8, policy=policy),
+    "cm lam_k": lambda sets, q, policy: cm_solve(
+        sets, q, lam=lambda k: 1.0 + 0.9 * k / (k + 1), policy=policy),
+    "aamr alpha=0.9": lambda sets, q, policy: aamr_product_solve(
+        sets, q, alpha=0.9, beta=0.7, policy=policy),
+    "aamr alpha_k": lambda sets, q, policy: aamr_product_solve(
+        sets, q, alpha=lambda k: 0.5 + 0.45 * k / (k + 1), beta=0.7, policy=policy),
+}
+
+
+def _digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+def product_solve_rows() -> str:
+    """CSV text of every product-space golden case.  Regenerate the file with
+    ``GOLDEN_PRODUCT.write_text(product_solve_rows())``."""
+    lines = ["n,family,driver,stop,status,iterations,final_error,"
+             "shadow_sha256,iterate_sha256,drift_sha256"]
+    for n in (10, 50):
+        rng = np.random.default_rng([6, n])
+        p = rng.standard_normal(n)
+        families = {
+            "boxes": [make_variant("box", rng, n, p) for _ in range(3)],
+            "ball/halfspace/hyperplane": [make_variant(kind, rng, n, p) for kind
+                                          in ("ball", "halfspace", "hyperplane")],
+        }
+        q = p + 2.0 * rng.standard_normal(n)
+        stops = {"residual": StoppingPolicy.residual(eps=1e-9, max_iter=3000),
+                 "budget": StoppingPolicy.budget_only(max_iter=150)}
+        for family, sets in families.items():
+            for driver, solve in PRODUCT_DRIVERS.items():
+                for stop, policy in stops.items():
+                    res = solve(sets, q, policy)
+                    lines.append(",".join([
+                        str(n), family, driver, stop, res.status.value,
+                        str(res.iterations), float.hex(res.final_error),
+                        _digest(res.shadow), _digest(res.iterate), _digest(res.drift)]))
+    return "\n".join(lines) + "\n"
+
+
+def test_product_solves_match_golden_file():
+    # Written before the product-space steps moved to the block mean; it pins
+    # cm_solve and aamr_product_solve bit for bit.  Never regenerate it to
+    # make a change pass.
+    assert product_solve_rows() == GOLDEN_PRODUCT.read_text()
 
 
 # --- roster dispatch and agreement -------------------------------------------------
