@@ -442,7 +442,10 @@ def test_parameter_range_errors_name_the_step(driver):
              Box([0.5, 0.5], [2.5, 2.5])]
     q = np.array([-1.0, 0.5])
     policy = StoppingPolicy.budget_only(max_iter=10)
-    leaves = lambda k: 0.5 if k < 3 else hi + 0.5  # noqa: E731
+
+    def leaves(k):  # inside the range for steps 0-2, outside from step 3
+        return 0.5 if k < 3 else hi + 0.5
+
     with pytest.raises(ValueError, match=f"^{name} .* got {hi + 0.5!r} at step 3$"):
         solve(boxes, q, leaves, policy)
     for bad in (0.0, hi + 0.5):
