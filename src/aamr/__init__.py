@@ -14,8 +14,7 @@ from .sets import (ConvexSet, LinearSubspace, AffineSubspace, Ball, Halfspace,
                    project_intersection_oracle, load_problem, dump_problem,
                    DimensionMismatchError, NoOracleError, ProblemFormatError)
 from .operators import (Status, SolveResult, StoppingPolicy, NumericalFailure,
-                        modified_reflect, AamrOperator, DrOperator,
-                        fixed_point_residual, iterate)
+                        modified_reflect, AamrOperator, DrOperator, iterate)
 from .solvers import (aamr_solve, aamr_product_solve, map_solve, rap_solve,
                       dr_solve, haugazeau_solve, hlwb_solve, cm_solve,
                       cm_recurrence, combettes_beta, optimal_rap_mu,

@@ -61,10 +61,10 @@ class SweepConfig:
     """Shared knobs for the benchmark sweeps.
 
     Defaults are desk-scale: 20 instances, 10 starts of norm 10, tolerance
-    1e-3, a 100-point alpha grid and a 13-point beta grid.  ``angle_binned``
-    spreads instance angles over ``angle_bins`` equal bins of (0, pi/2)
-    (random dimension sampling alone concentrates angles well below pi/4,
-    which would leave profile figures empty on the right).
+    1e-3, a 100-point alpha grid and a 13-point beta grid.  Instance angles
+    are spread over ``angle_bins`` equal bins of (0, pi/2) (random dimension
+    sampling alone concentrates angles well below pi/4, which would leave
+    profile figures empty on the right).
     """
 
     n: int = 50
@@ -77,7 +77,6 @@ class SweepConfig:
     alpha_sweep_betas: tuple = (0.6, 0.7, 0.8, 0.9)
     beta_grid: tuple = _DEFAULT_BETA_GRID
     angle_bins: int = 20
-    angle_binned: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -182,16 +181,10 @@ def _fmt(value) -> str:
 
 def write_runs_csv(path, runs) -> None:
     """Write run records under the canonical header."""
-    lines = [CSV_HEADER]
-    for r in runs:
-        lines.append(",".join([
-            str(r.instance_id), repr(float(r.theta)), r.method,
-            _fmt(r.alpha), _fmt(r.beta), _fmt(r.mu), _fmt(r.gamma),
-            str(r.start_id), r.status, str(r.iterations),
-            repr(float(r.final_error)), str(r.seed),
-        ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_table_csv(path, CSV_HEADER.split(","), [
+        [r.instance_id, float(r.theta), r.method, r.alpha, r.beta, r.mu, r.gamma,
+         r.start_id, r.status, r.iterations, float(r.final_error), r.seed]
+        for r in runs])
 
 
 def write_table_csv(path, header, rows) -> None:
@@ -208,15 +201,13 @@ def write_table_csv(path, header, rows) -> None:
 
 
 def make_instances(config: SweepConfig) -> list[SubspacePair]:
-    """Seeded subspace pairs; angle-binned over (0, pi/2) unless disabled."""
+    """Seeded subspace pairs, angle-binned over (0, pi/2)."""
     pairs = []
     width = (math.pi / 2) / config.angle_bins
     for i in range(config.n_instances):
-        interval = None
-        if config.angle_binned:
-            b = i % config.angle_bins
-            lo = max(b * width + 0.025 * width, 0.02)
-            interval = (lo, max((b + 1) * width - 0.025 * width, lo + 1e-6))
+        b = i % config.angle_bins
+        lo = max(b * width + 0.025 * width, 0.02)
+        interval = (lo, max((b + 1) * width - 0.025 * width, lo + 1e-6))
         pairs.append(random_subspace_pair(config.n, [config.seed, 11, i],
                                           target_angle_interval=interval))
     return pairs
@@ -534,15 +525,15 @@ _EXPECTED_RATES = {"map": lambda theta: math.cos(theta) ** 2, "drm": math.cos}
 
 
 def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
-                 eps: float = 1e-13, max_iter: int = 200_000,
-                 start_norm: float = 10.0):
+                 max_iter: int = 200_000, start_norm: float = 10.0):
     """Empirical linear rates on two lines through the origin at given angles.
 
     Alternating-projection style methods are traced through their own
     iterates; the Douglas-Rachford trace records the distance of the raw
     iterate to the intersection (its projected shadow oscillates, which makes
     slope fits unstable, while the iterate itself contracts cleanly); the
-    modified-reflection method is traced through its shadow.  Returns
+    modified-reflection method is traced through its shadow.  Every run stops
+    at true error 1e-13 or at ``max_iter``.  Returns
     ``(runs, rate_records, traces)`` where ``traces`` maps
     ``(theta, label)`` to the recorded error trace.
     """
@@ -557,7 +548,7 @@ def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
         q = start_norm * np.array([math.cos(phi), math.sin(phi)])
         for spec in methods:
             resolved = spec.resolve(theta)
-            policy = StoppingPolicy.true_error(target, eps=eps, max_iter=max_iter,
+            policy = StoppingPolicy.true_error(target, eps=1e-13, max_iter=max_iter,
                                                record_trace=True)
             run = _RATE_RUNS.get(resolved.kind)
             if run is not None:

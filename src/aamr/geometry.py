@@ -155,8 +155,9 @@ class SubspacePair:
 
     @classmethod
     def from_bases(cls, basis_u, basis_v):
-        Qu = check_orthonormal(basis_u, "basis_u")
-        Qv = check_orthonormal(basis_v, "basis_v")
+        # copies, so that freezing them leaves the caller's arrays writeable
+        Qu = check_orthonormal(basis_u, "basis_u").copy(order="K")
+        Qv = check_orthonormal(basis_v, "basis_v").copy(order="K")
         meet = subspace_intersection(Qu, Qv)
         angle = _angle_past(Qu, Qv, meet)
         for arr in (Qu, Qv, meet):
@@ -164,20 +165,19 @@ class SubspacePair:
         return cls(Qu, Qv, meet, angle)
 
 
-def _sample_dims(rng, n, min_meet):
+def _sample_dims(rng, n):
     lo = math.ceil(n / 4)
     hi = math.ceil(3 * n / 4)
     for _ in range(10_000):
         du = int(rng.integers(lo, hi + 1))
         dv = int(rng.integers(lo, hi + 1))
         meet = du + dv - n
-        if meet < max(1, min_meet):
+        if meet < 1:
             continue
         if min(du, dv) - meet < 1:  # one inside the other: no angle (n = 3)
             continue
         return du, dv
-    raise ValueError(f"cannot sample dimensions for n={n} with "
-                     f"min_intersection_dim={min_meet}")
+    raise ValueError(f"cannot sample dimensions for n={n}")
 
 
 def _constructed_pair(rng, n, du, dv, theta):
@@ -213,14 +213,13 @@ def _constructed_pair(rng, n, du, dv, theta):
     return Qu, Qv
 
 
-def random_subspace_pair(n: int, seed, min_intersection_dim: int = 1,
-                         target_angle_interval=None) -> SubspacePair:
+def random_subspace_pair(n: int, seed, target_angle_interval=None) -> SubspacePair:
     """Seeded random pair of subspaces of R^n with nontrivial intersection.
 
     Dimensions are drawn uniformly from [ceil(n/4), ceil(3n/4)] subject to
-    d_u + d_v >= n + min_intersection_dim and d_u, d_v < n, so that neither
-    subspace contains the other.  Without a target interval the bases are
-    orthonormalized standard-Gaussian matrices.  With
+    d_u + d_v > n and d_u, d_v < n, so that the intersection is nontrivial
+    and neither subspace contains the other.  Without a target interval the
+    bases are orthonormalized standard-Gaussian matrices.  With
     ``target_angle_interval = (lo, hi)`` the pair is built constructively so
     that the Friedrichs angle lands inside the interval (rejection sampling
     cannot reach large angles under this dimension law).  Deterministic for a
@@ -231,18 +230,18 @@ def random_subspace_pair(n: int, seed, min_intersection_dim: int = 1,
     rng = np.random.default_rng(seed)
     if target_angle_interval is None:
         for _ in range(100):
-            du, dv = _sample_dims(rng, n, min_intersection_dim)
+            du, dv = _sample_dims(rng, n)
             Qu = orthonormal_columns(rng.standard_normal((n, du)))
             Qv = orthonormal_columns(rng.standard_normal((n, dv)))
             pair = SubspacePair.from_bases(Qu, Qv)
-            if pair.intersection.shape[1] >= max(1, min_intersection_dim):
+            if pair.intersection.shape[1] >= 1:
                 return pair
-        raise ValueError("failed to draw a pair with the requested intersection")
+        raise ValueError("failed to draw a pair with a nontrivial intersection")
 
     lo, hi = (float(target_angle_interval[0]), float(target_angle_interval[1]))
     if not (0.0 < lo <= hi <= np.pi / 2):
         raise ValueError("target_angle_interval must satisfy 0 < lo <= hi <= pi/2")
-    du, dv = _sample_dims(rng, n, min_intersection_dim)
+    du, dv = _sample_dims(rng, n)
     theta = float(rng.uniform(lo, hi)) if lo < hi else lo
     Qu, Qv = _constructed_pair(rng, n, du, dv, theta)
     pair = SubspacePair.from_bases(Qu, Qv)

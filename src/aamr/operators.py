@@ -26,7 +26,6 @@ __all__ = [
     "AamrOperator",
     "DrOperator",
     "aamr_update",
-    "fixed_point_residual",
     "iterate",
 ]
 
@@ -63,17 +62,13 @@ class SolveResult:
     final_error: float
     trace: list | None = None
 
-    @property
-    def converged(self) -> bool:
-        return self.status is Status.CONVERGED
-
 
 @dataclass(frozen=True)
 class StoppingPolicy:
     """When to stop iterating.
 
     Modes: ``"true_error"`` stops when the monitored point is within ``eps``
-    of ``target`` (a ConvexSet, a point, or a callable returning a distance);
+    of ``target`` (a ConvexSet or a point);
     ``"residual"`` stops when the step norm drops below ``eps``;
     ``"budget_only"`` runs until the iteration budget.  Independently of the
     mode, the run is declared diverged once the iterate norm exceeds
@@ -103,9 +98,8 @@ class StoppingPolicy:
             raise ValueError("divergence_threshold must be positive")
         if self.mode == self.TRUE_ERROR and self.target is None:
             raise ValueError("true_error mode needs a target")
-        if not (self.target is None or isinstance(self.target, ConvexSet)
-                or callable(self.target)):  # a point: validated once, here
-            object.__setattr__(self, "target", as_vector(self.target))
+        if not (self.target is None or isinstance(self.target, ConvexSet)):
+            object.__setattr__(self, "target", as_vector(self.target))  # a point
 
     @classmethod
     def true_error(cls, target, eps: float, **kwargs) -> "StoppingPolicy":
@@ -125,8 +119,6 @@ class StoppingPolicy:
             return math.inf
         if isinstance(self.target, ConvexSet):
             return self.target.distance(monitored)
-        if callable(self.target):
-            return float(self.target(monitored))
         return _norm(monitored - _conform(self.target, monitored.size))
 
 
@@ -141,7 +133,7 @@ def modified_reflect(set_: ConvexSet, beta: float, x) -> np.ndarray:
 def aamr_update(x: np.ndarray, pa: np.ndarray, b_set: ConvexSet, alpha: float,
                 beta: float) -> np.ndarray:
     """(1-alpha)x + alpha(2 beta P_B - I)(2 beta pa - x), given ``pa = P_A(x)``:
-    the update of both operators (DR is beta = 1) and of the solver steps."""
+    the update of the operator (DR is beta = 1) and of the solver steps."""
     y = 2.0 * beta * pa - x
     z = 2.0 * beta * b_set.project(y) - y
     return (1.0 - alpha) * x + alpha * z
@@ -150,49 +142,22 @@ def aamr_update(x: np.ndarray, pa: np.ndarray, b_set: ConvexSet, alpha: float,
 class AamrOperator:
     """(1-alpha)I + alpha(2 beta P_B - I)(2 beta P_A - I).
 
-    Requires alpha in (0, 1] and beta in (0, 1).  beta = 1 is the plain
-    double-reflection operator with different dynamics; use
-    :class:`DrOperator` for that case.
+    Requires beta in (0, 1] and alpha in (0, 1], with alpha < 1 at beta = 1.
+    beta = 1 is the Douglas-Rachford operator (see :class:`DrOperator`),
+    whose alpha = 1 member is the bare double reflection.
     """
 
     def __init__(self, a_set: ConvexSet, b_set: ConvexSet, alpha: float, beta: float):
         if a_set.dim != b_set.dim:
             raise ValueError("sets have different ambient dimensions")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-        if not 0.0 < beta < 1.0:
-            raise ValueError("beta must lie in (0, 1); use DrOperator for beta = 1")
+        if not 0.0 < beta <= 1.0:
+            raise ValueError("beta must lie in (0, 1]")
+        if not (0.0 < alpha < 1.0 or (alpha == 1.0 and beta < 1.0)):
+            raise ValueError("alpha must lie in (0, 1], and in (0, 1) at beta = 1")
         self.a_set = a_set
         self.b_set = b_set
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.dim = a_set.dim
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return aamr_update(x, self.a_set.project(x), self.b_set, self.alpha, self.beta)
-
-    def displacement(self, x) -> np.ndarray:
-        """x - T(x) via the two-projection shortcut."""
-        x = as_vector(x, self.dim)
-        pa = self.a_set.project(x)
-        pb = self.b_set.project(2.0 * self.beta * pa - x)
-        return 2.0 * self.alpha * self.beta * (pa - pb)
-
-
-class DrOperator:
-    """(1-alpha)I + alpha(2P_B - I)(2P_A - I), with alpha in (0, 1)."""
-
-    beta = 1.0
-
-    def __init__(self, a_set: ConvexSet, b_set: ConvexSet, alpha: float):
-        if a_set.dim != b_set.dim:
-            raise ValueError("sets have different ambient dimensions")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        self.a_set = a_set
-        self.b_set = b_set
-        self.alpha = float(alpha)
         self.dim = a_set.dim
 
     def __call__(self, x) -> np.ndarray:
@@ -202,19 +167,24 @@ class DrOperator:
         """Engine step: ``(T(x), P_A(x))``, the shadow being the projection
         the update already needs."""
         pa = self.a_set.project(x)
-        return aamr_update(x, pa, self.b_set, self.alpha, 1.0), pa
+        return aamr_update(x, pa, self.b_set, self.alpha, self.beta), pa
+
+    def displacement(self, x) -> np.ndarray:
+        """x - T(x) via the two-projection shortcut: 2 alpha beta times the
+        fixed-point residual ``P_A(x) - P_B(2 beta P_A(x) - x)``, which
+        vanishes exactly on fixed points."""
+        x = as_vector(x, self.dim)
+        pa = self.a_set.project(x)
+        pb = self.b_set.project(2.0 * self.beta * pa - x)
+        return 2.0 * self.alpha * self.beta * (pa - pb)
 
 
-def fixed_point_residual(op, x) -> float:
-    """``||P_B(2 beta P_A(x) - x) - P_A(x)||``; zero exactly on fixed points.
+class DrOperator(AamrOperator):
+    """(1-alpha)I + alpha(2P_B - I)(2P_A - I), with alpha in (0, 1): the
+    beta = 1 member of :class:`AamrOperator`."""
 
-    Works for both :class:`AamrOperator` and :class:`DrOperator`.  Scaled by
-    2*alpha*beta this equals the step length ``||x - T(x)||``.
-    """
-    x = as_vector(x, op.dim)
-    pa = op.a_set.project(x)
-    pb = op.b_set.project(2.0 * op.beta * pa - x)
-    return _norm(pb - pa)
+    def __init__(self, a_set: ConvexSet, b_set: ConvexSet, alpha: float):
+        super().__init__(a_set, b_set, alpha, 1.0)
 
 
 def iterate(step, x0, policy: StoppingPolicy) -> SolveResult:
@@ -240,23 +210,27 @@ def iterate(step, x0, policy: StoppingPolicy) -> SolveResult:
         try:
             x_next, shadow = step(x, k)
         except NumericalFailure:
-            return SolveResult(Status.NUMERICAL_FAILURE, k, shadow, x, prev - x,
-                               math.nan, trace)
+            status, err = Status.NUMERICAL_FAILURE, math.nan
+            break
         err = _norm(x_next - x) if residual else policy.error_of(shadow)
         if trace is not None:
             trace.append((k, err, _norm(prev - x) if k else math.nan))
         if err < policy.eps:
-            return SolveResult(Status.CONVERGED, k, shadow, x, prev - x, err, trace)
+            status = Status.CONVERGED
+            break
         if (norm_x > policy.divergence_threshold and k >= 1
                 and mono_len >= min(k + 1, _MONO_WINDOW)):
-            return SolveResult(Status.DIVERGED, k, shadow, x, prev - x, err, trace)
+            status = Status.DIVERGED
+            break
         if k >= policy.max_iter:
-            return SolveResult(Status.BUDGET_EXHAUSTED, k, shadow, x, prev - x, err, trace)
+            status = Status.BUDGET_EXHAUSTED
+            break
         norm_next = _norm(x_next)
         k += 1
         prev, x = x, x_next
         if not math.isfinite(norm_next):
-            return SolveResult(Status.NUMERICAL_FAILURE, k, shadow, x, prev - x,
-                               math.nan, trace)
+            status, err = Status.NUMERICAL_FAILURE, math.nan
+            break
         mono_len = mono_len + 1 if norm_next >= norm_x else 1
         norm_x = norm_next
+    return SolveResult(status, k, shadow, x, prev - x, err, trace)

@@ -71,25 +71,20 @@ def _lift(x0, q, copies: int) -> np.ndarray:
     return as_vector(x0, copies * n)
 
 
-def _schedule(value, hi: float, name: str):
+def _schedule(value, param, name: str):
     """``k -> value_k`` for a constant or a ``k -> value`` schedule, each value
-    checked to lie in (0, hi]: a constant once, here, as the value of step 0;
-    a schedule at every step."""
+    checked against the method-table entry ``param``: a constant once, here,
+    as the value of step 0; a schedule at every step."""
     def checked(k):
         v = float(value(k) if callable(value) else value)
-        if not 0.0 < v <= hi:
-            raise ValueError(f"{name} must lie in (0, {hi:g}], got {v!r} at step {k}")
+        if not param.admits(v):
+            raise ValueError(f"{name} must {param.interval}, got {v!r} at step {k}")
         return v
 
     if callable(value):
         return checked
     v = checked(0)
     return lambda k: v
-
-
-def _check_beta(beta: float) -> None:
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1); use DrOperator for beta = 1")
 
 
 def optimal_rap_mu(theta: float) -> float:
@@ -107,8 +102,7 @@ def recommended_beta(theta: float) -> float:
 def combettes_beta(gamma: float) -> float:
     """Reflection strength equivalent to the CM blending parameter:
     beta = 1/(1 + gamma)."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    _METHODS["cm"].params["gamma"].check("cm", "gamma", gamma)
     return 1.0 / (1.0 + gamma)
 
 
@@ -124,12 +118,13 @@ def aamr_solve(a_set: ConvexSet, b_set: ConvexSet, q, x0=None, alpha=0.9,
     ``k -> alpha_k`` schedule with ``inf alpha_k > 0``.
     """
     n = _common_dim([a_set, b_set])
-    _check_beta(beta)
+    params = _METHODS["aamr"].params
+    params["beta"].check("aamr", "beta", beta)
     policy = _default_policy(policy)
     q = as_vector(q, n)
     x0 = q if x0 is None else as_vector(x0, n)
     b_shifted = Translate(b_set, q)
-    alpha_of = _schedule(alpha, 1.0, "alpha")
+    alpha_of = _schedule(alpha, params["alpha"], "alpha")
 
     def step(x, k):
         pa = a_set.project(x + q)  # the shadow; P_{A-q}(x) = pa - q
@@ -150,13 +145,14 @@ def aamr_product_solve(sets, q, x0=None, alpha=0.9, beta: float = 0.7,
     """
     sets = list(sets)
     n = _common_dim(sets)
-    _check_beta(beta)
+    params = _METHODS["aamr"].params
+    params["beta"].check("aamr", "beta", beta)
     policy = _default_policy(policy)
     q = as_vector(q, n)
     diag = Diagonal(len(sets), n)
     shifted = ProductSet([Translate(s, q) for s in sets])
     x0 = _lift(x0, q, len(sets))
-    alpha_of = _schedule(alpha, 1.0, "alpha")
+    alpha_of = _schedule(alpha, params["alpha"], "alpha")
 
     def step(x, k):
         pd = diag.project(x)  # every block is the mean of the blocks of x
@@ -168,8 +164,7 @@ def aamr_product_solve(sets, q, x0=None, alpha=0.9, beta: float = 0.7,
 def rap_solve(u_set: ConvexSet, v_set: ConvexSet, q, mu: float = 1.0,
               policy: StoppingPolicy | None = None) -> SolveResult:
     """Relaxed alternating projections x <- (1-mu)x + mu P_V(P_U(x)) from q."""
-    if not 0.0 < mu < 2.0:
-        raise ValueError("mu must lie in (0, 2)")
+    _METHODS["rap"].params["mu"].check("rap", "mu", mu)
     policy = _default_policy(policy)
     q = as_vector(q, _common_dim([u_set, v_set]))
 
@@ -290,8 +285,7 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8, form: str = "direct"):
     """
     sets = list(sets)
     n = _common_dim(sets)
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    beta = combettes_beta(gamma)  # checks gamma
     if form not in ("direct", "recast"):
         raise ValueError(f"unknown form {form!r}; expected 'direct' or 'recast'")
     q = as_vector(q, n)
@@ -300,9 +294,8 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8, form: str = "direct"):
     gamma_q = gamma * q_lift
     product = ProductSet(sets)
     diag = Diagonal(r, n)
-    beta = combettes_beta(gamma)
     shift = ((1.0 - beta) / beta) * q_lift
-    lam_of = _schedule(lam, 2.0, "lambda")
+    lam_of = _schedule(lam, _METHODS["cm"].params["lam"], "lambda")
 
     def blended_projection(z):
         return product.project((z + gamma_q) / (gamma + 1.0))
@@ -354,13 +347,18 @@ class _Param:
     def admits(self, value: float) -> bool:
         return 0.0 < value < self.hi or (self.closed and value == self.hi)
 
+    @property
+    def interval(self) -> str:
+        """The range as the tail of "<name> must ...", e.g. "lie in (0, 1]"."""
+        if self.hi == math.inf:
+            return "be positive"
+        return f"lie in (0, {self.hi:g}{']' if self.closed else ')'}"
+
     def check(self, kind: str, name: str, value) -> None:
         if self.schedule and callable(value):
             return
         if not self.admits(value):
-            interval = ("be positive" if self.hi == math.inf else
-                        f"lie in (0, {self.hi:g}{']' if self.closed else ')'}")
-            raise ValueError(f"{name} must {interval} for {kind}{self.hint}")
+            raise ValueError(f"{name} must {self.interval} for {kind}{self.hint}")
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,10 @@ def _finite_points(series, ylog):
     return pts
 
 
-def _nice_ticks(lo, hi, want=5):
+def _nice_ticks(lo, hi):
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / want
+    raw = (hi - lo) / 5  # about five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

@@ -65,12 +65,6 @@ def test_make_instances_binned_angles_cover_range():
     assert angles == again
 
 
-def test_make_instances_random_mode():
-    config = small_config(angle_binned=False)
-    pairs = make_instances(config)
-    assert all(p.intersection.shape[1] >= 1 for p in pairs)
-
-
 def test_start_points_have_requested_norm_and_are_seeded():
     config = small_config()
     a = start_point(config, 2, 5)

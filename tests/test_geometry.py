@@ -90,12 +90,6 @@ def test_pair_determinism_bit_for_bit():
     assert a.angle != c.angle
 
 
-def test_pair_min_intersection_dim():
-    for seed in range(8):
-        pair = random_subspace_pair(50, seed, min_intersection_dim=3)
-        assert pair.intersection.shape[1] >= 3
-
-
 def test_pair_target_angle_interval():
     for lo, hi in [(0.3, 0.35), (0.03, 0.1), (1.2, 1.5), (1.5, np.pi / 2)]:
         for seed in range(4):
@@ -196,3 +190,13 @@ def test_pair_computes_its_intersection_once(monkeypatch):
     assert calls == [2]
     assert pair.angle == pytest.approx(math.pi / 2)
     assert np.allclose(np.abs(pair.intersection[:, 0]), E1)
+
+
+def test_pair_freezes_copies_not_the_callers_bases():
+    basis_u, basis_v = col(E1, E2), col(E1, E3)
+    pair = SubspacePair.from_bases(basis_u, basis_v)
+    basis_u[0, 0] = 1.0  # the caller's arrays stay writeable
+    basis_v[0, 0] = 1.0
+    for frozen in (pair.basis_u, pair.basis_v, pair.intersection):
+        assert not frozen.flags.writeable
+    assert np.array_equal(pair.basis_u, col(E1, E2))

@@ -1,12 +1,13 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aamr import (AamrOperator, AffineSubspace, Ball, DimensionMismatchError,
                   DrOperator, Hyperplane, LinearSubspace, Status, StoppingPolicy,
-                  fixed_point_residual, full_space, iterate, modified_reflect,
-                  zero_subspace)
+                  full_space, iterate, modified_reflect, zero_subspace)
 from conftest import VARIANTS, make_variant
 
 
@@ -65,7 +66,7 @@ def test_operator_fixes_the_known_point_for_plane_and_line():
         for beta in (0.2, 0.5, 0.9):
             op = AamrOperator(plane, LINE_X1, alpha, beta)
             assert np.allclose(op([1.0, 0.0]), [1.0, 0.0], atol=1e-14)
-            assert fixed_point_residual(op, [1.0, 0.0]) <= 1e-14
+            assert norm(op.displacement([1.0, 0.0])) / (2 * alpha * beta) <= 1e-14
 
 
 def test_operator_on_coincident_full_spaces_is_linear_contraction():
@@ -94,10 +95,23 @@ def test_projected_anchor_is_fixed_when_it_lies_in_other_set():
 def test_operator_validates_parameters():
     with pytest.raises(ValueError, match="alpha"):
         AamrOperator(LINE_X1, LINE_X1, 0.0, 0.5)
-    with pytest.raises(ValueError, match="beta"):
-        AamrOperator(LINE_X1, LINE_X1, 0.5, 1.0)
+    with pytest.raises(ValueError, match="^beta"):
+        AamrOperator(LINE_X1, LINE_X1, 0.5, 1.5)
+    with pytest.raises(ValueError, match="^alpha"):
+        AamrOperator(LINE_X1, LINE_X1, 1.0, 1.0)
     with pytest.raises(ValueError, match="alpha"):
         DrOperator(LINE_X1, LINE_X1, 1.0)
+
+
+def test_dr_operator_is_the_beta_one_aamr_operator():
+    rng = np.random.default_rng(29)
+    p = rng.standard_normal(4)
+    a, b = make_variant("ball", rng, 4, p), make_variant("subspace", rng, 4, p)
+    dr, aamr = DrOperator(a, b, 0.6), AamrOperator(a, b, 0.6, 1.0)
+    for _ in range(10):
+        x = 5 * rng.standard_normal(4)
+        assert np.array_equal(dr(x), aamr(x))
+        assert norm((x - dr(x)) - dr.displacement(x)) <= 1e-12 * (1 + norm(x))
 
 
 def test_nonexpansiveness_on_random_pairs():
@@ -139,7 +153,7 @@ def test_step_length_equals_scaled_residual():
     for _ in range(20):
         x = 4 * rng.standard_normal(3)
         lhs = norm(x - op(x))
-        rhs = 2 * op.alpha * op.beta * fixed_point_residual(op, x)
+        rhs = norm(op.displacement(x))
         assert abs(lhs - rhs) <= 1e-12 * (1 + lhs)
 
 
@@ -164,11 +178,11 @@ def test_affine_translation_formula():
 
 def test_fixed_point_residual_examples():
     op = AamrOperator(full_space(2), LINE_X1, 0.5, 0.5)
-    assert fixed_point_residual(op, [1.0, 0.0]) <= 1e-14
+    assert norm(op.displacement([1.0, 0.0])) / (2 * 0.5 * 0.5) <= 1e-14
 
     line = LinearSubspace([[1.0], [0.0]])
     op2 = AamrOperator(line, line, 0.5, 0.7)
-    assert fixed_point_residual(op2, [0.0, 0.0]) <= 1e-14
+    assert norm(op2.displacement([0.0, 0.0])) / (2 * 0.5 * 0.7) <= 1e-14
 
     # hand-composed value for two balls at beta = 1/2, x = 0
     a = Ball([1.0, 1.0], 1.0)
@@ -179,7 +193,8 @@ def test_fixed_point_residual_examples():
     diff = w - [-1.0, 1.0]
     pb = np.array([-1.0, 1.0]) + diff / norm(diff)
     expected = norm(pb - pa)
-    assert fixed_point_residual(op3, [0.0, 0.0]) == pytest.approx(expected, abs=1e-12)
+    residual = norm(op3.displacement([0.0, 0.0])) / (2 * 0.9 * 0.5)
+    assert residual == pytest.approx(expected, abs=1e-12)
 
 
 # --- iteration engine ----------------------------------------------------------
@@ -332,3 +347,91 @@ def test_point_target_is_checked_at_construction():
     assert policy.error_of(np.array([3.0, 5.0])) == 5.0
     with pytest.raises(DimensionMismatchError):
         policy.error_of(np.zeros(3))
+
+
+# --- engine exits golden file ---------------------------------------------------
+
+GOLDEN_EXITS = Path(__file__).parent / "data" / "golden_engine_exits.csv"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _array_sha(a) -> str:
+    return _sha(np.ascontiguousarray(a, dtype=float).tobytes())
+
+
+def _trace_sha(trace) -> str:
+    if trace is None:
+        return "-"
+    text = "\n".join(f"{k},{float.hex(err)},{float.hex(step)}" for k, err, step in trace)
+    return _sha(text.encode())
+
+
+def _exit_cases(record_trace):
+    """Name and thunk of one run per engine exit, every stop in ``iterate``."""
+    from aamr import NumericalFailure, aamr_solve
+    a, b = Ball([1.0, 1.0], 1.0), Ball([-1.0, 1.0], 1.0)  # tangent at (0, 1)
+    line = LinearSubspace([[1.0], [0.0]])
+    opts = dict(record_trace=record_trace)
+
+    def raises_at(k_fail):
+        def step(x, k):
+            if k == k_fail:
+                raise NumericalFailure("boom")
+            return 0.5 * x + 0.25, x
+        return step
+
+    return {
+        "residual": lambda: aamr_solve(
+            a, b, [2.0, 1.0], alpha=0.9, beta=0.7,
+            policy=StoppingPolicy.residual(eps=1e-10, max_iter=10**4, **opts)),
+        "true_error set": lambda: iterate(
+            lambda x, k: (0.5 * x, x), np.array([1.0, 3.0]),
+            StoppingPolicy.true_error(line, eps=1e-6, max_iter=50, **opts)),
+        "true_error point": lambda: aamr_solve(
+            a, b, [2.0, 1.0], alpha=0.9, beta=0.7,
+            policy=StoppingPolicy.true_error([0.0, 1.0], eps=1e-9, max_iter=10**4,
+                                             **opts)),
+        "budget": lambda: aamr_solve(
+            a, b, [0.0, 2.0], alpha=0.9, beta=0.7,
+            policy=StoppingPolicy.budget_only(max_iter=60, **opts)),
+        "diverged": lambda: aamr_solve(
+            a, b, [0.0, 2.0], alpha=1.0, beta=0.3,
+            policy=StoppingPolicy.budget_only(max_iter=10**4, divergence_threshold=5.0,
+                                              **opts)),
+        "raises at 0": lambda: iterate(
+            raises_at(0), np.array([1.0, -2.0]),
+            StoppingPolicy.budget_only(max_iter=20, **opts)),
+        "raises at 4": lambda: iterate(
+            raises_at(4), np.array([1.0, -2.0]),
+            StoppingPolicy.budget_only(max_iter=20, **opts)),
+        "non-finite": lambda: iterate(
+            lambda x, k: (np.full_like(x, math.inf) if k == 3 else 0.9 * x, x),
+            np.array([1e10, 2.0]),
+            StoppingPolicy.residual(eps=1e-12, max_iter=50, **opts)),
+    }
+
+
+def engine_exit_rows() -> str:
+    """CSV text of every engine-exit golden case.  Regenerate the file with
+    ``GOLDEN_EXITS.write_text(engine_exit_rows())``."""
+    lines = ["case,trace,status,iterations,final_error,shadow_sha256,"
+             "iterate_sha256,drift_sha256,trace_sha256"]
+    for record_trace in (False, True):
+        for case, run in _exit_cases(record_trace).items():
+            res = run()
+            lines.append(",".join([
+                case, str(record_trace), res.status.value, str(res.iterations),
+                float.hex(res.final_error), _array_sha(res.shadow),
+                _array_sha(res.iterate), _array_sha(res.drift),
+                _trace_sha(res.trace)]))
+    return "\n".join(lines) + "\n"
+
+
+def test_engine_exits_match_golden_file():
+    # Written before iterate's exits were folded into one; it pins every
+    # stop of the engine bit for bit.  Never regenerate it to make a change
+    # pass.
+    assert engine_exit_rows() == GOLDEN_EXITS.read_text()
