@@ -31,7 +31,6 @@ __all__ = [
     "BetaFit",
     "RateRecord",
     "default_profile_methods",
-    "parse_method_token",
     "make_instances",
     "start_point",
     "angle_profile",
@@ -55,6 +54,9 @@ _DEFAULT_ALPHA_GRID = tuple(round(0.01 * i, 2) for i in range(1, 101))
 _DEFAULT_BETA_GRID = (0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7,
                       0.75, 0.8, 0.85, 0.9, 0.95, 0.99)
 
+# norm of the random starts of every sweep
+_START_NORM = 10.0
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -70,7 +72,6 @@ class SweepConfig:
     n: int = 50
     n_instances: int = 20
     n_starts: int = 10
-    start_norm: float = 10.0
     eps: float = 1e-3
     max_iter: int = 100_000
     alpha_grid: tuple = _DEFAULT_ALPHA_GRID
@@ -85,8 +86,6 @@ class SweepConfig:
             raise ValueError("config counts must be positive")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if not self.start_norm > 0:
-            raise ValueError("start_norm must be positive")
         for name in ("alpha_grid", "alpha_sweep_betas", "beta_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
@@ -214,10 +213,10 @@ def make_instances(config: SweepConfig) -> list[SubspacePair]:
 
 
 def start_point(config: SweepConfig, instance_id: int, start_id: int) -> np.ndarray:
-    """Deterministic random start of norm ``start_norm``."""
+    """Deterministic random start of norm 10."""
     rng = np.random.default_rng([config.seed, 23, instance_id, start_id])
     v = rng.standard_normal(config.n)
-    return v * (config.start_norm / np.linalg.norm(v))
+    return v * (_START_NORM / np.linalg.norm(v))
 
 
 def default_profile_methods() -> list[MethodSpec]:
@@ -235,22 +234,6 @@ def default_profile_methods() -> list[MethodSpec]:
         MethodSpec("aamr", alpha=0.9, beta=0.7),
         MethodSpec("aamr", alpha=0.9, beta=0.9),
     ]
-
-
-def parse_method_token(token: str) -> MethodSpec:
-    """Parse ``kind[:param=value]...`` tokens, e.g. ``aamr:alpha=0.9:beta=0.9``."""
-    parts = token.strip().split(":")
-    kind = parts[0].strip().lower()
-    kwargs = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ValueError(f"malformed method token {token!r}: expected param=value")
-        key, value = part.split("=", 1)
-        key = key.strip().lower()
-        if key not in MethodSpec.PARAMS:
-            raise ValueError(f"unknown method parameter {key!r} in {token!r}")
-        kwargs[key] = float(value)
-    return MethodSpec(kind, **kwargs)
 
 
 def _pmap(fn, tasks, jobs):
@@ -312,7 +295,7 @@ def angle_profile(config: SweepConfig, methods=None, instances=None,
                   jobs: int = 1):
     """Median/std iteration counts per (instance, method) over seeded starts.
 
-    Every run projects a fresh norm-``start_norm`` point onto the instance
+    Every run projects a fresh norm-10 point onto the instance
     intersection, stopping at true error below ``eps``.  Returns
     ``(runs, records)``.
     """
@@ -525,7 +508,7 @@ _EXPECTED_RATES = {"map": lambda theta: math.cos(theta) ** 2, "drm": math.cos}
 
 
 def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
-                 max_iter: int = 200_000, start_norm: float = 10.0):
+                 max_iter: int = 200_000):
     """Empirical linear rates on two lines through the origin at given angles.
 
     Alternating-projection style methods are traced through their own
@@ -545,7 +528,7 @@ def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
         u, v, target = _planar_lines(theta)
         rng = np.random.default_rng([seed, 31, t_index])
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        q = start_norm * np.array([math.cos(phi), math.sin(phi)])
+        q = _START_NORM * np.array([math.cos(phi), math.sin(phi)])
         for spec in methods:
             resolved = spec.resolve(theta)
             policy = StoppingPolicy.true_error(target, eps=1e-13, max_iter=max_iter,
@@ -582,7 +565,8 @@ class Sweep:
     returns ``(runs, rows, charts, lines)``: the records of the ``runs_csv``
     file, the rows of the ``table_csv`` file under ``header``, the charts as
     ``(file name, series, render_chart keyword arguments)`` and the console
-    summary lines.  ``methods`` is None for the sweep's default roster.
+    summary lines.  ``methods`` is None for the sweep's default roster; the
+    alpha sweep takes only bare kinds, and the beta sweep none.
     ``full_scale`` holds the SweepConfig overrides of ``--full-scale``."""
 
     run: object
@@ -621,6 +605,8 @@ def _profile_report(config, methods, thetas, jobs):
 
 
 def _alpha_report(config, methods, thetas, jobs):
+    if methods and any(m != MethodSpec(m.kind) for m in methods):
+        raise ValueError("the alpha sweep takes bare kinds: it sets alpha and beta itself")
     runs, best = [], []
     for kind in [m.kind for m in methods] if methods else ["aamr"]:
         k_runs, k_best = sweep_alpha(config, kind=kind, jobs=jobs)
@@ -650,6 +636,8 @@ def _alpha_report(config, methods, thetas, jobs):
 
 
 def _beta_report(config, methods, thetas, jobs):
+    if methods is not None:
+        raise ValueError("the beta sweep takes no methods: it runs aamr at alpha 0.9")
     runs, best, fit = sweep_beta(config, jobs=jobs)
     xs = [r.theta for r in best]
     series = [svgplot.Series("best beta", xs, [r.best_beta for r in best],
@@ -676,7 +664,7 @@ def _beta_report(config, methods, thetas, jobs):
 def _rates_report(config, methods, thetas, jobs):
     runs, records, traces = rate_profile(
         thetas=thetas, methods=methods, seed=config.seed,
-        max_iter=config.max_iter, start_norm=config.start_norm)
+        max_iter=config.max_iter)
     series = [svgplot.Series(f"{label} theta={theta:g}",
                              [entry[0] for entry in trace],
                              [entry[1] for entry in trace])

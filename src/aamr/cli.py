@@ -9,7 +9,6 @@ budget exhausted, 4 numerical failure.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -58,13 +57,8 @@ def _build_parser() -> _Parser:
     solve = sub.add_parser("solve", help="project a point onto an intersection")
     solve.add_argument("problem", help="problem description JSON file")
     solve.add_argument("--q", required=True, help="point to project (comma-separated)")
-    solve.add_argument("--method", default="aamr", choices=MethodSpec.KINDS)
-    solve.add_argument("--alpha", type=float, default=None)
-    solve.add_argument("--beta", type=float, default=None)
-    solve.add_argument("--mu", type=float, default=None)
-    solve.add_argument("--gamma", type=float, default=None)
-    solve.add_argument("--lam", type=float, default=None,
-                       help="relaxation for the cm method, in (0, 2]")
+    solve.add_argument("--method", default="aamr", metavar="TOKEN",
+                       help="method token, e.g. 'aamr:alpha=0.9:beta=0.7'")
     solve.add_argument("--x0", default=None,
                        help="free starting point (aamr and cm only)")
     solve.add_argument("--mode", default="residual",
@@ -82,12 +76,10 @@ def _build_parser() -> _Parser:
     bench_p = sub.add_parser("bench", help="benchmark sweeps (CSV + SVG artifacts)")
     bench_p.add_argument("sweep", choices=list(bench.SWEEPS))
     bench_p.add_argument("--out-dir", default="aamr-bench")
-    bench_p.add_argument("--seed", type=int, default=None,
-                         help="defaults to $AAMR_SEED, then 0")
+    bench_p.add_argument("--seed", type=int, default=0)
     bench_p.add_argument("--n", type=int, default=50)
     bench_p.add_argument("--instances", type=int, default=20)
     bench_p.add_argument("--starts", type=int, default=10)
-    bench_p.add_argument("--start-norm", type=float, default=10.0)
     bench_p.add_argument("--eps", type=float, default=1e-3)
     bench_p.add_argument("--max-iter", type=int, default=100_000)
     bench_p.add_argument("--bins", type=int, default=20)
@@ -117,8 +109,7 @@ def _cmd_solve(args) -> int:
         if x0.size != dim:
             raise _UsageError(f"--x0 has dimension {x0.size}, problem has {dim}")
     try:
-        spec = MethodSpec(args.method, alpha=args.alpha, beta=args.beta,
-                          mu=args.mu, gamma=args.gamma, lam=args.lam)
+        spec = MethodSpec.parse(args.method)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     common = dict(max_iter=args.max_iter,
@@ -166,12 +157,9 @@ def _parse_grid(text):
 
 
 def _bench_config(args) -> bench.SweepConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("AAMR_SEED", "0"))
     kwargs = dict(n=args.n, n_instances=args.instances, n_starts=args.starts,
-                  start_norm=args.start_norm, eps=args.eps,
-                  max_iter=args.max_iter, angle_bins=args.bins, seed=seed)
+                  eps=args.eps, max_iter=args.max_iter, angle_bins=args.bins,
+                  seed=args.seed)
     if args.full_scale:
         kwargs.update(bench.SWEEPS[args.sweep].full_scale)
     if args.alphas is not None:
@@ -184,7 +172,7 @@ def _bench_config(args) -> bench.SweepConfig:
 def _parse_methods(text):
     if text is None:
         return None
-    return [bench.parse_method_token(tok) for tok in text.split(",") if tok.strip()]
+    return [MethodSpec.parse(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _cmd_bench(args) -> int:

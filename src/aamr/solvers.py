@@ -389,6 +389,7 @@ _METHODS = {
 }
 
 
+@dataclass(frozen=True)
 class MethodSpec:
     """Tagged description of a solver and its parameters.
 
@@ -397,35 +398,55 @@ class MethodSpec:
     cm: gamma, lam).  Unset parameters fall back at solve time: alpha to 0.9
     (aamr) or 0.5 (drm), mu to the angle-optimal relaxation, beta to the
     angle-based rule (both need the instance angle), gamma to 0.25 and lambda
-    to 1.8 for cm.
+    to 1.8 for cm.  Equal specs compare equal and hash alike.
     """
+
+    kind: str
+    alpha: object = None
+    beta: object = None
+    mu: object = None
+    gamma: object = None
+    lam: object = None
 
     KINDS = tuple(_METHODS)
     PARAMS = ("alpha", "beta", "mu", "gamma", "lam")
     _LABELS = {"alpha": "a", "beta": "b", "mu": "mu", "gamma": "g", "lam": "l"}
 
-    def __init__(self, kind: str, alpha=None, beta=None, mu=None, gamma=None, lam=None):
-        if kind not in _METHODS:
-            raise ValueError(f"unknown method {kind!r}; expected one of {self.KINDS}")
-        self.kind = kind
-        params = _METHODS[kind].params
-        given = dict(alpha=alpha, beta=beta, mu=mu, gamma=gamma, lam=lam)
-        for name, value in given.items():
-            if value is not None:
-                if name not in params:
-                    raise ValueError(f"method {kind} takes no parameter {name}")
-                if not callable(value):
-                    value = float(value)
-                params[name].check(kind, name, value)
-            setattr(self, name, value)
+    def __post_init__(self):
+        if self.kind not in _METHODS:
+            raise ValueError(f"unknown method {self.kind!r}; expected one of {self.KINDS}")
+        params = _METHODS[self.kind].params
+        for name, value in self._items():
+            if name not in params:
+                raise ValueError(f"method {self.kind} takes no parameter {name}")
+            if not callable(value):
+                value = float(value)
+                object.__setattr__(self, name, value)
+            params[name].check(self.kind, name, value)
+
+    @classmethod
+    def parse(cls, token: str) -> "MethodSpec":
+        """Read ``kind[:param=value]...``, e.g. ``aamr:alpha=0.9:beta=0.9``;
+        the kind and the parameter names are case-insensitive."""
+        kind, *parts = token.strip().split(":")
+        values = {}
+        for part in parts:
+            key, eq, value = part.partition("=")
+            key = key.strip().lower()
+            if not eq:
+                raise ValueError(f"malformed method token {token!r}: expected param=value")
+            if key not in cls.PARAMS:
+                raise ValueError(f"unknown method parameter {key!r} in {token!r}")
+            try:
+                values[key] = float(value)
+            except ValueError:
+                raise ValueError(f"method token {token!r}: {key} must be a number, "
+                                 f"got {value.strip()!r}") from None
+        return cls(kind.strip().lower(), **values)
 
     def _items(self):
         return [(name, getattr(self, name)) for name in self.PARAMS
                 if getattr(self, name) is not None]
-
-    def __repr__(self):
-        parts = [f"{name}={value}" for name, value in self._items()]
-        return f"MethodSpec({self.kind}" + (", " + ", ".join(parts) if parts else "") + ")"
 
     def display(self) -> str:
         """Short human-readable label, e.g. ``aamr(a=0.9 b=0.9)``."""

@@ -168,8 +168,8 @@ def test_criterion_5_planar_rate_checks():
 
 def test_criterion_6_qualitative_angle_profile():
     started = time.time()
-    config = SweepConfig(n=50, n_instances=20, n_starts=10, start_norm=10.0,
-                         eps=1e-3, max_iter=10**5, seed=906)
+    config = SweepConfig(n=50, n_instances=20, n_starts=10, eps=1e-3,
+                         max_iter=10**5, seed=906)
     instances = [random_subspace_pair(50, [906, i],
                                       target_angle_interval=(0.02, 0.2))
                  for i in range(10)]

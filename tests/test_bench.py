@@ -1,14 +1,15 @@
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aamr import MethodSpec, Status
+from aamr import MethodSpec, Status, optimal_rap_mu
 from aamr import bench
 from aamr.bench import (CSV_HEADER, SWEEPS, SweepConfig, angle_profile,
-                        estimate_rate, make_instances, parse_method_token,
-                        rate_profile, start_point, sweep_alpha, sweep_beta,
+                        estimate_rate, make_instances, rate_profile,
+                        start_point, sweep_alpha, sweep_beta,
                         write_runs_csv, write_table_csv)
 
 
@@ -72,7 +73,7 @@ def test_start_points_have_requested_norm_and_are_seeded():
     c = start_point(config, 2, 6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert np.linalg.norm(a) == pytest.approx(config.start_norm, abs=1e-12)
+    assert np.linalg.norm(a) == pytest.approx(10.0, abs=1e-12)
 
 
 # --- angle profile ---------------------------------------------------------------
@@ -255,25 +256,57 @@ def test_runs_csv_exact_header_and_determinism(tmp_path):
 
 
 def test_parse_method_token():
-    spec = parse_method_token("aamr:alpha=0.9:beta=0.9")
+    spec = MethodSpec.parse("aamr:alpha=0.9:beta=0.9")
     assert (spec.kind, spec.alpha, spec.beta) == ("aamr", 0.9, 0.9)
-    assert parse_method_token("map").kind == "map"
-    assert parse_method_token("cm:gamma=0.5").gamma == 0.5
+    assert MethodSpec.parse("map").kind == "map"
+    assert MethodSpec.parse("cm:gamma=0.5").gamma == 0.5
     with pytest.raises(ValueError):
-        parse_method_token("aamr:alpha")
+        MethodSpec.parse("aamr:alpha")
     with pytest.raises(ValueError):
-        parse_method_token("aamr:rho=1")
+        MethodSpec.parse("aamr:rho=1")
     with pytest.raises(ValueError):
-        parse_method_token("dykstra")
+        MethodSpec.parse("dykstra")
     # a parameter the method does not take is rejected, naming both
     for token in ("map:alpha=0.5", "cm:beta=0.5", "drm:mu=1.5", "hlwb:lam=1.0"):
         kind, param = token.split(":")[0], token.split(":")[1].split("=")[0]
         with pytest.raises(ValueError, match=f"{kind} takes no parameter {param}"):
-            parse_method_token(token)
+            MethodSpec.parse(token)
     with pytest.raises(ValueError, match="cm takes no parameter beta"):
         MethodSpec("cm", beta=0.5)
     with pytest.raises(ValueError, match="drm takes no parameter mu"):
         MethodSpec("drm", mu=1.5)
+
+
+def test_method_token_errors_name_the_token():
+    for token, why in (("aamr:alpha=abc", "alpha must be a number, got 'abc'"),
+                       ("aamr:alpha", "expected param=value"),
+                       ("aamr:rho=1", "unknown method parameter 'rho'")):
+        with pytest.raises(ValueError) as info:
+            MethodSpec.parse(token)
+        assert repr(token) in str(info.value) and why in str(info.value)
+    # the kind and the keys are case-insensitive; the range checks still apply
+    assert MethodSpec.parse(" AAMR:Beta=0.5 ") == MethodSpec("aamr", beta=0.5)
+    with pytest.raises(ValueError, match="beta must lie in"):
+        MethodSpec.parse("aamr:beta=1")
+
+
+def test_method_specs_are_values():
+    spec = MethodSpec("aamr", alpha=0.9, beta=0.7)
+    assert spec == MethodSpec.parse("aamr:alpha=0.9:beta=0.7")
+    assert spec == MethodSpec("aamr", alpha=0.9, beta=np.float64(0.7))
+    assert hash(spec) == hash(MethodSpec("aamr", alpha=0.9, beta=0.7))
+    assert spec != MethodSpec("aamr", alpha=0.9, beta=0.9)
+    assert spec.resolve() == spec
+    assert MethodSpec("rap").resolve(0.5) == MethodSpec("rap", mu=optimal_rap_mu(0.5))
+    # a parameter the kind lacks may still be passed as None
+    assert MethodSpec("drm", alpha=0.5, beta=None) == MethodSpec("drm", alpha=0.5)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    with pytest.raises(AttributeError):
+        spec.alpha = 0.5
+    # records that hold specs compare by value too
+    config = small_config(n_instances=2, n_starts=2)
+    methods = [MethodSpec("map"), MethodSpec("aamr", alpha=0.9, beta=0.7)]
+    assert angle_profile(config, methods)[1] == angle_profile(config, methods)[1]
 
 
 GOLDEN = Path(__file__).parent / "data"

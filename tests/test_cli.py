@@ -40,8 +40,8 @@ def planes(tmp_path):
 
 
 def test_solve_two_balls_converges(two_balls, capsys):
-    code = main(["solve", two_balls, "--q", "2,1", "--method", "aamr",
-                 "--alpha", "0.9", "--beta", "0.7", "--eps", "1e-10"])
+    code = main(["solve", two_balls, "--q", "2,1",
+                 "--method", "aamr:alpha=0.9:beta=0.7", "--eps", "1e-10"])
     out = capsys.readouterr().out
     assert code == 0
     assert "status: converged" in out
@@ -51,8 +51,8 @@ def test_solve_two_balls_converges(two_balls, capsys):
 
 
 def test_solve_two_balls_divergent_branch(two_balls, capsys):
-    code = main(["solve", two_balls, "--q", "0,2", "--method", "aamr",
-                 "--alpha", "0.9", "--beta", "0.7", "--mode", "budget",
+    code = main(["solve", two_balls, "--q", "0,2",
+                 "--method", "aamr:alpha=0.9:beta=0.7", "--mode", "budget",
                  "--max-iter", "100000", "--divergence-threshold", "25"])
     out = capsys.readouterr().out
     assert code == 2
@@ -60,8 +60,7 @@ def test_solve_two_balls_divergent_branch(two_balls, capsys):
 
 
 def test_solve_rejects_beta_one(two_balls, capsys):
-    code = main(["solve", two_balls, "--q", "2,1", "--method", "aamr",
-                 "--beta", "1.0"])
+    code = main(["solve", two_balls, "--q", "2,1", "--method", "aamr:beta=1.0"])
     err = capsys.readouterr().err
     assert code == 1
     assert "beta must lie in (0, 1)" in err
@@ -69,22 +68,51 @@ def test_solve_rejects_beta_one(two_balls, capsys):
 
 
 def test_solve_rejects_parameter_the_method_does_not_take(two_balls, capsys):
-    code = main(["solve", two_balls, "--q", "2,1", "--method", "map",
-                 "--alpha", "0.5"])
+    code = main(["solve", two_balls, "--q", "2,1", "--method", "map:alpha=0.5"])
     assert code == 1
     assert "map takes no parameter alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--beta", "--mu", "--gamma", "--lam"])
+def test_solve_parameter_flags_are_gone(two_balls, capsys, flag):
+    # parameters travel in the --method token, the syntax bench --methods reads
+    code = main(["solve", two_balls, "--q", "2,1", "--method", "aamr", flag, "0.5"])
+    assert code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_solve_method_token_error_names_the_token(two_balls, capsys):
+    code = main(["solve", two_balls, "--q", "2,1", "--method", "aamr:alpha=abc"])
+    assert code == 1
+    assert "'aamr:alpha=abc': alpha must be a number" in capsys.readouterr().err
+
+
+def test_solve_free_start_point(two_balls, capsys):
+    code = main(["solve", two_balls, "--q", "2,1", "--x0", "5,-3", "--eps", "1e-10",
+                 "--method", "aamr:alpha=0.9:beta=0.7"])
+    out = capsys.readouterr().out
+    assert code == 0
+    shadow_line = next(l for l in out.splitlines() if l.startswith("shadow:"))
+    shadow = np.array([float(t) for t in shadow_line.split(":")[1].split(",")])
+    assert np.linalg.norm(shadow - [0.0, 1.0]) <= 1e-4
+    # a method that starts at the projected point rejects a start
+    code = main(["solve", two_balls, "--q", "2,1", "--x0", "5,-3", "--method", "map"])
+    assert code == 1
+    assert "x0 is not free" in capsys.readouterr().err
+
+
 def test_solve_budget_exit_code(two_balls):
-    code = main(["solve", two_balls, "--q", "2,1", "--alpha", "0.9",
-                 "--beta", "0.7", "--eps", "1e-14", "--max-iter", "3"])
+    code = main(["solve", two_balls, "--q", "2,1",
+                 "--method", "aamr:alpha=0.9:beta=0.7", "--eps", "1e-14",
+                 "--max-iter", "3"])
     assert code == 3
 
 
 def test_solve_writes_trace(two_balls, tmp_path):
     trace = tmp_path / "trace.csv"
-    code = main(["solve", two_balls, "--q", "2,1", "--alpha", "0.9",
-                 "--beta", "0.7", "--eps", "1e-8", "--trace", str(trace)])
+    code = main(["solve", two_balls, "--q", "2,1",
+                 "--method", "aamr:alpha=0.9:beta=0.7", "--eps", "1e-8",
+                 "--trace", str(trace)])
     assert code == 0
     lines = trace.read_text().splitlines()
     assert lines[0] == "k,error,step_norm"
@@ -165,16 +193,6 @@ def test_bench_profile_deterministic_csv(tmp_path):
     assert svg == (d2 / "median_vs_angle.svg").read_bytes()
 
 
-def test_bench_seed_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("AAMR_SEED", "7")
-    d1 = tmp_path / "env"
-    args = ["bench", "angle-profile", "--n", "16", "--instances", "1",
-            "--starts", "1", "--bins", "1", "--methods", "map"]
-    assert main(args + ["--out-dir", str(d1)]) == 0
-    text = (d1 / "runs_angle_profile.csv").read_text()
-    assert text.splitlines()[1].endswith(",7")
-
-
 def test_bench_alpha_drm_column(tmp_path, capsys):
     out_dir = tmp_path / "alpha"
     code = main(["bench", "alpha", "--n", "16", "--instances", "3",
@@ -184,6 +202,16 @@ def test_bench_alpha_drm_column(tmp_path, capsys):
     rows = (out_dir / "best_alpha.csv").read_text().splitlines()[1:]
     picks = [float(r.split(",")[4]) for r in rows]
     assert abs(float(np.mean(picks)) - 0.5) <= 0.15
+
+
+def test_sweeps_reject_methods_they_would_ignore(tmp_path, capsys):
+    # the beta sweep runs aamr only; the alpha sweep sets alpha and beta itself
+    for sweep, methods in (("beta", "map"), ("beta", "aamr"),
+                           ("alpha", "aamr:beta=0.95"), ("alpha", "drm:alpha=0.5")):
+        code = main(["bench", sweep, "--n", "16", "--instances", "1", "--bins", "1",
+                     "--methods", methods, "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert f"the {sweep} sweep" in capsys.readouterr().err
 
 
 def test_usage_error_for_unknown_subcommand(capsys):

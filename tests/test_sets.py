@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -271,18 +273,26 @@ def test_load_problem_all_spec_types(tmp_path):
             {"type": "subspace", "basis": [[1.0, 0.0]]},
             {"type": "halfspace", "a": [1.0, 0.0], "b": 0.5},
             {"type": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+            {"type": "hyperplane", "a": [1.0, 2.0], "b": -0.5},
+            {"type": "affine", "offset": [0.3, -1.0], "basis": [[1.0, 1.0]]},
         ],
     }
     path = tmp_path / "problem.json"
-    path.write_text(__import__("json").dumps(doc))
+    path.write_text(json.dumps(doc))
     dim, sets = load_problem(path)
     assert dim == 2
-    assert [type(s) for s in sets] == [Ball, LinearSubspace, Halfspace, Box]
+    assert [type(s) for s in sets] == [Ball, LinearSubspace, Halfspace, Box,
+                                       Hyperplane, AffineSubspace]
     assert sets[1].rank == 1
-    # round trip
+    # round trip, through JSON text: every set keeps its type and projector
     again = dump_problem(dim, sets)
-    dim2, sets2 = load_problem(again)
-    assert dim2 == 2 and len(sets2) == 4
+    dim2, sets2 = load_problem(json.dumps(again))
+    assert dim2 == 2
+    assert [type(s) for s in sets2] == [type(s) for s in sets]
+    points = 3.0 * np.random.default_rng(3).standard_normal((20, 2))
+    for s, s2 in zip(sets, sets2):
+        for x in points:
+            assert np.allclose(s.project(x), s2.project(x), rtol=0, atol=1e-12)
 
 
 def test_load_problem_diagnostics_name_fields():

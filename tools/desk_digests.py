@@ -1,12 +1,20 @@
-"""SHA-256 digests of the desk ``aamr bench`` outputs, for byte-for-byte
+"""SHA-256 digests of the program's seeded outputs, for byte-for-byte
 comparisons of two trees.
 
-Runs ``aamr bench angle-profile|alpha|beta|rates --seed 0`` into a temporary
-directory through ``aamr.cli.main``, importing ``aamr`` from the ``src/``
-directory next to this script.  Prints one digest per written file and one
-per sweep's stdout, with the output directory replaced by ``OUT`` so that
-two runs compare equal.  To compare trees, copy this script into a checkout
-of the other tree and diff the two outputs:
+Imports ``aamr`` from the ``src/`` directory next to this script and prints,
+one line each:
+
+* every file ``aamr bench angle-profile|alpha|beta|rates --seed 0`` writes,
+  and each sweep's stdout, run through ``aamr.cli.main`` into a temporary
+  directory, with that directory replaced by ``OUT``;
+* the stdout of every ``demos/*.py`` script, each run with its own temporary
+  working directory (``subspace_profile.py`` writes ``demo_profile_out/``);
+* the round digest of each ``perfbench`` workload for the seeds in
+  ``PERFBENCH_SEEDS`` (``setup``, ``run_round``, ``finish_round``), and
+  whether the workload's ``check`` passes on that round.
+
+Exits 1 if a perfbench check fails.  To compare trees, copy this script into
+a checkout of the other tree and diff the two outputs:
 
     python3 tools/desk_digests.py > mine.txt
 """
@@ -14,32 +22,76 @@ of the other tree and diff the two outputs:
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.dont_write_bytecode = True  # leave the perfbench directory as it is
 
 from aamr import cli  # noqa: E402
+import workloads  # noqa: E402
 
 SWEEPS = ("angle-profile", "alpha", "beta", "rates")
+PERFBENCH_SEEDS = {"profile": (0, 1, 2), "sweep": (0, 1), "convex": (0, 1, 2)}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _bench(tmp: Path) -> None:
+    for sweep in SWEEPS:
+        out = tmp / sweep
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            status = cli.main(["bench", sweep, "--seed", "0", "--out-dir", str(out)])
+        if status:
+            raise SystemExit(f"aamr bench {sweep} exited with {status}")
+        text = stdout.getvalue().replace(str(out), "OUT")
+        print(f"{_sha256(text.encode())}  {sweep}/stdout")
+        for path in sorted(out.iterdir()):
+            print(f"{_sha256(path.read_bytes())}  {sweep}/{path.name}")
+
+
+def _demos(tmp: Path) -> None:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        cwd = tmp / demo.stem
+        cwd.mkdir(parents=True)
+        run = subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
+                             capture_output=True, check=True)
+        print(f"{_sha256(run.stdout)}  demos/{demo.name}/stdout")
+
+
+def _perfbench(tmp: Path) -> bool:
+    passed = True
+    for name, seeds in PERFBENCH_SEEDS.items():
+        for seed in seeds:
+            out = tmp / f"{name}-seed{seed}"
+            out.mkdir(parents=True)
+            workload = workloads.WORKLOADS[name](seed, out)
+            workload.setup()
+            rnd = workload.run_round()
+            workload.finish_round(rnd)
+            ok = all(workload.check(rnd))
+            passed = passed and ok
+            print(f"{rnd.digest}  perfbench/{name}/seed{seed} "
+                  f"check {'passed' if ok else 'FAILED'}")
+    return passed
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for sweep in SWEEPS:
-            out = Path(tmp) / sweep
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                status = cli.main(["bench", sweep, "--seed", "0", "--out-dir", str(out)])
-            if status:
-                raise SystemExit(f"aamr bench {sweep} exited with {status}")
-            text = stdout.getvalue().replace(str(out), "OUT")
-            print(f"{hashlib.sha256(text.encode()).hexdigest()}  {sweep}/stdout")
-            for path in sorted(out.iterdir()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {sweep}/{path.name}")
-    return 0
+        tmp = Path(tmp)
+        _bench(tmp / "bench")
+        _demos(tmp / "demos")
+        return 0 if _perfbench(tmp / "perfbench") else 1
 
 
 if __name__ == "__main__":
