@@ -50,10 +50,6 @@ CSV_HEADER = ("instance_id,theta_F,method,alpha,beta,mu,gamma,"
 # rate-fit floor: errors at or below this sit in floating-point noise
 RATE_FLOOR = 100.0 * np.finfo(float).eps
 
-_DEFAULT_ALPHA_GRID = tuple(round(0.01 * i, 2) for i in range(1, 101))
-_DEFAULT_BETA_GRID = (0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7,
-                      0.75, 0.8, 0.85, 0.9, 0.95, 0.99)
-
 # norm of the random starts of every sweep
 _START_NORM = 10.0
 
@@ -74,9 +70,10 @@ class SweepConfig:
     n_starts: int = 10
     eps: float = 1e-3
     max_iter: int = 100_000
-    alpha_grid: tuple = _DEFAULT_ALPHA_GRID
+    alpha_grid: tuple = tuple(round(0.01 * i, 2) for i in range(1, 101))
     alpha_sweep_betas: tuple = (0.6, 0.7, 0.8, 0.9)
-    beta_grid: tuple = _DEFAULT_BETA_GRID
+    beta_grid: tuple = (0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7,
+                        0.75, 0.8, 0.85, 0.9, 0.95, 0.99)
     angle_bins: int = 20
     seed: int = 0
 

@@ -9,6 +9,7 @@ budget exhausted, 4 numerical failure.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -28,6 +29,9 @@ EXIT_CODES = {
     Status.NUMERICAL_FAILURE: 4,
 }
 
+_MODES = {"residual": StoppingPolicy.RESIDUAL, "true-error": StoppingPolicy.TRUE_ERROR,
+          "budget": StoppingPolicy.BUDGET_ONLY}
+
 
 class _UsageError(Exception):
     pass
@@ -39,11 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _vector(text: str) -> np.ndarray:
+def _reals(text: str) -> tuple:
+    """Argument type of comma-separated reals (argparse names the flag)."""
     try:
-        return np.array([float(part) for part in text.split(",")])
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"expected comma-separated reals, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated reals, got {text!r}") from None
 
 
 def _fmt_vec(v) -> str:
@@ -56,17 +62,19 @@ def _build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", help="project a point onto an intersection")
     solve.add_argument("problem", help="problem description JSON file")
-    solve.add_argument("--q", required=True, help="point to project (comma-separated)")
+    solve.add_argument("--q", required=True, type=_reals,
+                       help="point to project (comma-separated)")
     solve.add_argument("--method", default="aamr", metavar="TOKEN",
                        help="method token, e.g. 'aamr:alpha=0.9:beta=0.7'")
-    solve.add_argument("--x0", default=None,
+    solve.add_argument("--x0", default=None, type=_reals,
                        help="free starting point (aamr and cm only)")
-    solve.add_argument("--mode", default="residual",
-                       choices=["residual", "true-error", "budget"],
+    solve.add_argument("--mode", default="residual", choices=list(_MODES),
                        help="stopping rule; true-error needs an oracle-supported family")
     solve.add_argument("--eps", type=float, default=1e-6)
-    solve.add_argument("--max-iter", type=int, default=100_000)
-    solve.add_argument("--divergence-threshold", type=float, default=1e6)
+    # an unset flag leaves the StoppingPolicy (or SweepConfig) field default
+    unset = dict(default=argparse.SUPPRESS)
+    solve.add_argument("--max-iter", type=int, **unset)
+    solve.add_argument("--divergence-threshold", type=float, **unset)
     solve.add_argument("--trace", default=None, metavar="CSV",
                        help="write per-iteration error/step CSV here")
 
@@ -76,20 +84,20 @@ def _build_parser() -> _Parser:
     bench_p = sub.add_parser("bench", help="benchmark sweeps (CSV + SVG artifacts)")
     bench_p.add_argument("sweep", choices=list(bench.SWEEPS))
     bench_p.add_argument("--out-dir", default="aamr-bench")
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--n", type=int, default=50)
-    bench_p.add_argument("--instances", type=int, default=20)
-    bench_p.add_argument("--starts", type=int, default=10)
-    bench_p.add_argument("--eps", type=float, default=1e-3)
-    bench_p.add_argument("--max-iter", type=int, default=100_000)
-    bench_p.add_argument("--bins", type=int, default=20)
+    bench_p.add_argument("--seed", type=int, **unset)
+    bench_p.add_argument("--n", type=int, **unset)
+    bench_p.add_argument("--instances", dest="n_instances", type=int, **unset)
+    bench_p.add_argument("--starts", dest="n_starts", type=int, **unset)
+    bench_p.add_argument("--eps", type=float, **unset)
+    bench_p.add_argument("--max-iter", type=int, **unset)
+    bench_p.add_argument("--bins", dest="angle_bins", type=int, **unset)
     bench_p.add_argument("--methods", default=None,
                          help="comma-separated tokens, e.g. 'map,aamr:alpha=0.9:beta=0.9'")
-    bench_p.add_argument("--alphas", default=None,
+    bench_p.add_argument("--alphas", dest="alpha_grid", type=_reals, **unset,
                          help="override the alpha grid (comma-separated)")
-    bench_p.add_argument("--betas", default=None,
+    bench_p.add_argument("--betas", dest="beta_grid", type=_reals, **unset,
                          help="override the beta grid (comma-separated)")
-    bench_p.add_argument("--thetas", default="0.2,0.5,1.0",
+    bench_p.add_argument("--thetas", default="0.2,0.5,1.0", type=_reals,
                          help="angles for the rates sweep (comma-separated radians)")
     bench_p.add_argument("--jobs", type=int, default=1,
                          help="parallel worker processes")
@@ -100,28 +108,20 @@ def _build_parser() -> _Parser:
 
 def _cmd_solve(args) -> int:
     dim, sets = load_problem(args.problem)
-    q = _vector(args.q)
-    if q.size != dim:
-        raise _UsageError(f"--q has dimension {q.size}, problem has {dim}")
-    x0 = None
-    if args.x0 is not None:
-        x0 = _vector(args.x0)
-        if x0.size != dim:
-            raise _UsageError(f"--x0 has dimension {x0.size}, problem has {dim}")
+    q = np.array(args.q)
+    x0 = None if args.x0 is None else np.array(args.x0)
+    for flag, point in (("--q", q), ("--x0", x0)):
+        if point is not None and point.size != dim:
+            raise _UsageError(f"{flag} has dimension {point.size}, problem has {dim}")
     try:
         spec = MethodSpec.parse(args.method)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    common = dict(max_iter=args.max_iter,
-                  divergence_threshold=args.divergence_threshold,
-                  record_trace=args.trace is not None)
-    if args.mode == "residual":
-        policy = StoppingPolicy.residual(eps=args.eps, **common)
-    elif args.mode == "budget":
-        policy = StoppingPolicy.budget_only(**common)
-    else:
-        target = project_intersection_oracle(sets, q)
-        policy = StoppingPolicy.true_error(target, eps=args.eps, **common)
+    target = project_intersection_oracle(sets, q) if args.mode == "true-error" else None
+    limits = {name: getattr(args, name) for name in ("max_iter", "divergence_threshold")
+              if name in args}
+    policy = StoppingPolicy(_MODES[args.mode], eps=args.eps, target=target,
+                            record_trace=args.trace is not None, **limits)
     try:
         result = solve_best_approximation(spec, sets, q, policy=policy, x0=x0)
     except ValueError as exc:
@@ -152,37 +152,31 @@ def _cmd_angle(args) -> int:
     return 0
 
 
-def _parse_grid(text):
-    return tuple(float(part) for part in text.split(","))
-
-
 def _bench_config(args) -> bench.SweepConfig:
-    kwargs = dict(n=args.n, n_instances=args.instances, n_starts=args.starts,
-                  eps=args.eps, max_iter=args.max_iter, angle_bins=args.bins,
-                  seed=args.seed)
-    if args.full_scale:
-        kwargs.update(bench.SWEEPS[args.sweep].full_scale)
-    if args.alphas is not None:
-        kwargs["alpha_grid"] = _parse_grid(args.alphas)
-    if args.betas is not None:
-        kwargs["beta_grid"] = _parse_grid(args.betas)
-    return bench.SweepConfig(**kwargs)
+    """SweepConfig's defaults, overridden by the ``--full-scale`` preset,
+    overridden by the flags given."""
+    preset = bench.SWEEPS[args.sweep].full_scale if args.full_scale else {}
+    given = {field.name: getattr(args, field.name)
+             for field in dataclasses.fields(bench.SweepConfig) if field.name in args}
+    return bench.SweepConfig(**{**preset, **given})
 
 
 def _parse_methods(text):
     if text is None:
         return None
-    return [MethodSpec.parse(tok) for tok in text.split(",") if tok.strip()]
+    specs = [MethodSpec.parse(tok) for tok in text.split(",") if tok.strip()]
+    if not specs:
+        raise _UsageError(f"--methods names no method, got {text!r}")
+    return specs
 
 
 def _cmd_bench(args) -> int:
-    config = _bench_config(args)
+    config, methods = _bench_config(args), _parse_methods(args.methods)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sweep = bench.SWEEPS[args.sweep]
-    runs, rows, charts, lines = sweep.run(
-        config, methods=_parse_methods(args.methods),
-        thetas=_parse_grid(args.thetas), jobs=args.jobs)
+    runs, rows, charts, lines = sweep.run(config, methods=methods, thetas=args.thetas,
+                                          jobs=args.jobs)
     bench.write_runs_csv(out / sweep.runs_csv, runs)
     bench.write_table_csv(out / sweep.table_csv, sweep.header, rows)
     for name, series, options in charts:

@@ -19,6 +19,7 @@ All comparison methods start at ``x0 = q``; the AAMR and CM drivers accept an
 arbitrary starting point.
 """
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -334,12 +335,11 @@ def cm_solve(sets, q, gamma: float = 0.25, lam=1.8,
 
 @dataclass(frozen=True)
 class _Param:
-    """A method parameter: its range (0, hi) or (0, hi], and its default or
-    its fall-back rule from the instance angle."""
+    """A method parameter: its range (0, hi) or (0, hi], and its rule from
+    the instance angle, if any (its default is its driver's, ``_DEFAULTS``)."""
 
     hi: float = math.inf
     closed: bool = False
-    default: float | None = None
     fallback: object = None
     schedule: bool = False  # a callable k -> value is accepted as is
     hint: str = ""
@@ -374,19 +374,28 @@ class _Method:
 
 
 _METHODS = {
-    "aamr": _Method({"alpha": _Param(1.0, closed=True, default=0.9),
+    "aamr": _Method({"alpha": _Param(1.0, closed=True),
                      "beta": _Param(1.0, fallback=recommended_beta,
                                     hint="; use the drm method for beta = 1")},
                     pair="aamr_solve", many="aamr_product_solve", free_x0=True),
-    "drm": _Method({"alpha": _Param(1.0, default=0.5)}, pair="dr_solve"),
+    "drm": _Method({"alpha": _Param(1.0)}, pair="dr_solve"),
     "map": _Method({}, pair="map_solve"),
     "rap": _Method({"mu": _Param(2.0, fallback=optimal_rap_mu)}, pair="rap_solve"),
     "haugazeau": _Method({}, pair="haugazeau_solve"),
     "hlwb": _Method({}, many="hlwb_solve"),
-    "cm": _Method({"gamma": _Param(default=0.25),
-                   "lam": _Param(2.0, closed=True, default=1.8, schedule=True)},
+    "cm": _Method({"gamma": _Param(), "lam": _Param(2.0, closed=True, schedule=True)},
                   many="cm_solve", free_x0=True),
 }
+
+
+def _driver_defaults(method: _Method) -> dict:
+    """The keyword defaults of a kind's pair driver, else its list driver."""
+    params = inspect.signature(globals()[method.pair or method.many]).parameters
+    return {name: params[name].default for name in method.params}
+
+
+# read once: a signature costs several times a whole resolve
+_DEFAULTS = {kind: _driver_defaults(method) for kind, method in _METHODS.items()}
 
 
 @dataclass(frozen=True)
@@ -395,10 +404,10 @@ class MethodSpec:
 
     ``kind`` is one of aamr, drm, map, rap, haugazeau, hlwb, cm; each kind
     takes only its own parameters (aamr: alpha, beta; drm: alpha; rap: mu;
-    cm: gamma, lam).  Unset parameters fall back at solve time: alpha to 0.9
-    (aamr) or 0.5 (drm), mu to the angle-optimal relaxation, beta to the
-    angle-based rule (both need the instance angle), gamma to 0.25 and lambda
-    to 1.8 for cm.  Equal specs compare equal and hash alike.
+    cm: gamma, lam).  :meth:`resolve` fills unset parameters at solve time:
+    aamr's beta and rap's mu from their angle rules when the instance angle is
+    known, all others from the driver's keyword defaults (so beta = 0.7 and
+    mu = 1.0 without an angle).  Equal specs compare equal and hash alike.
     """
 
     kind: str
@@ -455,17 +464,14 @@ class MethodSpec:
         return self.kind + (f"({' '.join(parts)})" if parts else "")
 
     def resolve(self, theta: float | None = None) -> "MethodSpec":
-        """Fill parameter fall-backs, using the instance angle where needed."""
+        """Fill each unset parameter from the kind's angle rule when it has one
+        and ``theta`` is given, else from the driver's default."""
         values = {}
         for name, param in _METHODS[self.kind].params.items():
             value = getattr(self, name)
             if value is None:
-                value = param.default
-            if value is None:
-                if theta is None:
-                    raise ValueError(f"{self.kind} needs {name}, or an instance "
-                                     f"angle for its {param.fallback.__name__} rule")
-                value = param.fallback(theta)
+                value = (param.fallback(theta) if param.fallback and theta is not None
+                         else _DEFAULTS[self.kind][name])
             values[name] = value
         return MethodSpec(self.kind, **values)
 
@@ -479,8 +485,8 @@ def solve_best_approximation(spec: MethodSpec, sets, q,
     Pairwise methods (drm, map, rap, haugazeau) require exactly two sets;
     aamr uses the two-set driver for pairs and the product-space driver
     otherwise; hlwb and cm accept any number.  ``theta`` (the Friedrichs angle
-    of a subspace instance) feeds the parameter fall-backs for ``rap`` and for
-    aamr's angle-based beta rule.  Only aamr and cm take a free ``x0``.
+    of a subspace instance) feeds the angle rules of an unset rap mu and aamr
+    beta (see :meth:`MethodSpec.resolve`).  Only aamr and cm take a free ``x0``.
     """
     sets = list(sets)
     method = _METHODS[spec.kind]

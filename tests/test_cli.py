@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,22 @@ def test_solve_two_balls_divergent_branch(two_balls, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "status: diverged" in out
+
+
+def _shadow(out):
+    line = next(l for l in out.splitlines() if l.startswith("shadow:"))
+    return np.array([float(t) for t in line.split(":")[1].split(",")])
+
+
+def test_solve_runs_its_default_method(two_balls, capsys):
+    # no --method: bare aamr, which without an angle takes the driver's beta
+    code = main(["solve", two_balls, "--q", "2,1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "status: converged" in out
+    assert np.linalg.norm(_shadow(out) - [0.0, 1.0]) <= 1e-4
+    assert main(["solve", two_balls, "--q", "2,1", "--method", "aamr:beta=0.7"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_solve_rejects_beta_one(two_balls, capsys):
@@ -237,6 +254,74 @@ def test_full_scale_presets_construct():
             assert config.n_starts == 100 and len(config.beta_grid) == 120
 
 
+def _config(*argv):
+    from aamr.cli import _bench_config, _build_parser
+    return _bench_config(_build_parser().parse_args(["bench", *argv]))
+
+
+def test_full_scale_preset_yields_to_given_flags():
+    config = _config("beta", "--full-scale", "--starts", "5", "--instances", "3",
+                     "--bins", "7")
+    assert (config.n_starts, config.n_instances, config.angle_bins) == (5, 3, 7)
+    assert len(config.beta_grid) == 120  # the preset's grid, since --betas is unset
+    config = _config("beta", "--full-scale", "--betas", "0.5,0.6", "--seed", "2")
+    assert (config.beta_grid, config.seed, config.n_starts) == ((0.5, 0.6), 2, 100)
+
+
+@pytest.mark.parametrize("sweep", ["alpha", "beta", "angle-profile", "rates"])
+def test_bench_config_defaults_are_sweep_config_defaults(sweep):
+    from aamr.bench import SWEEPS
+    assert _config(sweep) == SweepConfig()
+    assert _config(sweep, "--full-scale") == SweepConfig(**SWEEPS[sweep].full_scale)
+
+
+def test_empty_methods_roster_is_rejected(tmp_path, capsys):
+    out_dir = tmp_path / "empty"
+    code = main(["bench", "angle-profile", "--n", "8", "--instances", "1",
+                 "--methods", ",", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert "--methods" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sweep, flag", [("alpha", "--alphas"), ("beta", "--betas"),
+                                         ("rates", "--thetas")])
+def test_grid_flags_name_themselves_in_errors(tmp_path, capsys, sweep, flag):
+    code = main(["bench", sweep, flag, "0.5,x", "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected comma-separated reals, got '0.5,x'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _legend(svg_lines):
+    return [label for line in svg_lines
+            for label in re.findall(r'font-size="11">([^<]*)</text>', line)]
+
+
+def test_bench_beta_degenerate_fit(tmp_path, capsys):
+    out_dir = tmp_path / "beta"
+    code = main(["bench", "beta", "--n", "8", "--instances", "2", "--starts", "2",
+                 "--out-dir", str(out_dir)])
+    assert code == 0
+    lines, (runs, best, svg) = _bench_artifacts(out_dir, capsys)
+    assert lines == ["  fit degenerate: not enough converged instances"]
+    assert len(best) == 3  # both instances have a best beta, too few to fit
+    assert _legend(svg) == ["best beta", "shipped rule"]
+
+
+@pytest.mark.parametrize("sweep", ["alpha", "beta"])
+def test_bench_with_nothing_converged_writes_header_only_tables(tmp_path, capsys, sweep):
+    out_dir = tmp_path / sweep
+    code = main(["bench", sweep, "--n", "8", "--instances", "2", "--starts", "2",
+                 "--max-iter", "1", "--out-dir", str(out_dir)])
+    assert code == 0
+    _, (runs, best, _svg) = _bench_artifacts(out_dir, capsys)
+    assert len(best) == 1 and best[0].startswith("instance_id,theta_F,")
+    assert len(runs) > 1
+    assert all(",budget_exhausted,1," in row for row in runs[1:])
+
+
 def test_bench_jobs_flag_keeps_determinism(tmp_path):
     base = ["bench", "angle-profile", "--n", "16", "--instances", "2",
             "--starts", "2", "--bins", "2", "--seed", "3", "--methods", "map"]
@@ -247,14 +332,18 @@ def test_bench_jobs_flag_keeps_determinism(tmp_path):
             == (d2 / "runs_angle_profile.csv").read_bytes())
 
 
-def test_solve_with_explicit_method_roster(two_balls, planes):
+def test_solve_with_explicit_method_roster(planes, capsys):
     # map on the plane pair with the true-error oracle stop
     code = main(["solve", planes, "--q", "1,2,3", "--method", "map",
                  "--mode", "true-error", "--eps", "1e-8"])
     assert code == 0
-    # pairwise method on a three-set file fails cleanly
+    capsys.readouterr()
+    # bare rap on the plane pair runs at its driver's mu = 1 (no angle needed)
     code = main(["solve", planes, "--q", "1,2,3", "--method", "rap"])
-    assert code == 1  # mu needs an explicit value without an instance angle
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "status: converged" in out
+    assert np.allclose(_shadow(out), [0.0, 2.0, 0.0])
 
 
 def _bench_artifacts(out_dir, capsys):

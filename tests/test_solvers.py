@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 from pathlib import Path
 
@@ -534,8 +535,14 @@ def test_dispatch_validation():
     u, v = planar_lines(0.2)
     with pytest.raises(ValueError, match="exactly two"):
         solve_best_approximation(MethodSpec("map"), [u, v, u], np.zeros(2))
-    with pytest.raises(ValueError, match="beta"):
-        solve_best_approximation(MethodSpec("aamr"), [u, v], np.zeros(2))
+    # without an angle, bare aamr resolves to its driver's beta = 0.7
+    assert MethodSpec("aamr").resolve().beta == 0.7
+    q = np.array([1.0, 2.0])
+    bare = solve_best_approximation(MethodSpec("aamr"), [u, v], q)
+    plain = aamr_solve(u, v, q)
+    assert bare.status == Status.CONVERGED
+    assert bare.iterations == plain.iterations
+    assert np.array_equal(bare.shadow, plain.shadow)
     with pytest.raises(ValueError, match="x0"):
         solve_best_approximation(MethodSpec("map"), [u, v], np.zeros(2),
                                  x0=np.ones(2))
@@ -545,6 +552,31 @@ def test_dispatch_validation():
         solve_best_approximation(MethodSpec("cm"), [], np.zeros(2))
     with pytest.raises(ValueError, match="need at least one set"):
         cm_solve([], np.zeros(2))
+
+
+DRIVERS = {"aamr": aamr_solve, "drm": dr_solve, "map": map_solve, "rap": rap_solve,
+           "haugazeau": haugazeau_solve, "hlwb": hlwb_solve, "cm": cm_solve}
+
+
+@pytest.mark.parametrize("kind", sorted(DRIVERS))
+def test_resolve_without_angle_gives_driver_defaults(kind):
+    assert set(DRIVERS) == set(MethodSpec.KINDS)
+    params = inspect.signature(DRIVERS[kind]).parameters
+    resolved = MethodSpec(kind).resolve()
+    for name in MethodSpec.PARAMS:
+        expected = params[name].default if name in params else None
+        assert getattr(resolved, name) == expected, name
+
+
+@pytest.mark.parametrize("first, second, names", [
+    (aamr_solve, aamr_product_solve, ("x0", "alpha", "beta", "policy")),
+    (cm_solve, cm_recurrence, ("gamma", "lam")),
+])
+def test_sibling_drivers_spell_equal_defaults(first, second, names):
+    # the method table reads one of each pair; the other must agree with it
+    a = inspect.signature(first).parameters
+    b = inspect.signature(second).parameters
+    assert [a[n].default for n in names] == [b[n].default for n in names]
 
 
 def test_recommended_beta_rule_shape():
