@@ -6,10 +6,11 @@ the halved double-reflection scheme.  The harness fits both from iteration
 traces and the modified-reflection method for comparison.
 """
 
-from aamr.bench import rate_profile
+from aamr.bench import SweepConfig, rate_profile
 
 print(f"{'theta':>6} {'method':<22} {'estimated':>10} {'expected':>10}")
-_, records, _ = rate_profile(thetas=(0.1, 0.3, 0.6, 1.0, 1.4), seed=1)
+config = SweepConfig(rate_thetas=(0.1, 0.3, 0.6, 1.0, 1.4), seed=1)
+_, records, _ = rate_profile(config)
 for rec in records:
     expected = "-" if rec.expected_rate is None else f"{rec.expected_rate:10.6f}"
     print(f"{rec.theta:6.2f} {rec.label:<22} {rec.estimated_rate:10.6f} {expected:>10}")

@@ -56,13 +56,13 @@ _START_NORM = 10.0
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Shared knobs for the benchmark sweeps.
+    """Every input of the benchmark sweeps, one field per ``aamr bench`` flag.
 
     Defaults are desk-scale: 20 instances, 10 starts of norm 10, tolerance
-    1e-3, a 100-point alpha grid and a 13-point beta grid.  Instance angles
-    are spread over ``angle_bins`` equal bins of (0, pi/2) (random dimension
-    sampling alone concentrates angles well below pi/4, which would leave
-    profile figures empty on the right).
+    1e-3, a 100-point alpha grid, a 13-point beta grid, three rates angles
+    and one worker process.  Instance angles are spread over ``angle_bins``
+    equal bins of (0, pi/2): random dimension sampling alone concentrates
+    them well below pi/4, which would leave profile figures empty on the right.
     """
 
     n: int = 50
@@ -76,14 +76,16 @@ class SweepConfig:
                         0.75, 0.8, 0.85, 0.9, 0.95, 0.99)
     angle_bins: int = 20
     seed: int = 0
+    rate_thetas: tuple = (0.2, 0.5, 1.0)
+    jobs: int = 1
 
     def __post_init__(self):
         if min(self.n, self.n_instances, self.n_starts, self.max_iter,
-               self.angle_bins) < 1:
+               self.angle_bins, self.jobs) < 1:
             raise ValueError("config counts must be positive")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        for name in ("alpha_grid", "alpha_sweep_betas", "beta_grid"):
+        for name in ("alpha_grid", "alpha_sweep_betas", "beta_grid", "rate_thetas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
 
@@ -233,23 +235,20 @@ def default_profile_methods() -> list[MethodSpec]:
     ]
 
 
-def _pmap(fn, tasks, jobs):
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
-
-
-def _grid_sweep(config, instances, row_sets, run_task, jobs):
+def _grid_sweep(config, instances, row_sets, run_task):
     """Each set of ``(MethodSpec, start_id)`` rows on every instance, one
-    ``run_task`` call per pair, with the starts drawn once per instance;
-    returns the runs and the converged ones per call."""
+    ``run_task`` call per pair on ``config.jobs`` processes, with the starts
+    drawn once per instance; returns the runs and the converged ones per call."""
     used = {s for rows in row_sets for _, s in rows}
     tasks = []
     for i, pair in enumerate(instances):
         starts = {s: start_point(config, i, s) for s in used}
         tasks += [(config, i, pair, rows, starts) for rows in row_sets]
-    batches = _pmap(run_task, tasks, jobs)
+    if config.jobs == 1:
+        batches = [run_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            batches = list(pool.map(run_task, tasks, chunksize=1))
     runs = [r for batch in batches for r in batch]
     return runs, [[r for r in batch if r.status == Status.CONVERGED.value]
                   for batch in batches]
@@ -288,8 +287,7 @@ def _aggregate(spec, runs, config) -> ExperimentRecord:
                             med, std, counts, config.seed)
 
 
-def angle_profile(config: SweepConfig, methods=None, instances=None,
-                  jobs: int = 1):
+def angle_profile(config: SweepConfig, methods=None, instances=None):
     """Median/std iteration counts per (instance, method) over seeded starts.
 
     Every run projects a fresh norm-10 point onto the instance
@@ -300,7 +298,7 @@ def angle_profile(config: SweepConfig, methods=None, instances=None,
     instances = make_instances(config) if instances is None else list(instances)
     n = config.n_starts
     rows = [(spec, s) for spec in methods for s in range(n)]
-    runs, _ = _grid_sweep(config, instances, [rows], _scalar_task, jobs)
+    runs, _ = _grid_sweep(config, instances, [rows], _scalar_task)
     # each instance's runs hold n starts per method, in roster order
     records = [_aggregate(spec, runs[j * n:(j + 1) * n], config)
                for j, spec in enumerate(methods * len(instances))]
@@ -371,8 +369,7 @@ def _batched_task(args):
     engine.  A kind without a beta parameter runs the plain double
     reflection (beta = 1)."""
     config, instance_id, pair, rows, starts = args
-    # the reshape keeps a grid emptied by the alpha range at shape (0, n)
-    q_rows = np.array([starts[s] for _, s in rows]).reshape(len(rows), config.n)
+    q_rows = np.array([starts[s] for _, s in rows])
     betas = [spec.beta if "beta" in _METHODS[spec.kind].params else 1.0
              for spec, _ in rows]
     status, iters, errs = _batched_pair_sweep(
@@ -383,23 +380,26 @@ def _batched_task(args):
             for (spec, start_id), st, it, err in zip(rows, status, iters, errs)]
 
 
-def sweep_alpha(config: SweepConfig, kind: str = "aamr", jobs: int = 1):
+def sweep_alpha(config: SweepConfig, kind: str):
     """Best averaging weight per instance (ties go to the smaller alpha).
 
-    The grid keeps the alphas in the method's range (drm drops alpha = 1).
-    For ``aamr`` it is swept once per ``alpha_sweep_betas`` entry; ``drm``
-    has no beta.  Non-converged runs are recorded but excluded from the
-    argmin.  Returns ``(runs, best_records)``.
+    The grid keeps the alphas in the method's range (drm drops alpha = 1);
+    an emptied grid raises ``ValueError``.  For ``aamr`` it is swept once per
+    ``alpha_sweep_betas`` entry; ``drm`` has no beta.  Non-converged runs are
+    recorded but excluded from the argmin.  Returns ``(runs, best_records)``.
     """
     if kind not in ("aamr", "drm"):
         raise ValueError("alpha sweep supports the aamr and drm methods")
     params = _METHODS[kind].params
     grid = [a for a in config.alpha_grid if params["alpha"].admits(a)]
+    if not grid:
+        raise ValueError(f"alpha_grid holds no alpha {kind} takes: "
+                         f"alpha must {params['alpha'].interval}")
     betas = config.alpha_sweep_betas if "beta" in params else (None,)
     runs, converged = _grid_sweep(
         config, make_instances(config),
         [[(MethodSpec(kind, alpha=a, beta=beta), 0) for a in grid] for beta in betas],
-        _batched_task, jobs)
+        _batched_task)
     best = []
     for batch in filter(None, converged):
         iterations, alpha = min((r.iterations, r.alpha) for r in batch)
@@ -413,7 +413,7 @@ def sweep_alpha(config: SweepConfig, kind: str = "aamr", jobs: int = 1):
 # beta sweep
 
 
-def sweep_beta(config: SweepConfig, jobs: int = 1):
+def sweep_beta(config: SweepConfig):
     """Reflection strength minimizing the median iteration count, per angle.
 
     Returns ``(runs, best_records, fit)`` where ``fit`` is the exponential
@@ -425,7 +425,7 @@ def sweep_beta(config: SweepConfig, jobs: int = 1):
         config, make_instances(config),
         [[(MethodSpec("aamr", alpha=0.9, beta=beta), s)
           for beta in config.beta_grid for s in range(config.n_starts)]],
-        _batched_task, jobs)
+        _batched_task)
     best = []
     for batch in filter(None, converged):
         by_beta = {}
@@ -504,16 +504,16 @@ _RATE_RUNS = {"drm": _dr_raw_iterate}
 _EXPECTED_RATES = {"map": lambda theta: math.cos(theta) ** 2, "drm": math.cos}
 
 
-def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
-                 max_iter: int = 200_000):
-    """Empirical linear rates on two lines through the origin at given angles.
+def rate_profile(config: SweepConfig, methods=None):
+    """Empirical linear rates on two lines through the origin at each angle
+    of ``config.rate_thetas``, from a seeded start (``config.seed``).
 
     Alternating-projection style methods are traced through their own
     iterates; the Douglas-Rachford trace records the distance of the raw
     iterate to the intersection (its projected shadow oscillates, which makes
     slope fits unstable, while the iterate itself contracts cleanly); the
     modified-reflection method is traced through its shadow.  Every run stops
-    at true error 1e-13 or at ``max_iter``.  Returns
+    at true error 1e-13 or at ``config.max_iter``.  Returns
     ``(runs, rate_records, traces)`` where ``traces`` maps
     ``(theta, label)`` to the recorded error trace.
     """
@@ -521,15 +521,15 @@ def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
         methods = [MethodSpec("map"), MethodSpec("drm", alpha=0.5),
                    MethodSpec("aamr", alpha=0.9, beta=0.7)]
     runs, records, traces = [], [], {}
-    for t_index, theta in enumerate(thetas):
+    for t_index, theta in enumerate(config.rate_thetas):
         u, v, target = _planar_lines(theta)
-        rng = np.random.default_rng([seed, 31, t_index])
+        rng = np.random.default_rng([config.seed, 31, t_index])
         phi = rng.uniform(0.0, 2.0 * math.pi)
         q = _START_NORM * np.array([math.cos(phi), math.sin(phi)])
         for spec in methods:
             resolved = spec.resolve(theta)
-            policy = StoppingPolicy.true_error(target, eps=1e-13, max_iter=max_iter,
-                                               record_trace=True)
+            policy = StoppingPolicy.true_error(target, eps=1e-13, record_trace=True,
+                                               max_iter=config.max_iter)
             run = _RATE_RUNS.get(resolved.kind)
             if run is not None:
                 result = run(resolved, u, v, q, policy)
@@ -546,7 +546,7 @@ def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
             runs.append(RunRecord(t_index, theta, resolved.kind, resolved.alpha,
                                   resolved.beta, resolved.mu, resolved.gamma, 0,
                                   result.status.value, result.iterations,
-                                  result.final_error, seed))
+                                  result.final_error, config.seed))
             records.append(RateRecord(theta, resolved.kind, label, rate, expected))
             traces[(theta, label)] = list(result.trace)
     return runs, records, traces
@@ -558,13 +558,14 @@ def rate_profile(thetas=(0.2, 0.5, 1.0), methods=None, seed: int = 0,
 
 @dataclass(frozen=True)
 class Sweep:
-    """One ``aamr bench`` sweep.  ``run(config, methods, thetas, jobs)``
-    returns ``(runs, rows, charts, lines)``: the records of the ``runs_csv``
-    file, the rows of the ``table_csv`` file under ``header``, the charts as
-    ``(file name, series, render_chart keyword arguments)`` and the console
-    summary lines.  ``methods`` is None for the sweep's default roster; the
-    alpha sweep takes only bare kinds, and the beta sweep none.
-    ``full_scale`` holds the SweepConfig overrides of ``--full-scale``."""
+    """One ``aamr bench`` sweep.  ``run(config, methods)`` reads every input
+    but the roster from the ``SweepConfig`` and returns ``(runs, rows,
+    charts, lines)``: the records of the ``runs_csv`` file, the rows of the
+    ``table_csv`` file under ``header``, the charts as ``(file name, series,
+    render_chart keyword arguments)`` and the console summary lines.
+    ``methods`` is None for the sweep's default roster; the alpha sweep
+    takes only bare kinds, and the beta sweep none.  ``full_scale`` holds
+    the SweepConfig overrides of ``--full-scale``."""
 
     run: object
     runs_csv: str
@@ -573,8 +574,8 @@ class Sweep:
     full_scale: dict
 
 
-def _profile_report(config, methods, thetas, jobs):
-    runs, records = angle_profile(config, methods=methods, jobs=jobs)
+def _profile_report(config, methods):
+    runs, records = angle_profile(config, methods=methods)
     rows = [[r.instance_id, r.theta, r.method.display(), r.n_starts,
              r.median_iterations, r.std_iterations,
              *(r.status_counts[s.value] for s in Status), r.seed] for r in records]
@@ -601,12 +602,12 @@ def _profile_report(config, methods, thetas, jobs):
     return runs, rows, charts, lines
 
 
-def _alpha_report(config, methods, thetas, jobs):
+def _alpha_report(config, methods):
     if methods and any(m != MethodSpec(m.kind) for m in methods):
         raise ValueError("the alpha sweep takes bare kinds: it sets alpha and beta itself")
     runs, best = [], []
     for kind in [m.kind for m in methods] if methods else ["aamr"]:
-        k_runs, k_best = sweep_alpha(config, kind=kind, jobs=jobs)
+        k_runs, k_best = sweep_alpha(config, kind)
         runs.extend(k_runs)
         best.extend(k_best)
     groups = {}
@@ -632,10 +633,10 @@ def _alpha_report(config, methods, thetas, jobs):
         xlabel="Friedrichs angle (radians)", ylabel="best alpha"))], lines
 
 
-def _beta_report(config, methods, thetas, jobs):
+def _beta_report(config, methods):
     if methods is not None:
         raise ValueError("the beta sweep takes no methods: it runs aamr at alpha 0.9")
-    runs, best, fit = sweep_beta(config, jobs=jobs)
+    runs, best, fit = sweep_beta(config)
     xs = [r.theta for r in best]
     series = [svgplot.Series("best beta", xs, [r.best_beta for r in best],
                              style="scatter")]
@@ -658,10 +659,8 @@ def _beta_report(config, methods, thetas, jobs):
         xlabel="Friedrichs angle (radians)", ylabel="beta"))], [line]
 
 
-def _rates_report(config, methods, thetas, jobs):
-    runs, records, traces = rate_profile(
-        thetas=thetas, methods=methods, seed=config.seed,
-        max_iter=config.max_iter)
+def _rates_report(config, methods):
+    runs, records, traces = rate_profile(config, methods)
     series = [svgplot.Series(f"{label} theta={theta:g}",
                              [entry[0] for entry in trace],
                              [entry[1] for entry in trace])

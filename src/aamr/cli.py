@@ -97,10 +97,9 @@ def _build_parser() -> _Parser:
                          help="override the alpha grid (comma-separated)")
     bench_p.add_argument("--betas", dest="beta_grid", type=_reals, **unset,
                          help="override the beta grid (comma-separated)")
-    bench_p.add_argument("--thetas", default="0.2,0.5,1.0", type=_reals,
+    bench_p.add_argument("--thetas", dest="rate_thetas", type=_reals, **unset,
                          help="angles for the rates sweep (comma-separated radians)")
-    bench_p.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes")
+    bench_p.add_argument("--jobs", type=int, **unset, help="parallel worker processes")
     bench_p.add_argument("--full-scale", action="store_true",
                          help="large benchmark preset (hours of runtime)")
     return parser
@@ -171,12 +170,11 @@ def _parse_methods(text):
 
 
 def _cmd_bench(args) -> int:
-    config, methods = _bench_config(args), _parse_methods(args.methods)
+    sweep = bench.SWEEPS[args.sweep]
+    runs, rows, charts, lines = sweep.run(_bench_config(args), _parse_methods(args.methods))
+    # created only once the sweep has accepted its input and run
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sweep = bench.SWEEPS[args.sweep]
-    runs, rows, charts, lines = sweep.run(config, methods=methods, thetas=args.thetas,
-                                          jobs=args.jobs)
     bench.write_runs_csv(out / sweep.runs_csv, runs)
     bench.write_table_csv(out / sweep.table_csv, sweep.header, rows)
     for name, series, options in charts:

@@ -150,7 +150,7 @@ def test_criterion_4_displacement_limit_for_disjoint_balls():
 
 def test_criterion_5_planar_rate_checks():
     started = time.time()
-    _, records, _ = rate_profile(thetas=(0.2, 0.5, 1.0), seed=905)
+    _, records, _ = rate_profile(SweepConfig(rate_thetas=(0.2, 0.5, 1.0), seed=905))
     failures = []
     for rec in records:
         if rec.method == "map":

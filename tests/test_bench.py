@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 from pathlib import Path
@@ -44,7 +45,7 @@ def test_estimate_rate_rejects_short_traces():
 
 
 def test_rate_profile_matches_known_rates():
-    _, records, traces = rate_profile(thetas=(0.5,), seed=1)
+    _, records, traces = rate_profile(SweepConfig(rate_thetas=(0.5,), seed=1))
     by_kind = {r.method: r for r in records}
     assert by_kind["map"].estimated_rate == pytest.approx(math.cos(0.5) ** 2,
                                                           rel=0.05)
@@ -205,6 +206,24 @@ def test_sweep_alpha_rejects_other_methods():
         sweep_alpha(small_config(), kind="map")
 
 
+def test_sweep_alpha_rejects_a_grid_the_method_empties(monkeypatch):
+    def no_solves(*args):
+        raise AssertionError("swept an empty grid")
+    monkeypatch.setattr(bench, "_batched_pair_sweep", no_solves)
+    with pytest.raises(ValueError, match=r"alpha_grid holds no alpha drm takes: "
+                                         r"alpha must lie in \(0, 1\)$"):
+        sweep_alpha(small_config(alpha_grid=(1.0, 1.5)), "drm")
+    with pytest.raises(ValueError, match=r"aamr takes: alpha must lie in \(0, 1\]$"):
+        sweep_alpha(small_config(alpha_grid=(1.5,)), "aamr")
+
+
+def test_config_checks_jobs_and_rate_angles():
+    with pytest.raises(ValueError, match="counts must be positive"):
+        SweepConfig(jobs=0)
+    with pytest.raises(ValueError, match="rate_thetas must be nonempty"):
+        SweepConfig(rate_thetas=())
+
+
 # --- beta sweep ------------------------------------------------------------------
 
 def test_sweep_beta_small_betas_dominated_and_small_angles_prefer_large():
@@ -319,7 +338,7 @@ def test_runs_csv_match_golden_files(tmp_path):
     config = SweepConfig(n=10, n_instances=4, n_starts=2, angle_bins=4, seed=0)
     runs, _ = angle_profile(config)
     write_runs_csv(tmp_path / "profile.csv", runs)
-    runs, _, _ = rate_profile(seed=0)
+    runs, _, _ = rate_profile(SweepConfig(rate_thetas=(0.2, 0.5, 1.0), seed=0))
     write_runs_csv(tmp_path / "rates.csv", runs)
     assert ((tmp_path / "profile.csv").read_bytes()
             == (GOLDEN / "golden_runs_angle_profile.csv").read_bytes())
@@ -337,7 +356,7 @@ def test_profile_table_matches_golden_file(tmp_path):
     methods = [MethodSpec("rap"), MethodSpec("aamr", alpha=0.9, beta=0.7),
                MethodSpec("map"), MethodSpec("aamr", alpha=0.6, beta=0.9)]
     sweep = SWEEPS["angle-profile"]
-    _, rows, _, _ = sweep.run(config, methods, None, 1)
+    _, rows, _, _ = sweep.run(config, methods)
     write_table_csv(tmp_path / "table.csv", sweep.header, rows)
     assert ((tmp_path / "table.csv").read_bytes()
             == (GOLDEN / "golden_angle_profile.csv").read_bytes())
@@ -363,6 +382,6 @@ def test_sweep_runs_csv_match_golden_files(tmp_path):
 def test_parallel_jobs_match_serial():
     config = small_config(n_instances=2, n_starts=2)
     methods = [MethodSpec("map")]
-    runs_serial, _ = angle_profile(config, methods=methods, jobs=1)
-    runs_par, _ = angle_profile(config, methods=methods, jobs=2)
+    runs_serial, _ = angle_profile(config, methods=methods)
+    runs_par, _ = angle_profile(dataclasses.replace(config, jobs=2), methods=methods)
     assert runs_serial == runs_par

@@ -294,6 +294,41 @@ def test_grid_flags_name_themselves_in_errors(tmp_path, capsys, sweep, flag):
     assert not (tmp_path / "out").exists()
 
 
+def test_rates_angles_and_jobs_are_sweep_config_fields():
+    config = _config("rates", "--thetas", "0.3,0.9", "--jobs", "2")
+    assert config == SweepConfig(rate_thetas=(0.3, 0.9), jobs=2)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_rejected(tmp_path, capsys, jobs):
+    code = main(["bench", "angle-profile", "--n", "8", "--instances", "1",
+                 "--methods", "map", "--jobs", jobs, "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "config counts must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sweep, methods", [("beta", "map"), ("alpha", "aamr:beta=0.95")])
+def test_rejected_roster_leaves_no_output_directory(tmp_path, capsys, sweep, methods):
+    out_dir = tmp_path / "out"
+    code = main(["bench", sweep, "--n", "8", "--instances", "1", "--methods", methods,
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    assert f"the {sweep} sweep" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_empty_alpha_grid_is_rejected(tmp_path, capsys):
+    # drm takes alpha in (0, 1), so the grid keeps nothing of 1.5
+    out_dir = tmp_path / "out"
+    code = main(["bench", "alpha", "--methods", "drm", "--alphas", "1.5", "--n", "8",
+                 "--instances", "1", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert ("alpha_grid holds no alpha drm takes: alpha must lie in (0, 1)"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 def _legend(svg_lines):
     return [label for line in svg_lines
             for label in re.findall(r'font-size="11">([^<]*)</text>', line)]
@@ -368,7 +403,7 @@ def test_bench_alpha_writes_every_artifact(tmp_path, capsys):
     lines, (runs, best, svg) = _bench_artifacts(out_dir, capsys)
     config = SweepConfig(n=16, n_instances=3, angle_bins=3, seed=4,
                          alpha_grid=(0.5, 0.7, 0.9, 1.0))
-    expected_runs, expected_best = sweep_alpha(config)
+    expected_runs, expected_best = sweep_alpha(config, "aamr")
     assert len(runs) == 1 + 3 * 4 * 4  # instances x default betas x alphas
     assert [tuple(r.split(",")[:5]) for r in runs[1:]] == [
         (str(r.instance_id), repr(r.theta), "aamr", repr(r.alpha), repr(r.beta))
