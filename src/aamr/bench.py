@@ -80,9 +80,10 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if min(self.n, self.n_instances, self.n_starts, self.max_iter,
-               self.angle_bins, self.jobs) < 1:
-            raise ValueError("config counts must be positive")
+        for name in ("n", "n_instances", "n_starts", "max_iter", "angle_bins", "jobs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"config counts must be positive: "
+                                 f"{name} = {getattr(self, name)}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
         for name in ("alpha_grid", "alpha_sweep_betas", "beta_grid", "rate_thetas"):
@@ -235,15 +236,13 @@ def default_profile_methods() -> list[MethodSpec]:
     ]
 
 
-def _grid_sweep(config, instances, row_sets, run_task):
-    """Each set of ``(MethodSpec, start_id)`` rows on every instance, one
-    ``run_task`` call per pair on ``config.jobs`` processes, with the starts
-    drawn once per instance; returns the runs and the converged ones per call."""
-    used = {s for rows in row_sets for _, s in rows}
-    tasks = []
-    for i, pair in enumerate(instances):
-        starts = {s: start_point(config, i, s) for s in used}
-        tasks += [(config, i, pair, rows, starts) for rows in row_sets]
+def _grid_sweep(config, instances, rows, run_task):
+    """The ``(MethodSpec, start_id)`` rows on every instance, one ``run_task``
+    call per instance on ``config.jobs`` processes, with the starts drawn once
+    per instance; returns the runs and the converged ones per instance."""
+    used = {s for _, s in rows}
+    tasks = [(config, i, pair, rows, {s: start_point(config, i, s) for s in used})
+             for i, pair in enumerate(instances)]
     if config.jobs == 1:
         batches = [run_task(t) for t in tasks]
     else:
@@ -298,7 +297,7 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
     instances = make_instances(config) if instances is None else list(instances)
     n = config.n_starts
     rows = [(spec, s) for spec in methods for s in range(n)]
-    runs, _ = _grid_sweep(config, instances, [rows], _scalar_task)
+    runs, _ = _grid_sweep(config, instances, rows, _scalar_task)
     # each instance's runs hold n starts per method, in roster order
     records = [_aggregate(spec, runs[j * n:(j + 1) * n], config)
                for j, spec in enumerate(methods * len(instances))]
@@ -309,27 +308,43 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 # batched parameter sweeps on subspace pairs
 
 # The grid sweeps run the same pair of subspace projectors for dozens of
-# parameter rows; stacking the rows turns every projection into one matrix
-# product, which is what makes the full alpha grid desk-runnable.  Semantics
-# match the engine: converged at the first index with true error below eps
-# (the start included), budget exhausted otherwise.  Subspace instances keep
-# the governing sequence bounded, so no divergence check is needed here.
+# parameter rows; stacking the rows amortises the interpreter cost of every
+# step over the batch, which is what makes the full alpha grid desk-runnable.
+# Each row is projected on its own, with the gemv calls (and its error with
+# the dot) that ``LinearSubspace.project`` and ``ConvexSet.distance`` make on
+# the same orthonormalised bases, so a row's bits are those of its scalar
+# solve and do not depend on its batchmates.  Semantics match the engine:
+# converged at the first index with true error below eps (the start
+# included), budget exhausted otherwise.  Subspace instances keep the
+# governing sequence bounded, so no divergence check is needed here.
+
+
+def _project_rows(M, basis):
+    """``basis @ (basis.T @ row)`` for every row of ``M``, one gemv pair per row."""
+    return np.matmul(np.matmul(M[:, None, :], basis), basis.T)[:, 0, :]
+
+
+def _row_norms(M):
+    """Euclidean norm of every row of ``M``, one dot per row."""
+    return np.sqrt(np.matmul(M[:, None, :], M[:, :, None])[:, 0, 0])
 
 
 def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
     """Run one AAMR/DR row per (q, alpha, beta) triple on a subspace pair.
 
     A ``betas`` entry of 1.0 selects the plain double-reflection update on
-    the unshifted sets (monitored point ``P_U(x)``); entries below 1.0 run
-    the modified-reflection update on the q-shifted sets (monitored point
-    ``P_U(x + q)``).  Both reduce to projecting ``x + shift`` with a per-row
-    shift of ``q`` or ``0``.  Returns parallel lists of
-    (status string, iterations, final_error).
+    the unshifted sets (monitored point ``P_U(x)``, as in ``dr_solve``);
+    entries below 1.0 run the modified-reflection update on the q-shifted
+    sets (monitored point ``P_U(x + q)``, as in ``aamr_solve``).  Both reduce
+    to projecting ``x + shift`` with a per-row shift of ``q`` or ``0``.
+    Returns parallel lists of (status string, iterations, final_error).
     """
-    qu, qv, qi = pair.basis_u, pair.basis_v, pair.intersection
+    qu, qv, qi = (LinearSubspace(b).basis
+                  for b in (pair.basis_u, pair.basis_v, pair.intersection))
     m = len(alphas)
-    alphas = np.asarray(alphas, dtype=float).reshape(m, 1)
+    a = np.asarray(alphas, dtype=float).reshape(m, 1)
     betas = np.asarray(betas, dtype=float).reshape(m, 1)
+    two_b, one_minus_a = 2.0 * betas, 1.0 - a  # per active row, like a and X
     X = np.array(q_rows, dtype=float)
     shift = np.where(betas == 1.0, 0.0, X)  # rows start at their own q
 
@@ -338,12 +353,9 @@ def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
     final_error = np.full(m, np.nan)
     active = np.arange(m)
 
-    def proj(M, basis):
-        return (M @ basis) @ basis.T
-
     for k in range(max_iter + 1):
-        pu = proj(X + shift, qu)  # the monitored point, rowwise
-        errs = np.linalg.norm(pu - proj(pu, qi), axis=1)
+        pu = _project_rows(X + shift, qu)  # the monitored point, rowwise
+        errs = _row_norms(pu - _project_rows(pu, qi))
         done = errs < eps
         if np.any(done):
             for r, e in zip(active[done], errs[done]):
@@ -351,16 +363,16 @@ def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
                 iterations[r] = k
                 final_error[r] = e
             keep = ~done
-            active, X, shift = active[keep], X[keep], shift[keep]
-            errs, pu = errs[keep], pu[keep]
+            active, X, shift, errs, pu = (active[keep], X[keep], shift[keep],
+                                          errs[keep], pu[keep])
+            a, two_b, one_minus_a = a[keep], two_b[keep], one_minus_a[keep]
         if active.size == 0 or k == max_iter:
             for r, e in zip(active, errs):
                 final_error[r] = e
             break
-        a, b = alphas[active], betas[active]
-        y = 2.0 * b * (pu - shift) - X
-        z = 2.0 * b * (proj(y + shift, qv) - shift) - y
-        X = (1.0 - a) * X + a * z
+        y = two_b * (pu - shift) - X
+        z = two_b * (_project_rows(y + shift, qv) - shift) - y
+        X = one_minus_a * X + a * z
     return status, iterations.tolist(), final_error.tolist()
 
 
@@ -381,11 +393,13 @@ def _batched_task(args):
 
 
 def sweep_alpha(config: SweepConfig, kind: str):
-    """Best averaging weight per instance (ties go to the smaller alpha).
+    """Best averaging weight per instance and beta (ties go to the smaller
+    alpha).
 
     The grid keeps the alphas in the method's range (drm drops alpha = 1);
     an emptied grid raises ``ValueError``.  For ``aamr`` it is swept once per
-    ``alpha_sweep_betas`` entry; ``drm`` has no beta.  Non-converged runs are
+    ``alpha_sweep_betas`` entry; ``drm`` has no beta.  Each instance's rows,
+    beta-major then alpha, run as one batch.  Non-converged runs are
     recorded but excluded from the argmin.  Returns ``(runs, best_records)``.
     """
     if kind not in ("aamr", "drm"):
@@ -398,14 +412,18 @@ def sweep_alpha(config: SweepConfig, kind: str):
     betas = config.alpha_sweep_betas if "beta" in params else (None,)
     runs, converged = _grid_sweep(
         config, make_instances(config),
-        [[(MethodSpec(kind, alpha=a, beta=beta), 0) for a in grid] for beta in betas],
+        [(MethodSpec(kind, alpha=a, beta=beta), 0) for beta in betas for a in grid],
         _batched_task)
     best = []
-    for batch in filter(None, converged):
-        iterations, alpha = min((r.iterations, r.alpha) for r in batch)
-        r = batch[0]
-        best.append(BestAlphaRecord(r.instance_id, r.theta, r.method, r.beta,
-                                    alpha, iterations))
+    for batch in converged:
+        by_beta = {}
+        for r in batch:
+            by_beta.setdefault(r.beta, []).append(r)
+        for group in by_beta.values():
+            iterations, alpha = min((r.iterations, r.alpha) for r in group)
+            r = group[0]
+            best.append(BestAlphaRecord(r.instance_id, r.theta, r.method, r.beta,
+                                        alpha, iterations))
     return runs, best
 
 
@@ -423,8 +441,8 @@ def sweep_beta(config: SweepConfig):
     """
     runs, converged = _grid_sweep(
         config, make_instances(config),
-        [[(MethodSpec("aamr", alpha=0.9, beta=beta), s)
-          for beta in config.beta_grid for s in range(config.n_starts)]],
+        [(MethodSpec("aamr", alpha=0.9, beta=beta), s)
+         for beta in config.beta_grid for s in range(config.n_starts)],
         _batched_task)
     best = []
     for batch in filter(None, converged):

@@ -31,6 +31,13 @@ __all__ = [
 
 # Window length for the monotone-growth part of the divergence test.
 _MONO_WINDOW = 101
+# Fewest nondecreasing norms, the current one included, that certify growth.
+# Early in a run the window min(k + 1, _MONO_WINDOW) is short: at k = 1 one
+# jump past the threshold would read as divergence even when the norms decay
+# right after it.  Ten norms are nine nondecreasing steps in a row.  The floor
+# acts only at k < 9, so a real divergence that crosses the threshold that
+# early is reported at most eight iterations later.
+_MONO_FLOOR = 10
 
 
 class Status(Enum):
@@ -218,8 +225,8 @@ def iterate(step, x0, policy: StoppingPolicy) -> SolveResult:
         if err < policy.eps:
             status = Status.CONVERGED
             break
-        if (norm_x > policy.divergence_threshold and k >= 1
-                and mono_len >= min(k + 1, _MONO_WINDOW)):
+        if (norm_x > policy.divergence_threshold
+                and mono_len >= max(min(k + 1, _MONO_WINDOW), _MONO_FLOOR)):
             status = Status.DIVERGED
             break
         if k >= policy.max_iter:

@@ -244,6 +244,24 @@ def test_engine_divergence_needs_monotone_growth():
     assert res2.status is Status.BUDGET_EXHAUSTED
 
 
+def test_engine_one_jump_is_not_divergence():
+    # the norm jumps 1 -> 1e3 at k = 0 and then halves: bounded and decaying
+    def jump(x, k):
+        return (1e3 * x if k == 0 else 0.5 * x), x
+    res = iterate(jump, np.array([1.0, 0.0]),
+                  StoppingPolicy.budget_only(200, divergence_threshold=10))
+    assert res.status is Status.BUDGET_EXHAUSTED
+    assert res.iterations == 200
+
+
+def test_engine_early_divergence_waits_for_nine_growing_steps():
+    # x -> 2x crosses the threshold 10 at k = 4; its run is ten norms long at k = 9
+    res = iterate(lambda x, k: (2.0 * x, x), np.array([1.0, 0.0]),
+                  StoppingPolicy.budget_only(200, divergence_threshold=10))
+    assert res.status is Status.DIVERGED
+    assert res.iterations == 9
+
+
 def test_engine_true_error_against_target_set():
     line = LinearSubspace([[1.0], [0.0]])
     policy = StoppingPolicy.true_error(line, eps=1e-6, max_iter=50)
