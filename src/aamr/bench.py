@@ -317,16 +317,29 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 # converged at the first index with true error below eps (the start
 # included), budget exhausted otherwise.  Subspace instances keep the
 # governing sequence bounded, so no divergence check is needed here.
+#
+# A loop trip costs tens of microseconds of call overhead whatever its row
+# count, so the loop is lean: rows are (m, 1, n) stacks and every per-row
+# coefficient is broadcast to that shape once, so no call takes a view or
+# broadcasts.  The stopping error is taken once per block of trips: each trip
+# stores its monitored point, then one stacked call takes the errors of the
+# whole block, and a row that met the tolerance finishes at its first such
+# trip with that trip's error (its later trips are discarded).
+
+# monitored points per block: a block runs _BLOCK_ROWS // (active rows) trips
+_BLOCK_ROWS = 256
 
 
 def _project_rows(M, basis):
-    """``basis @ (basis.T @ row)`` for every row of ``M``, one gemv pair per row."""
-    return np.matmul(np.matmul(M[:, None, :], basis), basis.T)[:, 0, :]
+    """``basis @ (basis.T @ row)`` for every row of the (m, 1, n) stack ``M``,
+    one gemv pair per row."""
+    return np.matmul(np.matmul(M, basis), basis.T)
 
 
 def _row_norms(M):
-    """Euclidean norm of every row of ``M``, one dot per row."""
-    return np.sqrt(np.matmul(M[:, None, :], M[:, :, None])[:, 0, 0])
+    """Euclidean norm of every row of the (m, 1, n) stack ``M``, one dot per
+    row."""
+    return np.sqrt(np.matmul(M, M.transpose(0, 2, 1))[:, 0, 0])
 
 
 def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
@@ -341,38 +354,49 @@ def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
     """
     qu, qv, qi = (LinearSubspace(b).basis
                   for b in (pair.basis_u, pair.basis_v, pair.intersection))
-    m = len(alphas)
-    a = np.asarray(alphas, dtype=float).reshape(m, 1)
-    betas = np.asarray(betas, dtype=float).reshape(m, 1)
-    two_b, one_minus_a = 2.0 * betas, 1.0 - a  # per active row, like a and X
     X = np.array(q_rows, dtype=float)
+    m, n = X.shape
+    X = X.reshape(m, 1, n)
+    ones = np.ones_like(X)
+    a = np.asarray(alphas, dtype=float).reshape(m, 1, 1) * ones
+    betas = np.asarray(betas, dtype=float).reshape(m, 1, 1) * ones
+    two_b, one_minus_a = 2.0 * betas, 1.0 - a
     shift = np.where(betas == 1.0, 0.0, X)  # rows start at their own q
+    buffer = np.empty(max(_BLOCK_ROWS, m) * n)
 
     status = ["budget_exhausted"] * m
     iterations = np.full(m, max_iter, dtype=int)
     final_error = np.full(m, np.nan)
     active = np.arange(m)
-
-    for k in range(max_iter + 1):
-        pu = _project_rows(X + shift, qu)  # the monitored point, rowwise
-        errs = _row_norms(pu - _project_rows(pu, qi))
-        done = errs < eps
-        if np.any(done):
-            for r, e in zip(active[done], errs[done]):
-                status[r] = "converged"
-                iterations[r] = k
-                final_error[r] = e
-            keep = ~done
-            active, X, shift, errs, pu = (active[keep], X[keep], shift[keep],
-                                          errs[keep], pu[keep])
-            a, two_b, one_minus_a = a[keep], two_b[keep], one_minus_a[keep]
-        if active.size == 0 or k == max_iter:
-            for r, e in zip(active, errs):
-                final_error[r] = e
+    k = 0  # index of the block's first trip
+    while True:
+        rows = active.size
+        trips = min(max(1, _BLOCK_ROWS // rows), max_iter + 1 - k)
+        block = buffer[:trips * rows * n].reshape(trips, rows, 1, n)
+        for j in range(trips):
+            pu = block[j] = _project_rows(X + shift, qu)  # the monitored point
+            if k + j == max_iter:
+                break
+            y = two_b * (pu - shift) - X
+            z = two_b * (_project_rows(y + shift, qv) - shift) - y
+            X = one_minus_a * X + a * z
+        points = block.reshape(trips * rows, 1, n)
+        errs = _row_norms(points - _project_rows(points, qi)).reshape(trips, rows)
+        below = errs < eps
+        done = below.any(axis=0)
+        first = below.argmax(axis=0)
+        for r in active[done]:
+            status[r] = "converged"
+        iterations[active[done]] = k + first[done]
+        # a row's error at its first hit, else at the block's last trip
+        final_error[active] = errs[np.where(done, first, trips - 1), np.arange(rows)]
+        k += trips
+        if k > max_iter or done.all():
             break
-        y = two_b * (pu - shift) - X
-        z = two_b * (_project_rows(y + shift, qv) - shift) - y
-        X = one_minus_a * X + a * z
+        if done.any():
+            keep = ~done
+            active, X, shift = active[keep], X[keep], shift[keep]
+            a, two_b, one_minus_a = a[keep], two_b[keep], one_minus_a[keep]
     return status, iterations.tolist(), final_error.tolist()
 
 
@@ -583,13 +607,15 @@ class Sweep:
     render_chart keyword arguments)`` and the console summary lines.
     ``methods`` is None for the sweep's default roster; the alpha sweep
     takes only bare kinds, and the beta sweep none.  ``full_scale`` holds
-    the SweepConfig overrides of ``--full-scale``."""
+    the SweepConfig overrides of ``--full-scale``, and ``reads`` names every
+    SweepConfig field that ``run`` reads."""
 
     run: object
     runs_csv: str
     table_csv: str
     header: tuple
     full_scale: dict
+    reads: tuple
 
 
 def _profile_report(config, methods):
@@ -698,18 +724,25 @@ SWEEPS = {
     "alpha": Sweep(_alpha_report, "runs_alpha.csv", "best_alpha.csv",
                    ("instance_id", "theta_F", "method", "beta", "best_alpha",
                     "iterations"),
-                   dict(n_instances=1000, n_starts=1)),
+                   dict(n_instances=1000, n_starts=1),
+                   ("n", "n_instances", "eps", "max_iter", "alpha_grid",
+                    "alpha_sweep_betas", "angle_bins", "seed", "jobs")),
     "beta": Sweep(_beta_report, "runs_beta.csv", "best_beta.csv",
                   ("instance_id", "theta_F", "best_beta", "median_iterations"),
                   dict(n_instances=100, n_starts=100, angle_bins=100,
                        beta_grid=tuple(round(0.4 + 0.005 * i, 3)
-                                       for i in range(120)))),
+                                       for i in range(120))),
+                  ("n", "n_instances", "n_starts", "eps", "max_iter", "beta_grid",
+                   "angle_bins", "seed", "jobs")),
     "angle-profile": Sweep(_profile_report, "runs_angle_profile.csv",
                            "angle_profile.csv",
                            ("instance_id", "theta_F", "method", "n_starts",
                             "median_iterations", "std_iterations", "n_converged",
                             "n_diverged", "n_budget", "n_failed", "seed"),
-                           dict(n_instances=100, n_starts=10)),
+                           dict(n_instances=100, n_starts=10),
+                           ("n", "n_instances", "n_starts", "eps", "max_iter",
+                            "angle_bins", "seed", "jobs")),
     "rates": Sweep(_rates_report, "runs_rates.csv", "rates.csv",
-                   ("theta", "method", "estimated_rate", "expected_rate"), {}),
+                   ("theta", "method", "estimated_rate", "expected_rate"), {},
+                   ("max_iter", "seed", "rate_thetas")),
 }

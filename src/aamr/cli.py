@@ -102,6 +102,9 @@ def _build_parser() -> _Parser:
     bench_p.add_argument("--jobs", type=int, **unset, help="parallel worker processes")
     bench_p.add_argument("--full-scale", action="store_true",
                          help="large benchmark preset (hours of runtime)")
+    # the flag of every bench option, to name a typed flag a sweep ignores
+    bench_p.set_defaults(flag_of={action.dest: action.option_strings[0]
+                                  for action in bench_p._actions if action.option_strings})
     return parser
 
 
@@ -171,6 +174,10 @@ def _parse_methods(text):
 
 def _cmd_bench(args) -> int:
     sweep = bench.SWEEPS[args.sweep]
+    ignored = [args.flag_of[field.name] for field in dataclasses.fields(bench.SweepConfig)
+               if field.name in args and field.name not in sweep.reads]
+    if ignored:
+        raise _UsageError(f"the {args.sweep} sweep does not read {', '.join(ignored)}")
     runs, rows, charts, lines = sweep.run(_bench_config(args), _parse_methods(args.methods))
     # created only once the sweep has accepted its input and run
     out = Path(args.out_dir)

@@ -264,60 +264,44 @@ def hlwb_solve(sets, q, policy: StoppingPolicy | None = None) -> SolveResult:
     return iterate(step, q, policy)
 
 
-def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8, form: str = "direct"):
+def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8):
     """Engine step ``(z, k) -> (z_next, shadow)`` of Combettes' product-space
     recurrence.
 
-    The governing vector z lives in (R^n)^r.  The direct form is
+    The governing vector z lives in (R^n)^r.  The update is
 
         z <- (1 - lam/2) z + (lam/2) R_D(2 P_C((z + gamma*q)/(gamma + 1)) - z)
 
-    with C the product set, D the diagonal and R_D its reflector.  The
-    ``"recast"`` form rewrites the same update through a modified reflector of
-    strength beta = 1/(1 + gamma) acting on the scaled-and-shifted product set
-    (1/beta)C - ((1-beta)/beta) q; the two trajectories coincide exactly.
-    ``lam`` is a constant in (0, 2] or a schedule ``k -> lam_k``.
+    with C the product set, D the diagonal and R_D its reflector.  It is the
+    modified-reflection update of strength beta = 1/(1 + gamma) on the
+    scaled-and-shifted product set (1/beta)C - ((1-beta)/beta) q, written
+    directly.  ``lam`` is a constant in (0, 2] or a schedule ``k -> lam_k``.
 
     The shadow is the diagonal value of P_D P_C evaluated at the blend
     (z + gamma*q)/(gamma + 1), which converges to the projection of q onto
-    the intersection.  The direct form reuses the P_C it already computes and
-    takes R_D and the shadow from block means, without building the r-fold
+    the intersection.  The step reuses the P_C it already computes and takes
+    R_D and the shadow from block means, without building the r-fold
     diagonal point.
     """
     sets = list(sets)
     n = _common_dim(sets)
-    beta = combettes_beta(gamma)  # checks gamma
-    if form not in ("direct", "recast"):
-        raise ValueError(f"unknown form {form!r}; expected 'direct' or 'recast'")
+    combettes_beta(gamma)  # checks gamma
     q = as_vector(q, n)
     r = len(sets)
-    q_lift = np.tile(q, r)
-    gamma_q = gamma * q_lift
+    gamma_q = gamma * np.tile(q, r)
     product = ProductSet(sets)
     diag = Diagonal(r, n)
-    shift = ((1.0 - beta) / beta) * q_lift
     lam_of = _schedule(lam, _METHODS["cm"].params["lam"], "lambda")
 
-    def blended_projection(z):
-        return product.project((z + gamma_q) / (gamma + 1.0))
-
-    def direct(z, k):
+    def step(z, k):
         lam_k = lam_of(k)
-        pc = blended_projection(z)
+        pc = product.project((z + gamma_q) / (gamma + 1.0))
         w = 2.0 * pc - z
         reflected = (2.0 * diag.mean(w) - w.reshape(r, n)).ravel()  # R_D(w)
         z_next = (1.0 - lam_k / 2.0) * z + (lam_k / 2.0) * reflected
         return z_next, diag.mean(pc)
 
-    def recast(z, k):
-        a_k = lam_of(k) / 2.0
-        # P over (1/beta)C - shift, via the dilation and translation rules
-        u = 2.0 * beta * (product.project(beta * (z + shift)) / beta - shift) - z
-        z_next = ((1.0 - a_k) * z + a_k * (2.0 * diag.project(u) - u)
-                  + 2.0 * a_k * (1.0 - beta) * q_lift)
-        return z_next, diag.project(blended_projection(z))[:n]
-
-    return direct if form == "direct" else recast
+    return step
 
 
 def cm_solve(sets, q, gamma: float = 0.25, lam=1.8,

@@ -3,8 +3,8 @@ point, plus concrete shifted/scaled counterparts for the projector identities.""
 
 import numpy as np
 
-from aamr import (AffineSubspace, Ball, Box, Halfspace, Hyperplane,
-                  LinearSubspace, Translate)
+from aamr import (AffineSubspace, Ball, Box, Diagonal, Halfspace, Hyperplane,
+                  LinearSubspace, ProductSet, Translate, combettes_beta)
 
 VARIANTS = ("ball", "box", "halfspace", "hyperplane", "subspace", "affine",
             "translate")
@@ -80,3 +80,26 @@ def scaled_set(s, lam):
     if isinstance(s, Translate):
         return Translate(scaled_set(s.inner, lam), lam * s.shift)
     raise TypeError(type(s))
+
+
+def cm_recast(sets, q, gamma=0.25, lam=1.8):
+    """Reference form of ``cm_recurrence``'s update for a constant ``lam``:
+    the modified reflector of strength beta = 1/(1 + gamma) acting on the
+    scaled-and-shifted product set (1/beta)C - ((1-beta)/beta) q.  Returns
+    the map ``z -> z_next``; its trajectory must coincide with the direct
+    form's."""
+    sets = list(sets)
+    n, r = sets[0].dim, len(sets)
+    beta = combettes_beta(gamma)
+    q_lift = np.tile(np.asarray(q, dtype=float), r)
+    shift = ((1.0 - beta) / beta) * q_lift
+    product, diag = ProductSet(sets), Diagonal(r, n)
+    a = lam / 2.0
+
+    def step(z):
+        # P over (1/beta)C - shift, via the dilation and translation rules
+        u = 2.0 * beta * (product.project(beta * (z + shift)) / beta - shift) - z
+        return ((1.0 - a) * z + a * (2.0 * diag.project(u) - u)
+                + 2.0 * a * (1.0 - beta) * q_lift)
+
+    return step

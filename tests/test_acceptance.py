@@ -21,7 +21,7 @@ from aamr import (AamrOperator, Ball, Box, LinearSubspace, MethodSpec, Status,
 from aamr.bench import SweepConfig, angle_profile, rate_profile
 from aamr.cli import main as cli_main
 from aamr.sets import Diagonal, ProductSet
-from conftest import VARIANTS, make_variant
+from conftest import VARIANTS, cm_recast, make_variant
 
 
 def norm(v):
@@ -239,13 +239,13 @@ def test_criterion_8_combettes_consistency_and_slow_methods():
         v = LinearSubspace(pair.basis_v)
         target = LinearSubspace(pair.intersection)
         q = rng.standard_normal(20)
-        step_direct = cm_recurrence([u, v], q, form="direct")
-        step_recast = cm_recurrence([u, v], q, form="recast")
+        step_direct = cm_recurrence([u, v], q)
+        step_recast = cm_recast([u, v], q)
         z_a = np.tile(q, 2)
         z_b = z_a.copy()
         for k in range(100):
             z_a = step_direct(z_a, k)[0]
-            z_b = step_recast(z_b, k)[0]
+            z_b = step_recast(z_b)
             if norm(z_a - z_b) > 1e-12 * (1.0 + norm(z_a)):
                 failures.append(f"instance {i}: forms split at step {k}")
                 break

@@ -193,6 +193,72 @@ def test_batched_row_does_not_depend_on_its_batchmates():
                 == (batch[0][i], batch[1][i], float.hex(batch[2][i])))
 
 
+def _scalar_rows(pair, qs, alphas, betas, eps, max_iter):
+    """(status, iterations, float.hex(final_error)) of each row's scalar solve."""
+    from aamr import LinearSubspace, StoppingPolicy, aamr_solve, dr_solve
+
+    u, v, target = (LinearSubspace(b)
+                    for b in (pair.basis_u, pair.basis_v, pair.intersection))
+    policy = StoppingPolicy.true_error(target, eps=eps, max_iter=max_iter)
+    rows = []
+    for q, alpha, beta in zip(qs, alphas, betas):
+        if beta == 1.0:
+            res = dr_solve(u, v, q, alpha=alpha, policy=policy)
+        else:
+            res = aamr_solve(u, v, q, alpha=alpha, beta=beta, policy=policy)
+        rows.append((res.status.value, res.iterations, float.hex(res.final_error)))
+    return rows
+
+
+def _batched_rows(pair, qs, alphas, betas, eps, max_iter):
+    status, iters, errs = bench._batched_pair_sweep(pair, qs, alphas, betas,
+                                                    eps, max_iter)
+    return [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)]
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 7, 8, 9, 255, 256, 257])
+def test_batched_rows_equal_scalar_solves_across_blocks(max_iter):
+    # 65 rows start in blocks of 256 // 65 = 3 trips that lengthen as rows
+    # finish: rows converge at k = 0 (eps 1e2) and on every trip of a block,
+    # and budgets end partway through a block
+    from aamr import random_subspace_pair
+
+    pair = random_subspace_pair(20, [77, 0])
+    rng = np.random.default_rng(5)
+    qs = rng.standard_normal((65, 20)) * (10 / np.sqrt(20))
+    alphas = list(rng.uniform(0.1, 0.95, 65))
+    betas = [(0.5, 0.7, 0.9, 1.0)[i % 4] for i in range(65)]
+    for eps in (1e2, 1e-1, 1e-3):
+        assert (_batched_rows(pair, qs, alphas, betas, eps, max_iter)
+                == _scalar_rows(pair, qs, alphas, betas, eps, max_iter))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_rows_converging_at_a_block_edge_equal_scalar_solves(rows):
+    # copies of one row keep the batch full, so the first block runs
+    # _BLOCK_ROWS // rows trips; eps is set from the row's scalar error trace
+    # so that it first drops below eps on the block's last trip, then on the
+    # next block's first trip
+    from aamr import LinearSubspace, StoppingPolicy, aamr_solve, random_subspace_pair
+
+    pair = random_subspace_pair(20, [77, 2])
+    u, v, target = (LinearSubspace(b)
+                    for b in (pair.basis_u, pair.basis_v, pair.intersection))
+    q = np.random.default_rng(6).standard_normal(20)
+    block = bench._BLOCK_ROWS // rows
+    for edge in (block - 1, block):
+        policy = StoppingPolicy.true_error(target, eps=1e-300, max_iter=edge,
+                                           record_trace=True)
+        errors = [e for _, e, _ in aamr_solve(u, v, q, alpha=0.3, beta=0.7,
+                                              policy=policy).trace]
+        eps = min(errors[:edge])
+        assert errors[edge] < eps
+        qs, alphas, betas = np.tile(q, (rows, 1)), [0.3] * rows, [0.7] * rows
+        batched = _batched_rows(pair, qs, alphas, betas, eps, 3 * block)
+        assert batched == _scalar_rows(pair, qs, alphas, betas, eps, 3 * block)
+        assert batched[0][:2] == ("converged", edge)
+
+
 def test_sweep_alpha_runs_one_batch_per_instance(monkeypatch):
     sizes = []
 
@@ -252,6 +318,24 @@ def test_sweep_alpha_rejects_a_grid_the_method_empties(monkeypatch):
         sweep_alpha(small_config(alpha_grid=(1.0, 1.5)), "drm")
     with pytest.raises(ValueError, match=r"aamr takes: alpha must lie in \(0, 1\]$"):
         sweep_alpha(small_config(alpha_grid=(1.5,)), "aamr")
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_reads_exactly_the_fields_it_declares(name):
+    read = set()
+
+    class Recording(SweepConfig):
+        def __getattribute__(self, attr):
+            read.add(attr)
+            return super().__getattribute__(attr)
+
+    config = Recording(n=8, n_instances=2, n_starts=2, max_iter=50, angle_bins=2,
+                       alpha_grid=(0.5, 0.9), alpha_sweep_betas=(0.7,),
+                       beta_grid=(0.6, 0.8), rate_thetas=(0.8,))
+    read.clear()  # construction checks every count
+    SWEEPS[name].run(config, None)
+    fields = {f.name for f in dataclasses.fields(SweepConfig)}
+    assert read & fields == set(SWEEPS[name].reads)
 
 
 def test_config_checks_jobs_and_rate_angles():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -329,6 +330,46 @@ def test_empty_alpha_grid_is_rejected(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("sweep, argv, named", [
+    ("rates", ["--starts", "7"], "--starts"),
+    ("rates", ["--thetas", "0.5", "--instances", "3", "--alphas", "0.3", "--jobs", "2"],
+     "--instances, --alphas, --jobs"),
+    ("angle-profile", ["--n", "8", "--betas", "0.5", "--thetas", "1"], "--betas, --thetas"),
+    ("alpha", ["--starts", "2", "--seed", "1"], "--starts"),
+    ("beta", ["--alphas", "0.5"], "--alphas"),
+])
+def test_bench_rejects_typed_flags_its_sweep_does_not_read(tmp_path, capsys, monkeypatch,
+                                                           sweep, argv, named):
+    from aamr import bench
+
+    def no_solves(config, methods):
+        raise AssertionError("ran a sweep given a flag it ignores")
+    monkeypatch.setitem(bench.SWEEPS, sweep,
+                        dataclasses.replace(bench.SWEEPS[sweep], run=no_solves))
+    out_dir = tmp_path / "out"
+    code = main(["bench", sweep, *argv, "--out-dir", str(out_dir)])
+    assert code == 1
+    assert f"error: the {sweep} sweep does not read {named}\n" == capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("sweep", ["alpha", "beta", "angle-profile", "rates"])
+def test_full_scale_preset_values_do_not_count_as_typed(tmp_path, monkeypatch, sweep):
+    # the alpha preset sets n_starts, which the alpha sweep does not read
+    from aamr import bench
+    seen = []
+
+    def record(config, methods):
+        seen.append(config)
+        return [], [], [], []
+    monkeypatch.setitem(bench.SWEEPS, sweep,
+                        dataclasses.replace(bench.SWEEPS[sweep], run=record))
+    code = main(["bench", sweep, "--full-scale", "--seed", "3",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert seen == [SweepConfig(**{**bench.SWEEPS[sweep].full_scale, "seed": 3})]
+
+
 def _legend(svg_lines):
     return [label for line in svg_lines
             for label in re.findall(r'font-size="11">([^<]*)</text>', line)]
@@ -348,7 +389,8 @@ def test_bench_beta_degenerate_fit(tmp_path, capsys):
 @pytest.mark.parametrize("sweep", ["alpha", "beta"])
 def test_bench_with_nothing_converged_writes_header_only_tables(tmp_path, capsys, sweep):
     out_dir = tmp_path / sweep
-    code = main(["bench", sweep, "--n", "8", "--instances", "2", "--starts", "2",
+    starts = ["--starts", "2"] if sweep == "beta" else []  # alpha runs start 0 only
+    code = main(["bench", sweep, "--n", "8", "--instances", "2", *starts,
                  "--max-iter", "1", "--out-dir", str(out_dir)])
     assert code == 0
     _, (runs, best, _svg) = _bench_artifacts(out_dir, capsys)

@@ -14,7 +14,7 @@ from aamr import (AamrOperator, Ball, Box, Halfspace, LinearSubspace, MethodSpec
                   recommended_beta, solve_best_approximation)
 from aamr.operators import iterate
 from aamr.solvers import _haugazeau_project
-from conftest import make_variant
+from conftest import cm_recast, make_variant
 
 
 def norm(v):
@@ -357,15 +357,13 @@ def test_cm_direct_and_recast_forms_coincide():
         pair = random_subspace_pair(12, [71, seed])
         u, v, _ = pair_sets(pair)
         q = rng.standard_normal(12)
-        step_direct = cm_recurrence([u, v], q, gamma=0.25, lam=1.8,
-                                    form="direct")
-        step_recast = cm_recurrence([u, v], q, gamma=0.25, lam=1.8,
-                                    form="recast")
+        step_direct = cm_recurrence([u, v], q, gamma=0.25, lam=1.8)
+        step_recast = cm_recast([u, v], q, gamma=0.25, lam=1.8)
         z_a = np.tile(q, 2)
         z_b = z_a.copy()
         for k in range(100):
             z_a = step_direct(z_a, k)[0]
-            z_b = step_recast(z_b, k)[0]
+            z_b = step_recast(z_b)
             assert norm(z_a - z_b) <= 1e-12 * (1 + norm(z_a))
 
 
@@ -384,11 +382,11 @@ def test_cm_converges_to_oracle_with_verification():
     q = np.random.default_rng(77).standard_normal(12)
     policy = StoppingPolicy.true_error(target, eps=1e-6, max_iter=200_000)
     direct = cm_recurrence([u, v], q, gamma=0.25, lam=1.8)
-    recast = cm_recurrence([u, v], q, gamma=0.25, lam=1.8, form="recast")
+    recast = cm_recast([u, v], q, gamma=0.25, lam=1.8)
 
     def checked(z, k):  # the recast step applied to every direct iterate
         z_next, shadow = direct(z, k)
-        assert norm(recast(z, k)[0] - z_next) <= 1e-12 * (1.0 + norm(z_next))
+        assert norm(recast(z) - z_next) <= 1e-12 * (1.0 + norm(z_next))
         return z_next, shadow
 
     checked_res = iterate(checked, np.tile(q, 2), policy)
