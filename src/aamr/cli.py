@@ -102,9 +102,6 @@ def _build_parser() -> _Parser:
     bench_p.add_argument("--jobs", type=int, **unset, help="parallel worker processes")
     bench_p.add_argument("--full-scale", action="store_true",
                          help="large benchmark preset (hours of runtime)")
-    # the flag of every bench option, to name a typed flag a sweep ignores
-    bench_p.set_defaults(flag_of={action.dest: action.option_strings[0]
-                                  for action in bench_p._actions if action.option_strings})
     return parser
 
 
@@ -154,12 +151,23 @@ def _cmd_angle(args) -> int:
     return 0
 
 
+# the bench flags not named after their SweepConfig field
+_BENCH_FLAGS = {"n_instances": "--instances", "n_starts": "--starts", "angle_bins": "--bins",
+                "alpha_grid": "--alphas", "beta_grid": "--betas", "rate_thetas": "--thetas"}
+
+
 def _bench_config(args) -> bench.SweepConfig:
     """SweepConfig's defaults, overridden by the ``--full-scale`` preset,
-    overridden by the flags given."""
-    preset = bench.SWEEPS[args.sweep].full_scale if args.full_scale else {}
+    overridden by the flags given; a given flag the sweep does not read is a
+    usage error."""
+    sweep = bench.SWEEPS[args.sweep]
+    preset = sweep.full_scale if args.full_scale else {}
     given = {field.name: getattr(args, field.name)
              for field in dataclasses.fields(bench.SweepConfig) if field.name in args}
+    ignored = [_BENCH_FLAGS.get(name, "--" + name.replace("_", "-"))
+               for name in given if name not in sweep.reads]
+    if ignored:
+        raise _UsageError(f"the {args.sweep} sweep does not read {', '.join(ignored)}")
     return bench.SweepConfig(**{**preset, **given})
 
 
@@ -174,10 +182,6 @@ def _parse_methods(text):
 
 def _cmd_bench(args) -> int:
     sweep = bench.SWEEPS[args.sweep]
-    ignored = [args.flag_of[field.name] for field in dataclasses.fields(bench.SweepConfig)
-               if field.name in args and field.name not in sweep.reads]
-    if ignored:
-        raise _UsageError(f"the {args.sweep} sweep does not read {', '.join(ignored)}")
     runs, rows, charts, lines = sweep.run(_bench_config(args), _parse_methods(args.methods))
     # created only once the sweep has accepted its input and run
     out = Path(args.out_dir)

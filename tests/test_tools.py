@@ -17,12 +17,11 @@ def test_ledger_prints_three_counts():
 
 
 def test_row_cost_prints_one_line_per_row_count():
-    run = subprocess.run([sys.executable, str(TOOLS / "row_cost.py"), "--trips", "3",
-                          "--repeats", "1", "--rows", "1,3"],
+    run = subprocess.run([sys.executable, str(TOOLS / "row_cost.py"), "--trips", "3"],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[0] == "rows  us_per_trip  us_per_row_iter"
-    assert [line.split()[0] for line in lines[1:]] == ["1", "3"]
+    assert [line.split()[0] for line in lines[1:]] == ["1", "2", "4", "10", "30", "76"]
     for line in lines[1:]:
         assert re.fullmatch(r"\s*\d+\s+\d+\.\d\d\s+\d+\.\d{3}", line), line

@@ -3,18 +3,18 @@
 Runs ``aamr.bench._batched_pair_sweep`` on the first pair of
 ``make_instances(SweepConfig(n=50, n_instances=3, angle_bins=240))`` (seed
 0; its Friedrichs angle sits at the 0.02 rad floor) with each row count of
-``--rows``.  The rows start at that instance's alpha-sweep start, with seeded
+``ROWS``.  The rows start at that instance's alpha-sweep start, with seeded
 alphas and betas (every fifth row runs the beta = 1 double reflection).  The
 tolerance is 0, which no row meets, so every row makes exactly ``--trips``
 iterations and every trip carries all rows.  Prints a header and one line per
 row count: the rows, the microseconds per trip (wall time over ``--trips``)
 and per row-iteration (over ``rows * --trips``), each the best of
-``--repeats`` runs.
+``REPEATS`` runs.
 
 Imports ``aamr`` from the ``src/`` directory next to this script, so a copy
 run in another checkout measures that tree:
 
-    python3 tools/row_cost.py [--trips 2000] [--repeats 5] [--rows 1,2,4,10,30,76]
+    python3 tools/row_cost.py [--trips 2000]
 """
 
 import argparse
@@ -29,13 +29,16 @@ sys.dont_write_bytecode = True
 
 from aamr import bench  # noqa: E402
 
+ROWS = (1, 2, 4, 10, 30, 76)
+REPEATS = 5
 
-def _row_cost(pair, q, rows, trips, repeats, rng):
+
+def _row_cost(pair, q, rows, trips, rng):
     alphas = list(rng.uniform(0.05, 1.0, rows))
     betas = [(0.6, 0.7, 0.8, 0.9, 1.0)[i % 5] for i in range(rows)]
     q_rows = np.tile(q, (rows, 1))
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         status, iterations, _ = bench._batched_pair_sweep(pair, q_rows, alphas, betas,
                                                           0.0, trips)
@@ -47,17 +50,14 @@ def _row_cost(pair, q, rows, trips, repeats, rng):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trips", type=int, default=2000)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--rows", default="1,2,4,10,30,76",
-                        help="comma-separated row counts")
     args = parser.parse_args(argv)
     config = bench.SweepConfig(n=50, n_instances=3, angle_bins=240)
     pair = bench.make_instances(config)[0]
     q = bench.start_point(config, 0, 0)
     rng = np.random.default_rng(41)
     print("rows  us_per_trip  us_per_row_iter")
-    for rows in (int(part) for part in args.rows.split(",")):
-        per_trip, per_row_iter = _row_cost(pair, q, rows, args.trips, args.repeats, rng)
+    for rows in ROWS:
+        per_trip, per_row_iter = _row_cost(pair, q, rows, args.trips, rng)
         print(f"{rows:4d}  {per_trip:11.2f}  {per_row_iter:15.3f}")
     return 0
 
