@@ -7,6 +7,10 @@ one line each:
 * every file ``aamr bench angle-profile|alpha|beta|rates --seed 0`` writes,
   and each sweep's stdout, run through ``aamr.cli.main`` into a temporary
   directory, with that directory replaced by ``OUT``;
+* the stdout and exit code of ``aamr solve`` on a subspace and an affine
+  subspace in R^4 (``--mode residual``; ``--mode true-error`` and ``--mode
+  budget``, each with ``--trace`` and the trace CSV; ``--method
+  cm:gamma=0.25``), and of ``aamr angle`` on a pair of subspaces in R^4;
 * the stdout of every ``demos/*.py`` script, each run with its own temporary
   working directory (``subspace_profile.py`` writes ``demo_profile_out/``);
 * the round digest of each ``perfbench`` workload for the seeds in
@@ -22,6 +26,7 @@ a checkout of the other tree and diff the two outputs:
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -58,6 +63,41 @@ def _bench(tmp: Path) -> None:
             print(f"{_sha256(path.read_bytes())}  {sweep}/{path.name}")
 
 
+# a line in R^4: span{e1, e2 + e3} meets (1, 0, 0, 0) + span{e2, e3}
+_SOLVE_PROBLEM = {"dim": 4, "sets": [
+    {"type": "subspace", "basis": [[1, 0, 0, 0], [0, 1, 1, 0]]},
+    {"type": "affine", "offset": [1, 0, 0, 0], "basis": [[0, 1, 0, 0], [0, 0, 1, 0]]}]}
+_ANGLE_PROBLEM = {"dim": 4, "sets": [
+    {"type": "subspace", "basis": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+    {"type": "subspace", "basis": [[1, 0, 0, 0], [0, 1, 2, 1]]}]}
+
+
+def _run_cli(name: str, argv, tmp: Path) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        status = cli.main(argv)
+    text = stdout.getvalue().replace(str(tmp), "OUT")
+    return f"{_sha256(text.encode())}  {name}/stdout exit {status}"
+
+
+def _cli(tmp: Path) -> None:
+    tmp.mkdir(parents=True)
+    problem, pair = tmp / "problem.json", tmp / "pair.json"
+    problem.write_text(json.dumps(_SOLVE_PROBLEM), encoding="utf-8")
+    pair.write_text(json.dumps(_ANGLE_PROBLEM), encoding="utf-8")
+    traced = ["--trace", str(tmp / "trace.csv")]
+    runs = {"residual": ["--mode", "residual"],
+            "true-error": ["--mode", "true-error", "--eps", "1e-12", *traced],
+            "budget": ["--mode", "budget", "--max-iter", "200", *traced],
+            "cm": ["--method", "cm:gamma=0.25"]}
+    for name, flags in runs.items():
+        argv = ["solve", str(problem), "--q", "2,1,-1,3", *flags]
+        print(_run_cli(f"solve/{name}", argv, tmp))
+        if traced[0] in flags:
+            print(f"{_sha256((tmp / 'trace.csv').read_bytes())}  solve/{name}/trace.csv")
+    print(_run_cli("angle", ["angle", str(pair)], tmp))
+
+
 def _demos(tmp: Path) -> None:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -90,6 +130,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         _bench(tmp / "bench")
+        _cli(tmp / "cli")
         _demos(tmp / "demos")
         return 0 if _perfbench(tmp / "perfbench") else 1
 
