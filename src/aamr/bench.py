@@ -364,7 +364,7 @@ def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
     shift = np.where(betas == 1.0, 0.0, X)  # rows start at their own q
     buffer = np.empty(max(_BLOCK_ROWS, m) * n)
 
-    status = ["budget_exhausted"] * m
+    status = [Status.BUDGET_EXHAUSTED.value] * m
     iterations = np.full(m, max_iter, dtype=int)
     final_error = np.full(m, np.nan)
     active = np.arange(m)
@@ -386,7 +386,7 @@ def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
         done = below.any(axis=0)
         first = below.argmax(axis=0)
         for r in active[done]:
-            status[r] = "converged"
+            status[r] = Status.CONVERGED.value
         iterations[active[done]] = k + first[done]
         # a row's error at its first hit, else at the block's last trip
         final_error[active] = errs[np.where(done, first, trips - 1), np.arange(rows)]
@@ -724,7 +724,7 @@ SWEEPS = {
     "alpha": Sweep(_alpha_report, "runs_alpha.csv", "best_alpha.csv",
                    ("instance_id", "theta_F", "method", "beta", "best_alpha",
                     "iterations"),
-                   dict(n_instances=1000, n_starts=1),
+                   dict(n_instances=1000),
                    ("n", "n_instances", "eps", "max_iter", "alpha_grid",
                     "alpha_sweep_betas", "angle_bins", "seed", "jobs")),
     "beta": Sweep(_beta_report, "runs_beta.csv", "best_beta.csv",

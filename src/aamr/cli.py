@@ -130,9 +130,7 @@ def _cmd_solve(args) -> int:
     print(f"shadow: {_fmt_vec(result.shadow)}")
     print(f"final_error: {result.final_error:.9g}")
     if args.trace is not None:
-        lines = ["k,error,step_norm"]
-        lines += [f"{k},{err!r},{step!r}" for k, err, step in result.trace]
-        Path(args.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        bench.write_table_csv(args.trace, ("k", "error", "step_norm"), result.trace)
         print(f"trace: {args.trace}")
     return EXIT_CODES[result.status]
 
@@ -158,14 +156,16 @@ _BENCH_FLAGS = {"n_instances": "--instances", "n_starts": "--starts", "angle_bin
 
 def _bench_config(args) -> bench.SweepConfig:
     """SweepConfig's defaults, overridden by the ``--full-scale`` preset,
-    overridden by the flags given; a given flag the sweep does not read is a
-    usage error."""
+    overridden by the flags given; a given flag the sweep does not read, or
+    ``--full-scale`` for a sweep without a preset, is a usage error."""
     sweep = bench.SWEEPS[args.sweep]
     preset = sweep.full_scale if args.full_scale else {}
     given = {field.name: getattr(args, field.name)
              for field in dataclasses.fields(bench.SweepConfig) if field.name in args}
     ignored = [_BENCH_FLAGS.get(name, "--" + name.replace("_", "-"))
                for name in given if name not in sweep.reads]
+    if args.full_scale and not sweep.full_scale:
+        ignored.append("--full-scale")
     if ignored:
         raise _UsageError(f"the {args.sweep} sweep does not read {', '.join(ignored)}")
     return bench.SweepConfig(**{**preset, **given})

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sets import ConvexSet, _conform, as_vector
+from .sets import Ball, ConvexSet, as_vector
 
 
 def _norm(v) -> float:
@@ -75,7 +75,8 @@ class StoppingPolicy:
     """When to stop iterating.
 
     Modes: ``"true_error"`` stops when the monitored point is within ``eps``
-    of ``target`` (a ConvexSet or a point);
+    of ``target``, a ConvexSet (a point is stored as the radius-0 ``Ball``,
+    the singleton it describes);
     ``"residual"`` stops when the step norm drops below ``eps``;
     ``"budget_only"`` runs until the iteration budget.  Independently of the
     mode, the run is declared diverged once the iterate norm exceeds
@@ -106,7 +107,7 @@ class StoppingPolicy:
         if self.mode == self.TRUE_ERROR and self.target is None:
             raise ValueError("true_error mode needs a target")
         if not (self.target is None or isinstance(self.target, ConvexSet)):
-            object.__setattr__(self, "target", as_vector(self.target))  # a point
+            object.__setattr__(self, "target", Ball(self.target, 0.0))
 
     @classmethod
     def true_error(cls, target, eps: float, **kwargs) -> "StoppingPolicy":
@@ -124,9 +125,7 @@ class StoppingPolicy:
         """True-error value of a monitored point (inf outside true_error mode)."""
         if self.mode != self.TRUE_ERROR:
             return math.inf
-        if isinstance(self.target, ConvexSet):
-            return self.target.distance(monitored)
-        return _norm(monitored - _conform(self.target, monitored.size))
+        return self.target.distance(monitored)
 
 
 def modified_reflect(set_: ConvexSet, beta: float, x) -> np.ndarray:
@@ -194,8 +193,9 @@ class DrOperator(AamrOperator):
         super().__init__(a_set, b_set, alpha, 1.0)
 
 
-def iterate(step, x0, policy: StoppingPolicy) -> SolveResult:
-    """Run ``step`` from ``x0`` under a stopping policy.
+def iterate(step, x0, policy: StoppingPolicy | None = None) -> SolveResult:
+    """Run ``step`` from ``x0`` under a stopping policy, by default the
+    residual stop at 1e-8.
 
     ``step(x, k)`` returns ``(x_next, shadow)``: iterate k+1 and the monitored
     point of iterate k, which the step already computed.  Returns CONVERGED at
@@ -205,6 +205,8 @@ def iterate(step, x0, policy: StoppingPolicy) -> SolveResult:
     shadow computed and a NaN error) at the index whose step raises
     :class:`NumericalFailure` or at the first non-finite iterate.
     """
+    if policy is None:
+        policy = StoppingPolicy.residual(eps=1e-8)
     x = np.array(as_vector(x0), dtype=float)
     prev = x  # the previous iterate; the drift prev - x is formed only when used
     residual = policy.mode == StoppingPolicy.RESIDUAL

@@ -182,21 +182,25 @@ class Ball(ConvexSet):
         dist = math.sqrt(float(d.dot(d)))
         if dist <= self.radius:
             return x.copy()
-        if dist == 0.0:
-            return self.center.copy()
         return self.center + (self.radius / dist) * d
 
 
-class Halfspace(ConvexSet):
-    """{x : <normal, x> <= offset}."""
+class _NormalSet(ConvexSet):
+    """A set described by a nonzero ``normal`` and a scalar ``offset``.
+    Neither subclass derives from the other, so ``isinstance`` keeps
+    halfspaces out of the affine families."""
 
     def __init__(self, normal, offset):
         self.normal = _freeze(as_vector(normal))
         self.offset = float(offset)
         self._sq = float(self.normal @ self.normal)
         if self._sq == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
+            raise ValueError(f"{type(self).__name__.lower()} normal must be nonzero")
         self.dim = self.normal.size
+
+
+class Halfspace(_NormalSet):
+    """{x : <normal, x> <= offset}."""
 
     def project(self, x) -> np.ndarray:
         x = _conform(x, self.dim)
@@ -206,16 +210,8 @@ class Halfspace(ConvexSet):
         return x - (gap / self._sq) * self.normal
 
 
-class Hyperplane(ConvexSet):
+class Hyperplane(_NormalSet):
     """{x : <normal, x> = offset}."""
-
-    def __init__(self, normal, offset):
-        self.normal = _freeze(as_vector(normal))
-        self.offset = float(offset)
-        self._sq = float(self.normal @ self.normal)
-        if self._sq == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-        self.dim = self.normal.size
 
     def project(self, x) -> np.ndarray:
         x = _conform(x, self.dim)

@@ -21,6 +21,7 @@ arbitrary starting point.
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,6 @@ __all__ = [
     "MethodSpec",
     "solve_best_approximation",
 ]
-
-
-def _default_policy(policy):
-    if policy is None:
-        return StoppingPolicy.residual(eps=1e-8)
-    return policy
 
 
 def _common_dim(sets) -> int:
@@ -121,7 +116,6 @@ def aamr_solve(a_set: ConvexSet, b_set: ConvexSet, q, x0=None, alpha=0.9,
     n = _common_dim([a_set, b_set])
     params = _METHODS["aamr"].params
     params["beta"].check("aamr", "beta", beta)
-    policy = _default_policy(policy)
     q = as_vector(q, n)
     x0 = q if x0 is None else as_vector(x0, n)
     b_shifted = Translate(b_set, q)
@@ -148,7 +142,6 @@ def aamr_product_solve(sets, q, x0=None, alpha=0.9, beta: float = 0.7,
     n = _common_dim(sets)
     params = _METHODS["aamr"].params
     params["beta"].check("aamr", "beta", beta)
-    policy = _default_policy(policy)
     q = as_vector(q, n)
     diag = Diagonal(len(sets), n)
     shifted = ProductSet([Translate(s, q) for s in sets])
@@ -166,7 +159,6 @@ def rap_solve(u_set: ConvexSet, v_set: ConvexSet, q, mu: float = 1.0,
               policy: StoppingPolicy | None = None) -> SolveResult:
     """Relaxed alternating projections x <- (1-mu)x + mu P_V(P_U(x)) from q."""
     _METHODS["rap"].params["mu"].check("rap", "mu", mu)
-    policy = _default_policy(policy)
     q = as_vector(q, _common_dim([u_set, v_set]))
 
     def step(x, k):
@@ -189,7 +181,6 @@ def dr_solve(a_set: ConvexSet, b_set: ConvexSet, q, alpha: float = 0.5,
     best approximation problem; for general convex sets it finds some point of
     the intersection.
     """
-    policy = _default_policy(policy)
     op = DrOperator(a_set, b_set, alpha)
     return iterate(op.step, as_vector(q, a_set.dim), policy)
 
@@ -231,7 +222,6 @@ def haugazeau_solve(u_set: ConvexSet, v_set: ConvexSet, q,
     so the step is zero only at ``P_{U∩V}(q)``.  Inconsistent geometry is
     reported as a ``NUMERICAL_FAILURE`` status.
     """
-    policy = _default_policy(policy)
     q = as_vector(q, _common_dim([u_set, v_set]))
     pair = (u_set, v_set)
 
@@ -254,7 +244,6 @@ def hlwb_solve(sets, q, policy: StoppingPolicy | None = None) -> SolveResult:
     return ``q`` unchanged, which a residual stop reads as convergence.
     """
     sets = list(sets)
-    policy = _default_policy(policy)
     q = as_vector(q, _common_dim(sets))
 
     def step(x, k):
@@ -312,7 +301,6 @@ def cm_solve(sets, q, gamma: float = 0.25, lam=1.8,
     infimum; the default 1.8 corresponds to an averaging weight of 0.9.
     """
     sets = list(sets)
-    policy = _default_policy(policy)
     step = cm_recurrence(sets, q, gamma=gamma, lam=lam)
     return iterate(step, _lift(x0, as_vector(q, sets[0].dim), len(sets)), policy)
 
@@ -325,7 +313,6 @@ class _Param:
     hi: float = math.inf
     closed: bool = False
     fallback: object = None
-    schedule: bool = False  # a callable k -> value is accepted as is
     hint: str = ""
 
     def admits(self, value: float) -> bool:
@@ -339,8 +326,9 @@ class _Param:
         return f"lie in (0, {self.hi:g}{']' if self.closed else ')'}"
 
     def check(self, kind: str, name: str, value) -> None:
-        if self.schedule and callable(value):
-            return
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number for {kind}, "
+                             f"got {type(value).__name__}")
         if not self.admits(value):
             raise ValueError(f"{name} must {self.interval} for {kind}{self.hint}")
 
@@ -367,7 +355,7 @@ _METHODS = {
     "rap": _Method({"mu": _Param(2.0, fallback=optimal_rap_mu)}, pair="rap_solve"),
     "haugazeau": _Method({}, pair="haugazeau_solve"),
     "hlwb": _Method({}, many="hlwb_solve"),
-    "cm": _Method({"gamma": _Param(), "lam": _Param(2.0, closed=True, schedule=True)},
+    "cm": _Method({"gamma": _Param(), "lam": _Param(2.0, closed=True)},
                   many="cm_solve", free_x0=True),
 }
 
@@ -391,15 +379,18 @@ class MethodSpec:
     cm: gamma, lam).  :meth:`resolve` fills unset parameters at solve time:
     aamr's beta and rap's mu from their angle rules when the instance angle is
     known, all others from the driver's keyword defaults (so beta = 0.7 and
-    mu = 1.0 without an angle).  Equal specs compare equal and hash alike.
+    mu = 1.0 without an angle).  Values are real numbers, stored as floats; a
+    schedule ``k -> value`` is an argument of its driver (``aamr_solve``'s and
+    ``aamr_product_solve``'s alpha, ``cm_solve``'s lam), not of a spec.  Equal
+    specs compare equal and hash alike.
     """
 
     kind: str
-    alpha: object = None
-    beta: object = None
-    mu: object = None
-    gamma: object = None
-    lam: object = None
+    alpha: float | None = None
+    beta: float | None = None
+    mu: float | None = None
+    gamma: float | None = None
+    lam: float | None = None
 
     KINDS = tuple(_METHODS)
     PARAMS = ("alpha", "beta", "mu", "gamma", "lam")
@@ -412,10 +403,8 @@ class MethodSpec:
         for name, value in self._items():
             if name not in params:
                 raise ValueError(f"method {self.kind} takes no parameter {name}")
-            if not callable(value):
-                value = float(value)
-                object.__setattr__(self, name, value)
             params[name].check(self.kind, name, value)
+            object.__setattr__(self, name, float(value))
 
     @classmethod
     def parse(cls, token: str) -> "MethodSpec":
@@ -443,8 +432,7 @@ class MethodSpec:
 
     def display(self) -> str:
         """Short human-readable label, e.g. ``aamr(a=0.9 b=0.9)``."""
-        parts = [f"{self._LABELS[name]}={value:g}" for name, value in self._items()
-                 if not callable(value)]
+        parts = [f"{self._LABELS[name]}={value:g}" for name, value in self._items()]
         return self.kind + (f"({' '.join(parts)})" if parts else "")
 
     def resolve(self, theta: float | None = None) -> "MethodSpec":

@@ -353,6 +353,11 @@ def test_config_count_errors_name_the_field(field):
         SweepConfig(**{field: -2})
 
 
+def test_config_eps_must_lie_in_the_unit_interval():
+    with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)$"):
+        SweepConfig(eps=1.5)
+
+
 # --- beta sweep ------------------------------------------------------------------
 
 def test_sweep_beta_small_betas_dominated_and_small_angles_prefer_large():

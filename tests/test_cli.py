@@ -186,6 +186,12 @@ def test_angle_coincident_subspaces(tmp_path, capsys):
     assert "coincident subspaces" in err
 
 
+def test_angle_needs_exactly_two_subspaces(two_balls, capsys):
+    assert main(["angle", two_balls]) == 1
+    assert ("angle needs a problem file with exactly two subspace sets"
+            in capsys.readouterr().err)
+
+
 def test_bench_rates_accuracy(tmp_path, capsys):
     out_dir = tmp_path / "rates"
     code = main(["bench", "rates", "--thetas", "0.5", "--out-dir", str(out_dir)])
@@ -250,11 +256,11 @@ def test_true_error_mode_needs_oracle_family(two_balls, capsys):
 def test_full_scale_presets_construct():
     from aamr.cli import _bench_config, _build_parser
     parser = _build_parser()
-    for sweep in ("alpha", "beta", "angle-profile", "rates"):
+    for sweep in ("alpha", "beta", "angle-profile"):
         args = parser.parse_args(["bench", sweep, "--full-scale", "--seed", "1"])
         config = _bench_config(args)
         if sweep == "alpha":
-            assert config.n_instances == 1000 and config.n_starts == 1
+            assert config.n_instances == 1000
         if sweep == "beta":
             assert config.n_starts == 100 and len(config.beta_grid) == 120
 
@@ -276,8 +282,13 @@ def test_full_scale_preset_yields_to_given_flags():
 @pytest.mark.parametrize("sweep", ["alpha", "beta", "angle-profile", "rates"])
 def test_bench_config_defaults_are_sweep_config_defaults(sweep):
     from aamr.bench import SWEEPS
+    from aamr.cli import _UsageError
     assert _config(sweep) == SweepConfig()
-    assert _config(sweep, "--full-scale") == SweepConfig(**SWEEPS[sweep].full_scale)
+    if sweep == "rates":  # no preset: --full-scale is a flag rates does not read
+        with pytest.raises(_UsageError, match="does not read --full-scale$"):
+            _config(sweep, "--full-scale")
+    else:
+        assert _config(sweep, "--full-scale") == SweepConfig(**SWEEPS[sweep].full_scale)
 
 
 def test_empty_methods_roster_is_rejected(tmp_path, capsys):
@@ -357,20 +368,15 @@ def test_bench_rejects_typed_flags_its_sweep_does_not_read(tmp_path, capsys, mon
     assert not out_dir.exists()
 
 
-def test_full_scale_preset_values_do_not_count_as_typed(tmp_path, monkeypatch):
-    # the alpha preset sets n_starts, which the alpha sweep does not read
-    from aamr import bench
-    seen = []
-
-    def record(config, methods):
-        seen.append(config)
-        return [], [], [], []
-    monkeypatch.setitem(bench.SWEEPS, "alpha",
-                        dataclasses.replace(bench.SWEEPS["alpha"], run=record))
-    code = main(["bench", "alpha", "--full-scale", "--seed", "3",
-                 "--out-dir", str(tmp_path / "out")])
-    assert code == 0
-    assert seen == [SweepConfig(n_instances=1000, n_starts=1, seed=3)]
+def test_full_scale_presets_set_only_fields_their_sweep_reads(tmp_path, capsys):
+    from aamr.bench import SWEEPS
+    for name, sweep in SWEEPS.items():
+        assert set(sweep.full_scale) <= set(sweep.reads), name
+    out_dir = tmp_path / "out"
+    code = main(["bench", "rates", "--full-scale", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: the rates sweep does not read --full-scale\n"
+    assert not out_dir.exists()
 
 
 def _legend(svg_lines):

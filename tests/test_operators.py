@@ -103,6 +103,11 @@ def test_operator_validates_parameters():
         DrOperator(LINE_X1, LINE_X1, 1.0)
 
 
+def test_operator_rejects_sets_of_different_dimensions():
+    with pytest.raises(ValueError, match="different ambient dimensions"):
+        AamrOperator(LINE_X1, full_space(3), 0.5, 0.5)
+
+
 def test_dr_operator_is_the_beta_one_aamr_operator():
     rng = np.random.default_rng(29)
     p = rng.standard_normal(4)
@@ -354,6 +359,28 @@ def test_policy_validation():
         StoppingPolicy(mode="nonsense")
     with pytest.raises(ValueError):
         StoppingPolicy(mode=StoppingPolicy.TRUE_ERROR, eps=1e-3)  # no target
+
+
+def test_policy_rejects_a_nonpositive_divergence_threshold():
+    with pytest.raises(ValueError, match="divergence_threshold must be positive"):
+        StoppingPolicy.residual(1e-3, divergence_threshold=0)
+
+
+def test_engine_default_policy_is_the_residual_stop_at_1e_8():
+    def halve(x, k):
+        return 0.5 * x, x
+
+    default = iterate(halve, [1.0, 2.0])
+    explicit = iterate(halve, [1.0, 2.0], StoppingPolicy.residual(eps=1e-8))
+    assert default.status is Status.CONVERGED
+    assert (default.iterations, default.final_error) == (explicit.iterations,
+                                                         explicit.final_error)
+
+
+def test_point_target_is_the_radius_zero_ball():
+    policy = StoppingPolicy.true_error([0.0, 1.0], eps=1e-3)
+    assert isinstance(policy.target, Ball) and policy.target.radius == 0.0
+    assert np.array_equal(policy.target.center, [0.0, 1.0])
 
 
 def test_point_target_is_checked_at_construction():

@@ -263,6 +263,16 @@ def test_oracle_empty_box_intersection():
             [Box([0.0], [1.0]), Box([2.0], [3.0])], [0.5])
 
 
+def test_oracle_rejects_no_sets_mixed_dimensions_and_empty_affine_families():
+    with pytest.raises(ValueError, match="need at least one set"):
+        project_intersection_oracle([], [0.5])
+    with pytest.raises(DimensionMismatchError, match="mixed ambient dimensions"):
+        project_intersection_oracle([Box([0.0], [1.0]), full_space(2)], [0.5])
+    with pytest.raises(ValueError, match="affine family has empty intersection"):
+        project_intersection_oracle([Hyperplane([1.0, 0.0], 0.0),
+                                     Hyperplane([1.0, 0.0], 1.0)], [0.5, 0.5])
+
+
 # --- problem files ------------------------------------------------------------
 
 def test_load_problem_all_spec_types(tmp_path):
@@ -311,6 +321,42 @@ def test_load_problem_diagnostics_name_fields():
     with pytest.raises(ProblemFormatError, match=r"sets\[0\]"):
         load_problem({"dim": 2, "sets": [{"type": "ball", "center": [0.0, 0.0],
                                           "radius": -3.0}]})
+
+
+@pytest.mark.parametrize("source, message", [
+    ("{not json", "invalid JSON"),
+    ({"dim": 2, "sets": []}, "sets: expected a nonempty list"),
+    ({"dim": 2, "sets": [[1, 2]]}, r"sets\[0\]: expected an object"),
+    ({"dim": 2, "sets": [{"type": "ball", "center": [0, 0], "radius": "1"}]},
+     r"sets\[0\]\.radius: expected a number"),
+    ({"dim": 2, "sets": [{"type": "subspace", "basis": 1.0}]},
+     r"sets\[0\]\.basis: expected a list of rows"),
+], ids=["text", "no-sets", "entry", "radius", "basis"])
+def test_load_problem_rejects_malformed_documents(source, message):
+    with pytest.raises(ProblemFormatError, match=message):
+        load_problem(source)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"dim": 2, "sets": [', "invalid JSON"),
+    ("[1, 2]", "top level: expected an object"),
+], ids=["json", "top-level"])
+def test_load_problem_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    with pytest.raises(ProblemFormatError, match=message):
+        load_problem(path)
+
+
+def test_load_problem_empty_basis_is_the_zero_subspace():
+    dim, (s,) = load_problem({"dim": 3, "sets": [{"type": "subspace", "basis": []}]})
+    assert (dim, s.rank) == (3, 0)
+    assert np.array_equal(s.project([1.0, 2.0, 3.0]), np.zeros(3))
+
+
+def test_dump_problem_rejects_a_translate():
+    with pytest.raises(ValueError, match="cannot serialize set of type Translate"):
+        dump_problem(1, [Translate(Box([0.0], [1.0]), [2.0])])
 
 
 def test_full_and_zero_subspace_helpers():

@@ -552,6 +552,36 @@ def test_dispatch_validation():
         cm_solve([], np.zeros(2))
 
 
+def test_dispatch_rejects_sets_of_mixed_dimensions():
+    u, _ = planar_lines(0.2)
+    with pytest.raises(ValueError, match="mixed ambient dimensions"):
+        solve_best_approximation(MethodSpec("map"), [u, full_space(3)], np.zeros(2))
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: MethodSpec("aamr", alpha=lambda k: 0.5), "alpha"),
+    (lambda: MethodSpec("rap", mu="abc"), "mu"),
+    (lambda: aamr_solve(*planar_lines(0.2), np.zeros(2), beta="x"), "beta"),
+    (lambda: rap_solve(*planar_lines(0.2), np.zeros(2), mu=lambda k: 1.0), "mu"),
+], ids=["spec-schedule", "spec-string", "driver-string", "driver-schedule"])
+def test_parameter_values_must_be_real_numbers(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number for "):
+        make()
+
+
+def test_method_spec_takes_numpy_scalars():
+    spec = MethodSpec("aamr", alpha=np.float32(0.5))
+    assert spec == MethodSpec("aamr", alpha=0.5)
+    assert type(spec.alpha) is float
+
+
+def test_haugazeau_disjoint_halfspaces_is_numerical_failure():
+    left, right = Halfspace([1.0, 0.0], -1.0), Halfspace([-1.0, 0.0], -1.0)
+    res = haugazeau_solve(left, right, np.array([0.0, 3.0]))
+    assert res.status is Status.NUMERICAL_FAILURE
+    assert res.iterations == 1 and math.isnan(res.final_error)
+
+
 DRIVERS = {"aamr": aamr_solve, "drm": dr_solve, "map": map_solve, "rap": rap_solve,
            "haugazeau": haugazeau_solve, "hlwb": hlwb_solve, "cm": cm_solve}
 
