@@ -93,7 +93,7 @@ def _cli(tmp: Path) -> None:
     for name, flags in runs.items():
         argv = ["solve", str(problem), "--q", "2,1,-1,3", *flags]
         print(_run_cli(f"solve/{name}", argv, tmp))
-        if traced[0] in flags:
+        if "--trace" in flags:
             print(f"{_sha256((tmp / 'trace.csv').read_bytes())}  solve/{name}/trace.csv")
     print(_run_cli("angle", ["angle", str(pair)], tmp))
 
