@@ -236,44 +236,68 @@ def default_profile_methods() -> list[MethodSpec]:
     ]
 
 
-def _grid_sweep(config, instances, rows, run_task):
-    """The ``(MethodSpec, start_id)`` rows on every instance, one ``run_task``
-    call per instance on ``config.jobs`` processes, with the starts drawn once
-    per instance; returns the runs and the converged ones per instance."""
+def _grid_sweep(config, instances, rows):
+    """The ``(MethodSpec, start_id)`` rows on every instance, one
+    ``_instance_task`` per instance on ``config.jobs`` processes, with the
+    starts drawn once per instance; returns the runs and the converged ones
+    per instance."""
     used = {s for _, s in rows}
     tasks = [(config, i, pair, rows, {s: start_point(config, i, s) for s in used})
              for i, pair in enumerate(instances)]
     if config.jobs == 1:
-        batches = [run_task(t) for t in tasks]
+        batches = [_instance_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            batches = list(pool.map(run_task, tasks, chunksize=1))
+            batches = list(pool.map(_instance_task, tasks, chunksize=1))
     runs = [r for batch in batches for r in batch]
     return runs, [[r for r in batch if r.status == Status.CONVERGED.value]
                   for batch in batches]
 
 
+def _instance_task(args):
+    """Run one instance's ``(MethodSpec, start_id)`` rows; returns their
+    records in row order.
+
+    U, V and U ∩ V are built once, and each distinct spec is resolved once.
+    The aamr and drm rows run through the row engine as one batch (drm at
+    beta = 1), the map and rap rows as a second (map at mu = 1); each row's
+    bits are those of its scalar solve.  Every other kind is solved one row
+    at a time.
+    """
+    config, instance_id, pair, rows, starts = args
+    u, v, target = (LinearSubspace(b)
+                    for b in (pair.basis_u, pair.basis_v, pair.intersection))
+    resolved = {spec: spec.resolve(pair.angle) for spec in {spec for spec, _ in rows}}
+    specs = [resolved[spec] for spec, _ in rows]
+    reflections = [i for i, s in enumerate(specs) if s.kind in ("aamr", "drm")]
+    projections = [i for i, s in enumerate(specs) if s.kind in ("map", "rap")]
+    outcomes = [None] * len(rows)
+    for picked, weights, betas in (
+            (reflections, [specs[i].alpha for i in reflections],
+             [1.0 if specs[i].beta is None else specs[i].beta for i in reflections]),
+            (projections, [1.0 if specs[i].mu is None else specs[i].mu
+                           for i in projections], None)):
+        if picked:
+            batch = _batched_pair_sweep((u.basis, v.basis, target.basis),
+                                        [starts[rows[i][1]] for i in picked],
+                                        weights, betas, config.eps, config.max_iter)
+            for i, outcome in zip(picked, zip(*batch)):
+                outcomes[i] = outcome
+    policy = StoppingPolicy.true_error(target, eps=config.eps, max_iter=config.max_iter)
+    runs = []
+    for (_, start_id), spec, outcome in zip(rows, specs, outcomes):
+        if outcome is None:
+            result = solve_best_approximation(spec, [u, v], starts[start_id],
+                                              policy=policy, theta=pair.angle)
+            outcome = result.status.value, result.iterations, result.final_error
+        runs.append(RunRecord(instance_id, pair.angle, spec.kind, spec.alpha,
+                              spec.beta, spec.mu, spec.gamma, start_id, *outcome,
+                              config.seed))
+    return runs
+
+
 # ---------------------------------------------------------------------------
 # angle profile
-
-
-def _scalar_task(args):
-    """Solve one instance's rows one at a time, building its sets and
-    stopping policy once."""
-    config, instance_id, pair, rows, starts = args
-    u, v = LinearSubspace(pair.basis_u), LinearSubspace(pair.basis_v)
-    policy = StoppingPolicy.true_error(LinearSubspace(pair.intersection),
-                                       eps=config.eps, max_iter=config.max_iter)
-    runs = []
-    for spec, start_id in rows:
-        resolved = spec.resolve(pair.angle)
-        result = solve_best_approximation(resolved, [u, v], starts[start_id],
-                                          policy=policy, theta=pair.angle)
-        runs.append(RunRecord(instance_id, pair.angle, spec.kind,
-                              resolved.alpha, resolved.beta, resolved.mu,
-                              resolved.gamma, start_id, result.status.value,
-                              result.iterations, result.final_error, config.seed))
-    return runs
 
 
 def _aggregate(spec, runs, config) -> ExperimentRecord:
@@ -297,7 +321,7 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
     instances = make_instances(config) if instances is None else list(instances)
     n = config.n_starts
     rows = [(spec, s) for spec in methods for s in range(n)]
-    runs, _ = _grid_sweep(config, instances, rows, _scalar_task)
+    runs, _ = _grid_sweep(config, instances, rows)
     # each instance's runs hold n starts per method, in roster order
     records = [_aggregate(spec, runs[j * n:(j + 1) * n], config)
                for j, spec in enumerate(methods * len(instances))]
@@ -324,9 +348,13 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 # broadcasts.  The stopping error is taken once per block of trips: each trip
 # stores its monitored point, then one stacked call takes the errors of the
 # whole block, and a row that met the tolerance finishes at its first such
-# trip with that trip's error (its later trips are discarded).
+# trip with that trip's error (its later trips are discarded).  Blocks grow
+# with the trips already run, so a batch whose rows converge within a few
+# dozen iterations discards few trips, while a long run still takes its
+# errors in blocks of up to _BLOCK_ROWS monitored points.
 
-# monitored points per block: a block runs _BLOCK_ROWS // (active rows) trips
+# monitored points per block: a block from trip k runs
+# min(_BLOCK_ROWS // (active rows), k) trips, at least one
 _BLOCK_ROWS = 256
 
 
@@ -342,26 +370,45 @@ def _row_norms(M):
     return np.sqrt(np.matmul(M, M.transpose(0, 2, 1))[:, 0, 0])
 
 
-def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
-    """Run one AAMR/DR row per (q, alpha, beta) triple on a subspace pair.
+def _batched_pair_sweep(bases, q_rows, weights, betas, eps, max_iter):
+    """Run one row per start of ``q_rows`` on two subspaces U and V, until
+    its monitored point lies within ``eps`` of U ∩ V.
 
-    A ``betas`` entry of 1.0 selects the plain double-reflection update on
-    the unshifted sets (monitored point ``P_U(x)``, as in ``dr_solve``);
-    entries below 1.0 run the modified-reflection update on the q-shifted
-    sets (monitored point ``P_U(x + q)``, as in ``aamr_solve``).  Both reduce
-    to projecting ``x + shift`` with a per-row shift of ``q`` or ``0``.
-    Returns parallel lists of (status string, iterations, final_error).
+    ``bases`` holds the orthonormal bases of U, V and U ∩ V.  With ``betas``
+    a list, the rows are AAMR/DR rows of averaging weight ``weights[i]``: a
+    ``betas`` entry of 1.0 selects the plain double-reflection update on the
+    unshifted sets (monitored point ``P_U(x)``, as in ``dr_solve``); entries
+    below 1.0 run the modified-reflection update on the q-shifted sets
+    (monitored point ``P_U(x + q)``, as in ``aamr_solve``).  Both reduce to
+    projecting ``x + shift`` with a per-row shift of ``q`` or ``0``.  With
+    ``betas`` None, the rows are relaxed alternating projections
+    ``x <- (1 - mu) x + mu P_V(P_U x)`` with mu = ``weights[i]``, monitoring
+    x itself, as in ``rap_solve`` (``map_solve`` is mu = 1).  Returns
+    parallel lists of (status string, iterations, final_error).
     """
-    qu, qv, qi = (LinearSubspace(b).basis
-                  for b in (pair.basis_u, pair.basis_v, pair.intersection))
+    qu, qv, qi = bases
     X = np.array(q_rows, dtype=float)
     m, n = X.shape
     X = X.reshape(m, 1, n)
     ones = np.ones_like(X)
-    a = np.asarray(alphas, dtype=float).reshape(m, 1, 1) * ones
-    betas = np.asarray(betas, dtype=float).reshape(m, 1, 1) * ones
-    two_b, one_minus_a = 2.0 * betas, 1.0 - a
-    shift = np.where(betas == 1.0, 0.0, X)  # rows start at their own q
+    a = np.asarray(weights, dtype=float).reshape(m, 1, 1) * ones
+    if betas is None:
+        def trip(X, a, one_minus_a):
+            """(monitored point, next iterate) of projection rows."""
+            return X, one_minus_a * X + a * _project_rows(_project_rows(X, qu), qv)
+
+        per_row = [a, 1.0 - a]
+    else:
+        def trip(X, a, one_minus_a, two_b, shift):
+            """(monitored point, next iterate) of reflection rows."""
+            pu = _project_rows(X + shift, qu)
+            y = two_b * (pu - shift) - X
+            z = two_b * (_project_rows(y + shift, qv) - shift) - y
+            return pu, one_minus_a * X + a * z
+
+        betas = np.asarray(betas, dtype=float).reshape(m, 1, 1) * ones
+        # rows start at their own q
+        per_row = [a, 1.0 - a, 2.0 * betas, np.where(betas == 1.0, 0.0, X)]
     buffer = np.empty(max(_BLOCK_ROWS, m) * n)
 
     status = [Status.BUDGET_EXHAUSTED.value] * m
@@ -371,15 +418,11 @@ def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
     k = 0  # index of the block's first trip
     while True:
         rows = active.size
-        trips = min(max(1, _BLOCK_ROWS // rows), max_iter + 1 - k)
+        trips = min(max(1, min(_BLOCK_ROWS // rows, k)), max_iter + 1 - k)
         block = buffer[:trips * rows * n].reshape(trips, rows, 1, n)
         for j in range(trips):
-            pu = block[j] = _project_rows(X + shift, qu)  # the monitored point
-            if k + j == max_iter:
-                break
-            y = two_b * (pu - shift) - X
-            z = two_b * (_project_rows(y + shift, qv) - shift) - y
-            X = one_minus_a * X + a * z
+            # the update of trip max_iter is computed and never used
+            block[j], X = trip(X, *per_row)
         points = block.reshape(trips * rows, 1, n)
         errs = _row_norms(points - _project_rows(points, qi)).reshape(trips, rows)
         below = errs < eps
@@ -395,25 +438,9 @@ def _batched_pair_sweep(pair, q_rows, alphas, betas, eps, max_iter):
             break
         if done.any():
             keep = ~done
-            active, X, shift = active[keep], X[keep], shift[keep]
-            a, two_b, one_minus_a = a[keep], two_b[keep], one_minus_a[keep]
+            active, X = active[keep], X[keep]
+            per_row = [c[keep] for c in per_row]
     return status, iterations.tolist(), final_error.tolist()
-
-
-def _batched_task(args):
-    """Run one instance's ``(MethodSpec, start_id)`` rows through the row
-    engine.  A kind without a beta parameter runs the plain double
-    reflection (beta = 1)."""
-    config, instance_id, pair, rows, starts = args
-    q_rows = np.array([starts[s] for _, s in rows])
-    betas = [spec.beta if "beta" in _METHODS[spec.kind].params else 1.0
-             for spec, _ in rows]
-    status, iters, errs = _batched_pair_sweep(
-        pair, q_rows, [spec.alpha for spec, _ in rows], betas,
-        config.eps, config.max_iter)
-    return [RunRecord(instance_id, pair.angle, spec.kind, spec.alpha, spec.beta,
-                      None, None, start_id, st, it, err, config.seed)
-            for (spec, start_id), st, it, err in zip(rows, status, iters, errs)]
 
 
 def sweep_alpha(config: SweepConfig, kind: str):
@@ -436,8 +463,7 @@ def sweep_alpha(config: SweepConfig, kind: str):
     betas = config.alpha_sweep_betas if "beta" in params else (None,)
     runs, converged = _grid_sweep(
         config, make_instances(config),
-        [(MethodSpec(kind, alpha=a, beta=beta), 0) for beta in betas for a in grid],
-        _batched_task)
+        [(MethodSpec(kind, alpha=a, beta=beta), 0) for beta in betas for a in grid])
     best = []
     for batch in converged:
         by_beta = {}
@@ -466,8 +492,7 @@ def sweep_beta(config: SweepConfig):
     runs, converged = _grid_sweep(
         config, make_instances(config),
         [(MethodSpec("aamr", alpha=0.9, beta=beta), s)
-         for beta in config.beta_grid for s in range(config.n_starts)],
-        _batched_task)
+         for beta in config.beta_grid for s in range(config.n_starts)])
     best = []
     for batch in filter(None, converged):
         by_beta = {}

@@ -67,12 +67,17 @@ def _lift(x0, q, copies: int) -> np.ndarray:
     return as_vector(x0, copies * n)
 
 
-def _schedule(value, param, name: str):
-    """``k -> value_k`` for a constant or a ``k -> value`` schedule, each value
-    checked against the method-table entry ``param``: a constant once, here,
-    as the value of step 0; a schedule at every step."""
+def _schedule(value, param, kind: str, name: str):
+    """``k -> value_k`` for a constant or a ``k -> value`` schedule of
+    ``kind``, each value checked against the method-table entry ``param``: a
+    constant once, here, as the value of step 0; a schedule at every step."""
     def checked(k):
-        v = float(value(k) if callable(value) else value)
+        raw = value(k) if callable(value) else value
+        try:
+            v = float(raw)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must be a real number for {kind}, "
+                             f"got {type(raw).__name__} at step {k}") from None
         if not param.admits(v):
             raise ValueError(f"{name} must {param.interval}, got {v!r} at step {k}")
         return v
@@ -119,7 +124,7 @@ def aamr_solve(a_set: ConvexSet, b_set: ConvexSet, q, x0=None, alpha=0.9,
     q = as_vector(q, n)
     x0 = q if x0 is None else as_vector(x0, n)
     b_shifted = Translate(b_set, q)
-    alpha_of = _schedule(alpha, params["alpha"], "alpha")
+    alpha_of = _schedule(alpha, params["alpha"], "aamr", "alpha")
 
     def step(x, k):
         pa = a_set.project(x + q)  # the shadow; P_{A-q}(x) = pa - q
@@ -146,7 +151,7 @@ def aamr_product_solve(sets, q, x0=None, alpha=0.9, beta: float = 0.7,
     diag = Diagonal(len(sets), n)
     shifted = ProductSet([Translate(s, q) for s in sets])
     x0 = _lift(x0, q, len(sets))
-    alpha_of = _schedule(alpha, params["alpha"], "alpha")
+    alpha_of = _schedule(alpha, params["alpha"], "aamr", "alpha")
 
     def step(x, k):
         pd = diag.project(x)  # every block is the mean of the blocks of x
@@ -181,6 +186,7 @@ def dr_solve(a_set: ConvexSet, b_set: ConvexSet, q, alpha: float = 0.5,
     best approximation problem; for general convex sets it finds some point of
     the intersection.
     """
+    _METHODS["drm"].params["alpha"].check("drm", "alpha", alpha)
     op = DrOperator(a_set, b_set, alpha)
     return iterate(op.step, as_vector(q, a_set.dim), policy)
 
@@ -280,7 +286,7 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8):
     gamma_q = gamma * np.tile(q, r)
     product = ProductSet(sets)
     diag = Diagonal(r, n)
-    lam_of = _schedule(lam, _METHODS["cm"].params["lam"], "lambda")
+    lam_of = _schedule(lam, _METHODS["cm"].params["lam"], "cm", "lambda")
 
     def step(z, k):
         lam_k = lam_of(k)

@@ -144,6 +144,13 @@ def test_reported_count_is_first_index_below_eps():
 
 # --- alpha sweep -----------------------------------------------------------------
 
+def _bases(pair):
+    """The row engine's bases: U, V and U ∩ V of ``pair``, orthonormalised
+    as the scalar solvers' ``LinearSubspace`` sets hold them."""
+    return tuple(bench.LinearSubspace(b).basis
+                 for b in (pair.basis_u, pair.basis_v, pair.intersection))
+
+
 def test_batched_sweep_matches_engine_exactly():
     from aamr import LinearSubspace, StoppingPolicy, aamr_solve, dr_solve
     from aamr.bench import _batched_pair_sweep
@@ -168,7 +175,7 @@ def test_batched_sweep_matches_engine_exactly():
         else:
             res = aamr_solve(u, v, q, alpha=alpha, beta=beta, policy=policy)
         expected.append((res.status.value, res.iterations, res.final_error))
-    status, iters, errs = _batched_pair_sweep(pair, np.stack(qs), alphas,
+    status, iters, errs = _batched_pair_sweep(_bases(pair), np.stack(qs), alphas,
                                               betas, 1e-3, 50_000)
     for i, (st, it, err) in enumerate(expected):
         assert status[i] == st
@@ -185,9 +192,9 @@ def test_batched_row_does_not_depend_on_its_batchmates():
     qs = rng.standard_normal((9, 20)) * 10
     alphas = [0.2, 0.5, 0.9, 0.35, 0.7, 0.99, 0.6, 0.45, 0.8]
     betas = [0.6, 1.0, 0.8, 1.0, 0.7, 0.9, 1.0, 0.95, 0.5]
-    batch = _batched_pair_sweep(pair, qs, alphas, betas, 1e-6, 2_000)
+    batch = _batched_pair_sweep(_bases(pair), qs, alphas, betas, 1e-6, 2_000)
     for i in range(len(alphas)):
-        alone = _batched_pair_sweep(pair, qs[i:i + 1], alphas[i:i + 1],
+        alone = _batched_pair_sweep(_bases(pair), qs[i:i + 1], alphas[i:i + 1],
                                     betas[i:i + 1], 1e-6, 2_000)
         assert ((alone[0][0], alone[1][0], float.hex(alone[2][0]))
                 == (batch[0][i], batch[1][i], float.hex(batch[2][i])))
@@ -211,7 +218,7 @@ def _scalar_rows(pair, qs, alphas, betas, eps, max_iter):
 
 
 def _batched_rows(pair, qs, alphas, betas, eps, max_iter):
-    status, iters, errs = bench._batched_pair_sweep(pair, qs, alphas, betas,
+    status, iters, errs = bench._batched_pair_sweep(_bases(pair), qs, alphas, betas,
                                                     eps, max_iter)
     return [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)]
 
@@ -257,6 +264,208 @@ def test_rows_converging_at_a_block_edge_equal_scalar_solves(rows):
         batched = _batched_rows(pair, qs, alphas, betas, eps, 3 * block)
         assert batched == _scalar_rows(pair, qs, alphas, betas, eps, 3 * block)
         assert batched[0][:2] == ("converged", edge)
+
+
+def test_blocks_grow_with_the_trip_count(monkeypatch):
+    # a block from trip k runs min(256 // rows, k) trips, at least one, and
+    # never past the budget; each block takes its errors in one stacked call
+    from aamr import random_subspace_pair
+
+    sizes = []
+
+    def recording(points):
+        sizes.append(points.shape[0])
+        return row_norms(points)
+
+    row_norms = bench._row_norms
+    monkeypatch.setattr(bench, "_row_norms", recording)
+    pair = random_subspace_pair(12, [77, 4])
+    for rows, betas in ((1, [0.7]), (3, [0.7, 1.0, 0.9]), (3, None)):
+        sizes.clear()
+        qs = np.random.default_rng(rows).standard_normal((rows, 12))
+        status, iters, _ = bench._batched_pair_sweep(_bases(pair), qs, [0.5] * rows,
+                                                     betas, 0.0, 600)
+        assert status == ["budget_exhausted"] * rows and iters == [600] * rows
+        cap = bench._BLOCK_ROWS // rows
+        trips, k = [], 0
+        while k <= 600:
+            trips.append(min(max(1, min(cap, k)), 601 - k))
+            k += trips[-1]
+        assert trips[:5] == [1, 1, 2, 4, 8]
+        assert sizes == [t * rows for t in trips]
+
+
+def _scalar_projection_rows(pair, qs, mus, eps, max_iter):
+    """(status, iterations, float.hex(final_error)) of each row's scalar
+    ``rap_solve`` (``map_solve`` at mu = 1)."""
+    from aamr import LinearSubspace, StoppingPolicy, map_solve, rap_solve
+
+    u, v, target = (LinearSubspace(b)
+                    for b in (pair.basis_u, pair.basis_v, pair.intersection))
+    policy = StoppingPolicy.true_error(target, eps=eps, max_iter=max_iter)
+    rows = []
+    for q, mu in zip(qs, mus):
+        res = (map_solve(u, v, q, policy=policy) if mu == 1.0
+               else rap_solve(u, v, q, mu=mu, policy=policy))
+        rows.append((res.status.value, res.iterations, float.hex(res.final_error)))
+    return rows
+
+
+# one row kind per case: the Friedrichs angle of its pair, and three rows'
+# (weights, betas), betas None for projection rows; at these angles the first
+# row's error falls to a new low on each of its first 41 trips
+ROW_KINDS = {"aamr": (0.3, [0.9, 0.6, 0.75], [0.7, 0.9, 0.5]),
+             "drm": (1.0, [0.3, 0.5, 0.8], [1.0, 1.0, 1.0]),
+             "map": (0.3, [1.0, 1.0, 1.0], None),
+             "rap": (0.3, [1.4, 1.7, 0.6], None)}
+
+
+def _kind_pair(kind, seed):
+    from aamr import random_subspace_pair
+
+    angle = ROW_KINDS[kind][0]
+    return random_subspace_pair(16, seed, target_angle_interval=(angle, angle))
+
+
+def _kind_rows(pair, qs, kind, eps, max_iter, batched):
+    _, weights, betas = ROW_KINDS[kind]
+    if not batched:
+        return (_scalar_projection_rows(pair, qs, weights, eps, max_iter) if betas is None
+                else _scalar_rows(pair, qs, weights, betas, eps, max_iter))
+    status, iters, errs = bench._batched_pair_sweep(_bases(pair), qs, weights, betas,
+                                                    eps, max_iter)
+    return [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)]
+
+
+def _first_row_errors(pair, q, kind, count):
+    """The monitored errors of trips 0..count of the first row of ``kind``,
+    from its scalar solve's trace."""
+    from aamr import LinearSubspace, StoppingPolicy, solve_best_approximation
+
+    _, (weight, *_), betas = ROW_KINDS[kind]
+    params = {"aamr": dict(alpha=weight, beta=betas and betas[0]),
+              "drm": dict(alpha=weight), "map": {}, "rap": dict(mu=weight)}[kind]
+    spec = MethodSpec(kind, **params)
+    policy = StoppingPolicy.true_error(LinearSubspace(pair.intersection), eps=1e-300,
+                                       max_iter=count, record_trace=True)
+    result = solve_best_approximation(
+        spec, [LinearSubspace(pair.basis_u), LinearSubspace(pair.basis_v)], q,
+        policy=policy)
+    return [err for _, err, _ in result.trace]
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+@pytest.mark.parametrize("edge", [0, 1, 2, 3, 4, 7, 8, 15, 16, 40])
+def test_profile_rows_equal_scalar_solves_at_every_block_edge(kind, edge):
+    # eps is set from the first row's scalar error trace so that the row
+    # first drops below eps at trip `edge`: the first blocks of the growing
+    # rule end at trips 0, 1, 3, 7 and 15; its batchmates stop where they may
+    pair = _kind_pair(kind, [78, 1])
+    qs = np.random.default_rng(8).standard_normal((3, 16)) * 2.5
+    errors = _first_row_errors(pair, qs[0], kind, max(edge, 1))
+    eps = min(errors[:edge]) if edge else 2.0 * errors[0]
+    assert errors[edge] < eps
+    batched = _kind_rows(pair, qs, kind, eps, 500, batched=True)
+    assert batched == _kind_rows(pair, qs, kind, eps, 500, batched=False)
+    assert batched[0][:2] == ("converged", edge)
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 5, 9])
+def test_profile_rows_that_exhaust_the_budget_equal_scalar_solves(kind, max_iter):
+    pair = _kind_pair(kind, [78, 2])
+    qs = np.random.default_rng(9).standard_normal((3, 16)) * 2.5
+    batched = _kind_rows(pair, qs, kind, 1e-9, max_iter, batched=True)
+    assert batched == _kind_rows(pair, qs, kind, 1e-9, max_iter, batched=False)
+    assert [row[:2] for row in batched] == [("budget_exhausted", max_iter)] * 3
+
+
+def _profile_rows(runs):
+    return [(r.instance_id, r.method, r.alpha, r.beta, r.mu, r.gamma, r.start_id,
+             r.status, r.iterations, float.hex(r.final_error)) for r in runs]
+
+
+def _scalar_profile_rows(config, methods):
+    """The profile's runs as one ``solve_best_approximation`` per row."""
+    from aamr import LinearSubspace, StoppingPolicy, solve_best_approximation
+
+    rows = []
+    for i, pair in enumerate(make_instances(config)):
+        u, v, target = (LinearSubspace(b)
+                        for b in (pair.basis_u, pair.basis_v, pair.intersection))
+        policy = StoppingPolicy.true_error(target, eps=config.eps,
+                                           max_iter=config.max_iter)
+        for spec in methods:
+            s = spec.resolve(pair.angle)
+            for start_id in range(config.n_starts):
+                res = solve_best_approximation(s, [u, v], start_point(config, i, start_id),
+                                               policy=policy, theta=pair.angle)
+                rows.append((i, s.kind, s.alpha, s.beta, s.mu, s.gamma, start_id,
+                             res.status.value, res.iterations,
+                             float.hex(res.final_error)))
+    return rows
+
+
+def test_profile_runs_equal_scalar_solves_for_every_roster():
+    # bare aamr and rap tokens take their angle rules; aamr at alpha = 1 and
+    # drm near its alpha bound run in the same batches
+    from aamr import recommended_beta
+
+    config = small_config(n_instances=4, n_starts=3)
+    methods = [MethodSpec.parse(token) for token in (
+        "map", "rap", "drm:alpha=0.99", "aamr", "aamr:alpha=1.0", "haugazeau",
+        "rap:mu=1.5", "cm:gamma=0.25", "drm", "aamr:alpha=0.6:beta=0.9")]
+    runs, _ = angle_profile(config, methods=methods)
+    rows = _profile_rows(runs)
+    assert rows == _scalar_profile_rows(config, methods)
+    pairs = make_instances(config)
+    for r in runs:
+        theta = pairs[r.instance_id].angle
+        if r.method == "aamr" and r.alpha != 0.6:
+            assert r.beta == recommended_beta(theta)
+        if r.method == "rap" and r.mu != 1.5:
+            assert r.mu == optimal_rap_mu(theta)
+    # a roster of one method gives that method's rows of the mixed roster
+    n = config.n_starts
+    for j, spec in enumerate(methods):
+        alone = _profile_rows(angle_profile(config, methods=[spec])[0])
+        assert alone == [row for i in range(config.n_instances)
+                         for row in rows[(i * len(methods) + j) * n:][:n]]
+
+
+def test_default_profile_runs_equal_scalar_solves_serial_and_parallel():
+    config = small_config(n_instances=3, n_starts=2, max_iter=60)
+    methods = bench.default_profile_methods()
+    runs, _ = angle_profile(config)
+    assert _profile_rows(runs) == _scalar_profile_rows(config, methods)
+    assert any(r.status == "budget_exhausted" for r in runs)
+    parallel, _ = angle_profile(dataclasses.replace(config, jobs=2))
+    assert _profile_rows(parallel) == _profile_rows(runs)
+
+
+def test_profile_solves_only_the_other_kinds_one_row_at_a_time(monkeypatch):
+    kinds, batches = [], []
+
+    def counting_solve(spec, *args, **kwargs):
+        kinds.append(spec.kind)
+        return solve(spec, *args, **kwargs)
+
+    def counting_sweep(bases, q_rows, weights, betas, eps, max_iter):
+        batches.append((len(weights), betas is None))
+        return sweep(bases, q_rows, weights, betas, eps, max_iter)
+
+    solve, sweep = bench.solve_best_approximation, bench._batched_pair_sweep
+    monkeypatch.setattr(bench, "solve_best_approximation", counting_solve)
+    monkeypatch.setattr(bench, "_batched_pair_sweep", counting_sweep)
+    config = small_config(n_instances=2, n_starts=2, max_iter=30)
+    methods = [MethodSpec("hlwb"), MethodSpec("map"), MethodSpec("aamr"),
+               MethodSpec("cm"), MethodSpec("rap"), MethodSpec("drm"),
+               MethodSpec("haugazeau")]
+    runs, _ = angle_profile(config, methods=methods)
+    assert [r.method for r in runs] == [s.kind for s in methods for _ in range(2)] * 2
+    assert kinds == (["hlwb"] * 2 + ["cm"] * 2 + ["haugazeau"] * 2) * 2
+    # per instance: aamr and drm in one batch, map and rap in a second
+    assert batches == [(4, False), (4, True)] * 2
 
 
 def test_sweep_alpha_runs_one_batch_per_instance(monkeypatch):

@@ -563,7 +563,10 @@ def test_dispatch_rejects_sets_of_mixed_dimensions():
     (lambda: MethodSpec("rap", mu="abc"), "mu"),
     (lambda: aamr_solve(*planar_lines(0.2), np.zeros(2), beta="x"), "beta"),
     (lambda: rap_solve(*planar_lines(0.2), np.zeros(2), mu=lambda k: 1.0), "mu"),
-], ids=["spec-schedule", "spec-string", "driver-string", "driver-schedule"])
+    (lambda: dr_solve(*planar_lines(0.2), np.zeros(2), alpha="x"), "alpha"),
+    (lambda: aamr_solve(*planar_lines(0.2), np.zeros(2), alpha="x"), "alpha"),
+], ids=["spec-schedule", "spec-string", "driver-string", "driver-schedule",
+        "dr-string", "aamr-alpha-string"])
 def test_parameter_values_must_be_real_numbers(make, name):
     with pytest.raises(ValueError, match=f"^{name} must be a real number for "):
         make()

@@ -1,15 +1,20 @@
-"""Cost of the alpha-sweep row engine per loop trip and per row-iteration.
+"""Cost of the row engine per loop trip and per row-iteration.
 
-Runs ``aamr.bench._batched_pair_sweep`` on the first pair of
+Runs ``aamr.bench._batched_pair_sweep`` on the bases of the first pair of
 ``make_instances(SweepConfig(n=50, n_instances=3, angle_bins=240))`` (seed
 0; its Friedrichs angle sits at the 0.02 rad floor) with each row count of
-``ROWS``.  The rows start at that instance's alpha-sweep start, with seeded
-alphas and betas (every fifth row runs the beta = 1 double reflection).  The
-tolerance is 0, which no row meets, so every row makes exactly ``--trips``
-iterations and every trip carries all rows.  Prints a header and one line per
-row count: the rows, the microseconds per trip (wall time over ``--trips``)
-and per row-iteration (over ``rows * --trips``), each the best of
-``REPEATS`` runs.
+``ROWS``, first with AAMR/DR rows, then with projection rows.  The rows
+start at that instance's alpha-sweep start.  The AAMR/DR rows take seeded
+alphas and betas (every fifth row runs the beta = 1 double reflection); the
+projection rows take seeded relaxations mu in (0.5, 1.9) (every fifth row is
+a MAP row, mu = 1).  The tolerance is 0, which no row meets, so every row
+makes exactly ``--trips`` iterations and every trip carries all rows.
+
+Prints a header and one line per row count: the rows, the microseconds per
+trip (wall time over ``--trips``) and per row-iteration (over ``rows *
+--trips``), each the best of ``REPEATS`` runs.  The AAMR/DR table goes to
+standard output; the projection table, in the same format, follows on
+standard error, so standard output keeps its one-table format.
 
 Imports ``aamr`` from the ``src/`` directory next to this script, so a copy
 run in another checkout measures that tree:
@@ -33,14 +38,19 @@ ROWS = (1, 2, 4, 10, 30, 76)
 REPEATS = 5
 
 
-def _row_cost(pair, q, rows, trips, rng):
-    alphas = list(rng.uniform(0.05, 1.0, rows))
-    betas = [(0.6, 0.7, 0.8, 0.9, 1.0)[i % 5] for i in range(rows)]
+def _row_cost(bases, q, rows, trips, rng, projection):
+    if projection:
+        weights = [1.0 if i % 5 == 4 else mu
+                   for i, mu in enumerate(rng.uniform(0.5, 1.9, rows))]
+        betas = None
+    else:
+        weights = list(rng.uniform(0.05, 1.0, rows))
+        betas = [(0.6, 0.7, 0.8, 0.9, 1.0)[i % 5] for i in range(rows)]
     q_rows = np.tile(q, (rows, 1))
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        status, iterations, _ = bench._batched_pair_sweep(pair, q_rows, alphas, betas,
+        status, iterations, _ = bench._batched_pair_sweep(bases, q_rows, weights, betas,
                                                           0.0, trips)
         best = min(best, time.perf_counter() - start)
     assert iterations == [trips] * rows and set(status) == {"budget_exhausted"}
@@ -53,12 +63,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = bench.SweepConfig(n=50, n_instances=3, angle_bins=240)
     pair = bench.make_instances(config)[0]
+    bases = tuple(bench.LinearSubspace(b).basis
+                  for b in (pair.basis_u, pair.basis_v, pair.intersection))
     q = bench.start_point(config, 0, 0)
     rng = np.random.default_rng(41)
-    print("rows  us_per_trip  us_per_row_iter")
-    for rows in ROWS:
-        per_trip, per_row_iter = _row_cost(pair, q, rows, args.trips, rng)
-        print(f"{rows:4d}  {per_trip:11.2f}  {per_row_iter:15.3f}")
+    for out, projection in ((sys.stdout, False), (sys.stderr, True)):
+        print("rows  us_per_trip  us_per_row_iter", file=out)
+        for rows in ROWS:
+            per_trip, per_row_iter = _row_cost(bases, q, rows, args.trips, rng,
+                                               projection)
+            print(f"{rows:4d}  {per_trip:11.2f}  {per_row_iter:15.3f}", file=out)
     return 0
 
 
