@@ -407,7 +407,7 @@ def _batched_pair_sweep(bases, q_rows, weights, betas, eps, max_iter):
             return pu, one_minus_a * X + a * z
 
         betas = np.asarray(betas, dtype=float).reshape(m, 1, 1) * ones
-        # rows start at their own q
+        # an AAMR row's shift is its q, which is also its start
         per_row = [a, 1.0 - a, 2.0 * betas, np.where(betas == 1.0, 0.0, X)]
     buffer = np.empty(max(_BLOCK_ROWS, m) * n)
 
