@@ -11,6 +11,13 @@ one line each:
   subspace in R^4 (``--mode residual``; ``--mode true-error`` and ``--mode
   budget``, each with ``--trace`` and the trace CSV; ``--method
   cm:gamma=0.25``), and of ``aamr angle`` on a pair of subspaces in R^4;
+* the two input formats: the stdout and exit code of ``aamr solve --mode
+  residual --max-iter 500`` on a problem file holding one set of each of
+  the six types, whatever its status; the ``json.dumps`` text of
+  ``dump_problem(*load_problem(...))`` of that file; the files and stdout of
+  a small ``aamr bench alpha`` that types every flag the sweep reads; and
+  the stderr and exit code of two ``aamr bench`` runs given flags their
+  sweep does not read;
 * the stdout of every ``demos/*.py`` script, each run with its own temporary
   working directory (``subspace_profile.py`` writes ``demo_profile_out/``);
 * the round digest of each ``perfbench`` workload for the seeds in
@@ -38,7 +45,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True  # leave the perfbench directory as it is
 
-from aamr import cli  # noqa: E402
+from aamr import cli, dump_problem, load_problem  # noqa: E402
 import workloads  # noqa: E402
 
 SWEEPS = ("angle-profile", "alpha", "beta", "rates")
@@ -98,6 +105,43 @@ def _cli(tmp: Path) -> None:
     print(_run_cli("angle", ["angle", str(pair)], tmp))
 
 
+# one set of each problem-file type in R^3; they meet in the segment
+# {(x, 0.5, 0.5) : -1 <= x <= 1}
+_ALL_TYPES_PROBLEM = {"dim": 3, "sets": [
+    {"type": "ball", "center": [0.5, 0, 0], "radius": 2.5},
+    {"type": "subspace", "basis": [[1, 0, 0], [0, 1, 1]]},
+    {"type": "halfspace", "a": [1, 1, 0], "b": 1.5},
+    {"type": "hyperplane", "a": [0, 2, 0], "b": 1},
+    {"type": "box", "lower": [-1, -1, -1], "upper": [1, 1, 1]},
+    {"type": "affine", "offset": [0, 0.5, 0.5], "basis": [[2, 0, 0]]}]}
+_ALPHA_FLAGS = ["--seed", "3", "--n", "8", "--instances", "2", "--bins", "2",
+                "--eps", "1e-4", "--max-iter", "3000", "--alphas", "0.3,0.7",
+                "--jobs", "2"]
+_UNREAD_FLAGS = {"rates": ["--starts", "7", "--bins", "3", "--betas", "0.5"],
+                 "beta": ["--alphas", "0.5", "--thetas", "0.3"]}
+
+
+def _formats(tmp: Path) -> None:
+    tmp.mkdir(parents=True)
+    problem = tmp / "all_types.json"
+    problem.write_text(json.dumps(_ALL_TYPES_PROBLEM), encoding="utf-8")
+    argv = ["solve", str(problem), "--q", "3,1,-1", "--mode", "residual",
+            "--max-iter", "500"]
+    print(_run_cli("formats/solve", argv, tmp))
+    text = json.dumps(dump_problem(*load_problem(problem)))
+    print(f"{_sha256(text.encode())}  formats/dump_problem")
+    out = tmp / "alpha"
+    print(_run_cli("formats/alpha", ["bench", "alpha", *_ALPHA_FLAGS, "--out-dir", str(out)],
+                   tmp))
+    for path in sorted(out.iterdir()):
+        print(f"{_sha256(path.read_bytes())}  formats/alpha/{path.name}")
+    for sweep, flags in _UNREAD_FLAGS.items():
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            status = cli.main(["bench", sweep, *flags, "--out-dir", str(tmp / sweep)])
+        print(f"{_sha256(stderr.getvalue().encode())}  formats/{sweep}/stderr exit {status}")
+
+
 def _demos(tmp: Path) -> None:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -131,6 +175,7 @@ def main() -> int:
         tmp = Path(tmp)
         _bench(tmp / "bench")
         _cli(tmp / "cli")
+        _formats(tmp / "formats")
         _demos(tmp / "demos")
         return 0 if _perfbench(tmp / "perfbench") else 1
 

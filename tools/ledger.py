@@ -6,9 +6,11 @@
 * ``settable options``: every knob a caller can set, read from the source
   with ``ast``: each defaulted parameter of every function and method,
   private ones included (``self`` and required parameters do not count);
-  each field with a default in a ``@dataclass`` class; each optional CLI
-  flag (an ``add_argument`` call whose first name starts with ``-``); and
-  each environment variable read through ``os.environ`` or ``os.getenv``.
+  each field with a default in a ``@dataclass`` class; each environment
+  variable read through ``os.environ`` or ``os.getenv``; and each optional
+  CLI flag, read from the parser ``aamr.cli._build_parser()`` builds rather
+  than from the source, so flags added in a loop count too: every optional
+  action of every subcommand, ``-h`` excluded.
 
 Takes no arguments and imports ``aamr`` from the ``src/`` directory next to
 this script, so a copy run in another checkout counts that tree:
@@ -16,6 +18,7 @@ this script, so a copy run in another checkout counts that tree:
     python3 tools/ledger.py
 """
 
+import argparse
 import ast
 import sys
 import types
@@ -27,6 +30,7 @@ sys.path.insert(0, str(SRC))
 sys.dont_write_bytecode = True
 
 import aamr  # noqa: E402
+from aamr import cli  # noqa: E402
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -60,14 +64,17 @@ def _options(tree: ast.AST) -> int:
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
             count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
                          for s in node.body)
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "add_argument" and node.args
-              and isinstance(node.args[0], ast.Constant)
-              and str(node.args[0].value).startswith("-")):
-            count += 1
         else:
             count += _env_reads(node)
     return count
+
+
+def _flags() -> int:
+    parser = cli._build_parser()
+    subcommands = next(action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    return sum(bool(action.option_strings) and not isinstance(action, argparse._HelpAction)
+               for sub in subcommands.choices.values() for action in sub._actions)
 
 
 def main() -> int:
@@ -77,7 +84,8 @@ def main() -> int:
              and not isinstance(getattr(aamr, name), types.ModuleType)]
     print(f"src lines: {sum(len(text.splitlines()) for text in texts)}")
     print(f"exported names: {len(names)}")
-    print(f"settable options: {sum(_options(ast.parse(text)) for text in texts)}")
+    options = sum(_options(ast.parse(text)) for text in texts) + _flags()
+    print(f"settable options: {options}")
     return 0
 
 
