@@ -89,6 +89,9 @@ class SweepConfig:
         for name in ("alpha_grid", "alpha_sweep_betas", "beta_grid", "rate_thetas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        for theta in self.rate_thetas:
+            if not 0.0 < theta <= math.pi / 2:
+                raise ValueError(f"rate_thetas must lie in (0, pi/2], got {theta}")
 
 
 @dataclass(frozen=True)

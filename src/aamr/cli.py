@@ -9,7 +9,6 @@ budget exhausted, 4 numerical failure.
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -56,6 +55,20 @@ def _fmt_vec(v) -> str:
     return ", ".join(f"{c:.9g}" for c in v)
 
 
+# SweepConfig field -> (aamr bench flag, type, help), in --help order
+_BENCH_FLAGS = {
+    "seed": ("--seed", int, None), "n": ("--n", int, None),
+    "n_instances": ("--instances", int, None), "n_starts": ("--starts", int, None),
+    "eps": ("--eps", float, None), "max_iter": ("--max-iter", int, None),
+    "angle_bins": ("--bins", int, None),
+    "alpha_grid": ("--alphas", _reals, "override the alpha grid (comma-separated)"),
+    "beta_grid": ("--betas", _reals, "override the beta grid (comma-separated)"),
+    "rate_thetas": ("--thetas", _reals,
+                    "angles for the rates sweep (comma-separated radians)"),
+    "jobs": ("--jobs", int, "parallel worker processes"),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aamr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,22 +97,10 @@ def _build_parser() -> _Parser:
     bench_p = sub.add_parser("bench", help="benchmark sweeps (CSV + SVG artifacts)")
     bench_p.add_argument("sweep", choices=list(bench.SWEEPS))
     bench_p.add_argument("--out-dir", default="aamr-bench")
-    bench_p.add_argument("--seed", type=int, **unset)
-    bench_p.add_argument("--n", type=int, **unset)
-    bench_p.add_argument("--instances", dest="n_instances", type=int, **unset)
-    bench_p.add_argument("--starts", dest="n_starts", type=int, **unset)
-    bench_p.add_argument("--eps", type=float, **unset)
-    bench_p.add_argument("--max-iter", type=int, **unset)
-    bench_p.add_argument("--bins", dest="angle_bins", type=int, **unset)
+    for dest, (flag, type_, help_) in _BENCH_FLAGS.items():
+        bench_p.add_argument(flag, dest=dest, type=type_, help=help_, **unset)
     bench_p.add_argument("--methods", default=None,
                          help="comma-separated tokens, e.g. 'map,aamr:alpha=0.9:beta=0.9'")
-    bench_p.add_argument("--alphas", dest="alpha_grid", type=_reals, **unset,
-                         help="override the alpha grid (comma-separated)")
-    bench_p.add_argument("--betas", dest="beta_grid", type=_reals, **unset,
-                         help="override the beta grid (comma-separated)")
-    bench_p.add_argument("--thetas", dest="rate_thetas", type=_reals, **unset,
-                         help="angles for the rates sweep (comma-separated radians)")
-    bench_p.add_argument("--jobs", type=int, **unset, help="parallel worker processes")
     bench_p.add_argument("--full-scale", action="store_true",
                          help="large benchmark preset (hours of runtime)")
     return parser
@@ -149,21 +150,16 @@ def _cmd_angle(args) -> int:
     return 0
 
 
-# the bench flags not named after their SweepConfig field
-_BENCH_FLAGS = {"n_instances": "--instances", "n_starts": "--starts", "angle_bins": "--bins",
-                "alpha_grid": "--alphas", "beta_grid": "--betas", "rate_thetas": "--thetas"}
-
-
 def _bench_config(args) -> bench.SweepConfig:
     """SweepConfig's defaults, overridden by the ``--full-scale`` preset,
     overridden by the flags given; a given flag the sweep does not read, or
     ``--full-scale`` for a sweep without a preset, is a usage error."""
     sweep = bench.SWEEPS[args.sweep]
     preset = sweep.full_scale if args.full_scale else {}
-    given = {field.name: getattr(args, field.name)
-             for field in dataclasses.fields(bench.SweepConfig) if field.name in args}
-    ignored = [_BENCH_FLAGS.get(name, "--" + name.replace("_", "-"))
-               for name in given if name not in sweep.reads]
+    # __match_args__ names SweepConfig's fields in order; the usage error keeps it
+    given = {name: getattr(args, name) for name in bench.SweepConfig.__match_args__
+             if name in args}
+    ignored = [_BENCH_FLAGS[name][0] for name in given if name not in sweep.reads]
     if args.full_scale and not sweep.full_scale:
         ignored.append("--full-scale")
     if ignored:

@@ -2,13 +2,14 @@
 
 Every set description is immutable after construction and ``project`` is a
 pure function, so instances are safe to share between threads.  Degenerate
-descriptions (zero normals, negative radii, crossed box bounds) are rejected
-at construction time, never inside ``project``.
+descriptions (zero normals, non-finite offsets, negative radii, crossed box
+bounds) are rejected at construction time, never inside ``project``.
 """
 
 import itertools
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -191,11 +192,14 @@ class _NormalSet(ConvexSet):
     halfspaces out of the affine families."""
 
     def __init__(self, normal, offset):
+        name = type(self).__name__.lower()
         self.normal = _freeze(as_vector(normal))
         self.offset = float(offset)
         self._sq = float(self.normal @ self.normal)
         if self._sq == 0.0:
-            raise ValueError(f"{type(self).__name__.lower()} normal must be nonzero")
+            raise ValueError(f"{name} normal must be nonzero")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"{name} offset must be finite, got {self.offset}")
         self.dim = self.normal.size
 
 
@@ -376,7 +380,7 @@ def _field(entry, key, index):
     return entry[key]
 
 
-def _num(entry, key, index):
+def _num(entry, key, index, dim):
     value = _field(entry, key, index)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ProblemFormatError(f"sets[{index}].{key}: expected a number")
@@ -386,10 +390,9 @@ def _num(entry, key, index):
 def _vec(entry, key, index, dim):
     value = _field(entry, key, index)
     try:
-        v = as_vector(value, dim)
+        return as_vector(value, dim)
     except (ValueError, TypeError) as exc:
         raise ProblemFormatError(f"sets[{index}].{key}: {exc}") from None
-    return v
 
 
 def _matrix_rows(entry, key, index, dim):
@@ -407,29 +410,31 @@ def _matrix_rows(entry, key, index, dim):
     return np.zeros((dim, 0))
 
 
+# problem-file type -> (class, fields (file key, reader, set attribute) in the
+# class's argument order); dump_problem matches sets by isinstance in this order
+_TYPES = {
+    "ball": (Ball, (("center", _vec, "center"), ("radius", _num, "radius"))),
+    "subspace": (LinearSubspace, (("basis", _matrix_rows, "basis"),)),
+    "halfspace": (Halfspace, (("a", _vec, "normal"), ("b", _num, "offset"))),
+    "hyperplane": (Hyperplane, (("a", _vec, "normal"), ("b", _num, "offset"))),
+    "box": (Box, (("lower", _vec, "lower"), ("upper", _vec, "upper"))),
+    "affine": (AffineSubspace, (("offset", _vec, "offset"),
+                                ("basis", _matrix_rows, "direction.basis"))),
+}
+
+
 def _parse_set(entry, index, dim):
     if not isinstance(entry, dict):
         raise ProblemFormatError(f"sets[{index}]: expected an object")
     kind = _field(entry, "type", index)
+    if not isinstance(kind, str) or kind not in _TYPES:
+        raise ProblemFormatError(f"sets[{index}].type: unknown set type {kind!r}")
+    cls, fields = _TYPES[kind]
+    args = [read(entry, key, index, dim) for key, read, _ in fields]
     try:
-        if kind == "ball":
-            return Ball(_vec(entry, "center", index, dim), _num(entry, "radius", index))
-        if kind == "subspace":
-            return LinearSubspace(_matrix_rows(entry, "basis", index, dim))
-        if kind == "halfspace":
-            return Halfspace(_vec(entry, "a", index, dim), _num(entry, "b", index))
-        if kind == "hyperplane":
-            return Hyperplane(_vec(entry, "a", index, dim), _num(entry, "b", index))
-        if kind == "box":
-            return Box(_vec(entry, "lower", index, dim), _vec(entry, "upper", index, dim))
-        if kind == "affine":
-            return AffineSubspace(_vec(entry, "offset", index, dim),
-                                  _matrix_rows(entry, "basis", index, dim))
-    except ProblemFormatError:
-        raise
+        return cls(*args)
     except ValueError as exc:
         raise ProblemFormatError(f"sets[{index}]: {exc}") from None
-    raise ProblemFormatError(f"sets[{index}].type: unknown set type {kind!r}")
 
 
 def load_problem(source) -> tuple[int, list[ConvexSet]]:
@@ -445,15 +450,12 @@ def load_problem(source) -> tuple[int, list[ConvexSet]]:
     """
     if isinstance(source, dict):
         data = source
-    elif isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        with open(source, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ProblemFormatError(f"invalid JSON: {exc}") from None
     else:
+        text = source
+        if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
+            text = Path(source).read_text(encoding="utf-8")
         try:
-            data = json.loads(source)
+            data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -471,19 +473,14 @@ def dump_problem(dim: int, sets) -> dict:
     """Inverse of ``load_problem`` for the concrete set variants."""
     out = []
     for s in sets:
-        if isinstance(s, Ball):
-            out.append({"type": "ball", "center": list(s.center), "radius": s.radius})
-        elif isinstance(s, LinearSubspace):
-            out.append({"type": "subspace", "basis": [list(r) for r in s.basis.T]})
-        elif isinstance(s, Halfspace):
-            out.append({"type": "halfspace", "a": list(s.normal), "b": s.offset})
-        elif isinstance(s, Hyperplane):
-            out.append({"type": "hyperplane", "a": list(s.normal), "b": s.offset})
-        elif isinstance(s, Box):
-            out.append({"type": "box", "lower": list(s.lower), "upper": list(s.upper)})
-        elif isinstance(s, AffineSubspace):
-            out.append({"type": "affine", "offset": list(s.offset),
-                        "basis": [list(r) for r in s.direction.basis.T]})
+        for kind, (cls, fields) in _TYPES.items():
+            if isinstance(s, cls):
+                break
         else:
             raise ValueError(f"cannot serialize set of type {type(s).__name__}")
+        entry = {"type": kind}
+        for key, _, attr in fields:
+            # basis matrices go out as rows; vectors and scalars as they are
+            entry[key] = np.asarray(operator.attrgetter(attr)(s)).T.tolist()
+        out.append(entry)
     return {"dim": dim, "sets": out}

@@ -552,6 +552,10 @@ def test_config_checks_jobs_and_rate_angles():
         SweepConfig(jobs=0)
     with pytest.raises(ValueError, match="rate_thetas must be nonempty"):
         SweepConfig(rate_thetas=())
+    for theta in (0.0, 2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^rate_thetas must lie in \(0, pi/2\], got "):
+            SweepConfig(rate_thetas=(0.5, theta))
+    assert SweepConfig(rate_thetas=(math.pi / 2,)).rate_thetas == (math.pi / 2,)
 
 
 @pytest.mark.parametrize("field", ["n", "n_instances", "n_starts", "max_iter",

@@ -147,6 +147,17 @@ def test_solve_malformed_file_names_field(tmp_path, capsys):
     assert "sets[0].radius" in err
 
 
+def test_solve_rejects_a_non_finite_offset(tmp_path, capsys):
+    # json reads NaN; the halfspace would otherwise turn every iterate into NaN
+    path = tmp_path / "nan.json"
+    path.write_text('{"dim": 2, "sets": [{"type": "halfspace", "a": [1.0, 0.0], "b": NaN},'
+                    ' {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}]}')
+    code = main(["solve", str(path), "--q", "2,1"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: sets[0]: halfspace offset must be finite, "
+                                       "got nan\n")
+
+
 def test_solve_dimension_mismatch_is_usage_error(two_balls, capsys):
     code = main(["solve", two_balls, "--q", "1,2,3"])
     assert code == 1
@@ -313,6 +324,32 @@ def test_grid_flags_name_themselves_in_errors(tmp_path, capsys, sweep, flag):
 def test_rates_angles_and_jobs_are_sweep_config_fields():
     assert _config("rates", "--thetas", "0.3,0.9") == SweepConfig(rate_thetas=(0.3, 0.9))
     assert _config("angle-profile", "--jobs", "2") == SweepConfig(jobs=2)
+
+
+def test_rates_angle_outside_the_quarter_turn_is_rejected(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = main(["bench", "rates", "--thetas", "0", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: rate_thetas must lie in (0, pi/2], got 0.0\n"
+    assert not out_dir.exists()
+
+
+def test_every_bench_flag_sets_its_sweep_config_field(monkeypatch):
+    from aamr import bench
+    expected = dict(seed=7, n=9, n_instances=3, n_starts=4, eps=1e-5, max_iter=1234,
+                    angle_bins=5, alpha_grid=(0.25, 0.5), beta_grid=(0.6, 0.8),
+                    rate_thetas=(0.3, 1.2), jobs=2)
+    # a sweep that reads every field, so no typed flag is a usage error
+    everything = tuple(f.name for f in dataclasses.fields(SweepConfig))
+    monkeypatch.setitem(bench.SWEEPS, "alpha",
+                        dataclasses.replace(bench.SWEEPS["alpha"], reads=everything))
+    config = _config("alpha", "--seed", "7", "--n", "9", "--instances", "3", "--starts", "4",
+                     "--eps", "1e-5", "--max-iter", "1234", "--bins", "5",
+                     "--alphas", "0.25,0.5", "--betas", "0.6,0.8", "--thetas", "0.3,1.2",
+                     "--jobs", "2")
+    for field in everything:
+        assert getattr(config, field) == expected.get(field, getattr(SweepConfig(), field)), \
+            field
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -103,6 +103,10 @@ def test_construction_rejects_degenerate_descriptions():
         Halfspace([0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         Hyperplane([0.0, 0.0, 0.0], 0.0)
+    with pytest.raises(ValueError, match="^halfspace offset must be finite, got nan$"):
+        Halfspace([1.0, 0.0], float("nan"))
+    with pytest.raises(ValueError, match="^hyperplane offset must be finite, got -inf$"):
+        Hyperplane([1.0, 0.0], -np.inf)
     with pytest.raises(ValueError):
         Box([0.0, 1.0], [1.0, 0.0])
     with pytest.raises(ValueError):
@@ -331,7 +335,15 @@ def test_load_problem_diagnostics_name_fields():
      r"sets\[0\]\.radius: expected a number"),
     ({"dim": 2, "sets": [{"type": "subspace", "basis": 1.0}]},
      r"sets\[0\]\.basis: expected a list of rows"),
-], ids=["text", "no-sets", "entry", "radius", "basis"])
+    ({"dim": 1, "sets": [{"type": ["ball"]}]}, r"sets\[0\]\.type: unknown set type \['ball'\]"),
+    ({"dim": 1, "sets": [{"type": 3}]}, r"sets\[0\]\.type: unknown set type 3"),
+    ({"dim": 1, "sets": [{"type": None}]}, r"sets\[0\]\.type: unknown set type None"),
+    ('{"dim": 2, "sets": [{"type": "halfspace", "a": [1.0, 0.0], "b": NaN}]}',
+     r"^sets\[0\]: halfspace offset must be finite, got nan$"),
+    ('{"dim": 2, "sets": [{"type": "hyperplane", "a": [1.0, 0.0], "b": Infinity}]}',
+     r"^sets\[0\]: hyperplane offset must be finite, got inf$"),
+], ids=["text", "no-sets", "entry", "radius", "basis", "type-list", "type-number",
+        "type-null", "nan-offset", "inf-offset"])
 def test_load_problem_rejects_malformed_documents(source, message):
     with pytest.raises(ProblemFormatError, match=message):
         load_problem(source)
