@@ -18,6 +18,11 @@ one line each:
   a small ``aamr bench alpha`` that types every flag the sweep reads; and
   the stderr and exit code of two ``aamr bench`` runs given flags their
   sweep does not read;
+* the rejection path: the stderr and exit code of eight rejected inputs (an
+  unknown subcommand, two bad method tokens, a ``--q`` of the wrong
+  dimension, a truncated and a missing problem file, ``--mode true-error``
+  on two balls, and ``aamr bench beta --jobs 0``), with the temporary
+  directory replaced by ``OUT``;
 * the stdout of every ``demos/*.py`` script, each run with its own temporary
   working directory (``subspace_profile.py`` writes ``demo_profile_out/``);
 * the round digest of each ``perfbench`` workload for the seeds in
@@ -79,12 +84,15 @@ _ANGLE_PROBLEM = {"dim": 4, "sets": [
     {"type": "subspace", "basis": [[1, 0, 0, 0], [0, 1, 2, 1]]}]}
 
 
-def _run_cli(name: str, argv, tmp: Path) -> str:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+def _run_cli(name: str, argv, tmp: Path, stream: str = "stdout") -> str:
+    """The digest line of ``stream`` (``stdout`` or ``stderr``) and the exit
+    code of ``aamr.cli.main(argv)``, with ``tmp`` replaced by ``OUT``."""
+    captured = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+    with (contextlib.redirect_stdout(captured["stdout"]),
+          contextlib.redirect_stderr(captured["stderr"])):
         status = cli.main(argv)
-    text = stdout.getvalue().replace(str(tmp), "OUT")
-    return f"{_sha256(text.encode())}  {name}/stdout exit {status}"
+    text = captured[stream].getvalue().replace(str(tmp), "OUT")
+    return f"{_sha256(text.encode())}  {name}/{stream} exit {status}"
 
 
 def _cli(tmp: Path) -> None:
@@ -136,10 +144,31 @@ def _formats(tmp: Path) -> None:
     for path in sorted(out.iterdir()):
         print(f"{_sha256(path.read_bytes())}  formats/alpha/{path.name}")
     for sweep, flags in _UNREAD_FLAGS.items():
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            status = cli.main(["bench", sweep, *flags, "--out-dir", str(tmp / sweep)])
-        print(f"{_sha256(stderr.getvalue().encode())}  formats/{sweep}/stderr exit {status}")
+        argv = ["bench", sweep, *flags, "--out-dir", str(tmp / sweep)]
+        print(_run_cli(f"formats/{sweep}", argv, tmp, stream="stderr"))
+
+
+_TWO_BALLS_PROBLEM = {"dim": 2, "sets": [
+    {"type": "ball", "center": [1, 1], "radius": 1},
+    {"type": "ball", "center": [-1, 1], "radius": 1}]}
+
+
+def _rejections(tmp: Path) -> None:
+    tmp.mkdir(parents=True)
+    balls, truncated = tmp / "two_balls.json", tmp / "truncated.json"
+    balls.write_text(json.dumps(_TWO_BALLS_PROBLEM), encoding="utf-8")
+    truncated.write_text('{"dim": 2, "sets": [', encoding="utf-8")
+    solve = ["solve", str(balls), "--q", "2,1"]
+    runs = {"command": ["frobnicate"],
+            "alpha-token": [*solve, "--method", "aamr:alpha=abc"],
+            "beta-one": [*solve, "--method", "aamr:beta=1.0"],
+            "q-dimension": ["solve", str(balls), "--q", "1,2,3"],
+            "truncated": ["solve", str(truncated), "--q", "2,1"],
+            "missing": ["solve", str(tmp / "missing.json"), "--q", "2,1"],
+            "no-oracle": [*solve, "--mode", "true-error"],
+            "jobs": ["bench", "beta", "--jobs", "0", "--out-dir", str(tmp / "beta")]}
+    for name, argv in runs.items():
+        print(_run_cli(f"rejected/{name}", argv, tmp, stream="stderr"))
 
 
 def _demos(tmp: Path) -> None:
@@ -176,6 +205,7 @@ def main() -> int:
         _bench(tmp / "bench")
         _cli(tmp / "cli")
         _formats(tmp / "formats")
+        _rejections(tmp / "rejected")
         _demos(tmp / "demos")
         return 0 if _perfbench(tmp / "perfbench") else 1
 
