@@ -563,14 +563,7 @@ def _planar_lines(theta: float):
     return u, v, zero_subspace(2)
 
 
-def _dr_raw_iterate(spec, u, v, q, policy):
-    op = DrOperator(u, v, spec.alpha)
-    return iterate(lambda x, k: (op(x), x), q, policy)
-
-
-# the kinds whose trace follows a run other than their solver (see
-# rate_profile), and the rates theory predicts for two lines at angle theta
-_RATE_RUNS = {"drm": _dr_raw_iterate}
+# the rates theory predicts for two lines at angle theta
 _EXPECTED_RATES = {"map": lambda theta: math.cos(theta) ** 2, "drm": math.cos}
 
 
@@ -600,9 +593,10 @@ def rate_profile(config: SweepConfig, methods=None):
             resolved = spec.resolve(theta)
             policy = StoppingPolicy.true_error(target, eps=1e-13, record_trace=True,
                                                max_iter=config.max_iter)
-            run = _RATE_RUNS.get(resolved.kind)
-            if run is not None:
-                result = run(resolved, u, v, q, policy)
+            if resolved.kind == "drm":
+                # DR is traced through its raw iterate, not its oscillating shadow
+                op = DrOperator(u, v, resolved.alpha)
+                result = iterate(lambda x, k: (op(x), x), q, policy)
             else:
                 result = solve_best_approximation(resolved, [u, v], q,
                                                   policy=policy, theta=theta)

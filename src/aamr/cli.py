@@ -17,8 +17,7 @@ import numpy as np
 from . import bench, svgplot
 from .geometry import SubspacePair, principal_angles
 from .operators import Status, StoppingPolicy
-from .sets import (LinearSubspace, NoOracleError, ProblemFormatError,
-                   load_problem, project_intersection_oracle)
+from .sets import LinearSubspace, load_problem, project_intersection_oracle
 from .solvers import MethodSpec, solve_best_approximation
 
 EXIT_CODES = {
@@ -32,14 +31,10 @@ _MODES = {"residual": StoppingPolicy.RESIDUAL, "true-error": StoppingPolicy.TRUE
           "budget": StoppingPolicy.BUDGET_ONLY}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # route argparse failures through the exit-code contract (1, no traceback)
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _reals(text: str) -> tuple:
@@ -112,20 +107,14 @@ def _cmd_solve(args) -> int:
     x0 = None if args.x0 is None else np.array(args.x0)
     for flag, point in (("--q", q), ("--x0", x0)):
         if point is not None and point.size != dim:
-            raise _UsageError(f"{flag} has dimension {point.size}, problem has {dim}")
-    try:
-        spec = MethodSpec.parse(args.method)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+            raise ValueError(f"{flag} has dimension {point.size}, problem has {dim}")
+    spec = MethodSpec.parse(args.method)
     target = project_intersection_oracle(sets, q) if args.mode == "true-error" else None
     limits = {name: getattr(args, name) for name in ("max_iter", "divergence_threshold")
               if name in args}
     policy = StoppingPolicy(_MODES[args.mode], eps=args.eps, target=target,
                             record_trace=args.trace is not None, **limits)
-    try:
-        result = solve_best_approximation(spec, sets, q, policy=policy, x0=x0)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    result = solve_best_approximation(spec, sets, q, policy=policy, x0=x0)
     print(f"status: {result.status.value}")
     print(f"iterations: {result.iterations}")
     print(f"shadow: {_fmt_vec(result.shadow)}")
@@ -140,7 +129,7 @@ def _cmd_angle(args) -> int:
     dim, sets = load_problem(args.file)
     subspaces = [s for s in sets if isinstance(s, LinearSubspace)]
     if len(subspaces) != 2:
-        raise _UsageError("angle needs a problem file with exactly two subspace sets")
+        raise ValueError("angle needs a problem file with exactly two subspace sets")
     # may raise "coincident subspaces"
     pair = SubspacePair.from_bases(subspaces[0].basis, subspaces[1].basis)
     angles = principal_angles(pair.basis_u, pair.basis_v)
@@ -163,7 +152,7 @@ def _bench_config(args) -> bench.SweepConfig:
     if args.full_scale and not sweep.full_scale:
         ignored.append("--full-scale")
     if ignored:
-        raise _UsageError(f"the {args.sweep} sweep does not read {', '.join(ignored)}")
+        raise ValueError(f"the {args.sweep} sweep does not read {', '.join(ignored)}")
     return bench.SweepConfig(**{**preset, **given})
 
 
@@ -172,7 +161,7 @@ def _parse_methods(text):
         return None
     specs = [MethodSpec.parse(tok) for tok in text.split(",") if tok.strip()]
     if not specs:
-        raise _UsageError(f"--methods names no method, got {text!r}")
+        raise ValueError(f"--methods names no method, got {text!r}")
     return specs
 
 
@@ -201,10 +190,8 @@ def main(argv=None) -> int:
         if args.command == "angle":
             return _cmd_angle(args)
         return _cmd_bench(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ProblemFormatError, NoOracleError, ValueError, OSError) as exc:
+    # every rejected input, argparse's included, is a ValueError or an OSError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

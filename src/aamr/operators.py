@@ -6,6 +6,7 @@ state, so independent solves can run concurrently.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,8 +129,15 @@ class StoppingPolicy:
         return self.target.distance(monitored)
 
 
+def _check_real(name: str, value) -> None:
+    # before any range comparison, which would raise TypeError on a non-number
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
+
+
 def modified_reflect(set_: ConvexSet, beta: float, x) -> np.ndarray:
     """2*beta*P(x) - x.  beta = 1 gives the classical reflector."""
+    _check_real("beta", beta)
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     x = as_vector(x, set_.dim)
@@ -156,6 +164,8 @@ class AamrOperator:
     def __init__(self, a_set: ConvexSet, b_set: ConvexSet, alpha: float, beta: float):
         if a_set.dim != b_set.dim:
             raise ValueError("sets have different ambient dimensions")
+        _check_real("alpha", alpha)
+        _check_real("beta", beta)
         if not 0.0 < beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
         if not (0.0 < alpha < 1.0 or (alpha == 1.0 and beta < 1.0)):

@@ -297,6 +297,16 @@ class Diagonal(ConvexSet):
         return np.concatenate([self.mean(x)] * self.copies)
 
 
+def _common_dim(sets) -> int:
+    """Ambient dimension of a nonempty list of sets that all share it."""
+    if not sets:
+        raise ValueError("need at least one set")
+    n = sets[0].dim
+    if any(s.dim != n for s in sets):
+        raise DimensionMismatchError("sets have mixed ambient dimensions")
+    return n
+
+
 def project(set_: ConvexSet, x) -> np.ndarray:
     """Nearest point of ``set_`` to ``x``."""
     return set_.project(as_vector(x, set_.dim))
@@ -328,12 +338,7 @@ def project_intersection_oracle(sets, x) -> np.ndarray:
     nonempty; empty box or affine families raise ``ValueError``.
     """
     sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one set")
-    dim = sets[0].dim
-    for s in sets:
-        if s.dim != dim:
-            raise DimensionMismatchError("sets have mixed ambient dimensions")
+    dim = _common_dim(sets)
     x = as_vector(x, dim)
 
     if len(sets) == 1:
@@ -384,14 +389,17 @@ def _num(entry, key, index, dim):
     value = _field(entry, key, index)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ProblemFormatError(f"sets[{index}].{key}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # a JSON integer too large for a float
+        raise ProblemFormatError(f"sets[{index}].{key}: {exc}") from None
 
 
 def _vec(entry, key, index, dim):
     value = _field(entry, key, index)
     try:
         return as_vector(value, dim)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ProblemFormatError(f"sets[{index}].{key}: {exc}") from None
 
 
@@ -403,7 +411,7 @@ def _matrix_rows(entry, key, index, dim):
     for j, row in enumerate(value):
         try:
             rows.append(as_vector(row, dim))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ProblemFormatError(f"sets[{index}].{key}[{j}]: {exc}") from None
     if rows:
         return np.stack(rows, axis=1)  # rows are basis vectors -> columns

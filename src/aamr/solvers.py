@@ -28,7 +28,7 @@ import numpy as np
 
 from .operators import (DrOperator, NumericalFailure, SolveResult, StoppingPolicy,
                         aamr_update, iterate)
-from .sets import ConvexSet, Diagonal, ProductSet, Translate, as_vector
+from .sets import ConvexSet, Diagonal, ProductSet, Translate, _common_dim, as_vector
 
 __all__ = [
     "aamr_solve",
@@ -46,16 +46,6 @@ __all__ = [
     "MethodSpec",
     "solve_best_approximation",
 ]
-
-
-def _common_dim(sets) -> int:
-    """Ambient dimension of a nonempty list of sets that all share it."""
-    if not sets:
-        raise ValueError("need at least one set")
-    n = sets[0].dim
-    if any(s.dim != n for s in sets):
-        raise ValueError("sets have mixed ambient dimensions")
-    return n
 
 
 def _lift(x0, q, copies: int) -> np.ndarray:

@@ -242,10 +242,12 @@ def test_batched_rows_equal_scalar_solves_across_blocks(max_iter):
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_rows_converging_at_a_block_edge_equal_scalar_solves(rows):
-    # copies of one row keep the batch full, so the first block runs
-    # _BLOCK_ROWS // rows trips; eps is set from the row's scalar error trace
-    # so that it first drops below eps on the block's last trip, then on the
-    # next block's first trip
+    # copies of one row keep the batch full, so blocks from trip k run
+    # min(_BLOCK_ROWS // rows, k) trips; eps is set from the row's scalar error
+    # trace so that it first drops below eps on a block's last trip, then on
+    # the next block's first trip.  block - 1 and block are such edges for one
+    # and two rows (255/256, 127/128); for three rows 84/85 fall inside the
+    # block of trips 64-127, so 127/128 is checked too
     from aamr import LinearSubspace, StoppingPolicy, aamr_solve, random_subspace_pair
 
     pair = random_subspace_pair(20, [77, 2])
@@ -253,7 +255,7 @@ def test_rows_converging_at_a_block_edge_equal_scalar_solves(rows):
                     for b in (pair.basis_u, pair.basis_v, pair.intersection))
     q = np.random.default_rng(6).standard_normal(20)
     block = bench._BLOCK_ROWS // rows
-    for edge in (block - 1, block):
+    for edge in (block - 1, block) + ((127, 128) if rows == 3 else ()):
         policy = StoppingPolicy.true_error(target, eps=1e-300, max_iter=edge,
                                            record_trace=True)
         errors = [e for _, e, _ in aamr_solve(u, v, q, alpha=0.3, beta=0.7,

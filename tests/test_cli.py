@@ -258,6 +258,37 @@ def test_usage_error_for_unknown_subcommand(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"],
+    ["solve", "BALLS", "--q", "2,1", "--method", "aamr:alpha=abc"],
+    ["solve", "BALLS", "--q", "2,1", "--method", "aamr:beta=1.0"],
+    ["solve", "BALLS", "--q", "1,2,3"],
+    ["solve", "TRUNCATED", "--q", "2,1"],
+    ["solve", "MISSING", "--q", "2,1"],
+    ["solve", "BALLS", "--q", "2,1", "--mode", "true-error"],
+    ["bench", "beta", "--jobs", "0", "--out-dir", "OUT"],
+    ["bench", "rates", "--starts", "7", "--out-dir", "OUT"],
+    ["solve", "HUGE", "--q", "2"],
+], ids=["command", "alpha-token", "beta-one", "q-dimension", "truncated", "missing",
+        "no-oracle", "jobs", "unread-flag", "huge-integer"])
+def test_every_rejection_is_one_error_line_and_exit_1(tmp_path, capsys, argv):
+    files = {"BALLS": json.dumps(TWO_BALLS), "TRUNCATED": '{"dim": 2, "sets": [',
+             "HUGE": '{"dim": 1, "sets": [{"type": "ball", "center": [0], '
+                     f'"radius": {_HUGE}}}]}}'}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in (*files, "MISSING", "OUT") else arg
+            for arg in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert not (tmp_path / "OUT").exists()
+
+
 def test_true_error_mode_needs_oracle_family(two_balls, capsys):
     code = main(["solve", two_balls, "--q", "2,1", "--mode", "true-error"])
     assert code == 1
@@ -293,10 +324,9 @@ def test_full_scale_preset_yields_to_given_flags():
 @pytest.mark.parametrize("sweep", ["alpha", "beta", "angle-profile", "rates"])
 def test_bench_config_defaults_are_sweep_config_defaults(sweep):
     from aamr.bench import SWEEPS
-    from aamr.cli import _UsageError
     assert _config(sweep) == SweepConfig()
     if sweep == "rates":  # no preset: --full-scale is a flag rates does not read
-        with pytest.raises(_UsageError, match="does not read --full-scale$"):
+        with pytest.raises(ValueError, match="does not read --full-scale$"):
             _config(sweep, "--full-scale")
     else:
         assert _config(sweep, "--full-scale") == SweepConfig(**SWEEPS[sweep].full_scale)

@@ -46,6 +46,8 @@ def test_modified_reflect_validates_beta():
         modified_reflect(LINE_X1, 0.0, [0.0, 0.0])
     with pytest.raises(ValueError, match="beta"):
         modified_reflect(LINE_X1, 1.2, [0.0, 0.0])
+    with pytest.raises(ValueError, match="^beta must be a real number, got str$"):
+        modified_reflect(LINE_X1, "x", [0.0, 0.0])
 
 
 def test_modified_reflector_unique_fixed_point_all_variants():
@@ -101,6 +103,12 @@ def test_operator_validates_parameters():
         AamrOperator(LINE_X1, LINE_X1, 1.0, 1.0)
     with pytest.raises(ValueError, match="alpha"):
         DrOperator(LINE_X1, LINE_X1, 1.0)
+    with pytest.raises(ValueError, match="^alpha must be a real number, got str$"):
+        AamrOperator(LINE_X1, LINE_X1, "x", 0.5)
+    with pytest.raises(ValueError, match="^beta must be a real number, got str$"):
+        AamrOperator(LINE_X1, LINE_X1, 0.5, "x")
+    with pytest.raises(ValueError, match="^alpha must be a real number, got NoneType$"):
+        DrOperator(LINE_X1, LINE_X1, None)
 
 
 def test_operator_rejects_sets_of_different_dimensions():

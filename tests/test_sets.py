@@ -342,8 +342,18 @@ def test_load_problem_diagnostics_name_fields():
      r"^sets\[0\]: halfspace offset must be finite, got nan$"),
     ('{"dim": 2, "sets": [{"type": "hyperplane", "a": [1.0, 0.0], "b": Infinity}]}',
      r"^sets\[0\]: hyperplane offset must be finite, got inf$"),
+    # JSON integers too large for a float
+    ({"dim": 1, "sets": [{"type": "ball", "center": [0], "radius": 10**400}]},
+     r"^sets\[0\]\.radius: int too large to convert to float$"),
+    ({"dim": 1, "sets": [{"type": "ball", "center": [10**400], "radius": 1}]},
+     r"^sets\[0\]\.center: int too large to convert to float$"),
+    ({"dim": 1, "sets": [{"type": "subspace", "basis": [[10**400]]}]},
+     r"^sets\[0\]\.basis\[0\]: int too large to convert to float$"),
+    ({"dim": 1, "sets": [{"type": "halfspace", "a": [1], "b": 10**400}]},
+     r"^sets\[0\]\.b: int too large to convert to float$"),
 ], ids=["text", "no-sets", "entry", "radius", "basis", "type-list", "type-number",
-        "type-null", "nan-offset", "inf-offset"])
+        "type-null", "nan-offset", "inf-offset", "huge-radius", "huge-center",
+        "huge-basis", "huge-offset"])
 def test_load_problem_rejects_malformed_documents(source, message):
     with pytest.raises(ProblemFormatError, match=message):
         load_problem(source)

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aamr import (AamrOperator, Ball, Box, Halfspace, LinearSubspace, MethodSpec,
-                  Status, StoppingPolicy, Translate, aamr_product_solve, aamr_solve,
-                  cm_recurrence, cm_solve, combettes_beta, dr_solve,
-                  full_space, haugazeau_solve, hlwb_solve, map_solve, optimal_rap_mu,
+from aamr import (AamrOperator, Ball, Box, DimensionMismatchError, Halfspace,
+                  LinearSubspace, MethodSpec, Status, StoppingPolicy, Translate,
+                  aamr_product_solve, aamr_solve, cm_recurrence, cm_solve, combettes_beta,
+                  dr_solve, full_space, haugazeau_solve, hlwb_solve, map_solve, optimal_rap_mu,
                   project_intersection_oracle, random_subspace_pair, rap_solve,
                   recommended_beta, solve_best_approximation)
 from aamr.operators import iterate
@@ -556,6 +556,12 @@ def test_dispatch_rejects_sets_of_mixed_dimensions():
     u, _ = planar_lines(0.2)
     with pytest.raises(ValueError, match="mixed ambient dimensions"):
         solve_best_approximation(MethodSpec("map"), [u, full_space(3)], np.zeros(2))
+    # the drivers and the oracle state the rule once, as sets._common_dim
+    for call in (cm_solve, project_intersection_oracle,
+                 lambda sets, q: aamr_solve(*sets, q)):
+        with pytest.raises(DimensionMismatchError,
+                           match="^sets have mixed ambient dimensions$"):
+            call([u, full_space(3)], np.zeros(2))
 
 
 @pytest.mark.parametrize("make, name", [
