@@ -240,63 +240,59 @@ def default_profile_methods() -> list[MethodSpec]:
 
 
 def _grid_sweep(config, instances, rows):
-    """The ``(MethodSpec, start_id)`` rows on every instance, one
-    ``_instance_task`` per instance on ``config.jobs`` processes, with the
-    starts drawn once per instance; returns the runs and the converged ones
-    per instance."""
-    used = {s for _, s in rows}
-    tasks = [(config, i, pair, rows, {s: start_point(config, i, s) for s in used})
-             for i, pair in enumerate(instances)]
+    """The ``(MethodSpec, start_id)`` rows on every instance, in tasks of
+    consecutive instances that hold at most ``_BLOCK_ROWS`` rows (one
+    instance at least), run in order or on ``config.jobs`` processes;
+    returns the runs and the converged ones per instance."""
+    per_task = max(1, _BLOCK_ROWS // max(1, len(rows)))
+    tasks = [(config, first, instances[first:first + per_task], rows)
+             for first in range(0, len(instances), per_task)]
     if config.jobs == 1:
-        batches = [_instance_task(t) for t in tasks]
+        done = [_grid_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            batches = list(pool.map(_instance_task, tasks, chunksize=1))
+            done = list(pool.map(_grid_task, tasks, chunksize=1))
+    batches = [batch for task in done for batch in task]
     runs = [r for batch in batches for r in batch]
     return runs, [[r for r in batch if r.status == Status.CONVERGED.value]
                   for batch in batches]
 
 
-def _instance_task(args):
-    """Run one instance's ``(MethodSpec, start_id)`` rows; returns their
-    records in row order.
+def _grid_task(args):
+    """Run the ``(MethodSpec, start_id)`` rows on each instance of a run of
+    consecutive instances; returns each instance's records in row order.
 
-    U, V and U ∩ V are built once, and each distinct spec is resolved once.
-    The aamr and drm rows run through the row engine as one batch (drm at
-    beta = 1), the map and rap rows as a second (map at mu = 1); each row's
-    bits are those of its scalar solve.  Every other kind is solved one row
-    at a time.
+    U, V and U ∩ V are built once per instance, its starts drawn once, and
+    each distinct spec resolved once per instance.  The rows of one trip
+    family (aamr/drm, map/rap, cm, haugazeau, hlwb) on all the task's
+    instances run through the row engine as one batch, contiguous per
+    instance; each row's bits are those of its scalar solve.
     """
-    config, instance_id, pair, rows, starts = args
-    u, v, target = (LinearSubspace(b)
-                    for b in (pair.basis_u, pair.basis_v, pair.intersection))
-    resolved = {spec: spec.resolve(pair.angle) for spec in {spec for spec, _ in rows}}
-    specs = [resolved[spec] for spec, _ in rows]
-    reflections = [i for i, s in enumerate(specs) if s.kind in ("aamr", "drm")]
-    projections = [i for i, s in enumerate(specs) if s.kind in ("map", "rap")]
-    outcomes = [None] * len(rows)
-    for picked, weights, betas in (
-            (reflections, [specs[i].alpha for i in reflections],
-             [1.0 if specs[i].beta is None else specs[i].beta for i in reflections]),
-            (projections, [1.0 if specs[i].mu is None else specs[i].mu
-                           for i in projections], None)):
-        if picked:
-            batch = _batched_pair_sweep((u.basis, v.basis, target.basis),
-                                        [starts[rows[i][1]] for i in picked],
-                                        weights, betas, config.eps, config.max_iter)
-            for i, outcome in zip(picked, zip(*batch)):
-                outcomes[i] = outcome
-    policy = StoppingPolicy.true_error(target, eps=config.eps, max_iter=config.max_iter)
-    runs = []
-    for (_, start_id), spec, outcome in zip(rows, specs, outcomes):
-        if outcome is None:
-            result = solve_best_approximation(spec, [u, v], starts[start_id],
-                                              policy=policy, theta=pair.angle)
-            outcome = result.status.value, result.iterations, result.final_error
-        runs.append(RunRecord(instance_id, pair.angle, spec.kind, spec.alpha,
-                              spec.beta, spec.mu, spec.gamma, start_id, *outcome,
-                              config.seed))
-    return runs
+    config, first, pairs, rows = args
+    distinct, used = {spec for spec, _ in rows}, {s for _, s in rows}
+    bases, specs, starts = [], [], []
+    for i, pair in enumerate(pairs, first):
+        bases.append(tuple(LinearSubspace(b).basis
+                           for b in (pair.basis_u, pair.basis_v, pair.intersection)))
+        resolved = {spec: spec.resolve(pair.angle) for spec in distinct}
+        specs.append([resolved[spec] for spec, _ in rows])
+        starts.append({s: start_point(config, i, s) for s in used})
+    outcomes = [[None] * len(rows) for _ in pairs]
+    for build in dict.fromkeys(_TRIPS[spec.kind] for spec, _ in rows):
+        picked = [j for j, (spec, _) in enumerate(rows) if _TRIPS[spec.kind] is build]
+        batch = _batched_pair_sweep(
+            [(b, len(picked)) for b in bases],
+            [starts[i][rows[j][1]] for i in range(len(pairs)) for j in picked],
+            [specs[i][j] for i in range(len(pairs)) for j in picked],
+            config.eps, config.max_iter)
+        results = zip(*batch)
+        for row_outcomes in outcomes:
+            for j in picked:
+                row_outcomes[j] = next(results)
+    return [[RunRecord(first + i, pair.angle, spec.kind, spec.alpha, spec.beta, spec.mu,
+                       spec.gamma, start_id, *outcome, config.seed)
+             for (_, start_id), spec, outcome in zip(rows, specs[i], outcomes[i])]
+            for i, pair in enumerate(pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -332,29 +328,34 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 
 
 # ---------------------------------------------------------------------------
-# batched parameter sweeps on subspace pairs
+# the row engine: batched solves on subspace pairs
 
-# The grid sweeps run the same pair of subspace projectors for dozens of
-# parameter rows; stacking the rows amortises the interpreter cost of every
-# step over the batch, which is what makes the full alpha grid desk-runnable.
-# Each row is projected on its own, with the gemv calls (and its error with
-# the dot) that ``LinearSubspace.project`` and ``ConvexSet.distance`` make on
-# the same orthonormalised bases, so a row's bits are those of its scalar
-# solve and do not depend on its batchmates.  Semantics match the engine:
-# converged at the first index with true error below eps (the start
-# included), budget exhausted otherwise.  Subspace instances keep the
+# The grid sweeps run a few solvers on subspace pairs for dozens to hundreds
+# of rows per instance; stacking the rows amortises the interpreter cost of
+# every step over the batch, which is what makes the full alpha grid
+# desk-runnable.  A batch holds the rows of one trip family (aamr/drm,
+# map/rap, cm, haugazeau, hlwb) on one or more instances, contiguous per
+# instance, and all of them step together.  Each row is still projected on
+# its own, with the gemv calls (and its error and every inner product with
+# the dot) that ``LinearSubspace.project``, ``ConvexSet.distance`` and its
+# scalar driver make on the same orthonormalised bases, one instance's run
+# of rows at a time, so a row's bits are those of its scalar solve and do
+# not depend on its batchmates.  Semantics match the engine: converged at
+# the first index with true error below eps (the start included), numerical
+# failure at the index whose Haugazeau step finds disjoint halfspaces (its
+# error unread), budget exhausted otherwise.  Subspace instances keep the
 # governing sequence bounded, so no divergence check is needed here.
 #
 # A loop trip costs tens of microseconds of call overhead whatever its row
-# count, so the loop is lean: rows are (m, 1, n) stacks and every per-row
-# coefficient is broadcast to that shape once, so no call takes a view or
-# broadcasts.  The stopping error is taken once per block of trips: each trip
-# stores its monitored point, then one stacked call takes the errors of the
-# whole block, and a row that met the tolerance finishes at its first such
-# trip with that trip's error (its later trips are discarded).  Blocks grow
-# with the trips already run, so a batch whose rows converge within a few
-# dozen iterations discards few trips, while a long run still takes its
-# errors in blocks of up to _BLOCK_ROWS monitored points.
+# count, so the loop is lean: rows are (m, 1, n) stacks (CM's (m, 2, 1, n))
+# and the per-row parameters are broadcast to that shape once.  The stopping
+# error is taken once per block of trips: each trip stores its monitored
+# point, then one stacked call takes the errors of the whole block, and a
+# row that met the tolerance finishes at its first such trip with that
+# trip's error (its later trips are discarded).  Blocks grow with the trips
+# already run, so a batch whose rows converge within a few dozen iterations
+# discards few trips, while a long run still takes its errors in blocks of
+# up to _BLOCK_ROWS monitored points.
 
 # monitored points per block: a block from trip k runs
 # min(_BLOCK_ROWS // (active rows), k) trips, at least one
@@ -362,56 +363,194 @@ _BLOCK_ROWS = 256
 
 
 def _project_rows(M, basis):
-    """``basis @ (basis.T @ row)`` for every row of the (m, 1, n) stack ``M``,
-    one gemv pair per row."""
+    """``basis @ (basis.T @ row)`` for every row of the (..., 1, n) stack
+    ``M``, one gemv pair per row."""
     return np.matmul(np.matmul(M, basis), basis.T)
+
+
+def _row_dots(A, B):
+    """Inner product of every pair of rows of the (m, 1, n) stacks ``A`` and
+    ``B``, one dot per row, as an (m, 1, 1) stack."""
+    return np.matmul(A, B.transpose(0, 2, 1))
 
 
 def _row_norms(M):
     """Euclidean norm of every row of the (m, 1, n) stack ``M``, one dot per
     row."""
-    return np.sqrt(np.matmul(M, M.transpose(0, 2, 1))[:, 0, 0])
+    return np.sqrt(_row_dots(M, M)[:, 0, 0])
 
 
-def _batched_pair_sweep(bases, q_rows, weights, betas, eps, max_iter):
-    """Run one row per start of ``q_rows`` on two subspaces U and V, until
-    its monitored point lies within ``eps`` of U ∩ V.
+class _Layout:
+    """The instance of each active row of a batch, as runs of consecutive
+    rows of one instance; projects every row with its instance's bases, one
+    run at a time."""
 
-    ``bases`` holds the orthonormal bases of U, V and U ∩ V.  With ``betas``
-    a list, the rows are AAMR/DR rows of averaging weight ``weights[i]``: a
-    ``betas`` entry of 1.0 selects the plain double-reflection update on the
-    unshifted sets (monitored point ``P_U(x)``, as in ``dr_solve``); entries
-    below 1.0 run the modified-reflection update on the q-shifted sets
-    (monitored point ``P_U(x + q)``, as in ``aamr_solve``).  Both reduce to
-    projecting ``x + shift`` with a per-row shift of ``q`` or ``0``.  With
-    ``betas`` None, the rows are relaxed alternating projections
-    ``x <- (1 - mu) x + mu P_V(P_U x)`` with mu = ``weights[i]``, monitoring
-    x itself, as in ``rap_solve`` (``map_solve`` is mu = 1).  Returns
-    parallel lists of (status string, iterations, final_error).
+    def __init__(self, bases, owner):
+        self.bases = bases
+        self._place(owner)
+
+    def _place(self, owner):
+        self.owner = owner
+        cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+        self.runs = [(a, b, self.bases[owner[a]])
+                     for a, b in zip([0] + cuts, cuts + [owner.size])]
+
+    def keep(self, rows):
+        """Keep the rows that the mask ``rows`` selects."""
+        self._place(self.owner[rows])
+
+    def project(self, M, which):
+        """Each row of the (..., rows, 1, n) stack ``M`` projected with its
+        instance's basis ``which`` (0: U, 1: V, 2: U ∩ V)."""
+        if len(self.runs) == 1:
+            return _project_rows(M, self.runs[0][2][which])
+        out = np.empty_like(M)
+        for a, b, bases in self.runs:
+            out[..., a:b, :, :] = _project_rows(M[..., a:b, :, :], bases[which])
+        return out
+
+    def project_where(self, M, which, where):
+        """``project`` of just the rows of the (rows, 1, n) stack ``M`` that
+        the mask ``where`` selects, in order."""
+        return _Layout(self.bases, self.owner[where]).project(M[where], which)
+
+
+def _coefficients(values, ones):
+    """One coefficient per row, broadcast to the shape of ``ones``."""
+    return np.asarray(values, dtype=float).reshape((-1,) + (1,) * (ones.ndim - 1)) * ones
+
+
+# A trip family's builder takes the starts Q (an (m, 1, n) stack), the
+# resolved specs, the batch's ``_Layout`` (which projects the active rows)
+# and the engine's failure list; it returns the initial state, the per-row
+# coefficients and the trip ``(X, k, *coefficients) -> (monitored point,
+# next state)``.  A trip whose step fails on some rows appends ``(k, rows)``
+# to the failure list.
+
+
+def _reflection_rows(Q, specs, layout, failures):
+    """AAMR rows (``aamr_solve``: the modified-reflection update on the
+    q-shifted sets, monitoring ``P_U(x + q)``) and DR rows (``dr_solve``:
+    beta = 1 on the unshifted sets, monitoring ``P_U(x)``); both project
+    ``x + shift`` with a per-row shift of ``q`` or ``0``."""
+    project = layout.project
+    ones = np.ones_like(Q)
+    a = _coefficients([s.alpha for s in specs], ones)
+    betas = _coefficients([1.0 if s.kind == "drm" else s.beta for s in specs], ones)
+
+    def trip(X, k, a, one_minus_a, two_b, shift):
+        pu = project(X + shift, 0)
+        y = two_b * (pu - shift) - X
+        z = two_b * (project(y + shift, 1) - shift) - y
+        return pu, one_minus_a * X + a * z
+
+    # an AAMR row's shift is its q, which is also its start
+    return Q, [a, 1.0 - a, 2.0 * betas, np.where(betas == 1.0, 0.0, Q)], trip
+
+
+def _projection_rows(Q, specs, layout, failures):
+    """Relaxed alternating projections ``x <- (1 - mu) x + mu P_V(P_U x)``,
+    monitoring x itself, as in ``rap_solve`` (``map_solve`` is mu = 1)."""
+    project = layout.project
+    a = _coefficients([1.0 if s.kind == "map" else s.mu for s in specs],
+                      np.ones_like(Q))
+
+    def trip(X, k, a, one_minus_a):
+        return X, one_minus_a * X + a * project(project(X, 0), 1)
+
+    return Q, [a, 1.0 - a], trip
+
+
+def _cm_rows(Q, specs, layout, failures):
+    """Combettes' recurrence (``cm_recurrence``) from the tiled start: the
+    state of a row is its two blocks, an (m, 2, 1, n) stack, and block means
+    are ``np.add.reduce(., axis=1) / 2``, as in ``Diagonal.mean``."""
+    project = layout.project
+    Z = np.stack([Q, Q], axis=1)
+    ones = np.ones_like(Z)
+    gamma = _coefficients([s.gamma for s in specs], ones)
+    a = _coefficients([s.lam for s in specs], ones) / 2.0
+
+    def trip(Z, k, gamma_q, gamma_1, a, one_minus_a):
+        Y = (Z + gamma_q) / gamma_1
+        pc = np.stack([project(Y[:, 0], 0), project(Y[:, 1], 1)], axis=1)
+        w = 2.0 * pc - Z
+        reflected = 2.0 * (np.add.reduce(w, axis=1, keepdims=True) / 2) - w
+        return np.add.reduce(pc, axis=1) / 2, one_minus_a * Z + a * reflected
+
+    return Z, [gamma * Z, gamma + 1.0, a, 1.0 - a], trip
+
+
+def _haugazeau_step(Q, X, P):
+    """Row form of ``solvers._haugazeau_project(q, x, p)`` on (m, 1, n)
+    stacks: each row's branch is chosen from its own dot products.  Returns
+    the next iterates and the rows whose halfspaces are disjoint, which keep
+    their X."""
+    d_xy, d_yz, step = Q - X, X - P, P - X
+    pi, mu, nu = _row_dots(d_xy, d_yz), _row_dots(d_xy, d_xy), _row_dots(d_yz, d_yz)
+    rho = mu * nu - pi * pi
+    flat = rho <= 1e-14 * np.maximum(mu * nu, 1e-300)
+    disjoint = flat & ~(pi >= 0.0)
+    # the other rows have nu > 0 and rho > 0, so no division by 0 is kept
+    nu, rho = np.where(flat, 1.0, nu), np.where(flat, 1.0, rho)
+    return (np.where(flat, np.where(disjoint, X, P),
+                     np.where(pi * nu >= rho, Q + (1.0 + pi / nu) * step,
+                              X + (nu / rho) * (pi * d_xy + mu * step))),
+            disjoint.ravel())
+
+
+def _haugazeau_rows(Q, specs, layout, failures):
+    """Haugazeau's anchored steps (``haugazeau_solve``), monitoring x: the
+    parity ``k % 2`` is shared by all rows, and the fall-back to the other
+    set projects only the rows whose projection returned them unchanged."""
+    def trip(X, k, Q):
+        P = layout.project(X, k % 2)
+        fall_back = (P == X).all(axis=(1, 2))
+        if fall_back.any():
+            P[fall_back] = layout.project_where(X, (k + 1) % 2, fall_back)
+        X_next, disjoint = _haugazeau_step(Q, X, P)
+        if disjoint.any():
+            failures.append((k, disjoint))
+        return X, X_next
+
+    return Q, [Q], trip
+
+
+def _hlwb_rows(Q, specs, layout, failures):
+    """Anchored projections ``x <- q/(k+2) + (1 - 1/(k+2)) P(x)`` cycling from
+    V (``hlwb_solve`` on the pair), monitoring x; the weight is shared by all
+    rows."""
+    def trip(X, k, Q):
+        lam = 1.0 / (k + 2)
+        return X, lam * Q + (1.0 - lam) * layout.project(X, (k + 1) % 2)
+
+    return Q, [Q], trip
+
+
+# each kind's trip family; a batch holds the rows of one family
+_TRIPS = {"aamr": _reflection_rows, "drm": _reflection_rows,
+          "map": _projection_rows, "rap": _projection_rows, "cm": _cm_rows,
+          "haugazeau": _haugazeau_rows, "hlwb": _hlwb_rows}
+
+
+def _batched_pair_sweep(segments, q_rows, specs, eps, max_iter):
+    """Solve one row per start of ``q_rows`` with its resolved spec in
+    ``specs``, on the subspace pair of its instance, until its monitored
+    point lies within ``eps`` of U ∩ V.
+
+    ``segments`` lists ``(bases, rows)`` per instance: the orthonormal bases
+    of its U, V and U ∩ V, and the number of consecutive rows posed on it.
+    All specs belong to one trip family of ``_TRIPS``.  Returns parallel
+    lists of (status string, iterations, final_error), each those of the
+    row's scalar solve.
     """
-    qu, qv, qi = bases
-    X = np.array(q_rows, dtype=float)
-    m, n = X.shape
-    X = X.reshape(m, 1, n)
-    ones = np.ones_like(X)
-    a = np.asarray(weights, dtype=float).reshape(m, 1, 1) * ones
-    if betas is None:
-        def trip(X, a, one_minus_a):
-            """(monitored point, next iterate) of projection rows."""
-            return X, one_minus_a * X + a * _project_rows(_project_rows(X, qu), qv)
-
-        per_row = [a, 1.0 - a]
-    else:
-        def trip(X, a, one_minus_a, two_b, shift):
-            """(monitored point, next iterate) of reflection rows."""
-            pu = _project_rows(X + shift, qu)
-            y = two_b * (pu - shift) - X
-            z = two_b * (_project_rows(y + shift, qv) - shift) - y
-            return pu, one_minus_a * X + a * z
-
-        betas = np.asarray(betas, dtype=float).reshape(m, 1, 1) * ones
-        # an AAMR row's shift is its q, which is also its start
-        per_row = [a, 1.0 - a, 2.0 * betas, np.where(betas == 1.0, 0.0, X)]
+    Q = np.array(q_rows, dtype=float)
+    m, n = Q.shape
+    Q = Q.reshape(m, 1, n)
+    layout = _Layout([b for b, _ in segments],
+                     np.repeat(np.arange(len(segments)), [rows for _, rows in segments]))
+    failures = []
+    X, per_row, trip = _TRIPS[specs[0].kind](Q, specs, layout, failures)
     buffer = np.empty(max(_BLOCK_ROWS, m) * n)
 
     status = [Status.BUDGET_EXHAUSTED.value] * m
@@ -425,10 +564,16 @@ def _batched_pair_sweep(bases, q_rows, weights, betas, eps, max_iter):
         block = buffer[:trips * rows * n].reshape(trips, rows, 1, n)
         for j in range(trips):
             # the update of trip max_iter is computed and never used
-            block[j], X = trip(X, *per_row)
-        points = block.reshape(trips * rows, 1, n)
-        errs = _row_norms(points - _project_rows(points, qi)).reshape(trips, rows)
+            block[j], X = trip(X, k + j, *per_row)
+        gaps = (block - layout.project(block, 2)).reshape(trips * rows, 1, n)
+        errs = _row_norms(gaps).reshape(trips, rows)
         below = errs < eps
+        if failures:
+            # a failure wins over convergence at its own index, not before it
+            failed = np.full(rows, trips)
+            for j, disjoint in failures:
+                failed[disjoint & (failed == trips)] = j - k
+            below &= np.arange(trips)[:, None] < failed
         done = below.any(axis=0)
         first = below.argmax(axis=0)
         for r in active[done]:
@@ -436,6 +581,14 @@ def _batched_pair_sweep(bases, q_rows, weights, betas, eps, max_iter):
         iterations[active[done]] = k + first[done]
         # a row's error at its first hit, else at the block's last trip
         final_error[active] = errs[np.where(done, first, trips - 1), np.arange(rows)]
+        if failures:
+            fail = ~done & (failed < trips)
+            for r in active[fail]:
+                status[r] = Status.NUMERICAL_FAILURE.value
+            iterations[active[fail]] = k + failed[fail]
+            final_error[active[fail]] = np.nan
+            done |= fail
+            failures.clear()
         k += trips
         if k > max_iter or done.all():
             break
@@ -443,6 +596,7 @@ def _batched_pair_sweep(bases, q_rows, weights, betas, eps, max_iter):
             keep = ~done
             active, X = active[keep], X[keep]
             per_row = [c[keep] for c in per_row]
+            layout.keep(keep)
     return status, iterations.tolist(), final_error.tolist()
 
 

@@ -431,6 +431,10 @@ _TYPES = {
 }
 
 
+# the longest float vector numpy can describe: its size in bytes fits an intp
+_MAX_DIM = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 def _parse_set(entry, index, dim):
     if not isinstance(entry, dict):
         raise ProblemFormatError(f"sets[{index}]: expected an object")
@@ -471,6 +475,8 @@ def load_problem(source) -> tuple[int, list[ConvexSet]]:
     dim = data.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ProblemFormatError("dim: expected a positive integer")
+    if dim > _MAX_DIM:
+        raise ProblemFormatError(f"dim: too large for an array (at most {_MAX_DIM})")
     entries = data.get("sets")
     if not isinstance(entries, list) or not entries:
         raise ProblemFormatError("sets: expected a nonempty list")

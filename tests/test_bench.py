@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from aamr import MethodSpec, Status, optimal_rap_mu
-from aamr import bench
+from aamr import bench, solvers
+from aamr.sets import ConvexSet
 from aamr.bench import (CSV_HEADER, SWEEPS, SweepConfig, angle_profile,
                         estimate_rate, make_instances, rate_profile,
                         start_point, sweep_alpha, sweep_beta,
@@ -151,9 +152,19 @@ def _bases(pair):
                  for b in (pair.basis_u, pair.basis_v, pair.intersection))
 
 
+def _reflection_specs(alphas, betas):
+    """AAMR specs, DR specs where beta is 1.0."""
+    return [MethodSpec("drm", alpha=a) if b == 1.0 else MethodSpec("aamr", alpha=a, beta=b)
+            for a, b in zip(alphas, betas)]
+
+
+def _sweep(pair, qs, specs, eps, max_iter):
+    """The row engine on one instance: all rows of ``qs`` on ``pair``."""
+    return bench._batched_pair_sweep([(_bases(pair), len(qs))], qs, specs, eps, max_iter)
+
+
 def test_batched_sweep_matches_engine_exactly():
     from aamr import LinearSubspace, StoppingPolicy, aamr_solve, dr_solve
-    from aamr.bench import _batched_pair_sweep
     from aamr import random_subspace_pair
 
     pair = random_subspace_pair(18, 303)
@@ -175,8 +186,8 @@ def test_batched_sweep_matches_engine_exactly():
         else:
             res = aamr_solve(u, v, q, alpha=alpha, beta=beta, policy=policy)
         expected.append((res.status.value, res.iterations, res.final_error))
-    status, iters, errs = _batched_pair_sweep(_bases(pair), np.stack(qs), alphas,
-                                              betas, 1e-3, 50_000)
+    status, iters, errs = _sweep(pair, np.stack(qs), _reflection_specs(alphas, betas),
+                                 1e-3, 50_000)
     for i, (st, it, err) in enumerate(expected):
         assert status[i] == st
         assert iters[i] == it
@@ -185,41 +196,36 @@ def test_batched_sweep_matches_engine_exactly():
 
 def test_batched_row_does_not_depend_on_its_batchmates():
     from aamr import random_subspace_pair
-    from aamr.bench import _batched_pair_sweep
 
     pair = random_subspace_pair(20, 41)
     rng = np.random.default_rng(3)
     qs = rng.standard_normal((9, 20)) * 10
-    alphas = [0.2, 0.5, 0.9, 0.35, 0.7, 0.99, 0.6, 0.45, 0.8]
-    betas = [0.6, 1.0, 0.8, 1.0, 0.7, 0.9, 1.0, 0.95, 0.5]
-    batch = _batched_pair_sweep(_bases(pair), qs, alphas, betas, 1e-6, 2_000)
-    for i in range(len(alphas)):
-        alone = _batched_pair_sweep(_bases(pair), qs[i:i + 1], alphas[i:i + 1],
-                                    betas[i:i + 1], 1e-6, 2_000)
+    specs = _reflection_specs([0.2, 0.5, 0.9, 0.35, 0.7, 0.99, 0.6, 0.45, 0.8],
+                              [0.6, 1.0, 0.8, 1.0, 0.7, 0.9, 1.0, 0.95, 0.5])
+    batch = _sweep(pair, qs, specs, 1e-6, 2_000)
+    for i in range(len(specs)):
+        alone = _sweep(pair, qs[i:i + 1], specs[i:i + 1], 1e-6, 2_000)
         assert ((alone[0][0], alone[1][0], float.hex(alone[2][0]))
                 == (batch[0][i], batch[1][i], float.hex(batch[2][i])))
 
 
-def _scalar_rows(pair, qs, alphas, betas, eps, max_iter):
-    """(status, iterations, float.hex(final_error)) of each row's scalar solve."""
-    from aamr import LinearSubspace, StoppingPolicy, aamr_solve, dr_solve
+def _scalar_rows(pair, qs, specs, eps, max_iter, sets=None):
+    """(status, iterations, float.hex(final_error)) of each row's scalar
+    solve on ``pair``, or on the sets ``(u, v, target)``."""
+    from aamr import LinearSubspace, StoppingPolicy, solve_best_approximation
 
-    u, v, target = (LinearSubspace(b)
-                    for b in (pair.basis_u, pair.basis_v, pair.intersection))
+    u, v, target = sets or (LinearSubspace(b) for b in
+                            (pair.basis_u, pair.basis_v, pair.intersection))
     policy = StoppingPolicy.true_error(target, eps=eps, max_iter=max_iter)
     rows = []
-    for q, alpha, beta in zip(qs, alphas, betas):
-        if beta == 1.0:
-            res = dr_solve(u, v, q, alpha=alpha, policy=policy)
-        else:
-            res = aamr_solve(u, v, q, alpha=alpha, beta=beta, policy=policy)
+    for q, spec in zip(qs, specs):
+        res = solve_best_approximation(spec, [u, v], q, policy=policy)
         rows.append((res.status.value, res.iterations, float.hex(res.final_error)))
     return rows
 
 
-def _batched_rows(pair, qs, alphas, betas, eps, max_iter):
-    status, iters, errs = bench._batched_pair_sweep(_bases(pair), qs, alphas, betas,
-                                                    eps, max_iter)
+def _batched_rows(pair, qs, specs, eps, max_iter):
+    status, iters, errs = _sweep(pair, qs, specs, eps, max_iter)
     return [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)]
 
 
@@ -233,11 +239,11 @@ def test_batched_rows_equal_scalar_solves_across_blocks(max_iter):
     pair = random_subspace_pair(20, [77, 0])
     rng = np.random.default_rng(5)
     qs = rng.standard_normal((65, 20)) * (10 / np.sqrt(20))
-    alphas = list(rng.uniform(0.1, 0.95, 65))
-    betas = [(0.5, 0.7, 0.9, 1.0)[i % 4] for i in range(65)]
+    specs = _reflection_specs(rng.uniform(0.1, 0.95, 65),
+                              [(0.5, 0.7, 0.9, 1.0)[i % 4] for i in range(65)])
     for eps in (1e2, 1e-1, 1e-3):
-        assert (_batched_rows(pair, qs, alphas, betas, eps, max_iter)
-                == _scalar_rows(pair, qs, alphas, betas, eps, max_iter))
+        assert (_batched_rows(pair, qs, specs, eps, max_iter)
+                == _scalar_rows(pair, qs, specs, eps, max_iter))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -262,9 +268,9 @@ def test_rows_converging_at_a_block_edge_equal_scalar_solves(rows):
                                               policy=policy).trace]
         eps = min(errors[:edge])
         assert errors[edge] < eps
-        qs, alphas, betas = np.tile(q, (rows, 1)), [0.3] * rows, [0.7] * rows
-        batched = _batched_rows(pair, qs, alphas, betas, eps, 3 * block)
-        assert batched == _scalar_rows(pair, qs, alphas, betas, eps, 3 * block)
+        qs, specs = np.tile(q, (rows, 1)), [MethodSpec("aamr", alpha=0.3, beta=0.7)] * rows
+        batched = _batched_rows(pair, qs, specs, eps, 3 * block)
+        assert batched == _scalar_rows(pair, qs, specs, eps, 3 * block)
         assert batched[0][:2] == ("converged", edge)
 
 
@@ -282,11 +288,13 @@ def test_blocks_grow_with_the_trip_count(monkeypatch):
     row_norms = bench._row_norms
     monkeypatch.setattr(bench, "_row_norms", recording)
     pair = random_subspace_pair(12, [77, 4])
-    for rows, betas in ((1, [0.7]), (3, [0.7, 1.0, 0.9]), (3, None)):
+    for specs in ([MethodSpec("aamr", alpha=0.5, beta=0.7)],
+                  _reflection_specs([0.5] * 3, [0.7, 1.0, 0.9]),
+                  [MethodSpec("rap", mu=0.5)] * 3):
+        rows = len(specs)
         sizes.clear()
         qs = np.random.default_rng(rows).standard_normal((rows, 12))
-        status, iters, _ = bench._batched_pair_sweep(_bases(pair), qs, [0.5] * rows,
-                                                     betas, 0.0, 600)
+        status, iters, _ = _sweep(pair, qs, specs, 0.0, 600)
         assert status == ["budget_exhausted"] * rows and iters == [600] * rows
         cap = bench._BLOCK_ROWS // rows
         trips, k = [], 0
@@ -297,29 +305,18 @@ def test_blocks_grow_with_the_trip_count(monkeypatch):
         assert sizes == [t * rows for t in trips]
 
 
-def _scalar_projection_rows(pair, qs, mus, eps, max_iter):
-    """(status, iterations, float.hex(final_error)) of each row's scalar
-    ``rap_solve`` (``map_solve`` at mu = 1)."""
-    from aamr import LinearSubspace, StoppingPolicy, map_solve, rap_solve
-
-    u, v, target = (LinearSubspace(b)
-                    for b in (pair.basis_u, pair.basis_v, pair.intersection))
-    policy = StoppingPolicy.true_error(target, eps=eps, max_iter=max_iter)
-    rows = []
-    for q, mu in zip(qs, mus):
-        res = (map_solve(u, v, q, policy=policy) if mu == 1.0
-               else rap_solve(u, v, q, mu=mu, policy=policy))
-        rows.append((res.status.value, res.iterations, float.hex(res.final_error)))
-    return rows
-
-
-# one row kind per case: the Friedrichs angle of its pair, and three rows'
-# (weights, betas), betas None for projection rows; at these angles the first
-# row's error falls to a new low on each of its first 41 trips
-ROW_KINDS = {"aamr": (0.3, [0.9, 0.6, 0.75], [0.7, 0.9, 0.5]),
-             "drm": (1.0, [0.3, 0.5, 0.8], [1.0, 1.0, 1.0]),
-             "map": (0.3, [1.0, 1.0, 1.0], None),
-             "rap": (0.3, [1.4, 1.7, 0.6], None)}
+# one row kind per case: the Friedrichs angle of its pair, the seed of the
+# pair the block-edge test draws, and three rows' resolved specs; at these
+# angles the first row's error falls to a new low on each of its first 41
+# trips (hlwb's falls only every other trip on most pairs, so it takes its own)
+ROW_KINDS = {"aamr": (0.3, 1, _reflection_specs([0.9, 0.6, 0.75], [0.7, 0.9, 0.5])),
+             "drm": (1.0, 1, _reflection_specs([0.3, 0.5, 0.8], [1.0, 1.0, 1.0])),
+             "map": (0.3, 1, [MethodSpec("map")] * 3),
+             "rap": (0.3, 1, [MethodSpec("rap", mu=mu) for mu in (1.4, 1.7, 0.6)]),
+             "cm": (0.2, 1, [MethodSpec("cm", gamma=g, lam=lam)
+                             for g, lam in ((0.25, 1.8), (1.0, 1.0), (0.5, 2.0))]),
+             "haugazeau": (0.3, 1, [MethodSpec("haugazeau")] * 3),
+             "hlwb": (1.2, 5, [MethodSpec("hlwb")] * 3)}
 
 
 def _kind_pair(kind, seed):
@@ -330,13 +327,8 @@ def _kind_pair(kind, seed):
 
 
 def _kind_rows(pair, qs, kind, eps, max_iter, batched):
-    _, weights, betas = ROW_KINDS[kind]
-    if not batched:
-        return (_scalar_projection_rows(pair, qs, weights, eps, max_iter) if betas is None
-                else _scalar_rows(pair, qs, weights, betas, eps, max_iter))
-    status, iters, errs = bench._batched_pair_sweep(_bases(pair), qs, weights, betas,
-                                                    eps, max_iter)
-    return [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)]
+    specs = ROW_KINDS[kind][2]
+    return (_batched_rows if batched else _scalar_rows)(pair, qs, specs, eps, max_iter)
 
 
 def _first_row_errors(pair, q, kind, count):
@@ -344,15 +336,11 @@ def _first_row_errors(pair, q, kind, count):
     from its scalar solve's trace."""
     from aamr import LinearSubspace, StoppingPolicy, solve_best_approximation
 
-    _, (weight, *_), betas = ROW_KINDS[kind]
-    params = {"aamr": dict(alpha=weight, beta=betas and betas[0]),
-              "drm": dict(alpha=weight), "map": {}, "rap": dict(mu=weight)}[kind]
-    spec = MethodSpec(kind, **params)
     policy = StoppingPolicy.true_error(LinearSubspace(pair.intersection), eps=1e-300,
                                        max_iter=count, record_trace=True)
     result = solve_best_approximation(
-        spec, [LinearSubspace(pair.basis_u), LinearSubspace(pair.basis_v)], q,
-        policy=policy)
+        ROW_KINDS[kind][2][0], [LinearSubspace(pair.basis_u), LinearSubspace(pair.basis_v)],
+        q, policy=policy)
     return [err for _, err, _ in result.trace]
 
 
@@ -362,7 +350,7 @@ def test_profile_rows_equal_scalar_solves_at_every_block_edge(kind, edge):
     # eps is set from the first row's scalar error trace so that the row
     # first drops below eps at trip `edge`: the first blocks of the growing
     # rule end at trips 0, 1, 3, 7 and 15; its batchmates stop where they may
-    pair = _kind_pair(kind, [78, 1])
+    pair = _kind_pair(kind, [78, ROW_KINDS[kind][1]])
     qs = np.random.default_rng(8).standard_normal((3, 16)) * 2.5
     errors = _first_row_errors(pair, qs[0], kind, max(edge, 1))
     eps = min(errors[:edge]) if edge else 2.0 * errors[0]
@@ -445,49 +433,191 @@ def test_default_profile_runs_equal_scalar_solves_serial_and_parallel():
     assert _profile_rows(parallel) == _profile_rows(runs)
 
 
-def test_profile_solves_only_the_other_kinds_one_row_at_a_time(monkeypatch):
-    kinds, batches = [], []
+def _recording_batches(monkeypatch):
+    """Record each row-engine batch as (its kinds, its rows per instance),
+    and fail every scalar solve."""
+    batches = []
 
-    def counting_solve(spec, *args, **kwargs):
-        kinds.append(spec.kind)
-        return solve(spec, *args, **kwargs)
+    def recording(segments, q_rows, specs, eps, max_iter):
+        batches.append((sorted({s.kind for s in specs}), [rows for _, rows in segments]))
+        return sweep(segments, q_rows, specs, eps, max_iter)
 
-    def counting_sweep(bases, q_rows, weights, betas, eps, max_iter):
-        batches.append((len(weights), betas is None))
-        return sweep(bases, q_rows, weights, betas, eps, max_iter)
+    def no_scalar_solve(*args, **kwargs):
+        raise AssertionError("a grid sweep made a scalar solve")
 
-    solve, sweep = bench.solve_best_approximation, bench._batched_pair_sweep
-    monkeypatch.setattr(bench, "solve_best_approximation", counting_solve)
-    monkeypatch.setattr(bench, "_batched_pair_sweep", counting_sweep)
-    config = small_config(n_instances=2, n_starts=2, max_iter=30)
+    sweep = bench._batched_pair_sweep
+    monkeypatch.setattr(bench, "_batched_pair_sweep", recording)
+    monkeypatch.setattr(bench, "solve_best_approximation", no_scalar_solve)
+    monkeypatch.setattr(solvers, "iterate", no_scalar_solve)
+    return batches
+
+
+def test_profile_runs_each_trip_family_as_one_batch_per_task(monkeypatch):
+    batches = _recording_batches(monkeypatch)
+    config = small_config(n_instances=3, n_starts=2, max_iter=30)
     methods = [MethodSpec("hlwb"), MethodSpec("map"), MethodSpec("aamr"),
                MethodSpec("cm"), MethodSpec("rap"), MethodSpec("drm"),
                MethodSpec("haugazeau")]
     runs, _ = angle_profile(config, methods=methods)
-    assert [r.method for r in runs] == [s.kind for s in methods for _ in range(2)] * 2
-    assert kinds == (["hlwb"] * 2 + ["cm"] * 2 + ["haugazeau"] * 2) * 2
-    # per instance: aamr and drm in one batch, map and rap in a second
-    assert batches == [(4, False), (4, True)] * 2
+    assert [r.method for r in runs] == [s.kind for s in methods for _ in range(2)] * 3
+    # 14 rows per instance: one task holds the three instances, and each trip
+    # family runs as one batch, contiguous per instance, in roster order
+    assert batches == [(["hlwb"], [2, 2, 2]), (["map", "rap"], [4, 4, 4]),
+                       (["aamr", "drm"], [4, 4, 4]), (["cm"], [2, 2, 2]),
+                       (["haugazeau"], [2, 2, 2])]
 
 
-def test_sweep_alpha_runs_one_batch_per_instance(monkeypatch):
-    sizes = []
-
-    def counting(pair, q_rows, alphas, betas, eps, max_iter):
-        sizes.append(len(alphas))
-        return batched(pair, q_rows, alphas, betas, eps, max_iter)
-
-    batched = bench._batched_pair_sweep
-    monkeypatch.setattr(bench, "_batched_pair_sweep", counting)
+def test_sweep_alpha_batches_consecutive_instances_up_to_the_block_rows(monkeypatch):
     config = small_config(n_instances=3, alpha_sweep_betas=(0.6, 0.8))
-    runs, best = sweep_alpha(config, "aamr")
-    assert sizes == [2 * len(config.alpha_grid)] * 3
+    expected = sweep_alpha(config, "aamr")
+    batches = _recording_batches(monkeypatch)
+    # a task holds 256 // 10 instances of 10 rows, so one batch holds all three
+    assert sweep_alpha(config, "aamr") == expected
+    assert batches == [(["aamr"], [10, 10, 10])]
+    # 25 rows per task fit two instances; 8 fit none, and a task holds one
+    for block_rows, layout in ((25, [[10, 10], [10]]), (8, [[10]] * 3)):
+        batches.clear()
+        monkeypatch.setattr(bench, "_BLOCK_ROWS", block_rows)
+        assert sweep_alpha(config, "aamr") == expected
+        assert batches == [(["aamr"], sizes) for sizes in layout]
+    runs, best = expected
     # best alpha per (instance, beta), in instance then beta order
     assert [(r.instance_id, r.beta) for r in best] == [
         (i, b) for i in range(3) for b in (0.6, 0.8)]
     for r in best:
         group = [x for x in runs if (x.instance_id, x.beta) == (r.instance_id, r.beta)]
         assert (r.iterations, r.best_alpha) == min((x.iterations, x.alpha) for x in group)
+
+
+def test_instance_rows_do_not_depend_on_their_task(monkeypatch):
+    # an instance's rows are the same whether its task holds it alone, with
+    # other instances, or runs on two processes (30 rows per task: two
+    # instances of 14 rows, then one)
+    config = small_config(n_instances=3, n_starts=2, max_iter=400)
+    methods = [MethodSpec(kind) for kind in MethodSpec.KINDS]
+    rows = [(spec, s) for spec in methods for s in range(2)]
+    pairs = make_instances(config)
+    alone = [_profile_rows(bench._grid_task((config, i, [pair], rows))[0])
+             for i, pair in enumerate(pairs)]
+    together = bench._grid_task((config, 0, pairs, rows))
+    assert [_profile_rows(batch) for batch in together] == alone
+    monkeypatch.setattr(bench, "_BLOCK_ROWS", 30)
+    parallel, _ = angle_profile(dataclasses.replace(config, jobs=2), methods=methods)
+    assert _profile_rows(parallel) == [row for batch in alone for row in batch]
+
+
+# --- haugazeau rows --------------------------------------------------------------
+
+def test_haugazeau_row_form_matches_the_scalar_projection():
+    from aamr.operators import NumericalFailure
+    from aamr.solvers import _haugazeau_project
+
+    # (q, x, p) triples: x = q and a zero step (rank-deficient Gram, pi = 0:
+    # p), collinear steps with pi < 0 (disjoint halfspaces), pi * nu >= rho
+    # and pi * nu < rho; then random triples
+    crafted = np.array([[[1, 0, 0], [1, 0, 0], [0, 1, 0]],
+                        [[0, 0, 1], [1, 0, 0], [1, 0, 0]],
+                        [[1, 1, 0], [1, 0, 0], [1, 1, 0]],
+                        [[1, 0, 0], [0, 0, 0], [-1, -1, 0]],
+                        [[0, 1, 0], [1, 0, 0], [1, 1, 0]]], dtype=float)
+    triples = np.concatenate([crafted, np.random.default_rng(4).standard_normal((6, 3, 3))])
+    Q, X, P = (triples[:, i, None, :] for i in range(3))
+    X_next, disjoint = bench._haugazeau_step(Q, X, P)
+    assert disjoint.tolist() == [False, False, True] + [False] * 8
+    for (q, x, p), row, failed in zip(triples, X_next[:, 0], disjoint):
+        if failed:
+            with pytest.raises(NumericalFailure):
+                _haugazeau_project(q, x, p)
+            assert row.tobytes() == x.tobytes()
+        else:
+            assert row.tobytes() == _haugazeau_project(q, x, p).tobytes()
+    # the first two rows return p; rows 3 and 4 take the two other branches
+    assert (X_next[:2] == P[:2]).all()
+    assert X_next[3].tolist() == [[-0.5, -1.5, 0.0]] and X_next[4].tolist() == [[2.0, 1.0, 0.0]]
+
+
+class _Linear(ConvexSet):
+    """x -> B (B^T x), the row engine's projector on a basis B; a projection
+    only when B is orthonormal."""
+
+    def __init__(self, basis):
+        self.basis = np.asarray(basis, dtype=float)
+        self.dim = self.basis.shape[0]
+
+    def project(self, x):
+        return self.basis.dot(self.basis.T.dot(x))
+
+
+def test_haugazeau_failure_ends_its_row_while_its_batchmates_converge():
+    # subspace pairs never give disjoint halfspaces (both hold U ∩ V), so the
+    # first instance takes for V the map B B^T of a basis that is not
+    # orthonormal: from q = (1, 1, 0, 0) the step of trip 0 lands on e1 in the
+    # target, and the step of trip 1 finds p = (1, 1, 0, 0) collinear with q
+    # - x on the wrong side, so the row fails at index 1, where its error is
+    # 0: the failure wins.  Its batchmate starts at 2 e1, in the target, and
+    # its start lies bitwise in U, as does the second instance's (1, 2, 0, 0)
+    # on coordinate subspaces: both take the fall-back to the other set
+    from aamr import LinearSubspace
+
+    e1 = [[1.0], [0.0], [0.0], [0.0]]
+    crafted = (np.array(e1), np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+               np.array(e1))
+    coordinate = [LinearSubspace(np.eye(4)[:, cols]) for cols in ([0, 1], [1, 2], [1])]
+    qs = np.array([[1.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0],
+                   [1.0, 2.0, 0.0, 0.0], [0.5, 2.0, -1.5, 3.0], [3.0, -1.0, 2.0, 0.5]])
+    assert (coordinate[0].project(qs[2]) == qs[2]).all()
+    specs = [MethodSpec("haugazeau")] * 5
+    status, iters, errs = bench._batched_pair_sweep(
+        [(crafted, 2), (tuple(s.basis for s in coordinate), 3)], qs, specs, 1e-6, 200)
+    rows = [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)]
+    assert rows == (_scalar_rows(None, qs[:2], specs, 1e-6, 200,
+                                 sets=[_Linear(b) for b in crafted])
+                    + _scalar_rows(None, qs[2:], specs, 1e-6, 200, sets=coordinate))
+    assert rows[:2] == [("numerical_failure", 1, "nan"), ("converged", 0, "0x0.0p+0")]
+    assert status[2:] == ["converged"] * 3 and min(iters[2:]) > 0
+
+
+@pytest.mark.parametrize("converges_at", [2, 3, 4, 9])
+def test_haugazeau_failure_wins_only_from_its_own_index(monkeypatch, converges_at):
+    # the first row's step is made to fail at trip 3, inside the block of
+    # trips 2-3; eps is set so that the row first drops below it at
+    # `converges_at`: an earlier convergence in the block stands, and at or
+    # after index 3 the failure wins.  The scalar solve fails at the same
+    # call; the batchmates run on
+    from aamr import LinearSubspace, StoppingPolicy, solvers as scalar
+    from aamr.operators import NumericalFailure
+
+    pair = _kind_pair("haugazeau", [78, 1])
+    qs = np.random.default_rng(8).standard_normal((3, 16)) * 2.5
+    errors = _first_row_errors(pair, qs[0], "haugazeau", converges_at)
+    eps = min(errors[:converges_at])
+    assert errors[converges_at] < eps
+    calls = {"engine": 0, "scalar": 0}
+
+    def engine_step(Q, X, P):
+        X_next, disjoint = step(Q, X, P)
+        calls["engine"] += 1
+        if calls["engine"] == 4:  # trip 3
+            disjoint[0] = True
+            X_next[0] = X[0]
+        return X_next, disjoint
+
+    def scalar_project(q, x, p):
+        calls["scalar"] += 1
+        if calls["scalar"] == 4:
+            raise NumericalFailure("injected")
+        return project(q, x, p)
+
+    step, project = bench._haugazeau_step, scalar._haugazeau_project
+    monkeypatch.setattr(bench, "_haugazeau_step", engine_step)
+    monkeypatch.setattr(scalar, "_haugazeau_project", scalar_project)
+    batched = _kind_rows(pair, qs, "haugazeau", eps, 500, batched=True)
+    first = _scalar_rows(pair, qs[:1], [MethodSpec("haugazeau")], eps, 500)
+    assert batched[0] == first[0]
+    assert batched[0][:2] == (("converged", 2) if converges_at == 2
+                              else ("numerical_failure", 3))
+    monkeypatch.setattr(scalar, "_haugazeau_project", project)
+    assert batched[1:] == _scalar_rows(pair, qs[1:], [MethodSpec("haugazeau")] * 2, eps, 500)
 
 
 def test_sweep_alpha_single_point_grid_is_trivial():

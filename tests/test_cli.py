@@ -272,12 +272,14 @@ _HUGE = "1" + "0" * 400  # a JSON integer too large for a float
     ["bench", "beta", "--jobs", "0", "--out-dir", "OUT"],
     ["bench", "rates", "--starts", "7", "--out-dir", "OUT"],
     ["solve", "HUGE", "--q", "2"],
+    ["solve", "HUGE_DIM", "--q", "2"],
 ], ids=["command", "alpha-token", "beta-one", "q-dimension", "truncated", "missing",
-        "no-oracle", "jobs", "unread-flag", "huge-integer"])
+        "no-oracle", "jobs", "unread-flag", "huge-integer", "huge-dim"])
 def test_every_rejection_is_one_error_line_and_exit_1(tmp_path, capsys, argv):
     files = {"BALLS": json.dumps(TWO_BALLS), "TRUNCATED": '{"dim": 2, "sets": [',
              "HUGE": '{"dim": 1, "sets": [{"type": "ball", "center": [0], '
-                     f'"radius": {_HUGE}}}]}}'}
+                     f'"radius": {_HUGE}}}]}}',
+             "HUGE_DIM": f'{{"dim": {_HUGE}, "sets": [{{"type": "subspace", "basis": []}}]}}'}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / arg) if arg in (*files, "MISSING", "OUT") else arg

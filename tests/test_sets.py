@@ -351,12 +351,26 @@ def test_load_problem_diagnostics_name_fields():
      r"^sets\[0\]\.basis\[0\]: int too large to convert to float$"),
     ({"dim": 1, "sets": [{"type": "halfspace", "a": [1], "b": 10**400}]},
      r"^sets\[0\]\.b: int too large to convert to float$"),
+    # dimensions no numpy array can have
+    ({"dim": 10**400, "sets": [{"type": "subspace", "basis": []}]},
+     rf"^dim: too large for an array \(at most {np.iinfo(np.intp).max // 8}\)$"),
+    ({"dim": 2**63, "sets": [{"type": "subspace", "basis": []}]},
+     rf"^dim: too large for an array \(at most {np.iinfo(np.intp).max // 8}\)$"),
 ], ids=["text", "no-sets", "entry", "radius", "basis", "type-list", "type-number",
         "type-null", "nan-offset", "inf-offset", "huge-radius", "huge-center",
-        "huge-basis", "huge-offset"])
+        "huge-basis", "huge-offset", "huge-dim", "dim-2**63"])
 def test_load_problem_rejects_malformed_documents(source, message):
     with pytest.raises(ProblemFormatError, match=message):
         load_problem(source)
+
+
+def test_load_problem_takes_the_largest_array_dimension():
+    # the bound is numpy's own: one more and an empty basis cannot be built
+    limit = np.iinfo(np.intp).max // 8
+    dim, (s,) = load_problem({"dim": limit, "sets": [{"type": "subspace", "basis": []}]})
+    assert dim == s.dim == limit and s.rank == 0
+    with pytest.raises(ValueError):
+        np.zeros((limit + 1, 0))
 
 
 @pytest.mark.parametrize("text, message", [

@@ -2,12 +2,12 @@
 
 Runs ``aamr.bench._batched_pair_sweep`` on the bases of the first pair of
 ``make_instances(SweepConfig(n=50, n_instances=3, angle_bins=240))`` (seed
-0; its Friedrichs angle sits at the 0.02 rad floor) with each row count of
-``ROWS``, first with AAMR/DR rows, then with projection rows.  The rows
-start at that instance's alpha-sweep start.  The AAMR/DR rows take seeded
-alphas and betas (every fifth row runs the beta = 1 double reflection); the
-projection rows take seeded relaxations mu in (0.5, 1.9) (every fifth row is
-a MAP row, mu = 1).  The tolerance is 0, which no row meets, so every row
+0; its Friedrichs angle sits at the 0.02 rad floor), as a batch of one
+instance, with each row count of ``ROWS``, first with AAMR/DR rows, then
+with projection rows.  The rows start at that instance's alpha-sweep
+start.  The AAMR/DR rows take seeded alphas and betas (every fifth row is a
+DR row, the beta = 1 double reflection); the projection rows take seeded
+relaxations mu in (0.5, 1.9) (every fifth row is a MAP row, mu = 1).  The tolerance is 0, which no row meets, so every row
 makes exactly ``--trips`` iterations and every trip carries all rows.
 
 Prints a header and one line per row count: the rows, the microseconds per
@@ -17,7 +17,8 @@ standard output; the projection table, in the same format, follows on
 standard error, so standard output keeps its one-table format.
 
 Imports ``aamr`` from the ``src/`` directory next to this script, so a copy
-run in another checkout measures that tree:
+run in another checkout whose driver takes ``(segments, q_rows, specs, eps,
+max_iter)`` measures that tree:
 
     python3 tools/row_cost.py [--trips 2000]
 """
@@ -32,7 +33,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.dont_write_bytecode = True
 
-from aamr import bench  # noqa: E402
+from aamr import MethodSpec, bench  # noqa: E402
 
 ROWS = (1, 2, 4, 10, 30, 76)
 REPEATS = 5
@@ -40,17 +41,17 @@ REPEATS = 5
 
 def _row_cost(bases, q, rows, trips, rng, projection):
     if projection:
-        weights = [1.0 if i % 5 == 4 else mu
-                   for i, mu in enumerate(rng.uniform(0.5, 1.9, rows))]
-        betas = None
+        specs = [MethodSpec("map") if i % 5 == 4 else MethodSpec("rap", mu=mu)
+                 for i, mu in enumerate(rng.uniform(0.5, 1.9, rows))]
     else:
-        weights = list(rng.uniform(0.05, 1.0, rows))
-        betas = [(0.6, 0.7, 0.8, 0.9, 1.0)[i % 5] for i in range(rows)]
+        specs = [MethodSpec("drm", alpha=alpha) if i % 5 == 4
+                 else MethodSpec("aamr", alpha=alpha, beta=(0.6, 0.7, 0.8, 0.9)[i % 5])
+                 for i, alpha in enumerate(rng.uniform(0.05, 1.0, rows))]
     q_rows = np.tile(q, (rows, 1))
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        status, iterations, _ = bench._batched_pair_sweep(bases, q_rows, weights, betas,
+        status, iterations, _ = bench._batched_pair_sweep([(bases, rows)], q_rows, specs,
                                                           0.0, trips)
         best = min(best, time.perf_counter() - start)
     assert iterations == [trips] * rows and set(status) == {"budget_exhausted"}
