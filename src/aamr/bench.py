@@ -348,24 +348,26 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 #
 # A loop trip costs tens of microseconds of call overhead whatever its row
 # count, so the loop is lean: rows are (m, 1, n) stacks (CM's (m, 2, 1, n))
-# and the per-row parameters are broadcast to that shape once.  The stopping
-# error is taken once per block of trips: each trip stores its monitored
-# point, then one stacked call takes the errors of the whole block, and a
-# row that met the tolerance finishes at its first such trip with that
-# trip's error (its later trips are discarded).  Blocks grow with the trips
-# already run, so a batch whose rows converge within a few dozen iterations
-# discards few trips, while a long run still takes its errors in blocks of
-# up to _BLOCK_ROWS monitored points.
+# and the per-row parameters are broadcast to that shape once.  A projection
+# also pays a few microseconds per instance run, so a run is projected
+# straight into the shared output, and a one-row run makes just the two dot
+# calls of ``LinearSubspace.project``.  The stopping error is taken once per
+# block of trips: each trip stores its monitored point, then one stacked call
+# takes the errors of the whole block, and a row that met the tolerance
+# finishes at its first such trip with that trip's error (its later trips are
+# discarded).  Blocks grow with the trips already run, so a batch whose rows
+# converge within a few dozen iterations discards few trips, while a long run
+# still takes its errors in blocks of up to _BLOCK_ROWS monitored points.
 
 # monitored points per block: a block from trip k runs
 # min(_BLOCK_ROWS // (active rows), k) trips, at least one
 _BLOCK_ROWS = 256
 
 
-def _project_rows(M, basis):
+def _project_rows(M, basis, out):
     """``basis @ (basis.T @ row)`` for every row of the (..., 1, n) stack
-    ``M``, one gemv pair per row."""
-    return np.matmul(np.matmul(M, basis), basis.T)
+    ``M``, one gemv pair per row, into ``out`` (a new array when None)."""
+    return np.matmul(np.matmul(M, basis), basis.T, out=out)
 
 
 def _row_dots(A, B):
@@ -400,13 +402,27 @@ class _Layout:
         self._place(self.owner[rows])
 
     def project(self, M, which):
-        """Each row of the (..., rows, 1, n) stack ``M`` projected with its
-        instance's basis ``which`` (0: U, 1: V, 2: U ∩ V)."""
-        if len(self.runs) == 1:
-            return _project_rows(M, self.runs[0][2][which])
+        """Each row of the (rows, 1, n) or (trips, rows, 1, n) stack ``M``
+        projected with its instance's basis ``which`` (0: U, 1: V, 2: U ∩ V).
+
+        Several runs are projected straight into one output, run by run; a
+        one-row run of a (rows, 1, n) stack takes the two ``dot`` calls of
+        ``LinearSubspace.project``, which cost less than two stacked
+        ``matmul`` calls.
+        """
+        if len(self.runs) == 1 and M.shape[-3] > 1:
+            return _project_rows(M, self.runs[0][2][which], None)
         out = np.empty_like(M)
+        if M.ndim == 4:
+            for a, b, bases in self.runs:
+                _project_rows(M[:, a:b], bases[which], out[:, a:b])
+            return out
         for a, b, bases in self.runs:
-            out[..., a:b, :, :] = _project_rows(M[..., a:b, :, :], bases[which])
+            basis = bases[which]
+            if b - a == 1:
+                basis.dot(basis.T.dot(M[a, 0]), out=out[a, 0])
+            else:
+                _project_rows(M[a:b], basis, out[a:b])
         return out
 
     def project_where(self, M, which, where):
@@ -439,10 +455,23 @@ def _reflection_rows(Q, specs, layout, failures):
     betas = _coefficients([1.0 if s.kind == "drm" else s.beta for s in specs], ones)
 
     def trip(X, k, a, one_minus_a, two_b, shift):
-        pu = project(X + shift, 0)
-        y = two_b * (pu - shift) - X
-        z = two_b * (project(y + shift, 1) - shift) - y
-        return pu, one_minus_a * X + a * z
+        # pu = P_U(X + shift), y = 2b (pu - shift) - X,
+        # z = 2b (P_V(y + shift) - shift) - y, next = (1 - a) X + a z,
+        # each step written into the trip's own temporaries
+        s = X + shift
+        pu = project(s, 0)
+        y = np.subtract(pu, shift)
+        y *= two_b
+        y -= X
+        np.add(y, shift, out=s)
+        z = project(s, 1)
+        z -= shift
+        z *= two_b
+        z -= y
+        z *= a
+        x_next = one_minus_a * X
+        x_next += z
+        return pu, x_next
 
     # an AAMR row's shift is its q, which is also its start
     return Q, [a, 1.0 - a, 2.0 * betas, np.where(betas == 1.0, 0.0, Q)], trip
@@ -488,15 +517,26 @@ def _haugazeau_step(Q, X, P):
     their X."""
     d_xy, d_yz, step = Q - X, X - P, P - X
     pi, mu, nu = _row_dots(d_xy, d_yz), _row_dots(d_xy, d_xy), _row_dots(d_yz, d_yz)
-    rho = mu * nu - pi * pi
-    flat = rho <= 1e-14 * np.maximum(mu * nu, 1e-300)
+    mu_nu = mu * nu
+    rho = mu_nu - pi * pi
+    flat = rho <= 1e-14 * np.maximum(mu_nu, 1e-300)
+    any_flat = flat.any()
+    if any_flat:
+        # the other rows have nu > 0 and rho > 0, so no division by 0 is kept
+        nu, rho = np.where(flat, 1.0, nu), np.where(flat, 1.0, rho)
+    # a branch that no row takes is not computed
+    far = pi * nu >= rho
+    if far.all():
+        X_next = Q + (1.0 + pi / nu) * step
+    elif not far.any():
+        X_next = X + (nu / rho) * (pi * d_xy + mu * step)
+    else:
+        X_next = np.where(far, Q + (1.0 + pi / nu) * step,
+                          X + (nu / rho) * (pi * d_xy + mu * step))
+    if not any_flat:  # so no row is disjoint either
+        return X_next, flat.ravel()
     disjoint = flat & ~(pi >= 0.0)
-    # the other rows have nu > 0 and rho > 0, so no division by 0 is kept
-    nu, rho = np.where(flat, 1.0, nu), np.where(flat, 1.0, rho)
-    return (np.where(flat, np.where(disjoint, X, P),
-                     np.where(pi * nu >= rho, Q + (1.0 + pi / nu) * step,
-                              X + (nu / rho) * (pi * d_xy + mu * step))),
-            disjoint.ravel())
+    return np.where(flat, np.where(disjoint, X, P), X_next), disjoint.ravel()
 
 
 def _haugazeau_rows(Q, specs, layout, failures):
@@ -799,15 +839,16 @@ def _profile_report(config, methods):
     rows = [[r.instance_id, r.theta, r.method.display(), r.n_starts,
              r.median_iterations, r.std_iterations,
              *(r.status_counts[s.value] for s in Status), r.seed] for r in records]
-    labels = sorted({r.method.display() for r in records})
+    by_label = {}
+    for r in records:
+        by_label.setdefault(r.method.display(), []).append(r)
     charts = []
     for stat, name in (("median_iterations", "median_vs_angle.svg"),
                        ("std_iterations", "std_vs_angle.svg")):
         series = []
-        for label in labels:
-            pts = sorted((r.theta, getattr(r, stat)) for r in records
-                         if r.method.display() == label
-                         and math.isfinite(getattr(r, stat)))
+        for label in sorted(by_label):
+            pts = sorted((r.theta, getattr(r, stat)) for r in by_label[label]
+                         if math.isfinite(getattr(r, stat)))
             series.append(svgplot.Series(label, [p[0] for p in pts],
                                          [max(p[1], 0.5) for p in pts]))
         charts.append((name, series, dict(

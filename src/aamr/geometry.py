@@ -100,7 +100,9 @@ def common_directions(bases) -> np.ndarray:
             raise ValueError("bases live in different ambient dimensions")
     eye = np.eye(n)
     K = np.vstack([eye - Q @ Q.T for Q in mats])
-    _, svals, Vt = np.linalg.svd(K)
+    # the thin SVD: U is never read, and Vt and the singular values are
+    # the full SVD's bit for bit
+    _, svals, Vt = np.linalg.svd(K, full_matrices=False)
     keep = svals <= ZERO_ANGLE_TOL
     return Vt[keep].T.copy()
 

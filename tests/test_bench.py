@@ -506,6 +506,27 @@ def test_instance_rows_do_not_depend_on_their_task(monkeypatch):
     assert _profile_rows(parallel) == [row for batch in alone for row in batch]
 
 
+@pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+def test_one_row_and_many_row_runs_equal_their_scalar_solves(kind):
+    # four instances hold 1, 3, 1 and 2 rows, so each trip projects one-row
+    # runs with the dot calls and many-row runs (among them cm's strided
+    # (rows, 2, 1, n) block halves) with matmul into one output, and each
+    # block's errors come from (trips, rows, 1, n) runs; as rows converge,
+    # runs shrink to one row and instances drop out
+    counts = [1, 3, 1, 2]
+    pairs = [_kind_pair(kind, [79, i]) for i in range(len(counts))]
+    qs = np.random.default_rng(10).standard_normal((sum(counts), 16)) * 2.5
+    specs = [ROW_KINDS[kind][2][j % 3] for j in range(sum(counts))]
+    status, iters, errs = bench._batched_pair_sweep(
+        [(_bases(pair), rows) for pair, rows in zip(pairs, counts)], qs, specs, 1e-4, 300)
+    expected, first = [], 0
+    for pair, rows in zip(pairs, counts):
+        expected += _scalar_rows(pair, qs[first:first + rows], specs[first:first + rows],
+                                 1e-4, 300)
+        first += rows
+    assert [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)] == expected
+
+
 # --- haugazeau rows --------------------------------------------------------------
 
 def test_haugazeau_row_form_matches_the_scalar_projection():
@@ -534,6 +555,35 @@ def test_haugazeau_row_form_matches_the_scalar_projection():
     # the first two rows return p; rows 3 and 4 take the two other branches
     assert (X_next[:2] == P[:2]).all()
     assert X_next[3].tolist() == [[-0.5, -1.5, 0.0]] and X_next[4].tolist() == [[2.0, 1.0, 0.0]]
+
+
+def _haugazeau_far(q, x, p):
+    """Whether ``_haugazeau_project(q, x, p)`` takes its pi * nu >= rho
+    branch; None when the Gram matrix is flat."""
+    d_xy, d_yz = q - x, x - p
+    pi, mu, nu = float(d_xy.dot(d_yz)), float(d_xy.dot(d_xy)), float(d_yz.dot(d_yz))
+    rho = mu * nu - pi * pi
+    return None if rho <= 1e-14 * max(mu * nu, 1e-300) else pi * nu >= rho
+
+
+def test_haugazeau_steps_without_flat_rows_match_the_scalar_projection():
+    # batches where no row's Gram matrix is flat: every row on the
+    # pi * nu >= rho branch, every row on the other one, and both; about one
+    # random triple in seventy takes the first branch
+    from aamr.solvers import _haugazeau_project
+
+    triples = np.random.default_rng(12).standard_normal((2000, 3, 5))
+    far = [_haugazeau_far(*t) for t in triples]
+    assert None not in far
+    on_far = [i for i in range(2000) if far[i]][:12]
+    on_near = [i for i in range(2000) if not far[i]][:12]
+    assert len(on_far) == 12
+    for rows in (on_far, on_near, sorted(on_far + on_near)):
+        Q, X, P = (triples[rows, i, None, :] for i in range(3))
+        X_next, disjoint = bench._haugazeau_step(Q, X, P)
+        assert not disjoint.any() and disjoint.shape == (len(rows),)
+        for (q, x, p), row in zip(triples[rows], X_next[:, 0]):
+            assert row.tobytes() == _haugazeau_project(q, x, p).tobytes()
 
 
 class _Linear(ConvexSet):
@@ -805,6 +855,29 @@ def test_method_specs_are_values():
     config = small_config(n_instances=2, n_starts=2)
     methods = [MethodSpec("map"), MethodSpec("aamr", alpha=0.9, beta=0.7)]
     assert angle_profile(config, methods)[1] == angle_profile(config, methods)[1]
+
+
+def test_method_label_is_cached_outside_the_fields():
+    specs = [MethodSpec.parse(token) for token in (
+        "map", "rap:mu=1.5", "drm:alpha=0.5", "haugazeau", "hlwb",
+        "cm:gamma=0.25:lam=1.5", "aamr:alpha=0.9:beta=0.7")]
+    for spec in specs:
+        parts = [f"{MethodSpec._LABELS[name]}={getattr(spec, name):g}"
+                 for name in MethodSpec.PARAMS if getattr(spec, name) is not None]
+        built = spec.kind + (f"({' '.join(parts)})" if parts else "")
+        fresh = dataclasses.replace(spec)
+        assert spec.display() == built and spec.display() is spec.display()
+        # the cached label is no field: eq, hash and repr read the fields only
+        assert [f.name for f in dataclasses.fields(spec)] == ["kind", *MethodSpec.PARAMS]
+        assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+        assert "_label" not in repr(spec)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and copy.display() == built
+    assert specs[-1].display() == "aamr(a=0.9 b=0.7)"
+    # labelled specs still travel to worker processes
+    config = small_config(n_instances=2, n_starts=2, max_iter=200)
+    serial = angle_profile(config, methods=specs)
+    assert angle_profile(dataclasses.replace(config, jobs=2), methods=specs) == serial
 
 
 GOLDEN = Path(__file__).parent / "data"

@@ -200,3 +200,18 @@ def test_pair_freezes_copies_not_the_callers_bases():
     for frozen in (pair.basis_u, pair.basis_v, pair.intersection):
         assert not frozen.flags.writeable
     assert np.array_equal(pair.basis_u, col(E1, E2))
+
+
+@pytest.mark.parametrize("n", [10, 50, 200])
+def test_common_directions_thin_svd_equals_the_full_one_bit_for_bit(n):
+    # the thin SVD skips U; Vt and the singular values, and so the basis of
+    # the intersection, keep the full-matrix SVD's bytes
+    for seed in range(4):
+        pair = random_subspace_pair(n, [seed, 61],
+                                    target_angle_interval=(0.02, 1.5) if seed % 2 else None)
+        K = np.vstack([np.eye(n) - Q @ Q.T for Q in (pair.basis_u, pair.basis_v)])
+        _, svals, Vt = np.linalg.svd(K)
+        full = Vt[svals <= geometry.ZERO_ANGLE_TOL].T.copy()
+        thin = common_directions([pair.basis_u, pair.basis_v])
+        assert thin.shape == full.shape and thin.tobytes() == full.tobytes()
+        assert pair.intersection.tobytes() == full.tobytes()

@@ -36,3 +36,19 @@ def test_row_cost_prints_the_projection_rows_on_stderr():
     assert [line.split()[0] for line in lines[1:]] == ["1", "2", "4", "10", "30", "76"]
     for line in lines[1:]:
         assert re.fullmatch(r"\s*\d+\s+\d+\.\d\d\s+\d+\.\d{3}", line), line
+
+
+def test_row_cost_spreads_the_rows_over_three_instances():
+    run = subprocess.run([sys.executable, str(TOOLS / "row_cost.py"), "--trips", "3",
+                          "--instances", "3"],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    for lines in (run.stdout.splitlines(), run.stderr.splitlines()):
+        assert lines[0] == "rows  us_per_trip  us_per_row_iter"
+        assert [line.split()[0] for line in lines[1:]] == ["1", "2", "4", "10", "30", "76"]
+        for line in lines[1:]:
+            assert re.fullmatch(r"\s*\d+\s+\d+\.\d\d\s+\d+\.\d{3}", line), line
+    refused = subprocess.run([sys.executable, str(TOOLS / "row_cost.py"), "--trips", "3",
+                              "--instances", "4"],
+                             capture_output=True, text=True, timeout=60)
+    assert refused.returncode == 2 and "--instances" in refused.stderr
