@@ -366,7 +366,7 @@ _BLOCK_ROWS = 256
 
 def _project_rows(M, basis, out):
     """``basis @ (basis.T @ row)`` for every row of the (..., 1, n) stack
-    ``M``, one gemv pair per row, into ``out`` (a new array when None)."""
+    ``M``, one gemv pair per row, written into ``out``."""
     return np.matmul(np.matmul(M, basis), basis.T, out=out)
 
 
@@ -405,13 +405,11 @@ class _Layout:
         """Each row of the (rows, 1, n) or (trips, rows, 1, n) stack ``M``
         projected with its instance's basis ``which`` (0: U, 1: V, 2: U ∩ V).
 
-        Several runs are projected straight into one output, run by run; a
+        The runs are projected straight into one output, run by run; a
         one-row run of a (rows, 1, n) stack takes the two ``dot`` calls of
         ``LinearSubspace.project``, which cost less than two stacked
         ``matmul`` calls.
         """
-        if len(self.runs) == 1 and M.shape[-3] > 1:
-            return _project_rows(M, self.runs[0][2][which], None)
         out = np.empty_like(M)
         if M.ndim == 4:
             for a, b, bases in self.runs:
@@ -455,23 +453,10 @@ def _reflection_rows(Q, specs, layout, failures):
     betas = _coefficients([1.0 if s.kind == "drm" else s.beta for s in specs], ones)
 
     def trip(X, k, a, one_minus_a, two_b, shift):
-        # pu = P_U(X + shift), y = 2b (pu - shift) - X,
-        # z = 2b (P_V(y + shift) - shift) - y, next = (1 - a) X + a z,
-        # each step written into the trip's own temporaries
-        s = X + shift
-        pu = project(s, 0)
-        y = np.subtract(pu, shift)
-        y *= two_b
-        y -= X
-        np.add(y, shift, out=s)
-        z = project(s, 1)
-        z -= shift
-        z *= two_b
-        z -= y
-        z *= a
-        x_next = one_minus_a * X
-        x_next += z
-        return pu, x_next
+        pu = project(X + shift, 0)
+        y = two_b * (pu - shift) - X
+        z = two_b * (project(y + shift, 1) - shift) - y
+        return pu, one_minus_a * X + a * z
 
     # an AAMR row's shift is its q, which is also its start
     return Q, [a, 1.0 - a, 2.0 * betas, np.where(betas == 1.0, 0.0, Q)], trip
@@ -524,15 +509,12 @@ def _haugazeau_step(Q, X, P):
     if any_flat:
         # the other rows have nu > 0 and rho > 0, so no division by 0 is kept
         nu, rho = np.where(flat, 1.0, nu), np.where(flat, 1.0, rho)
-    # a branch that no row takes is not computed
+    # nearly every trip has no flat row and no row on the pi * nu >= rho
+    # branch, so that branch is computed only when some row takes it
+    X_next = X + (nu / rho) * (pi * d_xy + mu * step)
     far = pi * nu >= rho
-    if far.all():
-        X_next = Q + (1.0 + pi / nu) * step
-    elif not far.any():
-        X_next = X + (nu / rho) * (pi * d_xy + mu * step)
-    else:
-        X_next = np.where(far, Q + (1.0 + pi / nu) * step,
-                          X + (nu / rho) * (pi * d_xy + mu * step))
+    if far.any():
+        X_next = np.where(far, Q + (1.0 + pi / nu) * step, X_next)
     if not any_flat:  # so no row is disjoint either
         return X_next, flat.ravel()
     disjoint = flat & ~(pi >= 0.0)

@@ -23,7 +23,6 @@ import inspect
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -429,12 +428,6 @@ class MethodSpec:
 
     def display(self) -> str:
         """Short human-readable label, e.g. ``aamr(a=0.9 b=0.9)``."""
-        return self._label
-
-    # built on first use and kept in the instance dict: not a field, so it
-    # stays out of eq, hash and repr, and reports call display() per record
-    @cached_property
-    def _label(self) -> str:
         parts = [f"{self._LABELS[name]}={value:g}" for name, value in self._items()]
         return self.kind + (f"({' '.join(parts)})" if parts else "")
 

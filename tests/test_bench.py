@@ -857,29 +857,6 @@ def test_method_specs_are_values():
     assert angle_profile(config, methods)[1] == angle_profile(config, methods)[1]
 
 
-def test_method_label_is_cached_outside_the_fields():
-    specs = [MethodSpec.parse(token) for token in (
-        "map", "rap:mu=1.5", "drm:alpha=0.5", "haugazeau", "hlwb",
-        "cm:gamma=0.25:lam=1.5", "aamr:alpha=0.9:beta=0.7")]
-    for spec in specs:
-        parts = [f"{MethodSpec._LABELS[name]}={getattr(spec, name):g}"
-                 for name in MethodSpec.PARAMS if getattr(spec, name) is not None]
-        built = spec.kind + (f"({' '.join(parts)})" if parts else "")
-        fresh = dataclasses.replace(spec)
-        assert spec.display() == built and spec.display() is spec.display()
-        # the cached label is no field: eq, hash and repr read the fields only
-        assert [f.name for f in dataclasses.fields(spec)] == ["kind", *MethodSpec.PARAMS]
-        assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
-        assert "_label" not in repr(spec)
-        copy = pickle.loads(pickle.dumps(spec))
-        assert copy == spec and copy.display() == built
-    assert specs[-1].display() == "aamr(a=0.9 b=0.7)"
-    # labelled specs still travel to worker processes
-    config = small_config(n_instances=2, n_starts=2, max_iter=200)
-    serial = angle_profile(config, methods=specs)
-    assert angle_profile(dataclasses.replace(config, jobs=2), methods=specs) == serial
-
-
 GOLDEN = Path(__file__).parent / "data"
 
 
