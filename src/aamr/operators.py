@@ -147,10 +147,16 @@ def modified_reflect(set_: ConvexSet, beta: float, x) -> np.ndarray:
 def aamr_update(x: np.ndarray, pa: np.ndarray, b_set: ConvexSet, alpha: float,
                 beta: float) -> np.ndarray:
     """(1-alpha)x + alpha(2 beta P_B - I)(2 beta pa - x), given ``pa = P_A(x)``:
-    the update of the operator (DR is beta = 1) and of the solver steps."""
-    y = 2.0 * beta * pa - x
-    z = 2.0 * beta * b_set.project(y) - y
-    return (1.0 - alpha) * x + alpha * z
+    the update of the operator (DR is beta = 1) and of the solver steps.
+    Only fresh temporaries are updated in place; ``x`` and ``pa`` are read."""
+    y = 2.0 * beta * pa
+    y -= x
+    z = 2.0 * beta * b_set.project(y)
+    z -= y
+    z *= alpha
+    out = (1.0 - alpha) * x
+    out += z
+    return out
 
 
 class AamrOperator:

@@ -237,7 +237,7 @@ class Box(ConvexSet):
 
     def project(self, x) -> np.ndarray:
         x = _conform(x, self.dim)
-        return np.clip(x, self.lower, self.upper)
+        return x.clip(self.lower, self.upper)
 
 
 class Translate(ConvexSet):
@@ -257,7 +257,8 @@ class ProductSet(ConvexSet):
     """Cartesian product of factor sets, flattened into one long vector.
 
     The ambient dimension is the sum of the factor dimensions and the
-    projection is the concatenation of the factor projections.
+    projection is the concatenation of the factor projections.  A product of
+    boxes is itself a box, on the concatenated bounds, and projects as one.
     """
 
     def __init__(self, factors):
@@ -268,8 +269,14 @@ class ProductSet(ConvexSet):
         ends = list(itertools.accumulate(int(f.dim) for f in factors))
         self._blocks = tuple(zip(factors, [0] + ends[:-1], ends))
         self.dim = ends[-1]
+        self._box = None
+        if all(type(f) is Box for f in factors):
+            self._box = Box(np.concatenate([f.lower for f in factors]),
+                            np.concatenate([f.upper for f in factors]))
 
     def project(self, x) -> np.ndarray:
+        if self._box is not None:
+            return self._box.project(x)
         x = _conform(x, self.dim)
         out = np.empty_like(x)
         for f, a, b in self._blocks:

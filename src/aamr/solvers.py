@@ -128,9 +128,9 @@ def aamr_product_solve(sets, q, x0=None, alpha=0.9, beta: float = 0.7,
     """Project ``q`` onto an intersection of ``r`` sets via the product space.
 
     Runs ``aamr_solve`` in (R^n)^r with A the diagonal and B the product of
-    the q-shifted sets.  The monitored point ``q + mean of the r blocks`` is
-    the diagonal identification of the product-space shadow, so it always
-    lives in the base space.  ``x0`` may be a base-space vector (tiled), an
+    the sets, q-shifted once as a whole.  The monitored point ``q + mean of
+    the r blocks`` is the diagonal identification of the product-space
+    shadow, so it always lives in the base space.  ``x0`` may be a base-space vector (tiled), an
     ``(r, n)`` array, or a flat ``r*n`` vector; default is the lift of ``q``.
     """
     sets = list(sets)
@@ -139,7 +139,7 @@ def aamr_product_solve(sets, q, x0=None, alpha=0.9, beta: float = 0.7,
     params["beta"].check("aamr", "beta", beta)
     q = as_vector(q, n)
     diag = Diagonal(len(sets), n)
-    shifted = ProductSet([Translate(s, q) for s in sets])
+    shifted = Translate(ProductSet(sets), np.tile(q, len(sets)))
     x0 = _lift(x0, q, len(sets))
     alpha_of = _schedule(alpha, params["alpha"], "aamr", "alpha")
 
@@ -266,7 +266,8 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8):
     (z + gamma*q)/(gamma + 1), which converges to the projection of q onto
     the intersection.  The step reuses the P_C it already computes and takes
     R_D and the shadow from block means, without building the r-fold
-    diagonal point.
+    diagonal point.  It updates only its own fresh temporaries in place,
+    never ``z``.
     """
     sets = list(sets)
     n = _common_dim(sets)
@@ -280,10 +281,18 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8):
 
     def step(z, k):
         lam_k = lam_of(k)
-        pc = product.project((z + gamma_q) / (gamma + 1.0))
-        w = 2.0 * pc - z
-        reflected = (2.0 * diag.mean(w) - w.reshape(r, n)).ravel()  # R_D(w)
-        z_next = (1.0 - lam_k / 2.0) * z + (lam_k / 2.0) * reflected
+        y = z + gamma_q
+        y /= gamma + 1.0
+        pc = product.project(y)
+        w = 2.0 * pc
+        w -= z
+        m = diag.mean(w)
+        m *= 2.0
+        blocks = w.reshape(r, n)
+        np.subtract(m, blocks, out=blocks)  # w is now R_D(w)
+        w *= lam_k / 2.0
+        z_next = (1.0 - lam_k / 2.0) * z
+        z_next += w
         return z_next, diag.mean(pc)
 
     return step

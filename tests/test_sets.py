@@ -87,13 +87,79 @@ def test_product_and_diagonal_shapes():
 
 def test_diagonal_projection_is_the_tiled_block_mean_bit_for_bit():
     rng = np.random.default_rng(6)
-    for _ in range(400):
-        r, n = int(rng.integers(1, 6)), int(rng.integers(1, 61))
+    for _ in range(800):
+        r, n = int(rng.integers(1, 9)), int(rng.integers(1, 61))
         diag = Diagonal(r, n)
         x = 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(r * n)
+        # zero columns: all -0.0 in one, mixed signs in the other
+        x[rng.integers(n)::n] = -0.0
+        x[rng.integers(n)::n] = rng.choice([-0.0, 0.0], r)
+        mean = np.add.reduce(x.reshape(r, n), axis=0) / r
         got = diag.project(x)
-        assert np.array_equal(got, np.tile(x.reshape(r, n).mean(axis=0), r))
-        assert np.array_equal(diag.mean(x), got[:n])
+        assert got.tobytes() == np.tile(mean, r).tobytes()
+        assert diag.mean(x).tobytes() == mean.tobytes()
+        assert got.tobytes() == np.tile(x.reshape(r, n).mean(axis=0), r).tobytes()
+
+
+def _box_point(rng, lower, upper):
+    """A point with entries inside, outside and on the bounds of a box, some
+    of them -0.0."""
+    n = lower.size
+    x = rng.uniform(lower - 1.0, upper + 1.0)
+    on = rng.random(n) < 0.2
+    x[on] = np.where(rng.random(n) < 0.5, lower, upper)[on]
+    x[rng.random(n) < 0.1] = -0.0
+    return x
+
+
+def _random_box(rng, n):
+    lower = rng.uniform(-2.0, 0.5, n)
+    upper = lower + rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.8)
+    # zero bounds of either sign
+    lower[rng.random(n) < 0.1] = -0.0
+    upper[rng.random(n) < 0.1] = 0.0
+    return Box(np.minimum(lower, upper), upper)
+
+
+def test_box_product_projects_as_its_factor_loop_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        r, n = int(rng.integers(1, 5)), int(rng.integers(1, 41))
+        boxes = [_random_box(rng, n) for _ in range(r)]
+        product = ProductSet(boxes)
+        x = np.concatenate([_box_point(rng, b.lower, b.upper) for b in boxes])
+        loop = np.concatenate([b.project(x[i * n:(i + 1) * n]) for i, b in enumerate(boxes)])
+        clip = np.concatenate([np.clip(x[i * n:(i + 1) * n], b.lower, b.upper)
+                               for i, b in enumerate(boxes)])
+        got = product.project(x)
+        assert got.tobytes() == loop.tobytes() == clip.tobytes()
+
+
+def test_one_product_shift_is_the_factor_shifts_bit_for_bit():
+    rng = np.random.default_rng(23)
+
+    def curved(n):
+        kind = rng.integers(3)
+        if kind == 0:
+            return Ball(rng.standard_normal(n), rng.uniform(0.5, 2.0))
+        if kind == 1:
+            return Halfspace(rng.standard_normal(n), rng.standard_normal())
+        return Hyperplane(rng.standard_normal(n), rng.standard_normal())
+
+    makers = {"box": lambda n: _random_box(rng, n), "curved": curved,
+              "mixed": lambda n: (_random_box(rng, n) if rng.random() < 0.5
+                                  else curved(n))}
+    for family, make in makers.items():
+        for _ in range(150):
+            r, n = int(rng.integers(1, 5)), int(rng.integers(1, 31))
+            sets = [make(n) for _ in range(r)]
+            q = rng.standard_normal(n) * 3.0
+            q[rng.random(n) < 0.1] = -0.0
+            once = Translate(ProductSet(sets), np.tile(q, r))
+            each = ProductSet([Translate(s, q) for s in sets])
+            x = rng.standard_normal(r * n) * 3.0
+            x[rng.random(r * n) < 0.1] = -0.0
+            assert once.project(x).tobytes() == each.project(x).tobytes(), family
 
 
 def test_construction_rejects_degenerate_descriptions():

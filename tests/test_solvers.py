@@ -12,7 +12,7 @@ from aamr import (AamrOperator, Ball, Box, DimensionMismatchError, Halfspace,
                   dr_solve, full_space, haugazeau_solve, hlwb_solve, map_solve, optimal_rap_mu,
                   project_intersection_oracle, random_subspace_pair, rap_solve,
                   recommended_beta, solve_best_approximation)
-from aamr.operators import iterate
+from aamr.operators import aamr_update, iterate
 from aamr.solvers import _haugazeau_project
 from conftest import cm_recast, make_variant
 
@@ -505,6 +505,97 @@ def test_product_solves_match_golden_file():
     # cm_solve and aamr_product_solve bit for bit.  Never regenerate it to
     # make a change pass.
     assert product_solve_rows() == GOLDEN_PRODUCT.read_text()
+
+
+def _reference_project(set_, x):
+    """Projection with the per-factor product loop and ``np.clip``."""
+    if isinstance(set_, Box):
+        return np.clip(x, set_.lower, set_.upper)
+    return set_.project(x)
+
+
+def _reference_product_project(sets, x):
+    n = sets[0].dim
+    return np.concatenate([_reference_project(s, x[i * n:(i + 1) * n])
+                           for i, s in enumerate(sets)])
+
+
+def _reference_mean(x, r, n):
+    return np.add.reduce(x.reshape(r, n), axis=0) / r
+
+
+def _reference_aamr_product(sets, q, alpha, beta, policy):
+    """aamr_product_solve's step with one Translate per factor, the
+    reduce-based block mean and fresh temporaries throughout."""
+    r, n = len(sets), q.size
+    shifted = [Translate(s, q) for s in sets]
+
+    def project_shifted(y):
+        return np.concatenate([_reference_project(t.inner, y[i * n:(i + 1) * n] + q) - q
+                               for i, t in enumerate(shifted)])
+
+    def step(x, k):
+        pd = np.concatenate([_reference_mean(x, r, n)] * r)
+        y = 2.0 * beta * pd - x
+        z = 2.0 * beta * project_shifted(y) - y
+        return (1.0 - alpha) * x + alpha * z, q + pd[:n]
+
+    return iterate(step, np.tile(q, r), policy)
+
+
+def _reference_cm(sets, q, gamma, lam, policy):
+    """cm_solve's step with the per-factor product loop, the reduce-based
+    block mean and fresh temporaries throughout."""
+    r, n = len(sets), q.size
+    gamma_q = gamma * np.tile(q, r)
+
+    def step(z, k):
+        pc = _reference_product_project(sets, (z + gamma_q) / (gamma + 1.0))
+        w = 2.0 * pc - z
+        reflected = (2.0 * _reference_mean(w, r, n) - w.reshape(r, n)).ravel()
+        z_next = (1.0 - lam / 2.0) * z + (lam / 2.0) * reflected
+        return z_next, _reference_mean(pc, r, n)
+
+    return iterate(step, np.tile(q, r), policy)
+
+
+def test_product_solves_equal_the_per_factor_reference_step_bit_for_bit():
+    rng = np.random.default_rng(19)
+    n = 30
+    p = rng.standard_normal(n)
+    triples = {
+        "boxes": [make_variant("box", rng, n, p) for _ in range(3)],
+        "balls and halfspaces": [make_variant(kind, rng, n, p) for kind
+                                 in ("ball", "halfspace", "ball")],
+    }
+    policy = StoppingPolicy.residual(eps=1e-10, max_iter=3000)
+    for name, sets in triples.items():
+        q = p + 3.0 * rng.standard_normal(n)
+        pairs = [
+            (aamr_product_solve(sets, q, alpha=0.9, beta=0.7, policy=policy),
+             _reference_aamr_product(sets, q, 0.9, 0.7, policy)),
+            (cm_solve(sets, q, gamma=0.25, lam=1.8, policy=policy),
+             _reference_cm(sets, q, 0.25, 1.8, policy)),
+        ]
+        for got, want in pairs:
+            assert got.iterations > 10, name
+            assert (got.status, got.iterations) == (want.status, want.iterations), name
+            for field in ("shadow", "iterate", "drift"):
+                assert (getattr(got, field).tobytes()
+                        == getattr(want, field).tobytes()), (name, field)
+
+
+def test_aamr_update_leaves_its_arguments_unchanged():
+    rng = np.random.default_rng(5)
+    ball = Ball(rng.standard_normal(8), 0.5)
+    for set_ in (ball, Box(-np.ones(8), np.ones(8)), Translate(ball, np.ones(8))):
+        x, pa = 3.0 * rng.standard_normal(8), rng.standard_normal(8)
+        x_bytes, pa_bytes = x.tobytes(), pa.tobytes()
+        out = aamr_update(x, pa, set_, 0.9, 0.7)
+        assert x.tobytes() == x_bytes and pa.tobytes() == pa_bytes
+        y = 2.0 * 0.7 * pa - x
+        want = (1.0 - 0.9) * x + 0.9 * (2.0 * 0.7 * set_.project(y) - y)
+        assert out.tobytes() == want.tobytes()
 
 
 # --- roster dispatch and agreement -------------------------------------------------

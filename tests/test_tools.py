@@ -52,3 +52,22 @@ def test_row_cost_spreads_the_rows_over_three_instances():
                               "--instances", "4"],
                              capture_output=True, text=True, timeout=60)
     assert refused.returncode == 2 and "--instances" in refused.stderr
+
+
+def test_step_cost_prints_one_line_per_family_dimension_and_driver():
+    run = subprocess.run([sys.executable, str(TOOLS / "step_cost.py"), "--iters", "3"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "family     n  driver              iters  us_per_iter"
+    pairs = ["aamr_solve", "dr_solve", "map_solve", "rap_solve", "haugazeau_solve",
+             "hlwb_solve", "cm_solve"]
+    triples = ["aamr_product_solve", "hlwb_solve", "cm_solve"]
+    expected = [(family, n, driver) for n in ("10", "50", "200")
+                for family, drivers in (("box2", pairs), ("box3", triples),
+                                        ("kink2", pairs), ("kink3", triples),
+                                        ("affine2", pairs))
+                for driver in drivers]
+    assert [tuple(line.split()[:3]) for line in lines[1:]] == expected
+    for line in lines[1:]:
+        assert re.fullmatch(r"\w+\s+\d+\s+\w+\s+\d+\s+\d+\.\d\d", line), line
