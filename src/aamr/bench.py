@@ -177,7 +177,8 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        # a numpy float's repr names its type; a Python float's is the number
+        return repr(float(value))
     return str(value)
 
 
@@ -299,16 +300,6 @@ def _grid_task(args):
 # angle profile
 
 
-def _aggregate(spec, runs, config) -> ExperimentRecord:
-    """Statistics of one (instance, method) block of runs."""
-    converged = [r.iterations for r in runs if r.status == Status.CONVERGED.value]
-    counts = {s.value: sum(r.status == s.value for r in runs) for s in Status}
-    med = float(np.median(converged)) if converged else math.nan
-    std = float(np.std(converged)) if converged else math.nan
-    return ExperimentRecord(runs[0].instance_id, runs[0].theta, spec, len(runs),
-                            med, std, counts, config.seed)
-
-
 def angle_profile(config: SweepConfig, methods=None, instances=None):
     """Median/std iteration counts per (instance, method) over seeded starts.
 
@@ -318,13 +309,45 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
     """
     methods = default_profile_methods() if methods is None else list(methods)
     instances = make_instances(config) if instances is None else list(instances)
-    n = config.n_starts
-    rows = [(spec, s) for spec in methods for s in range(n)]
+    rows = [(spec, s) for spec in methods for s in range(config.n_starts)]
     runs, _ = _grid_sweep(config, instances, rows)
-    # each instance's runs hold n starts per method, in roster order
-    records = [_aggregate(spec, runs[j * n:(j + 1) * n], config)
-               for j, spec in enumerate(methods * len(instances))]
-    return runs, records
+    return runs, _profile_records(config, methods * len(instances), runs)
+
+
+# status codes in ``Status`` order
+_STATUS_CODES = {s.value: code for code, s in enumerate(Status)}
+
+
+def _profile_records(config, specs, runs):
+    """One record per spec of ``specs`` over its block of ``config.n_starts``
+    consecutive runs.
+
+    The iterations and status codes of all runs are taken as (records,
+    n_starts) arrays.  The blocks where every run converged get their median
+    and std in one call each along axis 1, which equals ``np.median`` and
+    ``np.std`` of each block alone bit for bit; a partly converged block
+    takes those 1-D calls on its converged runs, and a block with none gets
+    NaN.
+    """
+    n = config.n_starts
+    iterations = np.array([r.iterations for r in runs], dtype=int).reshape(-1, n)
+    codes = np.array([_STATUS_CODES[r.status] for r in runs], dtype=int).reshape(-1, n)
+    converged = codes == _STATUS_CODES[Status.CONVERGED.value]
+    full = converged.all(axis=1)
+    median, std = np.full(len(specs), math.nan), np.full(len(specs), math.nan)
+    if full.any():
+        median[full] = np.median(iterations[full], axis=1)
+        std[full] = np.std(iterations[full], axis=1)
+    partly = converged.any(axis=1)
+    for j in np.flatnonzero(partly & ~full).tolist():
+        median[j] = np.median(iterations[j][converged[j]])
+        std[j] = np.std(iterations[j][converged[j]])
+    counts = (codes[:, :, None] == np.arange(len(Status))).sum(axis=1).tolist()
+    return [ExperimentRecord(runs[j * n].instance_id, runs[j * n].theta, spec, n,
+                             med if some else math.nan, sd if some else math.nan,
+                             dict(zip(_STATUS_CODES, count)), config.seed)
+            for j, (spec, med, sd, some, count) in enumerate(
+                zip(specs, median.tolist(), std.tolist(), partly.tolist(), counts))]
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +372,10 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 # A loop trip costs tens of microseconds of call overhead whatever its row
 # count, so the loop is lean: rows are (m, 1, n) stacks (CM's (m, 2, 1, n))
 # and the per-row parameters are broadcast to that shape once.  A projection
-# also pays a few microseconds per instance run, so a run is projected
-# straight into the shared output, and a one-row run makes just the two dot
-# calls of ``LinearSubspace.project``.  The stopping error is taken once per
+# also pays a few microseconds per instance run, so each run is bound to its
+# bases once per layout, a run is projected straight into the shared output,
+# and a one-row run makes just the two dot calls of
+# ``LinearSubspace.project``.  The stopping error is taken once per
 # block of trips: each trip stores its monitored point, then one stacked call
 # takes the errors of the whole block, and a row that met the tolerance
 # finishes at its first such trip with that trip's error (its later trips are
@@ -362,12 +386,6 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 # monitored points per block: a block from trip k runs
 # min(_BLOCK_ROWS // (active rows), k) trips, at least one
 _BLOCK_ROWS = 256
-
-
-def _project_rows(M, basis, out):
-    """``basis @ (basis.T @ row)`` for every row of the (..., 1, n) stack
-    ``M``, one gemv pair per row, written into ``out``."""
-    return np.matmul(np.matmul(M, basis), basis.T, out=out)
 
 
 def _row_dots(A, B):
@@ -392,10 +410,15 @@ class _Layout:
         self._place(owner)
 
     def _place(self, owner):
+        """Bind each set's runs to their bases: ``runs[which]`` lists
+        ``(a, b, basis, basis.T)`` per run of rows ``a:b`` (0: U, 1: V,
+        2: U ∩ V)."""
         self.owner = owner
         cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
-        self.runs = [(a, b, self.bases[owner[a]])
-                     for a, b in zip([0] + cuts, cuts + [owner.size])]
+        spans = [(a, b, self.bases[owner[a]])
+                 for a, b in zip([0] + cuts, cuts + [owner.size])]
+        self.runs = [[(a, b, bases[which], bases[which].T) for a, b, bases in spans]
+                     for which in range(3)]
 
     def keep(self, rows):
         """Keep the rows that the mask ``rows`` selects."""
@@ -405,22 +428,22 @@ class _Layout:
         """Each row of the (rows, 1, n) or (trips, rows, 1, n) stack ``M``
         projected with its instance's basis ``which`` (0: U, 1: V, 2: U ∩ V).
 
-        The runs are projected straight into one output, run by run; a
-        one-row run of a (rows, 1, n) stack takes the two ``dot`` calls of
-        ``LinearSubspace.project``, which cost less than two stacked
-        ``matmul`` calls.
+        The runs are projected straight into one output, run by run, with one
+        gemv pair per row; a one-row run of a (rows, 1, n) stack takes the
+        two ``dot`` calls of ``LinearSubspace.project``, which cost less than
+        two stacked ``matmul`` calls.
         """
         out = np.empty_like(M)
+        matmul = np.matmul
         if M.ndim == 4:
-            for a, b, bases in self.runs:
-                _project_rows(M[:, a:b], bases[which], out[:, a:b])
+            for a, b, basis, basis_t in self.runs[which]:
+                matmul(matmul(M[:, a:b], basis), basis_t, out=out[:, a:b])
             return out
-        for a, b, bases in self.runs:
-            basis = bases[which]
+        for a, b, basis, basis_t in self.runs[which]:
             if b - a == 1:
-                basis.dot(basis.T.dot(M[a, 0]), out=out[a, 0])
+                basis.dot(basis_t.dot(M[a, 0]), out=out[a, 0])
             else:
-                _project_rows(M[a:b], basis, out[a:b])
+                matmul(matmul(M[a:b], basis), basis_t, out=out[a:b])
         return out
 
     def project_where(self, M, which, where):

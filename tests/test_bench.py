@@ -103,6 +103,42 @@ def test_angle_profile_single_start_zero_std():
     assert records[0].std_iterations == 0.0
 
 
+def _reference_statistics(runs, n_starts):
+    """(median, std, status counts) of each block of ``n_starts`` runs, from
+    ``np.median`` and ``np.std`` of the block's converged iterations alone."""
+    stats = []
+    for j in range(0, len(runs), n_starts):
+        block = runs[j:j + n_starts]
+        its = [r.iterations for r in block if r.status == "converged"]
+        med = float(np.median(its)) if its else math.nan
+        std = float(np.std(its)) if its else math.nan
+        stats.append((med, std, {s.value: sum(r.status == s.value for r in block)
+                                 for s in Status}))
+    return stats
+
+
+@pytest.mark.parametrize("n_starts", [1, 2, 3, 10])
+def test_profile_records_equal_per_block_statistics_bit_for_bit(n_starts):
+    # a 20-iteration budget leaves blocks where every run, some runs and no
+    # run converged; the full budget converges every block
+    kinds = set()
+    for max_iter in (20, 50_000):
+        runs, records = angle_profile(small_config(n_starts=n_starts, max_iter=max_iter))
+        reference = _reference_statistics(runs, n_starts)
+        assert len(records) == len(reference) == 4 * 7
+        for rec, (med, std, counts) in zip(records, reference):
+            assert type(rec.median_iterations) is float
+            assert type(rec.std_iterations) is float
+            assert rec.median_iterations.hex() == med.hex()
+            assert rec.std_iterations.hex() == std.hex()
+            assert list(rec.status_counts.items()) == list(counts.items())
+            assert all(type(c) is int for c in rec.status_counts.values())
+            assert sum(rec.status_counts.values()) == n_starts
+            converged = rec.status_counts["converged"]
+            kinds.add("all" if converged == n_starts else "some" if converged else "none")
+    assert kinds == ({"all", "none"} if n_starts == 1 else {"all", "some", "none"})
+
+
 def test_angle_profile_builds_each_instance_once(monkeypatch):
     counts = {"subspaces": 0, "starts": 0}
 
@@ -527,6 +563,44 @@ def test_one_row_and_many_row_runs_equal_their_scalar_solves(kind):
     assert [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)] == expected
 
 
+def test_layout_projects_each_row_with_its_instances_subspace_bit_for_bit():
+    # three instances whose U, V and U ∩ V have different ranks; the rows
+    # form a one-row, a three-row and a two-row run, keeping rows re-binds
+    # them to a two-row run between one-row runs, and selecting rows from
+    # those makes three one-row runs
+    n = 12
+    rng = np.random.default_rng(20)
+    subspaces = [tuple(bench.LinearSubspace(rng.standard_normal((n, rank)))
+                       for rank in ranks)
+                 for ranks in ((5, 7, 1), (2, 9, 3), (10, 4, 2))]
+    owner = np.array([0, 1, 1, 1, 2, 2])
+    layout = bench._Layout([tuple(s.basis for s in sets) for sets in subspaces], owner)
+    M = rng.standard_normal((len(owner), 1, n)) * 3.0
+    blocks = rng.standard_normal((4, len(owner), 1, n))
+
+    def expect_rows(projected, rows, owners, which):
+        # a (rows, 1, n) stack, or each trip of a (trips, rows, 1, n) one
+        assert projected.shape == rows.shape
+        for trip, stack in zip(projected.reshape(-1, *rows.shape[-3:]),
+                               rows.reshape(-1, *rows.shape[-3:])):
+            for r, i in enumerate(owners):
+                want = subspaces[i][which].project(stack[r, 0])
+                assert trip[r, 0].tobytes() == want.tobytes()
+
+    kept = np.array([True, False, True, True, False, True])
+    where = np.array([True, True, False, True])
+    for which in range(3):
+        expect_rows(layout.project(M, which), M, owner, which)
+        expect_rows(layout.project(blocks, which), blocks, owner, which)
+    layout.keep(kept)
+    for which in range(3):
+        expect_rows(layout.project(M[kept], which), M[kept], owner[kept], which)
+        expect_rows(layout.project(blocks[:, kept], which), blocks[:, kept],
+                    owner[kept], which)
+        expect_rows(layout.project_where(M[kept], which, where), M[kept][where],
+                    owner[kept][where], which)
+
+
 # --- haugazeau rows --------------------------------------------------------------
 
 def test_haugazeau_row_form_matches_the_scalar_projection():
@@ -801,6 +875,18 @@ def test_runs_csv_exact_header_and_determinism(tmp_path):
     ncols = len(CSV_HEADER.split(","))
     for line in text.splitlines():
         assert len(line.split(",")) == ncols
+
+
+def test_table_csv_writes_numpy_scalars_as_their_python_values(tmp_path):
+    header = ["real", "count", "nan"]
+    python = [[0.5, 3, math.nan], [1e-300, -7, 2.0]]
+    numpy_cells = [[np.float64(0.5), np.int64(3), np.float64(math.nan)],
+                   [np.float64(1e-300), np.int64(-7), np.float64(2.0)]]
+    write_table_csv(tmp_path / "python.csv", header, python)
+    write_table_csv(tmp_path / "numpy.csv", header, numpy_cells)
+    assert ((tmp_path / "numpy.csv").read_bytes()
+            == (tmp_path / "python.csv").read_bytes()
+            == b"real,count,nan\n0.5,3,nan\n1e-300,-7,2.0\n")
 
 
 def test_parse_method_token():

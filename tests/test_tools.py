@@ -71,3 +71,18 @@ def test_step_cost_prints_one_line_per_family_dimension_and_driver():
     assert [tuple(line.split()[:3]) for line in lines[1:]] == expected
     for line in lines[1:]:
         assert re.fullmatch(r"\w+\s+\d+\s+\w+\s+\d+\s+\d+\.\d\d", line), line
+
+
+def test_profile_cost_prints_one_line_per_stage():
+    run = subprocess.run([sys.executable, str(TOOLS / "profile_cost.py"), "--seed", "0"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "stage                  ms"
+    names = [line.split()[0] for line in lines[1:]]
+    families = ["engine.cm", "engine.haugazeau", "engine.projection", "engine.reflection"]
+    assert names[0] == "bases_starts" and sorted(names[1:5]) == families
+    assert names[5:] == ["grid_sweep", "aggregate", "runs_csv", "table_csv",
+                         "angle_profile"]
+    for line in lines[1:]:
+        assert re.fullmatch(r"[\w.]+\s+\d+\.\d{3}", line), line
