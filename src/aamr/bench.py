@@ -363,11 +363,16 @@ def _profile_records(config, specs, runs):
 # the dot) that ``LinearSubspace.project``, ``ConvexSet.distance`` and its
 # scalar driver make on the same orthonormalised bases, one instance's run
 # of rows at a time, so a row's bits are those of its scalar solve and do
-# not depend on its batchmates.  Semantics match the engine: converged at
-# the first index with true error below eps (the start included), numerical
-# failure at the index whose Haugazeau step finds disjoint halfspaces (its
-# error unread), budget exhausted otherwise.  Subspace instances keep the
-# governing sequence bounded, so no divergence check is needed here.
+# not depend on its batchmates.  One exit rule ends a row: at its first
+# index (the start included) whose monitored error is not at least eps, it
+# is converged if that error is below eps and a numerical failure if it is
+# NaN; a row that never meets the rule exhausts its budget.  A Haugazeau step
+# that finds disjoint halfspaces monitors a NaN point, and an overflowed
+# iterate makes its error NaN once inf meets inf or 0 in a product (an inf
+# error alone goes on, as an inf shadow error does in ``iterate``); so a
+# failure ends a row at its own index, and a row that converged earlier in
+# the block keeps its earlier index.  Subspace instances keep the governing
+# sequence bounded, so no divergence check is needed here.
 #
 # A loop trip costs tens of microseconds of call overhead whatever its row
 # count, so the loop is lean: rows are (m, 1, n) stacks (CM's (m, 2, 1, n))
@@ -377,8 +382,8 @@ def _profile_records(config, specs, runs):
 # and a one-row run makes just the two dot calls of
 # ``LinearSubspace.project``.  The stopping error is taken once per
 # block of trips: each trip stores its monitored point, then one stacked call
-# takes the errors of the whole block, and a row that met the tolerance
-# finishes at its first such trip with that trip's error (its later trips are
+# takes the errors of the whole block, and a row that meets the exit rule
+# ends at its first such trip with that trip's error (its later trips are
 # discarded).  Blocks grow with the trips already run, so a batch whose rows
 # converge within a few dozen iterations discards few trips, while a long run
 # still takes its errors in blocks of up to _BLOCK_ROWS monitored points.
@@ -446,11 +451,6 @@ class _Layout:
                 matmul(matmul(M[a:b], basis), basis_t, out=out[a:b])
         return out
 
-    def project_where(self, M, which, where):
-        """``project`` of just the rows of the (rows, 1, n) stack ``M`` that
-        the mask ``where`` selects, in order."""
-        return _Layout(self.bases, self.owner[where]).project(M[where], which)
-
 
 def _coefficients(values, ones):
     """One coefficient per row, broadcast to the shape of ``ones``."""
@@ -458,14 +458,12 @@ def _coefficients(values, ones):
 
 
 # A trip family's builder takes the starts Q (an (m, 1, n) stack), the
-# resolved specs, the batch's ``_Layout`` (which projects the active rows)
-# and the engine's failure list; it returns the initial state, the per-row
-# coefficients and the trip ``(X, k, *coefficients) -> (monitored point,
-# next state)``.  A trip whose step fails on some rows appends ``(k, rows)``
-# to the failure list.
+# resolved specs and the batch's ``_Layout`` (which projects the active
+# rows); it returns the initial state, the per-row coefficients and the trip
+# ``(X, k, *coefficients) -> (monitored point, next state)``.
 
 
-def _reflection_rows(Q, specs, layout, failures):
+def _reflection_rows(Q, specs, layout):
     """AAMR rows (``aamr_solve``: the modified-reflection update on the
     q-shifted sets, monitoring ``P_U(x + q)``) and DR rows (``dr_solve``:
     beta = 1 on the unshifted sets, monitoring ``P_U(x)``); both project
@@ -485,7 +483,7 @@ def _reflection_rows(Q, specs, layout, failures):
     return Q, [a, 1.0 - a, 2.0 * betas, np.where(betas == 1.0, 0.0, Q)], trip
 
 
-def _projection_rows(Q, specs, layout, failures):
+def _projection_rows(Q, specs, layout):
     """Relaxed alternating projections ``x <- (1 - mu) x + mu P_V(P_U x)``,
     monitoring x itself, as in ``rap_solve`` (``map_solve`` is mu = 1)."""
     project = layout.project
@@ -498,7 +496,7 @@ def _projection_rows(Q, specs, layout, failures):
     return Q, [a, 1.0 - a], trip
 
 
-def _cm_rows(Q, specs, layout, failures):
+def _cm_rows(Q, specs, layout):
     """Combettes' recurrence (``cm_recurrence``) from the tiled start: the
     state of a row is its two blocks, an (m, 2, 1, n) stack, and block means
     are ``np.add.reduce(., axis=1) / 2``, as in ``Diagonal.mean``."""
@@ -544,24 +542,26 @@ def _haugazeau_step(Q, X, P):
     return np.where(flat, np.where(disjoint, X, P), X_next), disjoint.ravel()
 
 
-def _haugazeau_rows(Q, specs, layout, failures):
+def _haugazeau_rows(Q, specs, layout):
     """Haugazeau's anchored steps (``haugazeau_solve``), monitoring x: the
-    parity ``k % 2`` is shared by all rows, and the fall-back to the other
-    set projects only the rows whose projection returned them unchanged."""
+    parity ``k % 2`` is shared by all rows, and a row whose projection
+    returned it unchanged takes its projection onto the other set instead.
+    A row whose step finds disjoint halfspaces monitors a NaN point at k,
+    which the engine's exit rule reads as a numerical failure at k."""
     def trip(X, k, Q):
         P = layout.project(X, k % 2)
-        fall_back = (P == X).all(axis=(1, 2))
+        fall_back = (P == X).all(axis=(1, 2), keepdims=True)
         if fall_back.any():
-            P[fall_back] = layout.project_where(X, (k + 1) % 2, fall_back)
+            P = np.where(fall_back, layout.project(X, (k + 1) % 2), P)
         X_next, disjoint = _haugazeau_step(Q, X, P)
         if disjoint.any():
-            failures.append((k, disjoint))
+            return np.where(disjoint[:, None, None], np.nan, X), X_next
         return X, X_next
 
     return Q, [Q], trip
 
 
-def _hlwb_rows(Q, specs, layout, failures):
+def _hlwb_rows(Q, specs, layout):
     """Anchored projections ``x <- q/(k+2) + (1 - 1/(k+2)) P(x)`` cycling from
     V (``hlwb_solve`` on the pair), monitoring x; the weight is shared by all
     rows."""
@@ -585,20 +585,20 @@ def _batched_pair_sweep(segments, q_rows, specs, eps, max_iter):
 
     ``segments`` lists ``(bases, rows)`` per instance: the orthonormal bases
     of its U, V and U ∩ V, and the number of consecutive rows posed on it.
-    All specs belong to one trip family of ``_TRIPS``.  Returns parallel
-    lists of (status string, iterations, final_error), each those of the
-    row's scalar solve.
+    All specs belong to one trip family of ``_TRIPS``.  A row ends at its
+    first index whose monitored error is not at least ``eps``: converged if
+    the error is below ``eps``, a numerical failure if it is NaN; a row that
+    never ends exhausts its budget.  Returns parallel lists of (status
+    string, iterations, final_error), each those of the row's scalar solve.
     """
     Q = np.array(q_rows, dtype=float)
     m, n = Q.shape
     Q = Q.reshape(m, 1, n)
     layout = _Layout([b for b, _ in segments],
                      np.repeat(np.arange(len(segments)), [rows for _, rows in segments]))
-    failures = []
-    X, per_row, trip = _TRIPS[specs[0].kind](Q, specs, layout, failures)
+    X, per_row, trip = _TRIPS[specs[0].kind](Q, specs, layout)
     buffer = np.empty(max(_BLOCK_ROWS, m) * n)
 
-    status = [Status.BUDGET_EXHAUSTED.value] * m
     iterations = np.full(m, max_iter, dtype=int)
     final_error = np.full(m, np.nan)
     active = np.arange(m)
@@ -612,28 +612,12 @@ def _batched_pair_sweep(segments, q_rows, specs, eps, max_iter):
             block[j], X = trip(X, k + j, *per_row)
         gaps = (block - layout.project(block, 2)).reshape(trips * rows, 1, n)
         errs = _row_norms(gaps).reshape(trips, rows)
-        below = errs < eps
-        if failures:
-            # a failure wins over convergence at its own index, not before it
-            failed = np.full(rows, trips)
-            for j, disjoint in failures:
-                failed[disjoint & (failed == trips)] = j - k
-            below &= np.arange(trips)[:, None] < failed
-        done = below.any(axis=0)
-        first = below.argmax(axis=0)
-        for r in active[done]:
-            status[r] = Status.CONVERGED.value
+        going = errs >= eps  # False below eps and at NaN
+        done = ~going.all(axis=0)
+        first = going.argmin(axis=0)
         iterations[active[done]] = k + first[done]
-        # a row's error at its first hit, else at the block's last trip
+        # a row's error at its end, else at the block's last trip
         final_error[active] = errs[np.where(done, first, trips - 1), np.arange(rows)]
-        if failures:
-            fail = ~done & (failed < trips)
-            for r in active[fail]:
-                status[r] = Status.NUMERICAL_FAILURE.value
-            iterations[active[fail]] = k + failed[fail]
-            final_error[active[fail]] = np.nan
-            done |= fail
-            failures.clear()
         k += trips
         if k > max_iter or done.all():
             break
@@ -642,7 +626,10 @@ def _batched_pair_sweep(segments, q_rows, specs, eps, max_iter):
             active, X = active[keep], X[keep]
             per_row = [c[keep] for c in per_row]
             layout.keep(keep)
-    return status, iterations.tolist(), final_error.tolist()
+    final_error = final_error.tolist()
+    status = [(Status.CONVERGED if e < eps else Status.BUDGET_EXHAUSTED if e >= eps
+               else Status.NUMERICAL_FAILURE).value for e in final_error]
+    return status, iterations.tolist(), final_error
 
 
 def sweep_alpha(config: SweepConfig, kind: str):

@@ -97,7 +97,8 @@ def _build_parser() -> _Parser:
     bench_p.add_argument("--methods", default=None,
                          help="comma-separated tokens, e.g. 'map,aamr:alpha=0.9:beta=0.9'")
     bench_p.add_argument("--full-scale", action="store_true",
-                         help="large benchmark preset (hours of runtime)")
+                         help="large benchmark preset (at --jobs 1 on two cores: alpha "
+                              "295 s, beta 475 s, angle-profile 2.4 s)")
     return parser
 
 

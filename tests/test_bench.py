@@ -565,9 +565,8 @@ def test_one_row_and_many_row_runs_equal_their_scalar_solves(kind):
 
 def test_layout_projects_each_row_with_its_instances_subspace_bit_for_bit():
     # three instances whose U, V and U ∩ V have different ranks; the rows
-    # form a one-row, a three-row and a two-row run, keeping rows re-binds
-    # them to a two-row run between one-row runs, and selecting rows from
-    # those makes three one-row runs
+    # form a one-row, a three-row and a two-row run, and keeping rows
+    # re-binds them to a two-row run between one-row runs
     n = 12
     rng = np.random.default_rng(20)
     subspaces = [tuple(bench.LinearSubspace(rng.standard_normal((n, rank)))
@@ -588,7 +587,6 @@ def test_layout_projects_each_row_with_its_instances_subspace_bit_for_bit():
                 assert trip[r, 0].tobytes() == want.tobytes()
 
     kept = np.array([True, False, True, True, False, True])
-    where = np.array([True, True, False, True])
     for which in range(3):
         expect_rows(layout.project(M, which), M, owner, which)
         expect_rows(layout.project(blocks, which), blocks, owner, which)
@@ -597,8 +595,6 @@ def test_layout_projects_each_row_with_its_instances_subspace_bit_for_bit():
         expect_rows(layout.project(M[kept], which), M[kept], owner[kept], which)
         expect_rows(layout.project(blocks[:, kept], which), blocks[:, kept],
                     owner[kept], which)
-        expect_rows(layout.project_where(M[kept], which, where), M[kept][where],
-                    owner[kept][where], which)
 
 
 # --- haugazeau rows --------------------------------------------------------------
@@ -742,6 +738,26 @@ def test_haugazeau_failure_wins_only_from_its_own_index(monkeypatch, converges_a
                               else ("numerical_failure", 3))
     monkeypatch.setattr(scalar, "_haugazeau_project", project)
     assert batched[1:] == _scalar_rows(pair, qs[1:], [MethodSpec("haugazeau")] * 2, eps, 500)
+
+
+def test_a_row_whose_iterate_overflows_fails_at_its_scalar_solves_index():
+    # U is spanned by 1e200 e1, so the map B B^T of its basis overflows: the
+    # first projection onto U is inf in e1, and the projection onto V that
+    # follows makes it NaN (0 * inf in e3).  Each scalar solve ends at k = 1 on
+    # its non-finite iterate; an AAMR row's error at k = 0 is already inf
+    # (its shadow is that first projection), which is not a failure
+    u = np.array([[1e200], [0.0], [0.0]])
+    v = np.array([[1.0], [1.0], [0.0]]) / math.sqrt(2.0)
+    crafted = (u, v, np.zeros((3, 0)))
+    qs = np.random.default_rng(14).standard_normal((4, 3))
+    specs = [MethodSpec("map"), MethodSpec("aamr", alpha=0.9, beta=0.7),
+             MethodSpec("map"), MethodSpec("aamr", alpha=0.5, beta=0.9)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        status, iters, errs = bench._batched_pair_sweep(
+            [(crafted, len(qs))], qs, specs, 1e-6, 50)
+        scalar = _scalar_rows(None, qs, specs, 1e-6, 50, sets=[_Linear(b) for b in crafted])
+    rows = [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)]
+    assert rows == scalar == [("numerical_failure", 1, "nan")] * len(qs)
 
 
 def test_sweep_alpha_single_point_grid_is_trivial():

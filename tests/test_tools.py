@@ -1,3 +1,4 @@
+import functools
 import re
 import subprocess
 import sys
@@ -16,26 +17,30 @@ def test_ledger_prints_three_counts():
         assert re.fullmatch(rf"{name}: \d+", line), line
 
 
-def test_row_cost_prints_one_line_per_row_count():
-    run = subprocess.run([sys.executable, str(TOOLS / "row_cost.py"), "--trips", "3"],
-                         capture_output=True, text=True, timeout=60)
-    assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
+@functools.lru_cache(maxsize=None)
+def _row_cost_run():
+    # one run of row_cost.py --trips 3: the AAMR/DR table on stdout, the projection on stderr
+    return subprocess.run([sys.executable, str(TOOLS / "row_cost.py"), "--trips", "3"],
+                          capture_output=True, text=True, timeout=60)
+
+
+def _check_row_table(lines):
     assert lines[0] == "rows  us_per_trip  us_per_row_iter"
     assert [line.split()[0] for line in lines[1:]] == ["1", "2", "4", "10", "30", "76"]
     for line in lines[1:]:
         assert re.fullmatch(r"\s*\d+\s+\d+\.\d\d\s+\d+\.\d{3}", line), line
+
+
+def test_row_cost_prints_one_line_per_row_count():
+    run = _row_cost_run()
+    assert run.returncode == 0, run.stderr
+    _check_row_table(run.stdout.splitlines())
 
 
 def test_row_cost_prints_the_projection_rows_on_stderr():
-    run = subprocess.run([sys.executable, str(TOOLS / "row_cost.py"), "--trips", "3"],
-                         capture_output=True, text=True, timeout=60)
+    run = _row_cost_run()
     assert run.returncode == 0
-    lines = run.stderr.splitlines()
-    assert lines[0] == "rows  us_per_trip  us_per_row_iter"
-    assert [line.split()[0] for line in lines[1:]] == ["1", "2", "4", "10", "30", "76"]
-    for line in lines[1:]:
-        assert re.fullmatch(r"\s*\d+\s+\d+\.\d\d\s+\d+\.\d{3}", line), line
+    _check_row_table(run.stderr.splitlines())
 
 
 def test_row_cost_spreads_the_rows_over_three_instances():
@@ -43,11 +48,8 @@ def test_row_cost_spreads_the_rows_over_three_instances():
                           "--instances", "3"],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    for lines in (run.stdout.splitlines(), run.stderr.splitlines()):
-        assert lines[0] == "rows  us_per_trip  us_per_row_iter"
-        assert [line.split()[0] for line in lines[1:]] == ["1", "2", "4", "10", "30", "76"]
-        for line in lines[1:]:
-            assert re.fullmatch(r"\s*\d+\s+\d+\.\d\d\s+\d+\.\d{3}", line), line
+    _check_row_table(run.stdout.splitlines())
+    _check_row_table(run.stderr.splitlines())
     refused = subprocess.run([sys.executable, str(TOOLS / "row_cost.py"), "--trips", "3",
                               "--instances", "4"],
                              capture_output=True, text=True, timeout=60)
