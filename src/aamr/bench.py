@@ -9,11 +9,11 @@ in the status tallies, so plots cannot silently hide failures.
 """
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import svgplot
 from .geometry import SubspacePair, random_subspace_pair
@@ -81,9 +81,12 @@ class SweepConfig:
 
     def __post_init__(self):
         for name in ("n", "n_instances", "n_starts", "max_iter", "angle_bins", "jobs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"config counts must be positive: "
-                                 f"{name} = {getattr(self, name)}")
+            value = getattr(self, name)
+            # bool is an Integral too; numpy integers are Integrals and pass
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"config counts must be integers: {name} = {value!r}")
+            if value < 1:
+                raise ValueError(f"config counts must be positive: {name} = {value}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
         for name in ("alpha_grid", "alpha_sweep_betas", "beta_grid", "rate_thetas"):
@@ -590,6 +593,12 @@ def _batched_pair_sweep(segments, q_rows, specs, eps, max_iter):
     the error is below ``eps``, a numerical failure if it is NaN; a row that
     never ends exhausts its budget.  Returns parallel lists of (status
     string, iterations, final_error), each those of the row's scalar solve.
+
+    That match needs orthonormal bases, as ``_grid_task`` passes (those of
+    ``LinearSubspace``): an inf error does not end a row, so a row whose
+    iterate overflows to ±inf without a NaN error, which only a
+    non-orthonormal basis can cause, runs on past its scalar solve's
+    failure index.
     """
     Q = np.array(q_rows, dtype=float)
     m, n = Q.shape
@@ -696,6 +705,10 @@ def sweep_beta(config: SweepConfig):
 def _fit_beta_curve(best_records) -> BetaFit | None:
     if len(best_records) < 4:
         return None
+    # loaded here, not at module level: only this fit needs it, and it costs
+    # every other process about 20 MB of peak memory and 0.1 s of start-up
+    import scipy.optimize
+
     thetas = np.array([r.theta for r in best_records])
     betas = np.array([r.best_beta for r in best_records])
 

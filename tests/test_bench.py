@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -838,6 +840,20 @@ def test_config_count_errors_name_the_field(field):
         SweepConfig(**{field: -2})
 
 
+@pytest.mark.parametrize("field", ["n", "n_instances", "n_starts", "max_iter",
+                                   "angle_bins", "jobs"])
+@pytest.mark.parametrize("value", [50.0, 1.5, True, "3"])
+def test_config_counts_must_be_integers(field, value):
+    with pytest.raises(ValueError,
+                       match=rf"^config counts must be integers: {field} = {value!r}$"):
+        SweepConfig(**{field: value})
+
+
+def test_config_counts_take_numpy_integers():
+    config = SweepConfig(n=np.int64(8), max_iter=np.int32(50), jobs=np.uint8(1))
+    assert (config.n, config.max_iter, config.jobs) == (8, 50, 1)
+
+
 def test_config_eps_must_lie_in_the_unit_interval():
     with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)$"):
         SweepConfig(eps=1.5)
@@ -872,6 +888,29 @@ def test_sweep_beta_fit_present_with_enough_instances():
     if fit is not None:
         assert fit.rms_residual >= 0.0
         assert np.isfinite(fit(0.5))
+
+
+def test_only_the_beta_fit_loads_scipy_optimize(tmp_path):
+    problem = tmp_path / "r4.json"
+    problem.write_text('{"dim": 4, "sets": ['
+                       '{"type": "subspace", "basis": [[1, 0, 0, 0], [0, 1, 0, 0]]},'
+                       '{"type": "subspace", "basis": [[0, 1, 0, 0], [0, 0, 1, 1]]}]}')
+    script = f"""
+import sys
+sys.path.insert(0, {str(Path(bench.__file__).parent.parent)!r})
+import aamr, aamr.bench, aamr.cli
+assert aamr.cli.main(["solve", {str(problem)!r}, "--q", "1,2,3,4"]) == 0
+assert "scipy.optimize" not in sys.modules, "loaded by import or solve"
+records = [aamr.bench.BestBetaRecord(i, t, b, 10.0) for i, (t, b) in
+           enumerate([(0.2, 0.87), (0.5, 0.69), (0.8, 0.59), (1.1, 0.53)])]
+fit = aamr.bench._fit_beta_curve(records)
+assert isinstance(fit, aamr.bench.BetaFit), fit
+assert "scipy.optimize" in sys.modules
+"""
+    run = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert "status: converged" in run.stdout
 
 
 # --- CSV artifacts ----------------------------------------------------------------

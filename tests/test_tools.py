@@ -88,3 +88,16 @@ def test_profile_cost_prints_one_line_per_stage():
                          "angle_profile"]
     for line in lines[1:]:
         assert re.fullmatch(r"[\w.]+\s+\d+\.\d{3}", line), line
+
+
+def test_import_cost_prints_one_line_per_entry_point():
+    run = subprocess.run([sys.executable, str(TOOLS / "import_cost.py"), "--runs", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "entry               wall_s  peak_rss_mb"
+    entries = ["import aamr", "import aamr.bench", "import aamr.cli", "aamr solve",
+               "aamr angle"]
+    assert [line[:18].rstrip() for line in lines[1:]] == entries
+    for line in lines[1:]:
+        assert re.fullmatch(r"[\w. ]{18}\s+\d+\.\d{3}\s+\d+\.\d", line), line
