@@ -87,14 +87,25 @@ class SweepConfig:
                 raise ValueError(f"config counts must be integers: {name} = {value!r}")
             if value < 1:
                 raise ValueError(f"config counts must be positive: {name} = {value}")
+        grids = ("alpha_grid", "alpha_sweep_betas", "beta_grid", "rate_thetas")
+        for name, values in [("eps", (self.eps,))] + [(g, getattr(self, g)) for g in grids]:
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            for value in values:
+                # before any range comparison; numpy floats are Reals and pass
+                if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                    raise ValueError(f"config values must be real numbers: {name} has {value!r}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        for name in ("alpha_grid", "alpha_sweep_betas", "beta_grid", "rate_thetas"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
         for theta in self.rate_thetas:
             if not 0.0 < theta <= math.pi / 2:
                 raise ValueError(f"rate_thetas must lie in (0, pi/2], got {theta}")
+        # a repeated angle or beta would run its rows twice, while the traces
+        # and chart groups keyed by the value would hold them as one
+        for name in ("alpha_sweep_betas", "rate_thetas"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats an entry: {values!r}")
 
 
 @dataclass(frozen=True)
@@ -243,11 +254,13 @@ def default_profile_methods() -> list[MethodSpec]:
     ]
 
 
-def _grid_sweep(config, instances, rows):
-    """The ``(MethodSpec, start_id)`` rows on every instance, in tasks of
-    consecutive instances that hold at most ``_BLOCK_ROWS`` rows (one
-    instance at least), run in order or on ``config.jobs`` processes;
-    returns the runs and the converged ones per instance."""
+def _grid_sweep(config, instances, specs, n):
+    """Every spec of ``specs`` from starts 0..n-1 on every instance: the
+    ``(MethodSpec, start_id)`` rows, in tasks of consecutive instances that
+    hold at most ``_BLOCK_ROWS`` rows (one instance at least), run in order
+    or on ``config.jobs`` processes; returns the runs instance-major, then
+    spec-major, then by start."""
+    rows = [(spec, s) for spec in specs for s in range(n)]
     per_task = max(1, _BLOCK_ROWS // max(1, len(rows)))
     tasks = [(config, first, instances[first:first + per_task], rows)
              for first in range(0, len(instances), per_task)]
@@ -256,15 +269,13 @@ def _grid_sweep(config, instances, rows):
     else:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             done = list(pool.map(_grid_task, tasks, chunksize=1))
-    batches = [batch for task in done for batch in task]
-    runs = [r for batch in batches for r in batch]
-    return runs, [[r for r in batch if r.status == Status.CONVERGED.value]
-                  for batch in batches]
+    return [r for task in done for r in task]
 
 
 def _grid_task(args):
     """Run the ``(MethodSpec, start_id)`` rows on each instance of a run of
-    consecutive instances; returns each instance's records in row order.
+    consecutive instances; returns the records, instance-major, each
+    instance's in row order.
 
     U, V and U ∩ V are built once per instance, its starts drawn once, and
     each distinct spec resolved once per instance.  The rows of one trip
@@ -281,22 +292,43 @@ def _grid_task(args):
         resolved = {spec: spec.resolve(pair.angle) for spec in distinct}
         specs.append([resolved[spec] for spec, _ in rows])
         starts.append({s: start_point(config, i, s) for s in used})
-    outcomes = [[None] * len(rows) for _ in pairs]
+    outcomes = {}  # (instance, row) -> (status, iterations, final_error)
     for build in dict.fromkeys(_TRIPS[spec.kind] for spec, _ in rows):
         picked = [j for j, (spec, _) in enumerate(rows) if _TRIPS[spec.kind] is build]
-        batch = _batched_pair_sweep(
-            [(b, len(picked)) for b in bases],
-            [starts[i][rows[j][1]] for i in range(len(pairs)) for j in picked],
-            [specs[i][j] for i in range(len(pairs)) for j in picked],
-            config.eps, config.max_iter)
-        results = zip(*batch)
-        for row_outcomes in outcomes:
-            for j in picked:
-                row_outcomes[j] = next(results)
-    return [[RunRecord(first + i, pair.angle, spec.kind, spec.alpha, spec.beta, spec.mu,
-                       spec.gamma, start_id, *outcome, config.seed)
-             for (_, start_id), spec, outcome in zip(rows, specs[i], outcomes[i])]
-            for i, pair in enumerate(pairs)]
+        keys = [(i, j) for i in range(len(pairs)) for j in picked]
+        batch = _batched_pair_sweep([(b, len(picked)) for b in bases],
+                                    [starts[i][rows[j][1]] for i, j in keys],
+                                    [specs[i][j] for i, j in keys],
+                                    config.eps, config.max_iter)
+        outcomes.update(zip(keys, zip(*batch)))
+    return [RunRecord(first + i, pair.angle, spec.kind, spec.alpha, spec.beta, spec.mu,
+                      spec.gamma, start_id, *outcomes[i, j], config.seed)
+            for i, pair in enumerate(pairs)
+            for j, ((_, start_id), spec) in enumerate(zip(rows, specs[i]))]
+
+
+# status codes in ``Status`` order
+_STATUS_CODES = {s.value: code for code, s in enumerate(Status)}
+
+
+def _block_stats(runs, n):
+    """Median and std of the converged iteration counts (NaN if none
+    converged) and the status counts, in ``Status`` order, of each block of
+    ``n`` consecutive runs, as arrays with one row per block.  The blocks
+    with c converged runs take one ``np.median`` and one ``np.std`` call
+    along axis 1 of the (blocks, c) array of those counts in run order,
+    which equals those calls on each block alone bit for bit."""
+    iterations = np.array([r.iterations for r in runs], dtype=int).reshape(-1, n)
+    codes = np.array([_STATUS_CODES[r.status] for r in runs], dtype=int).reshape(-1, n)
+    converged = codes == _STATUS_CODES[Status.CONVERGED.value]
+    sizes = converged.sum(axis=1)
+    median, std = np.full(len(codes), math.nan), np.full(len(codes), math.nan)
+    for c in np.unique(sizes[sizes > 0]).tolist():
+        blocks = sizes == c
+        its = iterations[blocks][converged[blocks]].reshape(-1, c)
+        median[blocks] = np.median(its, axis=1)
+        std[blocks] = np.std(its, axis=1)
+    return median, std, (codes[:, :, None] == np.arange(len(Status))).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -312,45 +344,14 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
     """
     methods = default_profile_methods() if methods is None else list(methods)
     instances = make_instances(config) if instances is None else list(instances)
-    rows = [(spec, s) for spec in methods for s in range(config.n_starts)]
-    runs, _ = _grid_sweep(config, instances, rows)
-    return runs, _profile_records(config, methods * len(instances), runs)
-
-
-# status codes in ``Status`` order
-_STATUS_CODES = {s.value: code for code, s in enumerate(Status)}
-
-
-def _profile_records(config, specs, runs):
-    """One record per spec of ``specs`` over its block of ``config.n_starts``
-    consecutive runs.
-
-    The iterations and status codes of all runs are taken as (records,
-    n_starts) arrays.  The blocks where every run converged get their median
-    and std in one call each along axis 1, which equals ``np.median`` and
-    ``np.std`` of each block alone bit for bit; a partly converged block
-    takes those 1-D calls on its converged runs, and a block with none gets
-    NaN.
-    """
     n = config.n_starts
-    iterations = np.array([r.iterations for r in runs], dtype=int).reshape(-1, n)
-    codes = np.array([_STATUS_CODES[r.status] for r in runs], dtype=int).reshape(-1, n)
-    converged = codes == _STATUS_CODES[Status.CONVERGED.value]
-    full = converged.all(axis=1)
-    median, std = np.full(len(specs), math.nan), np.full(len(specs), math.nan)
-    if full.any():
-        median[full] = np.median(iterations[full], axis=1)
-        std[full] = np.std(iterations[full], axis=1)
-    partly = converged.any(axis=1)
-    for j in np.flatnonzero(partly & ~full).tolist():
-        median[j] = np.median(iterations[j][converged[j]])
-        std[j] = np.std(iterations[j][converged[j]])
-    counts = (codes[:, :, None] == np.arange(len(Status))).sum(axis=1).tolist()
-    return [ExperimentRecord(runs[j * n].instance_id, runs[j * n].theta, spec, n,
-                             med if some else math.nan, sd if some else math.nan,
-                             dict(zip(_STATUS_CODES, count)), config.seed)
-            for j, (spec, med, sd, some, count) in enumerate(
-                zip(specs, median.tolist(), std.tolist(), partly.tolist(), counts))]
+    runs = _grid_sweep(config, instances, methods, n)
+    median, std, counts = _block_stats(runs, n)
+    return runs, [ExperimentRecord(runs[j * n].instance_id, runs[j * n].theta, spec, n,
+                                   med, sd, dict(zip(_STATUS_CODES, count)), config.seed)
+                  for j, (spec, med, sd, count) in enumerate(
+                      zip(methods * len(instances), median.tolist(), std.tolist(),
+                          counts.tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -659,19 +660,19 @@ def sweep_alpha(config: SweepConfig, kind: str):
         raise ValueError(f"alpha_grid holds no alpha {kind} takes: "
                          f"alpha must {params['alpha'].interval}")
     betas = config.alpha_sweep_betas if "beta" in params else (None,)
-    runs, converged = _grid_sweep(
-        config, make_instances(config),
-        [(MethodSpec(kind, alpha=a, beta=beta), 0) for beta in betas for a in grid])
+    instances = make_instances(config)
+    specs = [[MethodSpec(kind, alpha=a, beta=beta) for a in grid] for beta in betas]
+    runs = _grid_sweep(config, instances, [spec for group in specs for spec in group], 1)
+    # a run's median is its iteration count if it converged, else NaN
+    median = _block_stats(runs, 1)[0].reshape(len(instances), len(betas), len(grid))
     best = []
-    for batch in converged:
-        by_beta = {}
-        for r in batch:
-            by_beta.setdefault(r.beta, []).append(r)
-        for group in by_beta.values():
-            iterations, alpha = min((r.iterations, r.alpha) for r in group)
-            r = group[0]
-            best.append(BestAlphaRecord(r.instance_id, r.theta, r.method, r.beta,
-                                        alpha, iterations))
+    for i, pair in enumerate(instances):
+        for group, its in zip(specs, median[i].tolist()):
+            finite = [(m, spec.alpha) for m, spec in zip(its, group) if math.isfinite(m)]
+            if finite:
+                iterations, alpha = min(finite)
+                best.append(BestAlphaRecord(i, pair.angle, kind, group[0].beta, alpha,
+                                            int(iterations)))
     return runs, best
 
 
@@ -687,17 +688,17 @@ def sweep_beta(config: SweepConfig):
     together with the residual of the shipped ``recommended_beta`` rule on the
     same data.
     """
-    runs, converged = _grid_sweep(
-        config, make_instances(config),
-        [(MethodSpec("aamr", alpha=0.9, beta=beta), s)
-         for beta in config.beta_grid for s in range(config.n_starts)])
+    instances = make_instances(config)
+    specs = [MethodSpec("aamr", alpha=0.9, beta=beta) for beta in config.beta_grid]
+    runs = _grid_sweep(config, instances, specs, config.n_starts)
+    median = _block_stats(runs, config.n_starts)[0].reshape(len(instances), len(specs))
     best = []
-    for batch in filter(None, converged):
-        by_beta = {}
-        for r in batch:
-            by_beta.setdefault(r.beta, []).append(r.iterations)
-        median, beta = min((float(np.median(its)), b) for b, its in by_beta.items())
-        best.append(BestBetaRecord(batch[0].instance_id, batch[0].theta, beta, median))
+    for i, pair in enumerate(instances):
+        finite = [(m, spec.beta) for m, spec in zip(median[i].tolist(), specs)
+                  if math.isfinite(m)]
+        if finite:
+            least, beta = min(finite)
+            best.append(BestBetaRecord(i, pair.angle, beta, least))
     fit = _fit_beta_curve(best)
     return runs, best, fit
 

@@ -99,6 +99,11 @@ class StoppingPolicy:
     def __post_init__(self):
         if self.mode not in (self.TRUE_ERROR, self.RESIDUAL, self.BUDGET_ONLY):
             raise ValueError(f"unknown stopping mode {self.mode!r}")
+        _check_real("eps", self.eps)
+        _check_real("divergence_threshold", self.divergence_threshold)
+        # bool is an Integral too; numpy integers are Integrals and pass
+        if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.max_iter < 1:

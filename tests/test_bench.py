@@ -535,13 +535,12 @@ def test_instance_rows_do_not_depend_on_their_task(monkeypatch):
     methods = [MethodSpec(kind) for kind in MethodSpec.KINDS]
     rows = [(spec, s) for spec in methods for s in range(2)]
     pairs = make_instances(config)
-    alone = [_profile_rows(bench._grid_task((config, i, [pair], rows))[0])
-             for i, pair in enumerate(pairs)]
-    together = bench._grid_task((config, 0, pairs, rows))
-    assert [_profile_rows(batch) for batch in together] == alone
+    alone = [row for i, pair in enumerate(pairs)
+             for row in _profile_rows(bench._grid_task((config, i, [pair], rows)))]
+    assert _profile_rows(bench._grid_task((config, 0, pairs, rows))) == alone
     monkeypatch.setattr(bench, "_BLOCK_ROWS", 30)
     parallel, _ = angle_profile(dataclasses.replace(config, jobs=2), methods=methods)
-    assert _profile_rows(parallel) == [row for batch in alone for row in batch]
+    assert _profile_rows(parallel) == alone
 
 
 @pytest.mark.parametrize("kind", sorted(ROW_KINDS))
@@ -854,6 +853,28 @@ def test_config_counts_take_numpy_integers():
     assert (config.n, config.max_iter, config.jobs) == (8, 50, 1)
 
 
+@pytest.mark.parametrize("field", ["eps", "alpha_grid", "alpha_sweep_betas", "beta_grid",
+                                   "rate_thetas"])
+@pytest.mark.parametrize("value", ["0.1", True, None])
+def test_config_values_must_be_real_numbers(field, value):
+    given = value if field == "eps" else (0.5, value)
+    with pytest.raises(ValueError,
+                       match=rf"^config values must be real numbers: {field} has {value!r}$"):
+        SweepConfig(**{field: given})
+
+
+def test_config_values_take_numpy_reals():
+    config = SweepConfig(eps=np.float64(1e-3), alpha_grid=(np.float32(0.5), 1),
+                         beta_grid=(np.float64(0.7),), rate_thetas=(np.float16(0.5),))
+    assert (config.eps, config.alpha_grid[0], config.rate_thetas[0]) == (1e-3, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("field", ["alpha_sweep_betas", "rate_thetas"])
+def test_config_rejects_a_repeated_angle_or_alpha_sweep_beta(field):
+    with pytest.raises(ValueError, match=rf"^{field} repeats an entry: \(0.5, 0.7, 0.5\)$"):
+        SweepConfig(**{field: (0.5, 0.7, 0.5)})
+
+
 def test_config_eps_must_lie_in_the_unit_interval():
     with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\)$"):
         SweepConfig(eps=1.5)
@@ -879,6 +900,54 @@ def test_sweep_beta_small_betas_dominated_and_small_angles_prefer_large():
     # the smallest-angle instance prefers a large beta
     smallest = min(best, key=lambda r: r.theta)
     assert smallest.best_beta >= 0.7
+
+
+def _converged_runs(runs, instance_id, beta):
+    """(iterations, alpha) of each converged run of one (instance, beta) group."""
+    return [(r.iterations, r.alpha) for r in runs if r.status == "converged"
+            and (r.instance_id, r.beta) == (instance_id, beta)]
+
+
+@pytest.mark.parametrize("max_iter", [25, 40])
+def test_best_parameters_equal_a_plain_reference_on_starved_sweeps(max_iter):
+    # the starved budgets leave an instance (25) or an (instance, beta) group
+    # (40) with no converged run, and at 40 a partly converged beta block;
+    # the grids descend, so a tie that went to the first entry would pick
+    # the larger parameter
+    config = SweepConfig(n=20, n_instances=4, n_starts=4, angle_bins=4, seed=0,
+                         max_iter=max_iter, alpha_grid=(1, 0.9, 0.7, 0.5, 0.3, 0.1),
+                         alpha_sweep_betas=(0.6, 0.9), beta_grid=(0.9, 0.7, 0.5))
+    runs, best = sweep_alpha(config, "aamr")
+    theta = {r.instance_id: r.theta for r in runs}
+    expected, tied = [], False
+    for i in range(4):
+        for beta in config.alpha_sweep_betas:
+            group = _converged_runs(runs, i, beta)
+            if group:
+                iterations, alpha = min(group)
+                expected.append((i, theta[i], "aamr", beta, alpha, iterations))
+                tied |= [its for its, _ in group].count(iterations) > 1
+    assert [dataclasses.astuple(r) for r in best] == expected
+    assert all(type(r.best_alpha) is float and type(r.iterations) is int for r in best)
+    assert tied and len(best) < 8
+
+    runs, best, _ = sweep_beta(config)
+    expected, tied, sizes = [], False, set()
+    for i in range(4):
+        medians = []
+        for beta in config.beta_grid:
+            its = [its for its, _ in _converged_runs(runs, i, beta)]
+            sizes.add(len(its))
+            if its:
+                medians.append((float(np.median(its)), beta))
+        if medians:
+            median, beta = min(medians)
+            expected.append((i, theta[i], beta, median))
+            tied |= [m for m, _ in medians].count(median) > 1
+    assert [dataclasses.astuple(r) for r in best] == expected
+    assert all(type(r.best_beta) is float for r in best)
+    assert tied and 0 in sizes
+    assert len(best) < 4 if max_iter == 25 else sizes - {0, 4}
 
 
 def test_sweep_beta_fit_present_with_enough_instances():

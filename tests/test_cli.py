@@ -366,6 +366,15 @@ def test_rates_angle_outside_the_quarter_turn_is_rejected(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_rates_angle_given_twice_is_rejected(tmp_path, capsys):
+    # each angle draws one error-by-iteration series per method
+    out_dir = tmp_path / "out"
+    code = main(["bench", "rates", "--thetas", "0.5,0.5", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: rate_thetas repeats an entry: (0.5, 0.5)\n"
+    assert not out_dir.exists()
+
+
 def test_every_bench_flag_sets_its_sweep_config_field(monkeypatch):
     from aamr import bench
     expected = dict(seed=7, n=9, n_instances=3, n_starts=4, eps=1e-5, max_iter=1234,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +373,25 @@ def test_policy_validation():
 def test_policy_rejects_a_nonpositive_divergence_threshold():
     with pytest.raises(ValueError, match="divergence_threshold must be positive"):
         StoppingPolicy.residual(1e-3, divergence_threshold=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eps", "x", "eps must be a real number, got str"),
+    ("divergence_threshold", "x", "divergence_threshold must be a real number, got str"),
+    ("max_iter", "5", "max_iter must be an integer, got '5'"),
+    ("max_iter", 2.5, "max_iter must be an integer, got 2.5"),
+    ("max_iter", True, "max_iter must be an integer, got True"),
+])
+def test_policy_numbers_must_have_their_types(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        StoppingPolicy.residual(**{"eps": 1e-3, field: value})
+
+
+def test_policy_takes_numpy_numbers_and_an_integer_threshold():
+    policy = StoppingPolicy.budget_only(np.int64(3), eps=np.float32(1e-3),
+                                        divergence_threshold=10)
+    result = iterate(lambda x, k: (0.5 * x, x), [1.0], policy)
+    assert (result.status, result.iterations) == (Status.BUDGET_EXHAUSTED, 3)
 
 
 def test_engine_default_policy_is_the_residual_stop_at_1e_8():

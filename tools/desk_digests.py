@@ -15,9 +15,10 @@ one line each:
   residual --max-iter 500`` on a problem file holding one set of each of
   the six types, whatever its status; the ``json.dumps`` text of
   ``dump_problem(*load_problem(...))`` of that file; the files and stdout of
-  a small ``aamr bench alpha`` that types every flag the sweep reads; and
-  the stderr and exit code of two ``aamr bench`` runs given flags their
-  sweep does not read;
+  a small ``aamr bench alpha`` that types every flag the sweep reads, and of
+  a budget-starved ``aamr bench beta`` whose best betas are chosen over
+  partly converged and unconverged blocks of starts; and the stderr and exit
+  code of two ``aamr bench`` runs given flags their sweep does not read;
 * the rejection path: the stderr and exit code of eight rejected inputs (an
   unknown subcommand, two bad method tokens, a ``--q`` of the wrong
   dimension, a truncated and a missing problem file, ``--mode true-error``
@@ -125,6 +126,10 @@ _ALL_TYPES_PROBLEM = {"dim": 3, "sets": [
 _ALPHA_FLAGS = ["--seed", "3", "--n", "8", "--instances", "2", "--bins", "2",
                 "--eps", "1e-4", "--max-iter", "3000", "--alphas", "0.3,0.7",
                 "--jobs", "2"]
+# at 40 iterations one (instance, beta) block of four starts partly
+# converges and one never does; the grid descends, so ties go against it
+_STARVED_BETA_FLAGS = ["--seed", "0", "--n", "20", "--instances", "4", "--starts", "4",
+                       "--bins", "4", "--betas", "0.9,0.7,0.5", "--max-iter", "40"]
 _UNREAD_FLAGS = {"rates": ["--starts", "7", "--bins", "3", "--betas", "0.5"],
                  "beta": ["--alphas", "0.5", "--thetas", "0.3"]}
 
@@ -138,11 +143,13 @@ def _formats(tmp: Path) -> None:
     print(_run_cli("formats/solve", argv, tmp))
     text = json.dumps(dump_problem(*load_problem(problem)))
     print(f"{_sha256(text.encode())}  formats/dump_problem")
-    out = tmp / "alpha"
-    print(_run_cli("formats/alpha", ["bench", "alpha", *_ALPHA_FLAGS, "--out-dir", str(out)],
-                   tmp))
-    for path in sorted(out.iterdir()):
-        print(f"{_sha256(path.read_bytes())}  formats/alpha/{path.name}")
+    for name, sweep, flags in (("alpha", "alpha", _ALPHA_FLAGS),
+                               ("starved-beta", "beta", _STARVED_BETA_FLAGS)):
+        out = tmp / name
+        print(_run_cli(f"formats/{name}", ["bench", sweep, *flags, "--out-dir", str(out)],
+                       tmp))
+        for path in sorted(out.iterdir()):
+            print(f"{_sha256(path.read_bytes())}  formats/{name}/{path.name}")
     for sweep, flags in _UNREAD_FLAGS.items():
         argv = ["bench", sweep, *flags, "--out-dir", str(tmp / sweep)]
         print(_run_cli(f"formats/{sweep}", argv, tmp, stream="stderr"))

@@ -11,7 +11,8 @@ the stages of ``bench.angle_profile`` on them, with the workload's config
   (``_batched_pair_sweep`` calls, one per task), timed inside a run of
   ``grid_sweep``;
 - ``grid_sweep``: every task, from bases to run records;
-- ``aggregate``: the per-(instance, method) records from the runs;
+- ``aggregate``: the block statistics of the runs (``_block_stats``), from
+  which ``angle_profile`` builds its per-(instance, method) records;
 - ``runs_csv`` and ``table_csv``: writing the runs CSV and the summary
   table (its rows built beforehand) into a temporary directory;
 - ``angle_profile``: the whole call, for reference.
@@ -21,8 +22,8 @@ per stage.
 
 Imports ``aamr`` from the ``src/`` directory next to this script and the
 workload from ``perfbench/``, so a copy run in another checkout whose
-``bench`` has ``_grid_sweep``, ``_batched_pair_sweep``, ``_TRIPS`` and
-``_profile_records`` measures that tree:
+``bench`` has ``_grid_sweep(config, instances, specs, n)``,
+``_batched_pair_sweep``, ``_TRIPS`` and ``_block_stats`` measures that tree:
 
     python3 tools/profile_cost.py [--seed 1]
 """
@@ -62,7 +63,7 @@ def _bases_and_starts(config, instances, methods):
         [bench.start_point(config, i, s) for s in range(config.n_starts)]
 
 
-def _engine_families(config, instances, rows):
+def _engine_families(config, instances, methods):
     """ms per trip family of the row engine, best of ``REPEATS`` runs of
     ``bench._grid_sweep``."""
     sweep = bench._batched_pair_sweep
@@ -80,7 +81,7 @@ def _engine_families(config, instances, rows):
     try:
         for _ in range(REPEATS):
             spent.clear()
-            bench._grid_sweep(config, instances, rows)
+            bench._grid_sweep(config, instances, methods, config.n_starts)
             for family, seconds in spent.items():
                 best[family] = min(best.get(family, seconds), seconds)
     finally:
@@ -96,18 +97,17 @@ def main(argv=None) -> int:
         workload = workloads.Profile(args.seed, tmp)
         workload.setup()
         config, methods, instances = workload.config, workload.methods, workload.instances
-        rows = [(spec, s) for spec in methods for s in range(config.n_starts)]
         runs, records = bench.angle_profile(config, methods, instances)
-        specs = methods * len(instances)
         table = [[r.instance_id, r.theta, r.method.display(), r.n_starts,
                   r.median_iterations, r.std_iterations,
                   *(r.status_counts[s.value] for s in Status), r.seed] for r in records]
         header = bench.SWEEPS["angle-profile"].header
         stages = {"bases_starts": _best(lambda: _bases_and_starts(config, instances, methods))}
         stages.update((f"engine.{family}", ms) for family, ms
-                      in _engine_families(config, instances, rows).items())
-        stages["grid_sweep"] = _best(lambda: bench._grid_sweep(config, instances, rows))
-        stages["aggregate"] = _best(lambda: bench._profile_records(config, specs, runs))
+                      in _engine_families(config, instances, methods).items())
+        stages["grid_sweep"] = _best(
+            lambda: bench._grid_sweep(config, instances, methods, config.n_starts))
+        stages["aggregate"] = _best(lambda: bench._block_stats(runs, config.n_starts))
         stages["runs_csv"] = _best(lambda: bench.write_runs_csv(Path(tmp) / "runs.csv", runs))
         stages["table_csv"] = _best(
             lambda: bench.write_table_csv(Path(tmp) / "table.csv", header, table))
