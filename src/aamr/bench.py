@@ -777,13 +777,13 @@ def rate_profile(config: SweepConfig, methods=None):
     slope fits unstable, while the iterate itself contracts cleanly); the
     modified-reflection method is traced through its shadow.  Every run stops
     at true error 1e-13 or at ``config.max_iter``.  Returns
-    ``(runs, rate_records, traces)`` where ``traces`` maps
-    ``(theta, label)`` to the recorded error trace.
+    ``(runs, rate_records, traces)``: ``traces`` holds the recorded error
+    trace of each run, in run order, one per record.
     """
     if methods is None:
         methods = [MethodSpec("map"), MethodSpec("drm", alpha=0.5),
                    MethodSpec("aamr", alpha=0.9, beta=0.7)]
-    runs, records, traces = [], [], {}
+    runs, records, traces = [], [], []
     for t_index, theta in enumerate(config.rate_thetas):
         u, v, target = _planar_lines(theta)
         rng = np.random.default_rng([config.seed, 31, t_index])
@@ -812,7 +812,7 @@ def rate_profile(config: SweepConfig, methods=None):
                                   result.status.value, result.iterations,
                                   result.final_error, config.seed))
             records.append(RateRecord(theta, resolved.kind, label, rate, expected))
-            traces[(theta, label)] = list(result.trace)
+            traces.append(list(result.trace))
     return runs, records, traces
 
 
@@ -928,10 +928,12 @@ def _beta_report(config, methods):
 
 def _rates_report(config, methods):
     runs, records, traces = rate_profile(config, methods)
-    series = [svgplot.Series(f"{label} theta={theta:g}",
+    # one series per run; a stable sort keeps a repeated method's runs apart
+    series = [svgplot.Series(f"{r.label} theta={r.theta:g}",
                              [entry[0] for entry in trace],
                              [entry[1] for entry in trace])
-              for (theta, label), trace in sorted(traces.items())]
+              for r, trace in sorted(zip(records, traces),
+                                     key=lambda pair: (pair[0].theta, pair[0].label))]
     lines = []
     for r in records:
         expected = "-" if r.expected_rate is None else f"{r.expected_rate:.4f}"

@@ -134,9 +134,15 @@ class StoppingPolicy:
         return self.target.distance(monitored)
 
 
+def _is_real(value) -> bool:
+    """A real number and not a bool (which is an Integral, so a Real, too);
+    numpy floats and integers are Reals and pass."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_real(name: str, value) -> None:
     # before any range comparison, which would raise TypeError on a non-number
-    if not isinstance(value, numbers.Real):
+    if not _is_real(value):
         raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
 
 

@@ -21,13 +21,12 @@ arbitrary starting point.
 
 import inspect
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import (DrOperator, NumericalFailure, SolveResult, StoppingPolicy,
-                        aamr_update, iterate)
+                        _is_real, aamr_update, iterate)
 from .sets import ConvexSet, Diagonal, ProductSet, Translate, _common_dim, as_vector
 
 __all__ = [
@@ -63,11 +62,10 @@ def _schedule(value, param, kind: str, name: str):
     constant once, here, as the value of step 0; a schedule at every step."""
     def checked(k):
         raw = value(k) if callable(value) else value
-        try:
-            v = float(raw)
-        except (TypeError, ValueError):
+        if not _is_real(raw):
             raise ValueError(f"{name} must be a real number for {kind}, "
-                             f"got {type(raw).__name__} at step {k}") from None
+                             f"got {type(raw).__name__} at step {k}")
+        v = float(raw)
         if not param.admits(v):
             raise ValueError(f"{name} must {param.interval}, got {v!r} at step {k}")
         return v
@@ -331,7 +329,7 @@ class _Param:
         return f"lie in (0, {self.hi:g}{']' if self.closed else ')'}"
 
     def check(self, kind: str, name: str, value) -> None:
-        if not isinstance(value, numbers.Real):
+        if not _is_real(value):
             raise ValueError(f"{name} must be a real number for {kind}, "
                              f"got {type(value).__name__}")
         if not self.admits(value):

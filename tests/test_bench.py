@@ -57,6 +57,13 @@ def test_rate_profile_matches_known_rates():
     assert traces  # SVG input available
 
 
+def test_rate_profile_keeps_a_trace_per_run_of_a_repeated_method():
+    runs, records, traces = rate_profile(SweepConfig(rate_thetas=(0.5,)),
+                                         [MethodSpec("map")] * 2)
+    assert len(runs) == len(records) == len(traces) == 2
+    assert traces[0] and traces[0] == traces[1]
+
+
 # --- instances and starts ------------------------------------------------------
 
 def test_make_instances_binned_angles_cover_range():

@@ -214,6 +214,14 @@ def test_bench_rates_accuracy(tmp_path, capsys):
     assert (out_dir / "error_vs_iteration.svg").exists()
 
 
+def test_bench_rates_draws_one_series_per_run_of_a_repeated_method(tmp_path, capsys):
+    out_dir = tmp_path / "rates"
+    assert main(["bench", "rates", "--methods", "map,map", "--out-dir", str(out_dir)]) == 0
+    for name in ("rates.csv", "runs_rates.csv"):
+        assert len((out_dir / name).read_text().splitlines()) == 1 + 6
+    assert (out_dir / "error_vs_iteration.svg").read_text().count("<polyline") == 6
+
+
 def test_bench_profile_deterministic_csv(tmp_path):
     args = ["bench", "angle-profile", "--n", "16", "--instances", "2",
             "--starts", "2", "--bins", "2", "--seed", "7",

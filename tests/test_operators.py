@@ -49,6 +49,8 @@ def test_modified_reflect_validates_beta():
         modified_reflect(LINE_X1, 1.2, [0.0, 0.0])
     with pytest.raises(ValueError, match="^beta must be a real number, got str$"):
         modified_reflect(LINE_X1, "x", [0.0, 0.0])
+    with pytest.raises(ValueError, match="^beta must be a real number, got bool$"):
+        modified_reflect(LINE_X1, True, [0.0, 0.0])
 
 
 def test_modified_reflector_unique_fixed_point_all_variants():
@@ -110,6 +112,8 @@ def test_operator_validates_parameters():
         AamrOperator(LINE_X1, LINE_X1, 0.5, "x")
     with pytest.raises(ValueError, match="^alpha must be a real number, got NoneType$"):
         DrOperator(LINE_X1, LINE_X1, None)
+    with pytest.raises(ValueError, match="^alpha must be a real number, got bool$"):
+        AamrOperator(LINE_X1, LINE_X1, True, 0.5)
 
 
 def test_operator_rejects_sets_of_different_dimensions():
@@ -378,6 +382,8 @@ def test_policy_rejects_a_nonpositive_divergence_threshold():
 @pytest.mark.parametrize("field, value, message", [
     ("eps", "x", "eps must be a real number, got str"),
     ("divergence_threshold", "x", "divergence_threshold must be a real number, got str"),
+    ("eps", True, "eps must be a real number, got bool"),
+    ("divergence_threshold", True, "divergence_threshold must be a real number, got bool"),
     ("max_iter", "5", "max_iter must be an integer, got '5'"),
     ("max_iter", 2.5, "max_iter must be an integer, got 2.5"),
     ("max_iter", True, "max_iter must be an integer, got True"),

@@ -411,8 +411,8 @@ def test_cm_lambda_validation():
                  policy=StoppingPolicy.budget_only(max_iter=5))
 
 
-class _CountingFloat:
-    """A constant parameter that counts how often it is read."""
+class _CountingFloat(float):
+    """A constant parameter, a real number, that counts how often it is read."""
 
     def __init__(self, value):
         self.value = value
@@ -662,8 +662,16 @@ def test_dispatch_rejects_sets_of_mixed_dimensions():
     (lambda: rap_solve(*planar_lines(0.2), np.zeros(2), mu=lambda k: 1.0), "mu"),
     (lambda: dr_solve(*planar_lines(0.2), np.zeros(2), alpha="x"), "alpha"),
     (lambda: aamr_solve(*planar_lines(0.2), np.zeros(2), alpha="x"), "alpha"),
+    (lambda: aamr_solve(*planar_lines(0.2), np.zeros(2), alpha="0.5"), "alpha"),
+    (lambda: cm_solve(planar_lines(0.2), np.zeros(2), lam="1.8"), "lambda"),
+    (lambda: aamr_solve(*planar_lines(0.2), np.zeros(2), alpha=lambda k: True), "alpha"),
+    (lambda: MethodSpec("aamr", alpha=True), "alpha"),
+    (lambda: rap_solve(*planar_lines(0.2), np.zeros(2), mu=True), "mu"),
+    (lambda: cm_solve(planar_lines(0.2), np.zeros(2), gamma=True), "gamma"),
 ], ids=["spec-schedule", "spec-string", "driver-string", "driver-schedule",
-        "dr-string", "aamr-alpha-string"])
+        "dr-string", "aamr-alpha-string", "aamr-alpha-numeric-string",
+        "cm-lam-numeric-string", "aamr-alpha-schedule-bool", "spec-bool", "rap-mu-bool",
+        "cm-gamma-bool"])
 def test_parameter_values_must_be_real_numbers(make, name):
     with pytest.raises(ValueError, match=f"^{name} must be a real number for "):
         make()

@@ -7,6 +7,11 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
+def _cost(*args, timeout=60):
+    return subprocess.run([sys.executable, str(TOOLS / "cost.py"), *args],
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def test_ledger_prints_three_counts():
     run = subprocess.run([sys.executable, str(TOOLS / "ledger.py")],
                          capture_output=True, text=True, timeout=60)
@@ -19,9 +24,8 @@ def test_ledger_prints_three_counts():
 
 @functools.lru_cache(maxsize=None)
 def _row_cost_run():
-    # one run of row_cost.py --trips 3: the AAMR/DR table on stdout, the projection on stderr
-    return subprocess.run([sys.executable, str(TOOLS / "row_cost.py"), "--trips", "3"],
-                          capture_output=True, text=True, timeout=60)
+    # one run of cost.py row --trips 3: the AAMR/DR table on stdout, the projection on stderr
+    return _cost("row", "--trips", "3")
 
 
 def _check_row_table(lines):
@@ -44,21 +48,16 @@ def test_row_cost_prints_the_projection_rows_on_stderr():
 
 
 def test_row_cost_spreads_the_rows_over_three_instances():
-    run = subprocess.run([sys.executable, str(TOOLS / "row_cost.py"), "--trips", "3",
-                          "--instances", "3"],
-                         capture_output=True, text=True, timeout=60)
+    run = _cost("row", "--trips", "3", "--instances", "3")
     assert run.returncode == 0, run.stderr
     _check_row_table(run.stdout.splitlines())
     _check_row_table(run.stderr.splitlines())
-    refused = subprocess.run([sys.executable, str(TOOLS / "row_cost.py"), "--trips", "3",
-                              "--instances", "4"],
-                             capture_output=True, text=True, timeout=60)
+    refused = _cost("row", "--trips", "3", "--instances", "4")
     assert refused.returncode == 2 and "--instances" in refused.stderr
 
 
 def test_step_cost_prints_one_line_per_family_dimension_and_driver():
-    run = subprocess.run([sys.executable, str(TOOLS / "step_cost.py"), "--iters", "3"],
-                         capture_output=True, text=True, timeout=120)
+    run = _cost("step", "--iters", "3", timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[0] == "family     n  driver              iters  us_per_iter"
@@ -76,8 +75,7 @@ def test_step_cost_prints_one_line_per_family_dimension_and_driver():
 
 
 def test_profile_cost_prints_one_line_per_stage():
-    run = subprocess.run([sys.executable, str(TOOLS / "profile_cost.py"), "--seed", "0"],
-                         capture_output=True, text=True, timeout=120)
+    run = _cost("profile", "--seed", "0", timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[0] == "stage                  ms"
@@ -91,8 +89,7 @@ def test_profile_cost_prints_one_line_per_stage():
 
 
 def test_import_cost_prints_one_line_per_entry_point():
-    run = subprocess.run([sys.executable, str(TOOLS / "import_cost.py"), "--runs", "1"],
-                         capture_output=True, text=True, timeout=120)
+    run = _cost("import", "--runs", "1", timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[0] == "entry               wall_s  peak_rss_mb"
@@ -101,3 +98,8 @@ def test_import_cost_prints_one_line_per_entry_point():
     assert [line[:18].rstrip() for line in lines[1:]] == entries
     for line in lines[1:]:
         assert re.fullmatch(r"[\w. ]{18}\s+\d+\.\d{3}\s+\d+\.\d", line), line
+
+
+def test_import_cost_refuses_zero_runs():
+    refused = _cost("import", "--runs", "0")
+    assert refused.returncode == 2 and "--runs" in refused.stderr
