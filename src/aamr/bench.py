@@ -8,6 +8,7 @@ output.  Runs that exhaust their budget are excluded from medians but counted
 in the status tallies, so plots cannot silently hide failures.
 """
 
+import copy
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
@@ -384,17 +385,71 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 # also pays a few microseconds per instance run, so each run is bound to its
 # bases once per layout, a run is projected straight into the shared output,
 # and a one-row run makes just the two dot calls of
-# ``LinearSubspace.project``.  The stopping error is taken once per
-# block of trips: each trip stores its monitored point, then one stacked call
-# takes the errors of the whole block, and a row that meets the exit rule
-# ends at its first such trip with that trip's error (its later trips are
-# discarded).  Blocks grow with the trips already run, so a batch whose rows
-# converge within a few dozen iterations discards few trips, while a long run
-# still takes its errors in blocks of up to _BLOCK_ROWS monitored points.
+# ``LinearSubspace.project``.  The stopping error is checked once per block
+# of trips: each trip stores its monitored point, then ``_Layout.errors``
+# settles the block's points with one gemm per instance run and takes the
+# few it cannot settle (as a rule those at and after a row's exit)
+# exactly, and a row that meets the exit rule ends at its first such trip
+# with that trip's error (its later trips are discarded).  A block from
+# trip k runs min(_BLOCK_ROWS // rows, k // 2, _BLOCK_TRIPS) trips: blocks
+# grow with the trips already run, so a batch whose rows converge within a
+# few dozen iterations discards few trips, and the cap keeps a long run's
+# batch ending near its last row's exit.
 
-# monitored points per block: a block from trip k runs
-# min(_BLOCK_ROWS // (active rows), k) trips, at least one
+# monitored points per block, and trips per block: a block from trip k runs
+# min(_BLOCK_ROWS // (active rows), k // 2, _BLOCK_TRIPS) trips, at least one
 _BLOCK_ROWS = 256
+_BLOCK_TRIPS = 32
+
+# The stopping check's screen.  The exact error of a monitored point x of a
+# row whose instance has W = U ∩ V with basis B (n × d) is its scalar
+# solve's e = fl(sqrt(fl(g·g))), g = fl(x − fl(B fl(Bᵀx))), taken with gemv
+# and dot calls.  The screen takes ‖x‖² and ‖xB‖² instead, with one gemm
+# per instance run, and only "e ≥ eps" is ever read from it: a point is
+# settled when fl(fl(‖x‖²) − L) ≥ fl(‖fl(xB)‖²), where
+# L = fl(max(eps², 2⁻⁹⁶⁹) + m·fl(‖x‖²)) with the margin m below, and every
+# other point gets e exactly.  So no screened value reaches an output, and
+# every status, count and final error keeps the bits of its scalar solve.
+#
+# The margin.  With u = 2⁻⁵³, γ_k = ku/(1 − ku), N = ‖x‖², η ≥ ‖BᵀB − I‖₂
+# and τ = 1 + η (so ‖B‖₂² ≤ τ, ‖B‖_F ≤ √(dτ) and ‖x − BBᵀx‖ ≤ τ‖x‖), and a
+# dot product of length k erring by at most γ_k·|a|ᵀ|b| in any summation
+# order, to first order:
+#   - the screen's fl(‖x‖²) − fl(‖fl(xB)‖²) errs from A = N − ‖Bᵀx‖² by
+#     γ_n N (‖x‖²), 2√d τ γ_n N (the gemm) and γ_d τ N (its squares), and
+#     the subtraction of L rounds by at most uN;
+#   - A differs from the true squared error G = ‖x − BBᵀx‖² =
+#     A + (Bᵀx)ᵀ(BᵀB − I)(Bᵀx) by at most ητN;
+#   - the exact path's Bᵀx and B(·) move g by √d τ (γ_n + γ_d)‖x‖ and its
+#     subtraction by uτ‖x‖, so fl(g·g) errs from G by
+#     2τ(√d τ (γ_n + γ_d) + uτ) N + γ_n τ² N.
+# Summed, the screen and fl(g·g) differ by at most κN with
+#   κ = τ²((2 + 4√d) γ_n + (1 + 2√d) γ_d + 4u) + ητ,
+# and m = 2κ: the doubling covers the second-order terms, fl(‖x‖²) in place
+# of N and the rounding of L itself (about 3u·L, where L ≤ fl(‖x‖²) and
+# the spare κN is at least 4uN).  A settled point thus has fl(g·g) ≥ eps²,
+# and as sqrt rounds monotonically, e ≥ eps.  η is the measured
+# ‖fl(BᵀB) − I‖_F plus that product's own rounding, γ_n d τ ≤ 2ndu·τ.
+# The bound needs no overflow and no underflow.  A settled point has
+# fl(‖x‖²) ≥ L ≥ 2⁻⁹⁶⁹ = tiny/u, so an underflowed product (at most u·tiny)
+# and any eps² below the normal range stay below u²N; and it has a finite
+# fl(‖x‖²), so no value of its exact path overflows: an inf ‖x‖² makes L
+# inf and the difference NaN, and a NaN compares false.
+_SCREEN_FLOOR = np.finfo(float).tiny / (np.finfo(float).eps / 2)
+
+
+def _screen_margin(basis):
+    """The screen margin m of the instance whose U ∩ V has the basis
+    ``basis``, as derived above."""
+    n, d = basis.shape
+    u = np.finfo(float).eps / 2
+    defect = float(np.linalg.norm(basis.T @ basis - np.eye(d)))
+    eta = defect + 2 * n * d * u * (1.0 + defect)
+    tau = 1.0 + eta
+    gamma_n, gamma_d, root_d = n * u / (1 - n * u), d * u / (1 - d * u), math.sqrt(d)
+    kappa = tau ** 2 * ((2 + 4 * root_d) * gamma_n + (1 + 2 * root_d) * gamma_d
+                        + 4 * u) + eta * tau
+    return 2.0 * kappa
 
 
 def _row_dots(A, B):
@@ -412,17 +467,19 @@ def _row_norms(M):
 class _Layout:
     """The instance of each active row of a batch, as runs of consecutive
     rows of one instance; projects every row with its instance's bases, one
-    run at a time."""
+    run at a time, and takes the stopping errors of a block."""
 
     def __init__(self, bases, owner):
         self.bases = bases
+        self.margins = np.array([_screen_margin(b[2]) for b in bases])
         self._place(owner)
 
     def _place(self, owner):
         """Bind each set's runs to their bases: ``runs[which]`` lists
         ``(a, b, basis, basis.T)`` per run of rows ``a:b`` (0: U, 1: V,
-        2: U ∩ V)."""
+        2: U ∩ V); ``margin`` holds each row's screen margin."""
         self.owner = owner
+        self.margin = self.margins[owner]
         cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
         spans = [(a, b, self.bases[owner[a]])
                  for a, b in zip([0] + cuts, cuts + [owner.size])]
@@ -434,26 +491,53 @@ class _Layout:
         self._place(self.owner[rows])
 
     def project(self, M, which):
-        """Each row of the (rows, 1, n) or (trips, rows, 1, n) stack ``M``
-        projected with its instance's basis ``which`` (0: U, 1: V, 2: U ∩ V).
+        """Each row of the (rows, 1, n) stack ``M`` projected with its
+        instance's basis ``which`` (0: U, 1: V, 2: U ∩ V).
 
         The runs are projected straight into one output, run by run, with one
-        gemv pair per row; a one-row run of a (rows, 1, n) stack takes the
-        two ``dot`` calls of ``LinearSubspace.project``, which cost less than
-        two stacked ``matmul`` calls.
+        gemv pair per row; a one-row run takes the two ``dot`` calls of
+        ``LinearSubspace.project``, which cost less than two stacked
+        ``matmul`` calls.
         """
         out = np.empty_like(M)
         matmul = np.matmul
-        if M.ndim == 4:
-            for a, b, basis, basis_t in self.runs[which]:
-                matmul(matmul(M[:, a:b], basis), basis_t, out=out[:, a:b])
-            return out
         for a, b, basis, basis_t in self.runs[which]:
             if b - a == 1:
                 basis.dot(basis_t.dot(M[a, 0]), out=out[a, 0])
             else:
                 matmul(matmul(M[a:b], basis), basis_t, out=out[a:b])
         return out
+
+    def errors(self, block, eps, last):
+        """The stopping errors of the (rows, trips, 1, n) block of monitored
+        points, as a (rows, trips) array that the exit rule reads as the
+        exact errors: +inf at a point the screen settles (error at least
+        ``eps``) and the exact error at every other point, taken in one
+        call; None if the screen settles every point.  On the budget's
+        ``last`` block each row's last point is taken exactly too, so that a
+        row that does not end there gets its final error."""
+        rows, trips, _, n = block.shape
+        flat = block.reshape(rows * trips, n)
+        squares = np.einsum("ij,ij->i", flat, flat)
+        kept = np.empty_like(squares)  # ‖x B‖², one gemm per instance run
+        for a, b, basis, _ in self.runs[2]:
+            xb = np.matmul(flat[a * trips:b * trips], basis)
+            np.einsum("ij,ij->i", xb, xb, out=kept[a * trips:b * trips])
+        squares, kept = squares.reshape(rows, trips), kept.reshape(rows, trips)
+        # the comparison is False at a NaN, and an inf ‖x‖² gives inf - inf
+        limit = max(eps * eps, _SCREEN_FLOOR) + self.margin[:, None] * squares
+        pending = ~(squares - limit >= kept)
+        if last:
+            pending[:, -1] = True
+        elif not pending.any():
+            return None
+        # the pending points, row by row, projected as their rows would be
+        r, t = np.nonzero(pending)
+        points, sub = block[r, t], copy.copy(self)
+        sub._place(self.owner[r])
+        errs = np.full((rows, trips), np.inf)
+        errs[r, t] = _row_norms(points - sub.project(points, 2))
+        return errs
 
 
 def _coefficients(values, ones):
@@ -478,10 +562,19 @@ def _reflection_rows(Q, specs, layout):
     betas = _coefficients([1.0 if s.kind == "drm" else s.beta for s in specs], ones)
 
     def trip(X, k, a, one_minus_a, two_b, shift):
+        # the operations of ``aamr_update``, in its order, on fresh temporaries
         pu = project(X + shift, 0)
-        y = two_b * (pu - shift) - X
-        z = two_b * (project(y + shift, 1) - shift) - y
-        return pu, one_minus_a * X + a * z
+        y = pu - shift
+        y *= two_b
+        y -= X
+        z = project(y + shift, 1)
+        z -= shift
+        z *= two_b
+        z -= y
+        z *= a
+        out = one_minus_a * X
+        out += z
+        return pu, out
 
     # an AAMR row's shift is its q, which is also its start
     return Q, [a, 1.0 - a, 2.0 * betas, np.where(betas == 1.0, 0.0, Q)], trip
@@ -595,6 +688,12 @@ def _batched_pair_sweep(segments, q_rows, specs, eps, max_iter):
     never ends exhausts its budget.  Returns parallel lists of (status
     string, iterations, final_error), each those of the row's scalar solve.
 
+    The rows run in blocks of trips, and ``_Layout.errors`` takes each
+    block's errors: a screen with one gemm per instance run settles every
+    point that lies at least ``eps`` from U ∩ V by more than its rounding
+    margin, and only the other points are taken with the scalar solve's
+    gemv and dot calls, so no screened value reaches an output.
+
     That match needs orthonormal bases, as ``_grid_task`` passes (those of
     ``LinearSubspace``): an inf error does not end a row, so a row whose
     iterate overflows to ±inf without a NaN error, which only a
@@ -615,27 +714,32 @@ def _batched_pair_sweep(segments, q_rows, specs, eps, max_iter):
     k = 0  # index of the block's first trip
     while True:
         rows = active.size
-        trips = min(max(1, min(_BLOCK_ROWS // rows, k)), max_iter + 1 - k)
-        block = buffer[:trips * rows * n].reshape(trips, rows, 1, n)
+        trips = min(max(1, min(_BLOCK_ROWS // rows, k // 2, _BLOCK_TRIPS)),
+                    max_iter + 1 - k)
+        # row-major, so that each instance run's points form one matrix
+        block = buffer[:rows * trips * n].reshape(rows, trips, 1, n)
         for j in range(trips):
             # the update of trip max_iter is computed and never used
-            block[j], X = trip(X, k + j, *per_row)
-        gaps = (block - layout.project(block, 2)).reshape(trips * rows, 1, n)
-        errs = _row_norms(gaps).reshape(trips, rows)
+            block[:, j], X = trip(X, k + j, *per_row)
+        last = k + trips > max_iter
+        errs = layout.errors(block, eps, last)
+        if errs is None:  # no row ends in this block
+            k += trips
+            continue
         going = errs >= eps  # False below eps and at NaN
-        done = ~going.all(axis=0)
-        first = going.argmin(axis=0)
+        done = ~going.all(axis=1)
+        first = going.argmin(axis=1)
         iterations[active[done]] = k + first[done]
-        # a row's error at its end, else at the block's last trip
-        final_error[active] = errs[np.where(done, first, trips - 1), np.arange(rows)]
-        k += trips
-        if k > max_iter or done.all():
+        # a row's error at its end, else at the budget's last trip (inf in
+        # the blocks before)
+        final_error[active] = errs[np.arange(rows), np.where(done, first, trips - 1)]
+        if last or done.all():
             break
-        if done.any():
-            keep = ~done
-            active, X = active[keep], X[keep]
-            per_row = [c[keep] for c in per_row]
-            layout.keep(keep)
+        k += trips
+        keep = ~done
+        active, X = active[keep], X[keep]
+        per_row = [c[keep] for c in per_row]
+        layout.keep(keep)
     final_error = final_error.tolist()
     status = [(Status.CONVERGED if e < eps else Status.BUDGET_EXHAUSTED if e >= eps
                else Status.NUMERICAL_FAILURE).value for e in final_error]

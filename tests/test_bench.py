@@ -291,22 +291,33 @@ def test_batched_rows_equal_scalar_solves_across_blocks(max_iter):
                 == _scalar_rows(pair, qs, specs, eps, max_iter))
 
 
+def _block_starts(rows, budget):
+    """The first trip of each block of a batch that keeps ``rows`` rows
+    until its budget: a block from trip k runs min(256 // rows, k // 2, 32)
+    trips, at least one, and never past the budget."""
+    starts, k = [], 0
+    while k <= budget:
+        starts.append(k)
+        k += min(max(1, min(256 // rows, k // 2, 32)), budget + 1 - k)
+    return starts
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_rows_converging_at_a_block_edge_equal_scalar_solves(rows):
-    # copies of one row keep the batch full, so blocks from trip k run
-    # min(_BLOCK_ROWS // rows, k) trips; eps is set from the row's scalar error
-    # trace so that it first drops below eps on a block's last trip, then on
-    # the next block's first trip.  block - 1 and block are such edges for one
-    # and two rows (255/256, 127/128); for three rows 84/85 fall inside the
-    # block of trips 64-127, so 127/128 is checked too
+    # copies of one row keep the batch full, so its blocks start where
+    # _block_starts says; eps is set from the row's scalar error trace so
+    # that it first drops below eps on a block's last trip, then on the next
+    # block's first trip, at the last two block starts before trip 256
+    # (222 and 254)
     from aamr import LinearSubspace, StoppingPolicy, aamr_solve, random_subspace_pair
 
     pair = random_subspace_pair(20, [77, 2])
     u, v, target = (LinearSubspace(b)
                     for b in (pair.basis_u, pair.basis_v, pair.intersection))
     q = np.random.default_rng(6).standard_normal(20)
-    block = bench._BLOCK_ROWS // rows
-    for edge in (block - 1, block) + ((127, 128) if rows == 3 else ()):
+    starts = [k for k in _block_starts(rows, 300) if k < 256][-2:]
+    assert starts == [222, 254]
+    for edge in [e for start in starts for e in (start - 1, start)]:
         policy = StoppingPolicy.true_error(target, eps=1e-300, max_iter=edge,
                                            record_trace=True)
         errors = [e for _, e, _ in aamr_solve(u, v, q, alpha=0.3, beta=0.7,
@@ -314,40 +325,39 @@ def test_rows_converging_at_a_block_edge_equal_scalar_solves(rows):
         eps = min(errors[:edge])
         assert errors[edge] < eps
         qs, specs = np.tile(q, (rows, 1)), [MethodSpec("aamr", alpha=0.3, beta=0.7)] * rows
-        batched = _batched_rows(pair, qs, specs, eps, 3 * block)
-        assert batched == _scalar_rows(pair, qs, specs, eps, 3 * block)
+        batched = _batched_rows(pair, qs, specs, eps, 300)
+        assert batched == _scalar_rows(pair, qs, specs, eps, 300)
         assert batched[0][:2] == ("converged", edge)
 
 
 def test_blocks_grow_with_the_trip_count(monkeypatch):
-    # a block from trip k runs min(256 // rows, k) trips, at least one, and
-    # never past the budget; each block takes its errors in one stacked call
+    # a block from trip k runs min(256 // rows, k // 2, 32) trips, at least
+    # one, and never past the budget; each block is screened in one call
     from aamr import random_subspace_pair
 
-    sizes = []
+    screened = []
 
-    def recording(points):
-        sizes.append(points.shape[0])
-        return row_norms(points)
+    def recording(self, block, eps, last):
+        screened.append(block.shape[:2])
+        return errors(self, block, eps, last)
 
-    row_norms = bench._row_norms
-    monkeypatch.setattr(bench, "_row_norms", recording)
+    errors = bench._Layout.errors
+    monkeypatch.setattr(bench._Layout, "errors", recording)
     pair = random_subspace_pair(12, [77, 4])
     for specs in ([MethodSpec("aamr", alpha=0.5, beta=0.7)],
                   _reflection_specs([0.5] * 3, [0.7, 1.0, 0.9]),
-                  [MethodSpec("rap", mu=0.5)] * 3):
+                  [MethodSpec("rap", mu=0.5)] * 3,
+                  _reflection_specs([0.5] * 12, [0.6, 0.7, 0.8, 1.0] * 3)):
         rows = len(specs)
-        sizes.clear()
+        screened.clear()
         qs = np.random.default_rng(rows).standard_normal((rows, 12))
         status, iters, _ = _sweep(pair, qs, specs, 0.0, 600)
         assert status == ["budget_exhausted"] * rows and iters == [600] * rows
-        cap = bench._BLOCK_ROWS // rows
-        trips, k = [], 0
-        while k <= 600:
-            trips.append(min(max(1, min(cap, k)), 601 - k))
-            k += trips[-1]
-        assert trips[:5] == [1, 1, 2, 4, 8]
-        assert sizes == [t * rows for t in trips]
+        starts = _block_starts(rows, 600)
+        trips = np.diff(starts + [601]).tolist()
+        assert trips[:13] == ([1, 1, 1, 1, 2, 3, 4, 6, 9, 14, 21]
+                              + ([21, 21] if rows == 12 else [31, 32]))
+        assert screened == [(rows, t) for t in trips]
 
 
 # one row kind per case: the Friedrichs angle of its pair, the seed of the
@@ -390,11 +400,14 @@ def _first_row_errors(pair, q, kind, count):
 
 
 @pytest.mark.parametrize("kind", sorted(ROW_KINDS))
-@pytest.mark.parametrize("edge", [0, 1, 2, 3, 4, 7, 8, 15, 16, 40])
+@pytest.mark.parametrize("edge", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 15, 16, 18, 19,
+                                  27, 28, 40])
 def test_profile_rows_equal_scalar_solves_at_every_block_edge(kind, edge):
     # eps is set from the first row's scalar error trace so that the row
-    # first drops below eps at trip `edge`: the first blocks of the growing
-    # rule end at trips 0, 1, 3, 7 and 15; its batchmates stop where they may
+    # first drops below eps at trip `edge`: the first blocks of the rule end
+    # at trips 0, 1, 2, 3, 5, 8, 12, 18, 27 and 41, whatever the batch's
+    # three rows do; its batchmates stop where they may
+    assert [k - 1 for k in _block_starts(3, 50)[1:11]] == [0, 1, 2, 3, 5, 8, 12, 18, 27, 41]
     pair = _kind_pair(kind, [78, ROW_KINDS[kind][1]])
     qs = np.random.default_rng(8).standard_normal((3, 16)) * 2.5
     errors = _first_row_errors(pair, qs[0], kind, max(edge, 1))
@@ -413,6 +426,53 @@ def test_profile_rows_that_exhaust_the_budget_equal_scalar_solves(kind, max_iter
     batched = _kind_rows(pair, qs, kind, 1e-9, max_iter, batched=True)
     assert batched == _kind_rows(pair, qs, kind, 1e-9, max_iter, batched=False)
     assert [row[:2] for row in batched] == [("budget_exhausted", max_iter)] * 3
+
+
+def _trivial_meet_pair(seed):
+    """A pair of subspaces of R^16, of dimensions 6 and 7, whose
+    intersection is {0}."""
+    from aamr.geometry import SubspacePair, orthonormal_columns
+
+    rng = np.random.default_rng(seed)
+    return SubspacePair.from_bases(orthonormal_columns(rng.standard_normal((16, 6))),
+                                   orthonormal_columns(rng.standard_normal((16, 7))))
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+def test_rows_stopping_within_rounding_of_eps_equal_scalar_solves(kind):
+    # the stopping check's screen must settle no point whose exact error is
+    # below eps.  eps is set from the first row's scalar error trace at a
+    # trip k where that error falls to a new low: 2^-40 (relative) above it,
+    # at it, and 2^-40 below it, so the row stops at k or runs past it.  On
+    # U ∩ V = {0} a point's error is its norm, from 1e-3 to 1e6; on U ∩ V
+    # of dimension 1 or more the starts lie 1e-4 of their norm (1e-3 to
+    # 1e6) off U ∩ V, so ‖x‖² exceeds the squared error 1e8-fold and the
+    # screen's rounding exceeds the gap to eps many times over
+    rng = np.random.default_rng(21)
+    for pair, meets in ((_kind_pair(kind, [78, 3]), True),
+                        (_trivial_meet_pair([78, 4]), False)):
+        meet = pair.intersection
+        assert (meet.shape[1] >= 1) == meets
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            off = rng.standard_normal((3, 16))
+            off /= np.linalg.norm(off, axis=1, keepdims=True)
+            if meet.shape[1]:
+                on = rng.standard_normal((3, meet.shape[1])) @ meet.T
+                qs = scale * (on / np.linalg.norm(on, axis=1, keepdims=True) + 1e-4 * off)
+            else:
+                qs = scale * off
+            errors = _first_row_errors(pair, qs[0], kind, 60)
+            for start in (5, 10, 20):
+                k = next(j for j in range(start, 60)
+                         if errors[j] * (1 + 2.0 ** -38) < min(errors[:j]))
+                for eps in (errors[k] * (1 + 2.0 ** -40), errors[k],
+                            errors[k] * (1 - 2.0 ** -40)):
+                    batched = _kind_rows(pair, qs, kind, eps, 60, batched=True)
+                    assert batched == _kind_rows(pair, qs, kind, eps, 60, batched=False)
+                    if eps > errors[k]:
+                        assert batched[0][:2] == ("converged", k)
+                    else:
+                        assert batched[0][1] > k
 
 
 def _profile_rows(runs):
@@ -574,7 +634,11 @@ def test_one_row_and_many_row_runs_equal_their_scalar_solves(kind):
 def test_layout_projects_each_row_with_its_instances_subspace_bit_for_bit():
     # three instances whose U, V and U ∩ V have different ranks; the rows
     # form a one-row, a three-row and a two-row run, and keeping rows
-    # re-binds them to a two-row run between one-row runs
+    # re-binds them to a two-row run between one-row runs.  In the stopping
+    # errors of a (rows, trips, 1, n) block, every point the screen settles
+    # (+inf) lies at least eps from U ∩ V, every other point has its scalar
+    # distance's bits, and on the budget's last block each row's last point
+    # is one of those
     n = 12
     rng = np.random.default_rng(20)
     subspaces = [tuple(bench.LinearSubspace(rng.standard_normal((n, rank)))
@@ -583,26 +647,44 @@ def test_layout_projects_each_row_with_its_instances_subspace_bit_for_bit():
     owner = np.array([0, 1, 1, 1, 2, 2])
     layout = bench._Layout([tuple(s.basis for s in sets) for sets in subspaces], owner)
     M = rng.standard_normal((len(owner), 1, n)) * 3.0
-    blocks = rng.standard_normal((4, len(owner), 1, n))
+    blocks = rng.standard_normal((len(owner), 4, 1, n))
+    blocks[0] *= 10.0  # a row with no exit in the block
+    eps = float(np.median([subspaces[i][2].distance(x[0])
+                           for i, row in zip(owner, blocks) for x in row]))
 
     def expect_rows(projected, rows, owners, which):
-        # a (rows, 1, n) stack, or each trip of a (trips, rows, 1, n) one
         assert projected.shape == rows.shape
-        for trip, stack in zip(projected.reshape(-1, *rows.shape[-3:]),
-                               rows.reshape(-1, *rows.shape[-3:])):
+        for r, i in enumerate(owners):
+            want = subspaces[i][which].project(rows[r, 0])
+            assert projected[r, 0].tobytes() == want.tobytes()
+
+    def expect_errors(block, owners):
+        exits = []
+        for last in (False, True):
+            errs = layout.errors(block, eps, last)
             for r, i in enumerate(owners):
-                want = subspaces[i][which].project(stack[r, 0])
-                assert trip[r, 0].tobytes() == want.tobytes()
+                dist = [subspaces[i][2].distance(x[0]) for x in block[r]]
+                exits.append(next((t for t, d in enumerate(dist) if not d >= eps), None))
+                if errs is None:
+                    assert not last and all(d >= eps for d in dist)
+                    continue
+                for t, d in enumerate(dist):
+                    if errs[r, t] == np.inf:
+                        assert d >= eps and not (last and t == len(dist) - 1)
+                    else:
+                        assert float.hex(float(errs[r, t])) == float.hex(d)
+        return exits
 
     kept = np.array([True, False, True, True, False, True])
     for which in range(3):
         expect_rows(layout.project(M, which), M, owner, which)
-        expect_rows(layout.project(blocks, which), blocks, owner, which)
+    exits = expect_errors(blocks, owner)
+    # rows with no exit, with an exit at the first trip and at a later one
+    assert None in exits and 0 in exits and {1, 2, 3} & set(exits)
     layout.keep(kept)
     for which in range(3):
         expect_rows(layout.project(M[kept], which), M[kept], owner[kept], which)
-        expect_rows(layout.project(blocks[:, kept], which), blocks[:, kept],
-                    owner[kept], which)
+    expect_errors(blocks[kept], owner[kept])
 
 
 # --- haugazeau rows --------------------------------------------------------------
@@ -705,14 +787,12 @@ def test_haugazeau_failure_ends_its_row_while_its_batchmates_converge():
     assert status[2:] == ["converged"] * 3 and min(iters[2:]) > 0
 
 
-@pytest.mark.parametrize("converges_at", [2, 3, 4, 9])
-def test_haugazeau_failure_wins_only_from_its_own_index(monkeypatch, converges_at):
-    # the first row's step is made to fail at trip 3, inside the block of
-    # trips 2-3; eps is set so that the row first drops below it at
-    # `converges_at`: an earlier convergence in the block stands, and at or
-    # after index 3 the failure wins.  The scalar solve fails at the same
-    # call; the batchmates run on
-    from aamr import LinearSubspace, StoppingPolicy, solvers as scalar
+def _haugazeau_failure_rows(monkeypatch, converges_at, fails_at):
+    """The batched and scalar rows of three Haugazeau rows whose first row
+    drops below eps first at `converges_at` and whose step is made to fail
+    at trip `fails_at`; the batched step finds that row by its anchor q,
+    not by its index among the active rows, which changes as rows leave."""
+    from aamr import solvers as scalar
     from aamr.operators import NumericalFailure
 
     pair = _kind_pair("haugazeau", [78, 1])
@@ -725,14 +805,15 @@ def test_haugazeau_failure_wins_only_from_its_own_index(monkeypatch, converges_a
     def engine_step(Q, X, P):
         X_next, disjoint = step(Q, X, P)
         calls["engine"] += 1
-        if calls["engine"] == 4:  # trip 3
-            disjoint[0] = True
-            X_next[0] = X[0]
+        if calls["engine"] == fails_at + 1:
+            first = (Q == qs[0]).all(axis=(1, 2))
+            disjoint[first] = True
+            X_next[first] = X[first]
         return X_next, disjoint
 
     def scalar_project(q, x, p):
         calls["scalar"] += 1
-        if calls["scalar"] == 4:
+        if calls["scalar"] == fails_at + 1:
             raise NumericalFailure("injected")
         return project(q, x, p)
 
@@ -741,11 +822,33 @@ def test_haugazeau_failure_wins_only_from_its_own_index(monkeypatch, converges_a
     monkeypatch.setattr(scalar, "_haugazeau_project", scalar_project)
     batched = _kind_rows(pair, qs, "haugazeau", eps, 500, batched=True)
     first = _scalar_rows(pair, qs[:1], [MethodSpec("haugazeau")], eps, 500)
-    assert batched[0] == first[0]
+    monkeypatch.setattr(scalar, "_haugazeau_project", project)
+    rest = _scalar_rows(pair, qs[1:], [MethodSpec("haugazeau")] * 2, eps, 500)
+    return batched, first + rest
+
+
+@pytest.mark.parametrize("converges_at", [2, 3, 4, 9])
+def test_haugazeau_failure_wins_only_from_its_own_index(monkeypatch, converges_at):
+    # the first row's step is made to fail at trip 3; eps is set so that the
+    # row first drops below it at `converges_at`: an earlier convergence
+    # stands, and at or after index 3 the failure wins.  The scalar solve
+    # fails at the same call; the batchmates run on
+    batched, scalar = _haugazeau_failure_rows(monkeypatch, converges_at, 3)
+    assert batched == scalar
     assert batched[0][:2] == (("converged", 2) if converges_at == 2
                               else ("numerical_failure", 3))
-    monkeypatch.setattr(scalar, "_haugazeau_project", project)
-    assert batched[1:] == _scalar_rows(pair, qs[1:], [MethodSpec("haugazeau")] * 2, eps, 500)
+
+
+@pytest.mark.parametrize("converges_at", [6, 7, 8])
+def test_haugazeau_failure_inside_a_block_wins_only_from_its_own_index(monkeypatch,
+                                                                       converges_at):
+    # as above, inside the block of trips 6-8: the failure at trip 7 comes
+    # after a convergence at 6 and with or before one at 7 or 8
+    assert [k for k in _block_starts(3, 50) if 6 <= k <= 9] == [6, 9]
+    batched, scalar = _haugazeau_failure_rows(monkeypatch, converges_at, 7)
+    assert batched == scalar
+    assert batched[0][:2] == (("converged", 6) if converges_at == 6
+                              else ("numerical_failure", 7))
 
 
 def test_a_row_whose_iterate_overflows_fails_at_its_scalar_solves_index():

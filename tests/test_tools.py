@@ -29,10 +29,12 @@ def _row_cost_run():
 
 
 def _check_row_table(lines):
-    assert lines[0] == "rows  us_per_trip  us_per_row_iter"
+    # µs per trip and per row-iteration, and the stopping check's µs per
+    # monitored point
+    assert lines[0] == "rows  us_per_trip  us_per_row_iter  us_per_check"
     assert [line.split()[0] for line in lines[1:]] == ["1", "2", "4", "10", "30", "76"]
     for line in lines[1:]:
-        assert re.fullmatch(r"\s*\d+\s+\d+\.\d\d\s+\d+\.\d{3}", line), line
+        assert re.fullmatch(r"\s*\d+\s+\d+\.\d\d\s+\d+\.\d{3}\s+\d+\.\d{3}", line), line
 
 
 def test_row_cost_prints_one_line_per_row_count():

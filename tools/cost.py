@@ -20,7 +20,9 @@ iterations made and the µs per iteration.
 at the 0.02 rad floor, with each row count of ``ROWS`` split into
 consecutive runs, one per instance and as even as the count allows, each
 row starting at its instance's alpha-sweep start; prints the µs per trip
-and per row-iteration.  Seeded AAMR/DR rows go to standard output, then
+and per row-iteration, and the stopping check's (``bench._Layout.errors``)
+µs per monitored point, averaged over all ``REPEATS`` runs (``-`` in a tree
+without it).  Seeded AAMR/DR rows go to standard output, then
 seeded projection rows (mu in (0.5, 1.9), every fifth a MAP row), in the
 same format, to standard error.
 
@@ -166,8 +168,20 @@ def _row_cost(args):
               bench.start_point(config, i, 0))
              for i, pair in enumerate(bench.make_instances(config)[:args.instances])]
     rng = np.random.default_rng(41)
+    # the stopping check, timed per call: (seconds, monitored points)
+    errors, checks = getattr(bench._Layout, "errors", None), [0.0, 0]
+
+    def timed(layout, block, eps, last):
+        start = time.perf_counter()
+        result = errors(layout, block, eps, last)
+        checks[0] += time.perf_counter() - start
+        checks[1] += block.shape[0] * block.shape[1]
+        return result
+
+    if errors is not None:
+        bench._Layout.errors = timed
     for out, projection in ((sys.stdout, False), (sys.stderr, True)):
-        print("rows  us_per_trip  us_per_row_iter", file=out)
+        print("rows  us_per_trip  us_per_row_iter  us_per_check", file=out)
         for rows in ROWS:
             if projection:
                 specs = [MethodSpec("map") if i % 5 == 4 else MethodSpec("rap", mu=mu)
@@ -181,11 +195,13 @@ def _row_cost(args):
             segments = [(bases, count) for (bases, _), count in zip(pairs, counts) if count]
             q_rows = np.concatenate([np.tile(q, (count, 1))
                                      for (_, q), count in zip(pairs, counts)])
+            checks[:] = [0.0, 0]
             seconds, (status, iterations, _) = _best(lambda: bench._batched_pair_sweep(
                 segments, q_rows, specs, 0.0, args.trips))
             assert iterations == [args.trips] * rows and set(status) == {"budget_exhausted"}
+            check = f"{1e6 * checks[0] / checks[1]:12.3f}" if checks[1] else f"{'-':>12s}"
             print(f"{rows:4d}  {1e6 * seconds / args.trips:11.2f}  "
-                  f"{1e6 * seconds / (rows * args.trips):15.3f}", file=out)
+                  f"{1e6 * seconds / (rows * args.trips):15.3f}  {check}", file=out)
 
 
 # ---------------------------------------------------------------------------
