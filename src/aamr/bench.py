@@ -11,6 +11,7 @@ in the status tallies, so plots cannot silently hide failures.
 import copy
 import math
 import numbers
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -273,6 +274,11 @@ def _grid_sweep(config, instances, specs, n):
     return [r for task in done for r in task]
 
 
+def _instance_sets(pair):
+    """U, V and U ∩ V of ``pair``, the sets of its rows' scalar solves."""
+    return tuple(LinearSubspace(b) for b in (pair.basis_u, pair.basis_v, pair.intersection))
+
+
 def _grid_task(args):
     """Run the ``(MethodSpec, start_id)`` rows on each instance of a run of
     consecutive instances; returns the records, instance-major, each
@@ -286,10 +292,9 @@ def _grid_task(args):
     """
     config, first, pairs, rows = args
     distinct, used = {spec for spec, _ in rows}, {s for _, s in rows}
-    bases, specs, starts = [], [], []
+    sets, specs, starts = [], [], []
     for i, pair in enumerate(pairs, first):
-        bases.append(tuple(LinearSubspace(b).basis
-                           for b in (pair.basis_u, pair.basis_v, pair.intersection)))
+        sets.append(_instance_sets(pair))
         resolved = {spec: spec.resolve(pair.angle) for spec in distinct}
         specs.append([resolved[spec] for spec, _ in rows])
         starts.append({s: start_point(config, i, s) for s in used})
@@ -297,7 +302,7 @@ def _grid_task(args):
     for build in dict.fromkeys(_TRIPS[spec.kind] for spec, _ in rows):
         picked = [j for j, (spec, _) in enumerate(rows) if _TRIPS[spec.kind] is build]
         keys = [(i, j) for i in range(len(pairs)) for j in picked]
-        batch = _batched_pair_sweep([(b, len(picked)) for b in bases],
+        batch = _batched_pair_sweep([(s, len(picked)) for s in sets],
                                     [starts[i][rows[j][1]] for i, j in keys],
                                     [specs[i][j] for i, j in keys],
                                     config.eps, config.max_iter)
@@ -366,18 +371,16 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 # instance, and all of them step together.  Each row is still projected on
 # its own, with the gemv calls (and its error and every inner product with
 # the dot) that ``LinearSubspace.project``, ``ConvexSet.distance`` and its
-# scalar driver make on the same orthonormalised bases, one instance's run
-# of rows at a time, so a row's bits are those of its scalar solve and do
-# not depend on its batchmates.  One exit rule ends a row: at its first
-# index (the start included) whose monitored error is not at least eps, it
-# is converged if that error is below eps and a numerical failure if it is
-# NaN; a row that never meets the rule exhausts its budget.  A Haugazeau step
-# that finds disjoint halfspaces monitors a NaN point, and an overflowed
-# iterate makes its error NaN once inf meets inf or 0 in a product (an inf
-# error alone goes on, as an inf shadow error does in ``iterate``); so a
-# failure ends a row at its own index, and a row that converged earlier in
-# the block keeps its earlier index.  Subspace instances keep the governing
-# sequence bounded, so no divergence check is needed here.
+# scalar driver make on the bases of the very sets that solve takes, one
+# instance's run of rows at a time, so a row's bits are those of its scalar
+# solve and do not depend on its batchmates.  A Haugazeau step that finds
+# disjoint halfspaces monitors a NaN point, and an overflowed iterate makes
+# its error NaN once inf meets inf or 0 in a product (an inf error alone goes
+# on, as an inf shadow error does in ``iterate``); so under the exit rule
+# (``_batched_pair_sweep``) a failure ends a row at its own index, and a row
+# that converged earlier in the block keeps its earlier index.  Subspace
+# instances keep the governing sequence bounded, so no divergence check is
+# needed here.
 #
 # A loop trip costs tens of microseconds of call overhead whatever its row
 # count, so the loop is lean: rows are (m, 1, n) stacks (CM's (m, 2, 1, n))
@@ -396,8 +399,7 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 # few dozen iterations discards few trips, and the cap keeps a long run's
 # batch ending near its last row's exit.
 
-# monitored points per block, and trips per block: a block from trip k runs
-# min(_BLOCK_ROWS // (active rows), k // 2, _BLOCK_TRIPS) trips, at least one
+# monitored points per block, and trips per block (the rule above)
 _BLOCK_ROWS = 256
 _BLOCK_TRIPS = 32
 
@@ -458,20 +460,15 @@ def _row_dots(A, B):
     return np.matmul(A, B.transpose(0, 2, 1))
 
 
-def _row_norms(M):
-    """Euclidean norm of every row of the (m, 1, n) stack ``M``, one dot per
-    row."""
-    return np.sqrt(_row_dots(M, M)[:, 0, 0])
-
-
 class _Layout:
     """The instance of each active row of a batch, as runs of consecutive
-    rows of one instance; projects every row with its instance's bases, one
-    run at a time, and takes the stopping errors of a block."""
+    rows of one instance; projects every row with the bases of its
+    instance's sets (U, V, U ∩ V), read once here, one run at a time, and
+    takes the stopping errors of a block."""
 
-    def __init__(self, bases, owner):
-        self.bases = bases
-        self.margins = np.array([_screen_margin(b[2]) for b in bases])
+    def __init__(self, sets, owner):
+        self.bases = [tuple(s.basis for s in triple) for triple in sets]
+        self.margins = np.array([_screen_margin(b[2]) for b in self.bases])
         self._place(owner)
 
     def _place(self, owner):
@@ -536,7 +533,8 @@ class _Layout:
         points, sub = block[r, t], copy.copy(self)
         sub._place(self.owner[r])
         errs = np.full((rows, trips), np.inf)
-        errs[r, t] = _row_norms(points - sub.project(points, 2))
+        gaps = points - sub.project(points, 2)
+        errs[r, t] = np.sqrt(_row_dots(gaps, gaps)[:, 0, 0])
         return errs
 
 
@@ -680,30 +678,30 @@ def _batched_pair_sweep(segments, q_rows, specs, eps, max_iter):
     ``specs``, on the subspace pair of its instance, until its monitored
     point lies within ``eps`` of U ∩ V.
 
-    ``segments`` lists ``(bases, rows)`` per instance: the orthonormal bases
-    of its U, V and U ∩ V, and the number of consecutive rows posed on it.
-    All specs belong to one trip family of ``_TRIPS``.  A row ends at its
-    first index whose monitored error is not at least ``eps``: converged if
-    the error is below ``eps``, a numerical failure if it is NaN; a row that
-    never ends exhausts its budget.  Returns parallel lists of (status
-    string, iterations, final_error), each those of the row's scalar solve.
+    ``segments`` lists ``(sets, rows)`` per instance: the sets (U, V, U ∩ V)
+    that its rows must equal, as ``_instance_sets`` builds them, and the
+    number of consecutive rows posed on it.  All specs belong to one trip
+    family of ``_TRIPS``.  A row ends at its first index whose monitored
+    error is not at least ``eps``: converged if the error is below ``eps``,
+    a numerical failure if it is NaN; a row that never ends exhausts its
+    budget.  Returns parallel lists of (status string, iterations,
+    final_error), each those of ``solve_best_approximation(spec, sets[:2],
+    q)`` under a true-error stop on ``sets[2]``.
 
-    The rows run in blocks of trips, and ``_Layout.errors`` takes each
-    block's errors: a screen with one gemm per instance run settles every
-    point that lies at least ``eps`` from U ∩ V by more than its rounding
-    margin, and only the other points are taken with the scalar solve's
-    gemv and dot calls, so no screened value reaches an output.
+    The rows run in blocks of trips, whose errors ``_Layout.errors`` screens
+    as the notes above say, so no screened value reaches an output.
 
-    That match needs orthonormal bases, as ``_grid_task`` passes (those of
-    ``LinearSubspace``): an inf error does not end a row, so a row whose
-    iterate overflows to ±inf without a NaN error, which only a
-    non-orthonormal basis can cause, runs on past its scalar solve's
-    failure index.
+    Only each set's ``basis`` B is read, and a row is projected as B(Bᵀx),
+    so the match holds on any sets whose ``project`` is that map, such as
+    the tests' ``_Linear`` on bases that need not be orthonormal, save one
+    case: an inf error does not end a row, so a row whose iterate overflows
+    to ±inf without a NaN error, which only a non-orthonormal B can cause,
+    runs on past its scalar solve's failure index.
     """
     Q = np.array(q_rows, dtype=float)
     m, n = Q.shape
     Q = Q.reshape(m, 1, n)
-    layout = _Layout([b for b, _ in segments],
+    layout = _Layout([sets for sets, _ in segments],
                      np.repeat(np.arange(len(segments)), [rows for _, rows in segments]))
     X, per_row, trip = _TRIPS[specs[0].kind](Q, specs, layout)
     buffer = np.empty(max(_BLOCK_ROWS, m) * n)
@@ -820,11 +818,14 @@ def _fit_beta_curve(best_records) -> BetaFit | None:
     def model(t, a, b, c):
         return a * np.exp(b * t) + c
 
-    try:
-        coeffs, _ = scipy.optimize.curve_fit(model, thetas, betas,
-                                             p0=(0.6, -1.4, 0.4), maxfev=20_000)
-    except (RuntimeError, scipy.optimize.OptimizeWarning):
-        return None
+    # a covariance curve_fit cannot estimate (it only warns) means no fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.optimize.OptimizeWarning)
+        try:
+            coeffs, _ = scipy.optimize.curve_fit(model, thetas, betas,
+                                                 p0=(0.6, -1.4, 0.4), maxfev=20_000)
+        except (RuntimeError, scipy.optimize.OptimizeWarning):
+            return None
     a, b, c = (float(v) for v in coeffs)
     rms = float(np.sqrt(np.mean((model(thetas, a, b, c) - betas) ** 2)))
     rule = np.array([recommended_beta(t) for t in thetas])
@@ -867,8 +868,11 @@ def _planar_lines(theta: float):
     return u, v, zero_subspace(2)
 
 
-# the rates theory predicts for two lines at angle theta
-_EXPECTED_RATES = {"map": lambda theta: math.cos(theta) ** 2, "drm": math.cos}
+# the rates theory predicts on two lines at angle t; DR's, |1 − α + αe^{2it}|,
+# is |cos t + i(2α − 1) sin t| and so cos t bit for bit at α = 1/2
+_EXPECTED_RATES = {"map": lambda spec, t: math.cos(t) ** 2,
+                   "drm": lambda spec, t: math.hypot(math.cos(t),
+                                                     (2 * spec.alpha - 1) * math.sin(t))}
 
 
 def rate_profile(config: SweepConfig, methods=None):
@@ -909,13 +913,12 @@ def rate_profile(config: SweepConfig, methods=None):
             except ValueError:  # contraction too steep: trace shorter than 20
                 rate = math.nan
             rule = _EXPECTED_RATES.get(resolved.kind)
-            expected = None if rule is None else rule(theta)
-            label = resolved.display()
+            expected = None if rule is None else rule(resolved, theta)
             runs.append(RunRecord(t_index, theta, resolved.kind, resolved.alpha,
                                   resolved.beta, resolved.mu, resolved.gamma, 0,
                                   result.status.value, result.iterations,
                                   result.final_error, config.seed))
-            records.append(RateRecord(theta, resolved.kind, label, rate, expected))
+            records.append(RateRecord(theta, resolved.kind, resolved.display(), rate, expected))
             traces.append(list(result.trace))
     return runs, records, traces
 

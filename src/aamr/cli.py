@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
                          help="comma-separated tokens, e.g. 'map,aamr:alpha=0.9:beta=0.9'")
     bench_p.add_argument("--full-scale", action="store_true",
                          help="large benchmark preset (at --jobs 1 on two cores: alpha "
-                              "295 s, beta 475 s, angle-profile 2.4 s)")
+                              "213 s, beta 383 s, angle-profile 2.2 s)")
     return parser
 
 

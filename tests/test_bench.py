@@ -3,6 +3,7 @@ import math
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,24 @@ def test_rate_profile_matches_known_rates():
     assert by_kind["drm"].estimated_rate == pytest.approx(math.cos(0.5), rel=0.05)
     assert by_kind["map"].expected_rate == pytest.approx(math.cos(0.5) ** 2)
     assert traces  # SVG input available
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_rate_profile_expects_the_dr_rate_of_its_alpha(alpha):
+    # on two lines at angle θ, (1 - α)I + αR_V R_U has the eigenvalues
+    # 1 - α + αe^{±2iθ}, so DR's rate is sqrt(1 - 4α(1 - α) sin²θ), which is
+    # cos θ only at α = 1/2, where the rule gives math.cos bit for bit at
+    # every angle; the fitted rates agree with it to rounding
+    spec = MethodSpec("drm", alpha=alpha)
+    _, records, _ = rate_profile(SweepConfig(seed=0), [spec])
+    assert [r.theta for r in records] == [0.2, 0.5, 1.0]
+    for r in records:
+        expected = math.sqrt(1.0 - 4.0 * alpha * (1.0 - alpha) * math.sin(r.theta) ** 2)
+        assert r.expected_rate == pytest.approx(expected, rel=1e-14)
+        assert r.estimated_rate == pytest.approx(expected, rel=1e-9)
+    if alpha == 0.5:
+        for theta in np.linspace(0.0, math.pi / 2, 1001).tolist():
+            assert bench._EXPECTED_RATES["drm"](spec, theta) == math.cos(theta)
 
 
 def test_rate_profile_keeps_a_trace_per_run_of_a_repeated_method():
@@ -172,12 +191,9 @@ def test_angle_profile_builds_each_instance_once(monkeypatch):
 
 def test_reported_count_is_first_index_below_eps():
     # rerun one configuration with a trace and check the stopping index
-    from aamr import LinearSubspace, StoppingPolicy, solve_best_approximation
+    from aamr import StoppingPolicy, solve_best_approximation
     config = small_config()
-    pair = make_instances(config)[2]
-    u = LinearSubspace(pair.basis_u)
-    v = LinearSubspace(pair.basis_v)
-    target = LinearSubspace(pair.intersection)
+    u, v, target = bench._instance_sets(make_instances(config)[2])
     q = start_point(config, 2, 0)
     policy = StoppingPolicy.true_error(target, eps=config.eps,
                                        max_iter=config.max_iter, record_trace=True)
@@ -190,88 +206,64 @@ def test_reported_count_is_first_index_below_eps():
 
 # --- alpha sweep -----------------------------------------------------------------
 
-def _bases(pair):
-    """The row engine's bases: U, V and U ∩ V of ``pair``, orthonormalised
-    as the scalar solvers' ``LinearSubspace`` sets hold them."""
-    return tuple(bench.LinearSubspace(b).basis
-                 for b in (pair.basis_u, pair.basis_v, pair.intersection))
-
-
 def _reflection_specs(alphas, betas):
     """AAMR specs, DR specs where beta is 1.0."""
     return [MethodSpec("drm", alpha=a) if b == 1.0 else MethodSpec("aamr", alpha=a, beta=b)
             for a, b in zip(alphas, betas)]
 
 
-def _sweep(pair, qs, specs, eps, max_iter):
-    """The row engine on one instance: all rows of ``qs`` on ``pair``."""
-    return bench._batched_pair_sweep([(_bases(pair), len(qs))], qs, specs, eps, max_iter)
+def _scalar_rows(sets, qs, specs, eps, max_iter):
+    """(status, iterations, float.hex(final_error)) of each row's scalar
+    solve on the sets ``(u, v, target)``, stopping at true error below
+    ``eps`` from ``target``: what every row of the row engine must equal."""
+    from aamr import StoppingPolicy, solve_best_approximation
+
+    policy = StoppingPolicy.true_error(sets[2], eps=eps, max_iter=max_iter)
+    rows = []
+    for q, spec in zip(qs, specs):
+        res = solve_best_approximation(spec, sets[:2], q, policy=policy)
+        rows.append((res.status.value, res.iterations, float.hex(res.final_error)))
+    return rows
+
+
+def _engine_rows(segments, qs, specs, eps, max_iter):
+    """(status, iterations, float.hex(final_error)) of each row of the row
+    engine on ``segments``, (sets, rows) per instance."""
+    status, iters, errs = bench._batched_pair_sweep(segments, qs, specs, eps, max_iter)
+    return [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)]
+
+
+def _batched_rows(sets, qs, specs, eps, max_iter):
+    """The row engine's rows of ``qs``, all on one instance's ``sets``."""
+    return _engine_rows([(sets, len(qs))], qs, specs, eps, max_iter)
 
 
 def test_batched_sweep_matches_engine_exactly():
-    from aamr import LinearSubspace, StoppingPolicy, aamr_solve, dr_solve
     from aamr import random_subspace_pair
 
-    pair = random_subspace_pair(18, 303)
-    u = LinearSubspace(pair.basis_u)
-    v = LinearSubspace(pair.basis_v)
-    target = LinearSubspace(pair.intersection)
+    sets = bench._instance_sets(random_subspace_pair(18, 303))
     rng = np.random.default_rng(0)
-    policy = StoppingPolicy.true_error(target, eps=1e-3, max_iter=50_000)
-    qs, alphas, betas, expected = [], [], [], []
+    qs, alphas, betas = [], [], []
     for i in range(8):
-        q = rng.standard_normal(18) * 8
-        alpha = min(rng.uniform(0.2, 1.0), 0.99)
-        beta = [0.5, 0.7, 0.9, 1.0][i % 4]
-        qs.append(q)
-        alphas.append(alpha)
-        betas.append(beta)
-        if beta == 1.0:
-            res = dr_solve(u, v, q, alpha=alpha, policy=policy)
-        else:
-            res = aamr_solve(u, v, q, alpha=alpha, beta=beta, policy=policy)
-        expected.append((res.status.value, res.iterations, res.final_error))
-    status, iters, errs = _sweep(pair, np.stack(qs), _reflection_specs(alphas, betas),
-                                 1e-3, 50_000)
-    for i, (st, it, err) in enumerate(expected):
-        assert status[i] == st
-        assert iters[i] == it
-        assert errs[i] == err
+        qs.append(rng.standard_normal(18) * 8)
+        alphas.append(min(rng.uniform(0.2, 1.0), 0.99))
+        betas.append([0.5, 0.7, 0.9, 1.0][i % 4])
+    specs = _reflection_specs(alphas, betas)
+    assert (_batched_rows(sets, np.stack(qs), specs, 1e-3, 50_000)
+            == _scalar_rows(sets, qs, specs, 1e-3, 50_000))
 
 
 def test_batched_row_does_not_depend_on_its_batchmates():
     from aamr import random_subspace_pair
 
-    pair = random_subspace_pair(20, 41)
+    sets = bench._instance_sets(random_subspace_pair(20, 41))
     rng = np.random.default_rng(3)
     qs = rng.standard_normal((9, 20)) * 10
     specs = _reflection_specs([0.2, 0.5, 0.9, 0.35, 0.7, 0.99, 0.6, 0.45, 0.8],
                               [0.6, 1.0, 0.8, 1.0, 0.7, 0.9, 1.0, 0.95, 0.5])
-    batch = _sweep(pair, qs, specs, 1e-6, 2_000)
+    batch = _batched_rows(sets, qs, specs, 1e-6, 2_000)
     for i in range(len(specs)):
-        alone = _sweep(pair, qs[i:i + 1], specs[i:i + 1], 1e-6, 2_000)
-        assert ((alone[0][0], alone[1][0], float.hex(alone[2][0]))
-                == (batch[0][i], batch[1][i], float.hex(batch[2][i])))
-
-
-def _scalar_rows(pair, qs, specs, eps, max_iter, sets=None):
-    """(status, iterations, float.hex(final_error)) of each row's scalar
-    solve on ``pair``, or on the sets ``(u, v, target)``."""
-    from aamr import LinearSubspace, StoppingPolicy, solve_best_approximation
-
-    u, v, target = sets or (LinearSubspace(b) for b in
-                            (pair.basis_u, pair.basis_v, pair.intersection))
-    policy = StoppingPolicy.true_error(target, eps=eps, max_iter=max_iter)
-    rows = []
-    for q, spec in zip(qs, specs):
-        res = solve_best_approximation(spec, [u, v], q, policy=policy)
-        rows.append((res.status.value, res.iterations, float.hex(res.final_error)))
-    return rows
-
-
-def _batched_rows(pair, qs, specs, eps, max_iter):
-    status, iters, errs = _sweep(pair, qs, specs, eps, max_iter)
-    return [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)]
+        assert _batched_rows(sets, qs[i:i + 1], specs[i:i + 1], 1e-6, 2_000) == [batch[i]]
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 7, 8, 9, 255, 256, 257])
@@ -281,14 +273,14 @@ def test_batched_rows_equal_scalar_solves_across_blocks(max_iter):
     # and budgets end partway through a block
     from aamr import random_subspace_pair
 
-    pair = random_subspace_pair(20, [77, 0])
+    sets = bench._instance_sets(random_subspace_pair(20, [77, 0]))
     rng = np.random.default_rng(5)
     qs = rng.standard_normal((65, 20)) * (10 / np.sqrt(20))
     specs = _reflection_specs(rng.uniform(0.1, 0.95, 65),
                               [(0.5, 0.7, 0.9, 1.0)[i % 4] for i in range(65)])
     for eps in (1e2, 1e-1, 1e-3):
-        assert (_batched_rows(pair, qs, specs, eps, max_iter)
-                == _scalar_rows(pair, qs, specs, eps, max_iter))
+        assert (_batched_rows(sets, qs, specs, eps, max_iter)
+                == _scalar_rows(sets, qs, specs, eps, max_iter))
 
 
 def _block_starts(rows, budget):
@@ -309,11 +301,10 @@ def test_rows_converging_at_a_block_edge_equal_scalar_solves(rows):
     # that it first drops below eps on a block's last trip, then on the next
     # block's first trip, at the last two block starts before trip 256
     # (222 and 254)
-    from aamr import LinearSubspace, StoppingPolicy, aamr_solve, random_subspace_pair
+    from aamr import StoppingPolicy, aamr_solve, random_subspace_pair
 
-    pair = random_subspace_pair(20, [77, 2])
-    u, v, target = (LinearSubspace(b)
-                    for b in (pair.basis_u, pair.basis_v, pair.intersection))
+    sets = bench._instance_sets(random_subspace_pair(20, [77, 2]))
+    u, v, target = sets
     q = np.random.default_rng(6).standard_normal(20)
     starts = [k for k in _block_starts(rows, 300) if k < 256][-2:]
     assert starts == [222, 254]
@@ -325,8 +316,8 @@ def test_rows_converging_at_a_block_edge_equal_scalar_solves(rows):
         eps = min(errors[:edge])
         assert errors[edge] < eps
         qs, specs = np.tile(q, (rows, 1)), [MethodSpec("aamr", alpha=0.3, beta=0.7)] * rows
-        batched = _batched_rows(pair, qs, specs, eps, 300)
-        assert batched == _scalar_rows(pair, qs, specs, eps, 300)
+        batched = _batched_rows(sets, qs, specs, eps, 300)
+        assert batched == _scalar_rows(sets, qs, specs, eps, 300)
         assert batched[0][:2] == ("converged", edge)
 
 
@@ -343,7 +334,7 @@ def test_blocks_grow_with_the_trip_count(monkeypatch):
 
     errors = bench._Layout.errors
     monkeypatch.setattr(bench._Layout, "errors", recording)
-    pair = random_subspace_pair(12, [77, 4])
+    sets = bench._instance_sets(random_subspace_pair(12, [77, 4]))
     for specs in ([MethodSpec("aamr", alpha=0.5, beta=0.7)],
                   _reflection_specs([0.5] * 3, [0.7, 1.0, 0.9]),
                   [MethodSpec("rap", mu=0.5)] * 3,
@@ -351,8 +342,8 @@ def test_blocks_grow_with_the_trip_count(monkeypatch):
         rows = len(specs)
         screened.clear()
         qs = np.random.default_rng(rows).standard_normal((rows, 12))
-        status, iters, _ = _sweep(pair, qs, specs, 0.0, 600)
-        assert status == ["budget_exhausted"] * rows and iters == [600] * rows
+        solved = _batched_rows(sets, qs, specs, 0.0, 600)
+        assert [row[:2] for row in solved] == [("budget_exhausted", 600)] * rows
         starts = _block_starts(rows, 600)
         trips = np.diff(starts + [601]).tolist()
         assert trips[:13] == ([1, 1, 1, 1, 2, 3, 4, 6, 9, 14, 21]
@@ -381,21 +372,14 @@ def _kind_pair(kind, seed):
     return random_subspace_pair(16, seed, target_angle_interval=(angle, angle))
 
 
-def _kind_rows(pair, qs, kind, eps, max_iter, batched):
-    specs = ROW_KINDS[kind][2]
-    return (_batched_rows if batched else _scalar_rows)(pair, qs, specs, eps, max_iter)
-
-
-def _first_row_errors(pair, q, kind, count):
+def _first_row_errors(sets, q, kind, count):
     """The monitored errors of trips 0..count of the first row of ``kind``,
     from its scalar solve's trace."""
-    from aamr import LinearSubspace, StoppingPolicy, solve_best_approximation
+    from aamr import StoppingPolicy, solve_best_approximation
 
-    policy = StoppingPolicy.true_error(LinearSubspace(pair.intersection), eps=1e-300,
-                                       max_iter=count, record_trace=True)
-    result = solve_best_approximation(
-        ROW_KINDS[kind][2][0], [LinearSubspace(pair.basis_u), LinearSubspace(pair.basis_v)],
-        q, policy=policy)
+    policy = StoppingPolicy.true_error(sets[2], eps=1e-300, max_iter=count,
+                                       record_trace=True)
+    result = solve_best_approximation(ROW_KINDS[kind][2][0], sets[:2], q, policy=policy)
     return [err for _, err, _ in result.trace]
 
 
@@ -408,23 +392,25 @@ def test_profile_rows_equal_scalar_solves_at_every_block_edge(kind, edge):
     # at trips 0, 1, 2, 3, 5, 8, 12, 18, 27 and 41, whatever the batch's
     # three rows do; its batchmates stop where they may
     assert [k - 1 for k in _block_starts(3, 50)[1:11]] == [0, 1, 2, 3, 5, 8, 12, 18, 27, 41]
-    pair = _kind_pair(kind, [78, ROW_KINDS[kind][1]])
+    sets = bench._instance_sets(_kind_pair(kind, [78, ROW_KINDS[kind][1]]))
     qs = np.random.default_rng(8).standard_normal((3, 16)) * 2.5
-    errors = _first_row_errors(pair, qs[0], kind, max(edge, 1))
+    errors = _first_row_errors(sets, qs[0], kind, max(edge, 1))
     eps = min(errors[:edge]) if edge else 2.0 * errors[0]
     assert errors[edge] < eps
-    batched = _kind_rows(pair, qs, kind, eps, 500, batched=True)
-    assert batched == _kind_rows(pair, qs, kind, eps, 500, batched=False)
+    specs = ROW_KINDS[kind][2]
+    batched = _batched_rows(sets, qs, specs, eps, 500)
+    assert batched == _scalar_rows(sets, qs, specs, eps, 500)
     assert batched[0][:2] == ("converged", edge)
 
 
 @pytest.mark.parametrize("kind", sorted(ROW_KINDS))
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 5, 9])
 def test_profile_rows_that_exhaust_the_budget_equal_scalar_solves(kind, max_iter):
-    pair = _kind_pair(kind, [78, 2])
+    sets = bench._instance_sets(_kind_pair(kind, [78, 2]))
     qs = np.random.default_rng(9).standard_normal((3, 16)) * 2.5
-    batched = _kind_rows(pair, qs, kind, 1e-9, max_iter, batched=True)
-    assert batched == _kind_rows(pair, qs, kind, 1e-9, max_iter, batched=False)
+    specs = ROW_KINDS[kind][2]
+    batched = _batched_rows(sets, qs, specs, 1e-9, max_iter)
+    assert batched == _scalar_rows(sets, qs, specs, 1e-9, max_iter)
     assert [row[:2] for row in batched] == [("budget_exhausted", max_iter)] * 3
 
 
@@ -448,10 +434,10 @@ def test_rows_stopping_within_rounding_of_eps_equal_scalar_solves(kind):
     # of dimension 1 or more the starts lie 1e-4 of their norm (1e-3 to
     # 1e6) off U ∩ V, so ‖x‖² exceeds the squared error 1e8-fold and the
     # screen's rounding exceeds the gap to eps many times over
-    rng = np.random.default_rng(21)
+    rng, specs = np.random.default_rng(21), ROW_KINDS[kind][2]
     for pair, meets in ((_kind_pair(kind, [78, 3]), True),
                         (_trivial_meet_pair([78, 4]), False)):
-        meet = pair.intersection
+        sets, meet = bench._instance_sets(pair), pair.intersection
         assert (meet.shape[1] >= 1) == meets
         for scale in (1e-3, 1.0, 1e3, 1e6):
             off = rng.standard_normal((3, 16))
@@ -461,14 +447,14 @@ def test_rows_stopping_within_rounding_of_eps_equal_scalar_solves(kind):
                 qs = scale * (on / np.linalg.norm(on, axis=1, keepdims=True) + 1e-4 * off)
             else:
                 qs = scale * off
-            errors = _first_row_errors(pair, qs[0], kind, 60)
+            errors = _first_row_errors(sets, qs[0], kind, 60)
             for start in (5, 10, 20):
                 k = next(j for j in range(start, 60)
                          if errors[j] * (1 + 2.0 ** -38) < min(errors[:j]))
                 for eps in (errors[k] * (1 + 2.0 ** -40), errors[k],
                             errors[k] * (1 - 2.0 ** -40)):
-                    batched = _kind_rows(pair, qs, kind, eps, 60, batched=True)
-                    assert batched == _kind_rows(pair, qs, kind, eps, 60, batched=False)
+                    batched = _batched_rows(sets, qs, specs, eps, 60)
+                    assert batched == _scalar_rows(sets, qs, specs, eps, 60)
                     if eps > errors[k]:
                         assert batched[0][:2] == ("converged", k)
                     else:
@@ -482,22 +468,15 @@ def _profile_rows(runs):
 
 def _scalar_profile_rows(config, methods):
     """The profile's runs as one ``solve_best_approximation`` per row."""
-    from aamr import LinearSubspace, StoppingPolicy, solve_best_approximation
-
-    rows = []
+    rows, n = [], config.n_starts
     for i, pair in enumerate(make_instances(config)):
-        u, v, target = (LinearSubspace(b)
-                        for b in (pair.basis_u, pair.basis_v, pair.intersection))
-        policy = StoppingPolicy.true_error(target, eps=config.eps,
-                                           max_iter=config.max_iter)
-        for spec in methods:
-            s = spec.resolve(pair.angle)
-            for start_id in range(config.n_starts):
-                res = solve_best_approximation(s, [u, v], start_point(config, i, start_id),
-                                               policy=policy, theta=pair.angle)
-                rows.append((i, s.kind, s.alpha, s.beta, s.mu, s.gamma, start_id,
-                             res.status.value, res.iterations,
-                             float.hex(res.final_error)))
+        specs = [spec.resolve(pair.angle) for spec in methods for _ in range(n)]
+        starts = list(range(n)) * len(methods)
+        solved = _scalar_rows(bench._instance_sets(pair),
+                              [start_point(config, i, s) for s in starts], specs,
+                              config.eps, config.max_iter)
+        rows += [(i, s.kind, s.alpha, s.beta, s.mu, s.gamma, start_id, *row)
+                 for s, start_id, row in zip(specs, starts, solved)]
     return rows
 
 
@@ -618,17 +597,15 @@ def test_one_row_and_many_row_runs_equal_their_scalar_solves(kind):
     # block's errors come from (trips, rows, 1, n) runs; as rows converge,
     # runs shrink to one row and instances drop out
     counts = [1, 3, 1, 2]
-    pairs = [_kind_pair(kind, [79, i]) for i in range(len(counts))]
+    sets = [bench._instance_sets(_kind_pair(kind, [79, i])) for i in range(len(counts))]
     qs = np.random.default_rng(10).standard_normal((sum(counts), 16)) * 2.5
     specs = [ROW_KINDS[kind][2][j % 3] for j in range(sum(counts))]
-    status, iters, errs = bench._batched_pair_sweep(
-        [(_bases(pair), rows) for pair, rows in zip(pairs, counts)], qs, specs, 1e-4, 300)
     expected, first = [], 0
-    for pair, rows in zip(pairs, counts):
-        expected += _scalar_rows(pair, qs[first:first + rows], specs[first:first + rows],
-                                 1e-4, 300)
-        first += rows
-    assert [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)] == expected
+    for instance, rows in zip(sets, counts):
+        last = first + rows
+        expected += _scalar_rows(instance, qs[first:last], specs[first:last], 1e-4, 300)
+        first = last
+    assert _engine_rows(list(zip(sets, counts)), qs, specs, 1e-4, 300) == expected
 
 
 def test_layout_projects_each_row_with_its_instances_subspace_bit_for_bit():
@@ -645,7 +622,7 @@ def test_layout_projects_each_row_with_its_instances_subspace_bit_for_bit():
                        for rank in ranks)
                  for ranks in ((5, 7, 1), (2, 9, 3), (10, 4, 2))]
     owner = np.array([0, 1, 1, 1, 2, 2])
-    layout = bench._Layout([tuple(s.basis for s in sets) for sets in subspaces], owner)
+    layout = bench._Layout(subspaces, owner)
     M = rng.standard_normal((len(owner), 1, n)) * 3.0
     blocks = rng.standard_normal((len(owner), 4, 1, n))
     blocks[0] *= 10.0  # a row with no exit in the block
@@ -748,7 +725,8 @@ def test_haugazeau_steps_without_flat_rows_match_the_scalar_projection():
 
 class _Linear(ConvexSet):
     """x -> B (B^T x), the row engine's projector on a basis B; a projection
-    only when B is orthonormal."""
+    only when B is orthonormal.  A test hands the same sets to the engine and
+    to its scalar reference."""
 
     def __init__(self, basis):
         self.basis = np.asarray(basis, dtype=float)
@@ -770,21 +748,19 @@ def test_haugazeau_failure_ends_its_row_while_its_batchmates_converge():
     from aamr import LinearSubspace
 
     e1 = [[1.0], [0.0], [0.0], [0.0]]
-    crafted = (np.array(e1), np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
-               np.array(e1))
-    coordinate = [LinearSubspace(np.eye(4)[:, cols]) for cols in ([0, 1], [1, 2], [1])]
+    crafted = (_Linear(e1), _Linear([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]),
+               _Linear(e1))
+    coordinate = tuple(LinearSubspace(np.eye(4)[:, cols]) for cols in ([0, 1], [1, 2], [1]))
     qs = np.array([[1.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0],
                    [1.0, 2.0, 0.0, 0.0], [0.5, 2.0, -1.5, 3.0], [3.0, -1.0, 2.0, 0.5]])
     assert (coordinate[0].project(qs[2]) == qs[2]).all()
     specs = [MethodSpec("haugazeau")] * 5
-    status, iters, errs = bench._batched_pair_sweep(
-        [(crafted, 2), (tuple(s.basis for s in coordinate), 3)], qs, specs, 1e-6, 200)
-    rows = [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)]
-    assert rows == (_scalar_rows(None, qs[:2], specs, 1e-6, 200,
-                                 sets=[_Linear(b) for b in crafted])
-                    + _scalar_rows(None, qs[2:], specs, 1e-6, 200, sets=coordinate))
+    rows = _engine_rows([(crafted, 2), (coordinate, 3)], qs, specs, 1e-6, 200)
+    assert rows == (_scalar_rows(crafted, qs[:2], specs, 1e-6, 200)
+                    + _scalar_rows(coordinate, qs[2:], specs, 1e-6, 200))
     assert rows[:2] == [("numerical_failure", 1, "nan"), ("converged", 0, "0x0.0p+0")]
-    assert status[2:] == ["converged"] * 3 and min(iters[2:]) > 0
+    assert [row[0] for row in rows[2:]] == ["converged"] * 3
+    assert min(row[1] for row in rows[2:]) > 0
 
 
 def _haugazeau_failure_rows(monkeypatch, converges_at, fails_at):
@@ -795,9 +771,9 @@ def _haugazeau_failure_rows(monkeypatch, converges_at, fails_at):
     from aamr import solvers as scalar
     from aamr.operators import NumericalFailure
 
-    pair = _kind_pair("haugazeau", [78, 1])
+    sets = bench._instance_sets(_kind_pair("haugazeau", [78, 1]))
     qs = np.random.default_rng(8).standard_normal((3, 16)) * 2.5
-    errors = _first_row_errors(pair, qs[0], "haugazeau", converges_at)
+    errors = _first_row_errors(sets, qs[0], "haugazeau", converges_at)
     eps = min(errors[:converges_at])
     assert errors[converges_at] < eps
     calls = {"engine": 0, "scalar": 0}
@@ -820,10 +796,10 @@ def _haugazeau_failure_rows(monkeypatch, converges_at, fails_at):
     step, project = bench._haugazeau_step, scalar._haugazeau_project
     monkeypatch.setattr(bench, "_haugazeau_step", engine_step)
     monkeypatch.setattr(scalar, "_haugazeau_project", scalar_project)
-    batched = _kind_rows(pair, qs, "haugazeau", eps, 500, batched=True)
-    first = _scalar_rows(pair, qs[:1], [MethodSpec("haugazeau")], eps, 500)
+    batched = _batched_rows(sets, qs, [MethodSpec("haugazeau")] * 3, eps, 500)
+    first = _scalar_rows(sets, qs[:1], [MethodSpec("haugazeau")], eps, 500)
     monkeypatch.setattr(scalar, "_haugazeau_project", project)
-    rest = _scalar_rows(pair, qs[1:], [MethodSpec("haugazeau")] * 2, eps, 500)
+    rest = _scalar_rows(sets, qs[1:], [MethodSpec("haugazeau")] * 2, eps, 500)
     return batched, first + rest
 
 
@@ -859,15 +835,13 @@ def test_a_row_whose_iterate_overflows_fails_at_its_scalar_solves_index():
     # (its shadow is that first projection), which is not a failure
     u = np.array([[1e200], [0.0], [0.0]])
     v = np.array([[1.0], [1.0], [0.0]]) / math.sqrt(2.0)
-    crafted = (u, v, np.zeros((3, 0)))
+    crafted = tuple(_Linear(b) for b in (u, v, np.zeros((3, 0))))
     qs = np.random.default_rng(14).standard_normal((4, 3))
     specs = [MethodSpec("map"), MethodSpec("aamr", alpha=0.9, beta=0.7),
              MethodSpec("map"), MethodSpec("aamr", alpha=0.5, beta=0.9)]
     with np.errstate(over="ignore", invalid="ignore"):
-        status, iters, errs = bench._batched_pair_sweep(
-            [(crafted, len(qs))], qs, specs, 1e-6, 50)
-        scalar = _scalar_rows(None, qs, specs, 1e-6, 50, sets=[_Linear(b) for b in crafted])
-    rows = [(st, it, float.hex(err)) for st, it, err in zip(status, iters, errs)]
+        rows = _batched_rows(crafted, qs, specs, 1e-6, 50)
+        scalar = _scalar_rows(crafted, qs, specs, 1e-6, 50)
     assert rows == scalar == [("numerical_failure", 1, "nan")] * len(qs)
 
 
@@ -1069,6 +1043,17 @@ def test_sweep_beta_fit_present_with_enough_instances():
         assert np.isfinite(fit(0.5))
 
 
+def test_beta_fit_on_records_at_one_angle_is_degenerate_and_silent():
+    # with every angle equal, curve_fit cannot estimate the covariance: it
+    # warns (it does not raise) and returns its start, which fits nothing
+    records = [bench.BestBetaRecord(i, 0.5, beta, 10.0)
+               for i, beta in enumerate((0.7, 0.75, 0.65, 0.7))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert bench._fit_beta_curve(records) is None
+    assert caught == []
+
+
 def test_only_the_beta_fit_loads_scipy_optimize(tmp_path):
     problem = tmp_path / "r4.json"
     problem.write_text('{"dim": 4, "sets": ['
@@ -1243,21 +1228,15 @@ def test_sweep_runs_csv_match_golden_files(tmp_path):
 
 
 def test_sweep_rows_equal_scalar_solves():
-    from aamr import LinearSubspace, StoppingPolicy, solve_best_approximation
-
     config = GOLDEN_SWEEP
-    instances = make_instances(config)
+    sets = [bench._instance_sets(pair) for pair in make_instances(config)]
     alpha_runs, beta_runs = golden_sweep_runs()
     for r in alpha_runs + beta_runs:
-        pair = instances[r.instance_id]
-        policy = StoppingPolicy.true_error(LinearSubspace(pair.intersection),
-                                           eps=config.eps, max_iter=config.max_iter)
-        res = solve_best_approximation(
-            MethodSpec(r.method, alpha=r.alpha, beta=r.beta),
-            [LinearSubspace(pair.basis_u), LinearSubspace(pair.basis_v)],
-            start_point(config, r.instance_id, r.start_id), policy=policy)
-        assert ((r.status, r.iterations, float.hex(r.final_error))
-                == (res.status.value, res.iterations, float.hex(res.final_error))), r
+        scalar = _scalar_rows(sets[r.instance_id],
+                              [start_point(config, r.instance_id, r.start_id)],
+                              [MethodSpec(r.method, alpha=r.alpha, beta=r.beta)],
+                              config.eps, config.max_iter)
+        assert [(r.status, r.iterations, float.hex(r.final_error))] == scalar, r
 
 
 def test_parallel_jobs_match_serial():

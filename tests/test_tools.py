@@ -12,6 +12,19 @@ def _cost(*args, timeout=60):
                           capture_output=True, text=True, timeout=timeout)
 
 
+def test_kernel_fingerprint_is_one_line_and_stable():
+    # two calls in one process: the SHA-256 of the seeded BLAS results, then
+    # numpy's version
+    code = (f"import sys; sys.path.insert(0, {str(TOOLS)!r}); from desk_digests import "
+            "kernel_fingerprint as f; print(f()); print(f())")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    first, second = run.stdout.splitlines()
+    assert first == second
+    assert re.fullmatch(r"[0-9a-f]{64}  kernel numpy \d+\.\d+\S*", first), first
+
+
 def test_ledger_prints_three_counts():
     run = subprocess.run([sys.executable, str(TOOLS / "ledger.py")],
                          capture_output=True, text=True, timeout=60)

@@ -21,22 +21,23 @@ at the 0.02 rad floor, with each row count of ``ROWS`` split into
 consecutive runs, one per instance and as even as the count allows, each
 row starting at its instance's alpha-sweep start; prints the µs per trip
 and per row-iteration, and the stopping check's (``bench._Layout.errors``)
-µs per monitored point, averaged over all ``REPEATS`` runs (``-`` in a tree
-without it).  Seeded AAMR/DR rows go to standard output, then
-seeded projection rows (mu in (0.5, 1.9), every fifth a MAP row), in the
-same format, to standard error.
+µs per monitored point, averaged over all ``REPEATS`` runs.  Seeded AAMR/DR
+rows go to standard output, then seeded projection rows (mu in (0.5, 1.9),
+every fifth a MAP row), in the same format, to standard error.
 
 ``profile [--seed 1]``: ms per stage of the perfbench ``profile`` angle
-profile at ``--seed``: bases, specs and starts; the row engine per trip
-family, timed inside ``_grid_sweep``; the whole grid sweep; the block
-statistics (``_block_stats``); the runs CSV; the summary table; and the
-whole ``angle_profile`` call.
+profile at ``--seed``: sets, specs and starts (``bases_starts``); the row
+engine per trip family, timed inside ``_grid_sweep``; the whole grid sweep;
+the block statistics (``_block_stats``); the runs CSV; the summary table;
+and the whole ``angle_profile`` call.
 
 ``step``, ``row`` and ``profile`` report the best of ``REPEATS`` runs.
 ``aamr`` comes from the ``src/`` directory next to this script and the
 perfbench modules from ``perfbench/`` (writing no bytecode there), and
 ``bench`` internals are looked up when a subcommand runs, so a copy run in
-another checkout measures that tree:
+another checkout measures that tree.  ``row`` and ``profile`` build each
+instance's sets with ``bench._instance_sets``, so they run only in a tree
+that has it:
 
     python3 tools/cost.py {import,step,row,profile} [flags]
 """
@@ -162,14 +163,12 @@ BETAS = (0.6, 0.7, 0.8, 0.9)  # of the AAMR rows; every fifth row is a DR row
 
 def _row_cost(args):
     config = bench.SweepConfig(n=50, n_instances=3, angle_bins=240)
-    # (U, V and U ∩ V bases, alpha-sweep start) of each instance
-    pairs = [(tuple(bench.LinearSubspace(b).basis
-                    for b in (pair.basis_u, pair.basis_v, pair.intersection)),
-              bench.start_point(config, i, 0))
+    # (U, V and U ∩ V, alpha-sweep start) of each instance
+    pairs = [(bench._instance_sets(pair), bench.start_point(config, i, 0))
              for i, pair in enumerate(bench.make_instances(config)[:args.instances])]
     rng = np.random.default_rng(41)
     # the stopping check, timed per call: (seconds, monitored points)
-    errors, checks = getattr(bench._Layout, "errors", None), [0.0, 0]
+    errors, checks = bench._Layout.errors, [0.0, 0]
 
     def timed(layout, block, eps, last):
         start = time.perf_counter()
@@ -178,8 +177,7 @@ def _row_cost(args):
         checks[1] += block.shape[0] * block.shape[1]
         return result
 
-    if errors is not None:
-        bench._Layout.errors = timed
+    bench._Layout.errors = timed
     for out, projection in ((sys.stdout, False), (sys.stderr, True)):
         print("rows  us_per_trip  us_per_row_iter  us_per_check", file=out)
         for rows in ROWS:
@@ -192,26 +190,25 @@ def _row_cost(args):
                          for i, alpha in enumerate(rng.uniform(0.05, 1.0, rows))]
             n = len(pairs)
             counts = [rows // n + (j < rows % n) for j in range(n)]
-            segments = [(bases, count) for (bases, _), count in zip(pairs, counts) if count]
+            segments = [(sets, count) for (sets, _), count in zip(pairs, counts) if count]
             q_rows = np.concatenate([np.tile(q, (count, 1))
                                      for (_, q), count in zip(pairs, counts)])
             checks[:] = [0.0, 0]
             seconds, (status, iterations, _) = _best(lambda: bench._batched_pair_sweep(
                 segments, q_rows, specs, 0.0, args.trips))
             assert iterations == [args.trips] * rows and set(status) == {"budget_exhausted"}
-            check = f"{1e6 * checks[0] / checks[1]:12.3f}" if checks[1] else f"{'-':>12s}"
             print(f"{rows:4d}  {1e6 * seconds / args.trips:11.2f}  "
-                  f"{1e6 * seconds / (rows * args.trips):15.3f}  {check}", file=out)
+                  f"{1e6 * seconds / (rows * args.trips):15.3f}  "
+                  f"{1e6 * checks[0] / checks[1]:12.3f}", file=out)
 
 
 # ---------------------------------------------------------------------------
 # profile
 
 
-def _bases_and_starts(config, instances, methods):
+def _sets_and_starts(config, instances, methods):
     for i, pair in enumerate(instances):
-        tuple(bench.LinearSubspace(b).basis
-              for b in (pair.basis_u, pair.basis_v, pair.intersection))
+        bench._instance_sets(pair)
         [spec.resolve(pair.angle) for spec in methods]
         [bench.start_point(config, i, s) for s in range(config.n_starts)]
 
@@ -253,7 +250,7 @@ def _profile_cost(args):
                   *(r.status_counts[s.value] for s in Status), r.seed] for r in records]
         header = bench.SWEEPS["angle-profile"].header
         stages = {"bases_starts": 1e3 * _best(
-            lambda: _bases_and_starts(config, instances, methods))[0]}
+            lambda: _sets_and_starts(config, instances, methods))[0]}
         stages.update(_engine_families(config, instances, methods))
         for name, fn in (
                 ("grid_sweep", lambda: bench._grid_sweep(config, instances, methods,

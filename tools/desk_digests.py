@@ -4,6 +4,9 @@ comparisons of two trees.
 Imports ``aamr`` from the ``src/`` directory next to this script and prints,
 one line each:
 
+* first, the BLAS-kernel fingerprint (``kernel_fingerprint``): numpy's
+  OpenBLAS picks its kernel from the CPU, kernels round differently, and
+  the digests below hold only for the kernel they were taken on;
 * every file ``aamr bench angle-profile|alpha|beta|rates --seed 0`` writes,
   and each sweep's stdout, run through ``aamr.cli.main`` into a temporary
   directory, with that directory replaced by ``OUT``;
@@ -31,7 +34,8 @@ one line each:
   whether the workload's ``check`` passes on that round.
 
 Exits 1 if a perfbench check fails.  To compare trees, copy this script into
-a checkout of the other tree and diff the two outputs:
+a checkout of the other tree and diff the two outputs; digests taken under
+two fingerprints are not expected to agree:
 
     python3 tools/desk_digests.py > mine.txt
 """
@@ -45,6 +49,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -60,6 +66,20 @@ PERFBENCH_SEEDS = {"profile": (0, 1, 2), "sweep": (0, 1), "convex": (0, 1, 2)}
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def kernel_fingerprint() -> str:
+    """numpy's version and the SHA-256 of the result bytes of seeded calls at
+    desk shapes: a QR, a gemv pair on its 50 × 25 basis, a dot, a 76 × 50 by
+    50 × 25 gemm and the singular values of a 100 × 50 matrix."""
+    rng = np.random.default_rng([2026, 7])
+    basis = np.linalg.qr(rng.standard_normal((50, 25)))[0]
+    x, y = rng.standard_normal(50), rng.standard_normal(50)
+    results = (basis, basis.dot(basis.T.dot(x)), np.array(x.dot(y)),
+               rng.standard_normal((76, 50)) @ basis,
+               np.linalg.svd(rng.standard_normal((100, 50)), compute_uv=False))
+    digest = _sha256(b"".join(r.tobytes() for r in results))
+    return f"{digest}  kernel numpy {np.__version__}"
 
 
 def _bench(tmp: Path) -> None:
@@ -209,6 +229,7 @@ def _perfbench(tmp: Path) -> bool:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        print(kernel_fingerprint())
         _bench(tmp / "bench")
         _cli(tmp / "cli")
         _formats(tmp / "formats")
