@@ -12,6 +12,7 @@ import copy
 import math
 import numbers
 import warnings
+# eager: deferring it saved 0.2 MB of peak memory and no time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -261,7 +262,9 @@ def _grid_sweep(config, instances, specs, n):
     ``(MethodSpec, start_id)`` rows, in tasks of consecutive instances that
     hold at most ``_BLOCK_ROWS`` rows (one instance at least), run in order
     or on ``config.jobs`` processes; returns the runs instance-major, then
-    spec-major, then by start."""
+    spec-major, then by start.  Every row runs in the row engine, so no grid
+    sweep makes a scalar solve: ``iterate`` and the public drivers are the
+    reference the tests compare every row with."""
     rows = [(spec, s) for spec in specs for s in range(n)]
     per_task = max(1, _BLOCK_ROWS // max(1, len(rows)))
     tasks = [(config, first, instances[first:first + per_task], rows)
@@ -269,9 +272,34 @@ def _grid_sweep(config, instances, specs, n):
     if config.jobs == 1:
         done = [_grid_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=config.jobs,
+                                 initializer=_one_blas_thread) as pool:
             done = list(pool.map(_grid_task, tasks, chunksize=1))
     return [r for task in done for r in task]
+
+
+def _one_blas_thread():
+    """Worker initializer: one BLAS thread per ``--jobs`` process.  OpenBLAS
+    threads the screen's gemms on large batches, so workers on their default
+    threading oversubscribe the cores.  Sets every OpenBLAS loaded in the
+    process (numpy's and scipy's) through ctypes; a worker in which none is
+    found keeps its default threading.  The parent keeps its threads: one
+    process alone runs faster on them."""
+    import ctypes
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in sorted(p for p in paths if p.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, symbol):
+                set_threads = getattr(lib, symbol)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                break
 
 
 def _instance_sets(pair):
@@ -398,6 +426,42 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 # grow with the trips already run, so a batch whose rows converge within a
 # few dozen iterations discards few trips, and the cap keeps a long run's
 # batch ending near its last row's exit.
+#
+# One matrix product over the batch would give a row bits that depend on the
+# batch's size.  Rows independent of their batchmates let the alpha sweep run
+# one batch per instance, whose loop lasts as long as its slowest row, not the
+# sum of each beta's slowest row, and let a task batch across instances.
+# "Bit for bit" is checked on one BLAS kernel, numpy 2.4.6's OpenBLAS on
+# SkylakeX (fingerprint ``ace7a91b...``, ``tools/desk_digests.py``); other
+# kernels round the gemv and the SVD differently.
+#
+# Measured and left out, one line each (the record holds the numbers):
+#   - a batched or transposed gemm, or ``np.inner``, for the trips'
+#     projections: the per-row bits matched in 1 of 88 shape cases
+#     (CHANGES.md), and 0 of 76 and 0 of 256 rows (ROADMAP);
+#   - threads over the two halves of a batch: they did not overlap, 0.457
+#     against 0.461 s (CHANGES.md);
+#   - zero-padding the instances' bases to one width, to project all
+#     instances in one stacked call: 659 of 720 projections moved bits
+#     (BENCH_18.json);
+#   - ``(m, 1, 1)`` coefficients in place of full-shape ones: ``profile``
+#     +2.6 %, ``sweep`` +5.7 % (BENCH_18.json);
+#   - ``_BLOCK_ROWS`` 512 / 1024: ``profile`` +3.7 % / +11.6 % for ``sweep``
+#     −2.9 % / −5.0 % (BENCH_18.json);
+#   - a phased engine running every trip family of a task in one batch with
+#     fused projections: run calls 10.0k → 4.1k a ``profile`` round, but
+#     ``angle_profile`` only −5 % (BENCH_20.json);
+#   - skipping the checks a nonexpansive bound rules out: choosing the rows
+#     due for a check cost 108 ms against 93 ms saved (BENCH_20.json);
+#   - a two-gemm screen with a per-row Python fallback gained nothing, and
+#     sending only each row's first unsettled point to the exact path cost
+#     8 % at eps 1e-10 (CHANGES.md, BENCH_25.json);
+#   - calling LAPACK's ``geqp3``/``orgqr`` directly in
+#     ``geometry.orthonormal_columns``: bit-identical, −2 % for a dozen more
+#     lines (BENCH_20.json);
+#   - caching ``MethodSpec.display()``: ``_profile_report`` calls it 420
+#     times a desk ``angle-profile``, so only perfbench's own report copy
+#     gained (BENCH_18.json).
 
 # monitored points per block, and trips per block (the rule above)
 _BLOCK_ROWS = 256
@@ -437,6 +501,16 @@ _BLOCK_TRIPS = 32
 # and any eps² below the normal range stay below u²N; and it has a finite
 # fl(‖x‖²), so no value of its exact path overflows: an inf ‖x‖² makes L
 # inf and the difference NaN, and a NaN compares false.
+#
+# In practice: at n = 50 and d = 25 the margin is about 3e-13·‖x‖², some
+# 3e-11 for the sweeps' norm-10 starts against eps² = 1e-6, so only the
+# points at and after a row's exit go the exact way.  Below eps ≈ 5e-6 at
+# norm-10 starts the margin exceeds eps², and every point whose error lies
+# between eps and that bound is taken exactly.  The screen is tested by
+# ``test_rows_stopping_within_rounding_of_eps_equal_scalar_solves``, which
+# puts errors 2⁻⁴⁰ (relative) below, at and above eps on points of norm 1e-3
+# to 1e6; with the margin at 0, or at 1e-3 of its value, it fails for all
+# seven kinds.
 _SCREEN_FLOOR = np.finfo(float).tiny / (np.finfo(float).eps / 2)
 
 
@@ -494,7 +568,9 @@ class _Layout:
         The runs are projected straight into one output, run by run, with one
         gemv pair per row; a one-row run takes the two ``dot`` calls of
         ``LinearSubspace.project``, which cost less than two stacked
-        ``matmul`` calls.
+        ``matmul`` calls (1.7 against 3.0 µs at n = 50).  Each run's bases
+        are bound in ``runs``, so a run pays no lookup, helper call or fresh
+        transpose view.
         """
         out = np.empty_like(M)
         matmul = np.matmul
@@ -704,6 +780,7 @@ def _batched_pair_sweep(segments, q_rows, specs, eps, max_iter):
     layout = _Layout([sets for sets, _ in segments],
                      np.repeat(np.arange(len(segments)), [rows for _, rows in segments]))
     X, per_row, trip = _TRIPS[specs[0].kind](Q, specs, layout)
+    # at most _BLOCK_ROWS points, or one per row: about 100 KB at n = 50
     buffer = np.empty(max(_BLOCK_ROWS, m) * n)
 
     iterations = np.full(m, max_iter, dtype=int)
@@ -783,7 +860,9 @@ def sweep_alpha(config: SweepConfig, kind: str):
 
 
 def sweep_beta(config: SweepConfig):
-    """Reflection strength minimizing the median iteration count, per angle.
+    """Reflection strength minimizing the median iteration count, per angle
+    (ties go to the smaller beta; an instance none of whose blocks of starts
+    converged gives no record).
 
     Returns ``(runs, best_records, fit)`` where ``fit`` is the exponential
     least-squares fit of best beta against angle (None if the fit degenerates)
@@ -805,8 +884,12 @@ def sweep_beta(config: SweepConfig):
     return runs, best, fit
 
 
+# best-beta records the fit needs: more than its three parameters
+_FIT_MIN_RECORDS = 4
+
+
 def _fit_beta_curve(best_records) -> BetaFit | None:
-    if len(best_records) < 4:
+    if len(best_records) < _FIT_MIN_RECORDS:
         return None
     # loaded here, not at module level: only this fit needs it, and it costs
     # every other process about 20 MB of peak memory and 0.1 s of start-up
@@ -1022,8 +1105,10 @@ def _beta_report(config, methods):
         line = (f"  exponential fit: beta = {fit.a:.4f}*exp({fit.b:.4f}*theta) "
                 f"+ {fit.c:.4f}   (rms {fit.rms_residual:.4f}, "
                 f"shipped rule rms {fit.rule_rms_residual:.4f})")
-    else:
+    elif len(best) < _FIT_MIN_RECORDS:
         line = "  fit degenerate: not enough converged instances"
+    else:
+        line = f"  fit failed: no exponential fit to the best betas of {len(best)} instances"
     series.append(svgplot.Series("shipped rule", list(grid),
                                  [recommended_beta(t) for t in grid],
                                  style="dashed"))
@@ -1052,6 +1137,7 @@ def _rates_report(config, methods):
         ylabel="error", ylog=True))], lines
 
 
+# one entry per sweep: adding a sweep is adding an entry
 SWEEPS = {
     "alpha": Sweep(_alpha_report, "runs_alpha.csv", "best_alpha.csv",
                    ("instance_id", "theta_F", "method", "beta", "best_alpha",

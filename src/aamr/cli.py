@@ -50,7 +50,9 @@ def _fmt_vec(v) -> str:
     return ", ".join(f"{c:.9g}" for c in v)
 
 
-# SweepConfig field -> (aamr bench flag, type, help), in --help order
+# SweepConfig field -> (aamr bench flag, type, help), in --help order; it builds
+# the flags and names them in the usage error, so adding a flag is one entry
+# here plus its SweepConfig field
 _BENCH_FLAGS = {
     "seed": ("--seed", int, None), "n": ("--n", int, None),
     "n_instances": ("--instances", int, None), "n_starts": ("--starts", int, None),

@@ -10,6 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# eager, unlike the beta fit's scipy.optimize: every subspace needs the pivoted
+# QR of orthonormal_columns, so a deferred import would only move into the
+# first set-up
 import scipy.linalg
 
 __all__ = [

@@ -426,7 +426,9 @@ def _matrix_rows(entry, key, index, dim):
 
 
 # problem-file type -> (class, fields (file key, reader, set attribute) in the
-# class's argument order); dump_problem matches sets by isinstance in this order
+# class's argument order); load_problem and dump_problem read and write every
+# set through it, so adding a type is one entry; dump_problem matches sets by
+# isinstance in this order
 _TYPES = {
     "ball": (Ball, (("center", _vec, "center"), ("radius", _num, "radius"))),
     "subspace": (LinearSubspace, (("basis", _matrix_rows, "basis"),)),

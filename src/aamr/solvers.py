@@ -348,6 +348,8 @@ class _Method:
     free_x0: bool = False
 
 
+# the method table: adding a method is writing its driver plus one entry here;
+# MethodSpec, solve_best_approximation and the token parser read only this
 _METHODS = {
     "aamr": _Method({"alpha": _Param(1.0, closed=True),
                      "beta": _Param(1.0, fallback=recommended_beta,

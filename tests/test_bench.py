@@ -1239,6 +1239,39 @@ def test_sweep_rows_equal_scalar_solves():
         assert [(r.status, r.iterations, float.hex(r.final_error))] == scalar, r
 
 
+def _blas_thread_counts(task=None):
+    """The thread count of every OpenBLAS loaded in this process, found as
+    ``bench._one_blas_thread`` finds them; also stands in for a grid task."""
+    import ctypes
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    counts = []
+    for path in sorted(p for p in paths if p.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                get_threads = getattr(lib, symbol)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                counts.append(get_threads())
+                break
+    return counts
+
+
+def test_grid_sweep_workers_run_one_blas_thread(monkeypatch):
+    # --jobs workers fill the cores, so each runs one BLAS thread, and the
+    # calling process keeps its own
+    if not Path("/proc/self/maps").exists() or not _blas_thread_counts():
+        pytest.skip("no OpenBLAS to query in this process")
+    before = _blas_thread_counts()
+    monkeypatch.setattr(bench, "_grid_task", _blas_thread_counts)
+    config = small_config(n_instances=2, jobs=2)
+    # 200 rows an instance, so one instance a task and two tasks
+    reported = bench._grid_sweep(config, make_instances(config), [MethodSpec("map")], 200)
+    assert len(reported) == 2 * len(before) and set(reported) == {1}
+    assert _blas_thread_counts() == before
+
+
 def test_parallel_jobs_match_serial():
     config = small_config(n_instances=2, n_starts=2)
     methods = [MethodSpec("map")]

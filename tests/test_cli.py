@@ -481,6 +481,20 @@ def test_bench_beta_degenerate_fit(tmp_path, capsys):
     assert _legend(svg) == ["best beta", "shipped rule"]
 
 
+def test_bench_beta_fit_that_fails_on_enough_instances_says_so(tmp_path, capsys):
+    # four converged instances, all near the 0.02 angle floor and all best at
+    # beta 0.99: the fit has enough records but fails on them
+    out_dir = tmp_path / "beta"
+    code = main(["bench", "beta", "--seed", "0", "--n", "20", "--instances", "4",
+                 "--bins", "240", "--starts", "2", "--betas", "0.9,0.99",
+                 "--out-dir", str(out_dir)])
+    assert code == 0
+    lines, (runs, best, svg) = _bench_artifacts(out_dir, capsys)
+    assert lines == ["  fit failed: no exponential fit to the best betas of 4 instances"]
+    assert len(best) == 5
+    assert _legend(svg) == ["best beta", "shipped rule"]
+
+
 @pytest.mark.parametrize("sweep", ["alpha", "beta"])
 def test_bench_with_nothing_converged_writes_header_only_tables(tmp_path, capsys, sweep):
     out_dir = tmp_path / sweep

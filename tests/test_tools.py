@@ -7,7 +7,9 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
+@functools.lru_cache(maxsize=None)
 def _cost(*args, timeout=60):
+    # cached: tests that read one run's two streams share it
     return subprocess.run([sys.executable, str(TOOLS / "cost.py"), *args],
                           capture_output=True, text=True, timeout=timeout)
 
@@ -35,12 +37,6 @@ def test_ledger_prints_three_counts():
         assert re.fullmatch(rf"{name}: \d+", line), line
 
 
-@functools.lru_cache(maxsize=None)
-def _row_cost_run():
-    # one run of cost.py row --trips 3: the AAMR/DR table on stdout, the projection on stderr
-    return _cost("row", "--trips", "3")
-
-
 def _check_row_table(lines):
     # µs per trip and per row-iteration, and the stopping check's µs per
     # monitored point
@@ -51,13 +47,13 @@ def _check_row_table(lines):
 
 
 def test_row_cost_prints_one_line_per_row_count():
-    run = _row_cost_run()
+    run = _cost("row", "--trips", "3")
     assert run.returncode == 0, run.stderr
     _check_row_table(run.stdout.splitlines())
 
 
 def test_row_cost_prints_the_projection_rows_on_stderr():
-    run = _row_cost_run()
+    run = _cost("row", "--trips", "3")
     assert run.returncode == 0
     _check_row_table(run.stderr.splitlines())
 
@@ -101,6 +97,22 @@ def test_profile_cost_prints_one_line_per_stage():
                          "angle_profile"]
     for line in lines[1:]:
         assert re.fullmatch(r"[\w.]+\s+\d+\.\d{3}", line), line
+
+
+def test_profile_cost_counts_the_engine_runs_on_stderr():
+    # per trip family, the instance-run projections of one angle_profile call
+    # and the rows they project; seed 0 gives 12,028 runs of 33,868 rows
+    run = _cost("profile", "--seed", "0", timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stderr.splitlines()
+    assert lines[0] == "family        runs     rows"
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["cm", "haugazeau", "projection", "reflection",
+                                        "total"]
+    for line in lines[1:]:
+        assert re.fullmatch(r"\w+\s+\d+\s+\d+", line), line
+    counts = [(int(runs), int(projected)) for _, runs, projected in rows]
+    assert counts[-1] == tuple(map(sum, zip(*counts[:-1]))) == (12028, 33868)
 
 
 def test_import_cost_prints_one_line_per_entry_point():

@@ -4,7 +4,10 @@
 aamr.bench``, ``import aamr.cli``, and ``aamr solve`` (the point (1, 2, 3,
 4)) and ``aamr angle`` through ``aamr.cli.main`` on two planes in R^4, each
 in ``--runs`` fresh processes; prints per entry the median wall time of a
-process, launch to exit, and the median peak RSS it reports at its end.
+process, launch to exit, and the median peak RSS it reports at its end
+(``resource.getrusage``).  The tool itself loads neither numpy nor ``aamr``
+for this subcommand, since on Linux a child reports at least its parent's
+peak RSS.
 
 ``step [--iters 2000]``: cost of a scalar-path iteration.  Runs every
 library driver that takes it on one seeded ``perfbench/families.py``
@@ -21,23 +24,31 @@ at the 0.02 rad floor, with each row count of ``ROWS`` split into
 consecutive runs, one per instance and as even as the count allows, each
 row starting at its instance's alpha-sweep start; prints the µs per trip
 and per row-iteration, and the stopping check's (``bench._Layout.errors``)
-µs per monitored point, averaged over all ``REPEATS`` runs.  Seeded AAMR/DR
-rows go to standard output, then seeded projection rows (mu in (0.5, 1.9),
-every fifth a MAP row), in the same format, to standard error.
+µs per monitored point, averaged over all ``REPEATS`` runs; more instances
+measure what each further instance run costs a trip.  Seeded AAMR/DR rows go
+to standard output, then seeded projection rows (mu in (0.5, 1.9), every
+fifth a MAP row), in the same format, to standard error.
 
 ``profile [--seed 1]``: ms per stage of the perfbench ``profile`` angle
-profile at ``--seed``: sets, specs and starts (``bases_starts``); the row
-engine per trip family, timed inside ``_grid_sweep``; the whole grid sweep;
-the block statistics (``_block_stats``); the runs CSV; the summary table;
-and the whole ``angle_profile`` call.
+profile at ``--seed`` (its instances, config and default roster, from
+``perfbench/workloads.py``): sets, specs and starts (``bases_starts``); the
+row engine per trip family, timed inside ``_grid_sweep``; the whole grid
+sweep; the block statistics (``_block_stats``); the runs CSV; the summary
+table; and the whole ``angle_profile`` call.  On standard error it then
+prints, per trip family and in total, the instance-run projections of one
+``angle_profile`` call and the rows they project (``_Layout.project``
+counted, the stopping check's exact projections included): a projection
+pays a fixed cost per run and a smaller one per row, so these counts set
+the engine's floor.
 
 ``step``, ``row`` and ``profile`` report the best of ``REPEATS`` runs.
 ``aamr`` comes from the ``src/`` directory next to this script and the
 perfbench modules from ``perfbench/`` (writing no bytecode there), and
 ``bench`` internals are looked up when a subcommand runs, so a copy run in
 another checkout measures that tree.  ``row`` and ``profile`` build each
-instance's sets with ``bench._instance_sets``, so they run only in a tree
-that has it:
+instance's sets with ``bench._instance_sets``, and ``profile`` needs
+``_grid_sweep(config, instances, specs, n)`` and ``_block_stats``, so they
+run only in a tree that has them:
 
     python3 tools/cost.py {import,step,row,profile} [flags]
 """
@@ -213,6 +224,11 @@ def _sets_and_starts(config, instances, methods):
         [bench.start_point(config, i, s) for s in range(config.n_starts)]
 
 
+def _family(specs):
+    """The name of the trip family of a batch's ``specs``, e.g. ``cm``."""
+    return bench._TRIPS[specs[0].kind].__name__.strip("_").removesuffix("_rows")
+
+
 def _engine_families(config, instances, methods):
     """ms per trip family of the row engine, best of ``REPEATS`` runs of
     ``bench._grid_sweep``."""
@@ -220,7 +236,7 @@ def _engine_families(config, instances, methods):
     spent = {}
 
     def timed(segments, q_rows, specs, eps, max_iter):
-        family = bench._TRIPS[specs[0].kind].__name__.strip("_").removesuffix("_rows")
+        family = _family(specs)
         start = time.perf_counter()
         result = sweep(segments, q_rows, specs, eps, max_iter)
         spent[family] = spent.get(family, 0.0) + time.perf_counter() - start
@@ -237,6 +253,30 @@ def _engine_families(config, instances, methods):
     finally:
         bench._batched_pair_sweep = sweep
     return {f"engine.{family}": 1e3 * seconds for family, seconds in best.items()}
+
+
+def _engine_runs(config, methods, instances):
+    """Instance-run projections and the rows they project, per trip family,
+    in one ``angle_profile`` call, counted by wrapping ``_Layout.project``."""
+    sweep, project = bench._batched_pair_sweep, bench._Layout.project
+    counts, family = {}, [None]
+
+    def tagged(segments, q_rows, specs, eps, max_iter):
+        family[0] = _family(specs)
+        return sweep(segments, q_rows, specs, eps, max_iter)
+
+    def counted(layout, M, which):
+        tally = counts.setdefault(family[0], [0, 0])
+        tally[0] += len(layout.runs[which])
+        tally[1] += M.shape[0]
+        return project(layout, M, which)
+
+    bench._batched_pair_sweep, bench._Layout.project = tagged, counted
+    try:
+        bench.angle_profile(config, methods, instances)
+    finally:
+        bench._batched_pair_sweep, bench._Layout.project = sweep, project
+    return counts
 
 
 def _profile_cost(args):
@@ -261,9 +301,14 @@ def _profile_cost(args):
                                                             header, table)),
                 ("angle_profile", lambda: bench.angle_profile(config, methods, instances))):
             stages[name] = 1e3 * _best(fn)[0]
+        counts = _engine_runs(config, methods, instances)
     print("stage                  ms")
     for name, ms in stages.items():
         print(f"{name:18s}  {ms:8.3f}")
+    print("family        runs     rows", file=sys.stderr)
+    for name, (runs, rows) in [*sorted(counts.items()),
+                               ("total", [sum(c) for c in zip(*counts.values())])]:
+        print(f"{name:10s}  {runs:6d}  {rows:7d}", file=sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -6,36 +6,43 @@ one line each:
 
 * first, the BLAS-kernel fingerprint (``kernel_fingerprint``): numpy's
   OpenBLAS picks its kernel from the CPU, kernels round differently, and
-  the digests below hold only for the kernel they were taken on;
+  the digests below hold only for the kernel they were taken on.  With
+  numpy 2.4.6 on a 2-core AVX-512 box it reads ``ace7a91b...`` on the
+  default (SkylakeX) kernel and at one BLAS thread, and differs under
+  ``OPENBLAS_CORETYPE=Haswell``, ``Sandybridge`` or ``Prescott``;
 * every file ``aamr bench angle-profile|alpha|beta|rates --seed 0`` writes,
   and each sweep's stdout, run through ``aamr.cli.main`` into a temporary
-  directory, with that directory replaced by ``OUT``;
+  directory, with that directory replaced by ``OUT`` (17 lines);
 * the stdout and exit code of ``aamr solve`` on a subspace and an affine
   subspace in R^4 (``--mode residual``; ``--mode true-error`` and ``--mode
   budget``, each with ``--trace`` and the trace CSV; ``--method
-  cm:gamma=0.25``), and of ``aamr angle`` on a pair of subspaces in R^4;
-* the two input formats: the stdout and exit code of ``aamr solve --mode
-  residual --max-iter 500`` on a problem file holding one set of each of
-  the six types, whatever its status; the ``json.dumps`` text of
+  cm:gamma=0.25``), and of ``aamr angle`` on a pair of subspaces in R^4
+  (7 lines);
+* the two input formats (12 lines): the stdout and exit code of ``aamr
+  solve --mode residual --max-iter 500`` on a problem file holding one set
+  of each of the six types, whatever its status; the ``json.dumps`` text of
   ``dump_problem(*load_problem(...))`` of that file; the files and stdout of
   a small ``aamr bench alpha`` that types every flag the sweep reads, and of
   a budget-starved ``aamr bench beta`` whose best betas are chosen over
   partly converged and unconverged blocks of starts; and the stderr and exit
   code of two ``aamr bench`` runs given flags their sweep does not read;
-* the rejection path: the stderr and exit code of eight rejected inputs (an
-  unknown subcommand, two bad method tokens, a ``--q`` of the wrong
-  dimension, a truncated and a missing problem file, ``--mode true-error``
-  on two balls, and ``aamr bench beta --jobs 0``), with the temporary
-  directory replaced by ``OUT``;
+* the rejection path (8 lines): the stderr and exit code of eight rejected
+  inputs (an unknown subcommand, two bad method tokens, a ``--q`` of the
+  wrong dimension, a truncated and a missing problem file, ``--mode
+  true-error`` on two balls, and ``aamr bench beta --jobs 0``), with the
+  temporary directory replaced by ``OUT``;
 * the stdout of every ``demos/*.py`` script, each run with its own temporary
-  working directory (``subspace_profile.py`` writes ``demo_profile_out/``);
+  working directory (``subspace_profile.py`` writes ``demo_profile_out/``;
+  4 lines);
 * the round digest of each ``perfbench`` workload for the seeds in
   ``PERFBENCH_SEEDS`` (``setup``, ``run_round``, ``finish_round``), and
-  whether the workload's ``check`` passes on that round.
+  whether the workload's ``check`` passes on that round (8 lines).
 
-Exits 1 if a perfbench check fails.  To compare trees, copy this script into
-a checkout of the other tree and diff the two outputs; digests taken under
-two fingerprints are not expected to agree:
+57 lines in all; a run takes 30 s to a minute on a shared 2-core box.  Exits
+1 if a perfbench check fails.  To check that a change leaves every output
+byte-identical, copy this script into a checkout of the other tree, run it
+in both and diff the two outputs; digests taken under two fingerprints are
+not expected to agree:
 
     python3 tools/desk_digests.py > mine.txt
 """

@@ -10,7 +10,8 @@
   variable read through ``os.environ`` or ``os.getenv``; and each optional
   CLI flag, read from the parser ``aamr.cli._build_parser()`` builds rather
   than from the source, so flags added in a loop count too: every optional
-  action of every subcommand, ``-h`` excluded.
+  action of every subcommand, ``-h`` excluded and ``--q`` (a required flag)
+  included.
 
 Takes no arguments and imports ``aamr`` from the ``src/`` directory next to
 this script, so a copy run in another checkout counts that tree:
