@@ -94,6 +94,11 @@ def common_directions(bases) -> np.ndarray:
     exactly on the intersection.  Genuinely shared directions come out at the
     1e-15 level.
     """
+    return _null_directions(_complement_stack(bases))
+
+
+def _complement_stack(bases) -> np.ndarray:
+    """``I - Qi Qi.T`` of orthonormal ``bases`` in one R^n, stacked by rows."""
     mats = [check_orthonormal(Q, f"bases[{i}]") for i, Q in enumerate(bases)]
     if not mats:
         raise ValueError("need at least one basis")
@@ -102,12 +107,15 @@ def common_directions(bases) -> np.ndarray:
         if Q.shape[0] != n:
             raise ValueError("bases live in different ambient dimensions")
     eye = np.eye(n)
-    K = np.vstack([eye - Q @ Q.T for Q in mats])
-    # the thin SVD: U is never read, and Vt and the singular values are
-    # the full SVD's bit for bit
-    _, svals, Vt = np.linalg.svd(K, full_matrices=False)
-    keep = svals <= ZERO_ANGLE_TOL
-    return Vt[keep].T.copy()
+    return np.vstack([eye - Q @ Q.T for Q in mats])
+
+
+def _null_directions(stack) -> np.ndarray:
+    """Right singular vectors of ``stack`` with singular value at most
+    ``ZERO_ANGLE_TOL``, as columns.  The thin SVD: U is never read, and Vt
+    and the singular values are the full SVD's bit for bit."""
+    _, svals, Vt = np.linalg.svd(stack, full_matrices=False)
+    return Vt[svals <= ZERO_ANGLE_TOL].T.copy()
 
 
 def subspace_intersection(basis_u, basis_v) -> np.ndarray:
@@ -123,16 +131,14 @@ def friedrichs_angle(basis_u, basis_v) -> float:
     principal angle is returned.  Raises ``ValueError`` for coincident or
     nested subspaces, where no angle past the intersection exists.
     """
-    Qu = check_orthonormal(basis_u, "basis_u")
-    Qv = check_orthonormal(basis_v, "basis_v")
-    return _angle_past(Qu, Qv, subspace_intersection(Qu, Qv))
+    return SubspacePair.from_bases(basis_u, basis_v).angle
 
 
 def _angle_past(Qu, Qv, meet) -> float:
     """Smallest principal angle between orthonormal ``Qu`` and ``Qv`` once
     their intersection basis ``meet`` is removed from both."""
     if meet.shape[1]:
-        deflate = np.eye(Qu.shape[0]) - meet @ meet.T
+        deflate = _complement_stack([meet])
         # columns were unit vectors, so rank-cut against an absolute scale
         Qu2 = orthonormal_columns(deflate @ Qu, scale=1.0)
         Qv2 = orthonormal_columns(deflate @ Qv, scale=1.0)
@@ -208,10 +214,7 @@ def _constructed_pair(rng, n, du, dv, theta):
     extra_u = take(du - meet - pairs)
     partners = take(pairs)
     extra_v = take(dv - meet - pairs)
-    if pairs > 1:
-        angles = np.concatenate([[theta], rng.uniform(theta, np.pi / 2, pairs - 1)])
-    else:
-        angles = np.array([theta])
+    angles = np.concatenate([[theta], rng.uniform(theta, np.pi / 2, pairs - 1)])
     opened = first * np.cos(angles) + partners * np.sin(angles)
     Qu = np.hstack([shared, first, extra_u])
     Qv = np.hstack([shared, opened, extra_v])

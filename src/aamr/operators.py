@@ -6,13 +6,12 @@ state, so independent solves can run concurrently.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .sets import Ball, ConvexSet, as_vector
+from .sets import Ball, ConvexSet, _check_real, _is_integral, as_vector
 
 
 def _norm(v) -> float:
@@ -101,8 +100,7 @@ class StoppingPolicy:
             raise ValueError(f"unknown stopping mode {self.mode!r}")
         _check_real("eps", self.eps)
         _check_real("divergence_threshold", self.divergence_threshold)
-        # bool is an Integral too; numpy integers are Integrals and pass
-        if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool):
+        if not _is_integral(self.max_iter):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
@@ -132,18 +130,6 @@ class StoppingPolicy:
         if self.mode != self.TRUE_ERROR:
             return math.inf
         return self.target.distance(monitored)
-
-
-def _is_real(value) -> bool:
-    """A real number and not a bool (which is an Integral, so a Real, too);
-    numpy floats and integers are Reals and pass."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_real(name: str, value) -> None:
-    # before any range comparison, which would raise TypeError on a non-number
-    if not _is_real(value):
-        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
 
 
 def modified_reflect(set_: ConvexSet, beta: float, x) -> np.ndarray:

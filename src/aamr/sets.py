@@ -9,6 +9,7 @@ bounds) are rejected at construction time, never inside ``project``.
 import itertools
 import json
 import math
+import numbers
 import operator
 from pathlib import Path
 
@@ -63,6 +64,22 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise DimensionMismatchError(f"expected a vector of dimension {dim}, got {v.size}")
     return v
+
+
+# The two number rules of every input check; a bool is an Integral, so a
+# Real too, and is neither here.  numpy floats and integers pass.
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integral(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_real(name: str, value) -> None:
+    # before any range comparison, which would raise TypeError on a non-number
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
 
 
 def membership_tol(x) -> float:
@@ -172,6 +189,7 @@ class Ball(ConvexSet):
 
     def __init__(self, center, radius):
         self.center = _freeze(as_vector(center))
+        _check_real("radius", radius)
         self.radius = float(radius)
         if not np.isfinite(self.radius) or self.radius < 0:
             raise ValueError(f"radius must be a nonnegative number, got {radius}")
@@ -194,6 +212,7 @@ class _NormalSet(ConvexSet):
     def __init__(self, normal, offset):
         name = type(self).__name__.lower()
         self.normal = _freeze(as_vector(normal))
+        _check_real("offset", offset)
         self.offset = float(offset)
         self._sq = float(self.normal @ self.normal)
         if self._sq == 0.0:
@@ -366,15 +385,15 @@ def project_intersection_oracle(sets, x) -> np.ndarray:
 
     if all(isinstance(s, _AFFINE_LIKE) for s in sets):
         parts = [_affine_parts(s) for s in sets]
-        eye = np.eye(dim)
-        complements = [eye - Q @ Q.T for _, Q in parts]
-        stacked = np.vstack(complements)
-        rhs = np.concatenate([C @ y for C, (y, _) in zip(complements, parts)])
+        # row block i is I - Qi Qi.T; the stack's null space spans the meet
+        stacked = geometry._complement_stack([Q for _, Q in parts])
+        blocks = stacked.reshape(len(parts), dim, dim)
+        rhs = np.concatenate([C @ y for C, (y, _) in zip(blocks, parts)])
         point, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
         scale = 1.0 + max(float(np.linalg.norm(y)) for y, _ in parts)
         if np.linalg.norm(stacked @ point - rhs) > 1e-8 * scale:
             raise ValueError("affine family has empty intersection")
-        meet = geometry.common_directions([Q for _, Q in parts])
+        meet = geometry._null_directions(stacked)
         return point + meet @ (meet.T @ (x - point))
 
     raise NoOracleError(
@@ -394,7 +413,7 @@ def _field(entry, key, index):
 
 def _num(entry, key, index, dim):
     value = _field(entry, key, index)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_real(value):
         raise ProblemFormatError(f"sets[{index}].{key}: expected a number")
     try:
         return float(value)
@@ -402,27 +421,29 @@ def _num(entry, key, index, dim):
         raise ProblemFormatError(f"sets[{index}].{key}: {exc}") from None
 
 
-def _vec(entry, key, index, dim):
-    value = _field(entry, key, index)
+def _reals(value, name, dim):
+    """The vector field ``name`` of length ``dim``; numpy converts an array,
+    and every entry of a list must be a number."""
     try:
-        return as_vector(value, dim)
+        v = as_vector(value, dim)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise ProblemFormatError(f"sets[{index}].{key}: {exc}") from None
+        raise ProblemFormatError(f"{name}: {exc}") from None
+    if not isinstance(value, np.ndarray) and not all(map(_is_real, value)):
+        raise ProblemFormatError(f"{name}: expected a number")
+    return v
+
+
+def _vec(entry, key, index, dim):
+    return _reals(_field(entry, key, index), f"sets[{index}].{key}", dim)
 
 
 def _matrix_rows(entry, key, index, dim):
     value = _field(entry, key, index)
     if not isinstance(value, list):
         raise ProblemFormatError(f"sets[{index}].{key}: expected a list of rows")
-    rows = []
-    for j, row in enumerate(value):
-        try:
-            rows.append(as_vector(row, dim))
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ProblemFormatError(f"sets[{index}].{key}[{j}]: {exc}") from None
-    if rows:
-        return np.stack(rows, axis=1)  # rows are basis vectors -> columns
-    return np.zeros((dim, 0))
+    rows = [_reals(row, f"sets[{index}].{key}[{j}]", dim) for j, row in enumerate(value)]
+    # rows are basis vectors -> columns
+    return np.stack(rows, axis=1) if rows else np.zeros((dim, 0))
 
 
 # problem-file type -> (class, fields (file key, reader, set attribute) in the
@@ -482,7 +503,7 @@ def load_problem(source) -> tuple[int, list[ConvexSet]]:
     if not isinstance(data, dict):
         raise ProblemFormatError("top level: expected an object")
     dim = data.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _is_integral(dim) or dim < 1:
         raise ProblemFormatError("dim: expected a positive integer")
     if dim > _MAX_DIM:
         raise ProblemFormatError(f"dim: too large for an array (at most {_MAX_DIM})")

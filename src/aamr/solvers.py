@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (DrOperator, NumericalFailure, SolveResult, StoppingPolicy,
-                        _is_real, aamr_update, iterate)
-from .sets import ConvexSet, Diagonal, ProductSet, Translate, _common_dim, as_vector
+                        aamr_update, iterate)
+from .sets import (ConvexSet, Diagonal, ProductSet, Translate, _common_dim, _is_real,
+                   as_vector)
 
 __all__ = [
     "aamr_solve",

@@ -48,6 +48,12 @@ def test_estimate_rate_rejects_short_traces():
         estimate_rate([1e-18] * 50)
 
 
+def test_estimate_rate_rejects_a_fitting_window_at_the_floor():
+    # 30 samples above the floor, all in the first half of the trace
+    with pytest.raises(ValueError, match="^too few usable samples in the fitting window$"):
+        estimate_rate([0.5 ** k for k in range(30)] + [0.0] * 40)
+
+
 def test_rate_profile_matches_known_rates():
     _, records, traces = rate_profile(SweepConfig(rate_thetas=(0.5,), seed=1))
     by_kind = {r.method: r for r in records}

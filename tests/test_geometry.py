@@ -56,6 +56,13 @@ def test_friedrichs_angle_examples():
         friedrichs_angle(col(E1), col(E1, E2))
 
 
+def test_principal_angles_of_an_empty_basis_and_of_mixed_dimensions():
+    assert principal_angles(np.zeros((3, 0)), col(E1)).shape == (0,)
+    assert principal_angles(col(E1), np.zeros((3, 0))).shape == (0,)
+    with pytest.raises(ValueError, match="^bases live in different ambient dimensions$"):
+        principal_angles(col(E1), np.eye(4)[:, :1])
+
+
 def test_subspace_intersection_examples():
     meet = subspace_intersection(col(E1, E2), col(E2, E3))
     assert meet.shape == (3, 1)

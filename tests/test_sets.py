@@ -179,6 +179,28 @@ def test_construction_rejects_degenerate_descriptions():
         ProductSet([])
     with pytest.raises(ValueError):
         Diagonal(0, 3)
+    with pytest.raises(ValueError, match="^basis must be a 2-D matrix, got shape \\(3,\\)$"):
+        LinearSubspace(np.zeros(3))
+    with pytest.raises(ValueError, match="^ambient dimension must be positive$"):
+        LinearSubspace(np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Ball([0.0, 0.0], "1.5"), "radius must be a real number, got str"),
+    (lambda: Ball([0.0, 0.0], True), "radius must be a real number, got bool"),
+    (lambda: Halfspace([1.0, 0.0], "0"), "offset must be a real number, got str"),
+    (lambda: Hyperplane([1.0, 0.0], True), "offset must be a real number, got bool"),
+], ids=["ball-str", "ball-bool", "halfspace-str", "hyperplane-bool"])
+def test_construction_rejects_scalars_that_are_not_real_numbers(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_construction_takes_numpy_scalars_and_arrays():
+    ball = Ball(np.array([0.0, 0.0]), np.float32(1.5))
+    plane = Hyperplane(np.array([1, 0]), np.int64(2))
+    assert ball.radius == 1.5 and plane.offset == 2.0
+    assert np.array_equal(plane.normal, [1.0, 0.0])
 
 
 def test_dimension_mismatch_raises():
@@ -327,6 +349,15 @@ def test_oracle_rejects_unsupported_family():
         project_intersection_oracle([Ball([0.0], 1.0), Box([0.0], [1.0])], [0.5])
 
 
+def test_oracle_collapses_boxes_crossed_within_the_tolerance_to_their_midpoint():
+    lo, hi = 1.0 + 1e-12, 1.0
+    boxes = [Box([0.0, 0.0], [hi, 2.0]), Box([lo, 0.5], [2.0, 3.0])]
+    for x in ([-5.0, 0.0], [5.0, 9.0]):
+        got = project_intersection_oracle(boxes, x)
+        assert got[0] == 0.5 * (lo + hi)
+        assert got[1] == np.clip(x[1], 0.5, 2.0)
+
+
 def test_oracle_empty_box_intersection():
     with pytest.raises(ValueError):
         project_intersection_oracle(
@@ -401,6 +432,17 @@ def test_load_problem_diagnostics_name_fields():
      r"sets\[0\]\.radius: expected a number"),
     ({"dim": 2, "sets": [{"type": "subspace", "basis": 1.0}]},
      r"sets\[0\]\.basis: expected a list of rows"),
+    # a string or a boolean is not a number, inside a vector or a basis too
+    ({"dim": 2, "sets": [{"type": "ball", "center": ["1", True], "radius": 1.0}]},
+     r"^sets\[0\]\.center: expected a number$"),
+    ({"dim": 2, "sets": [{"type": "subspace", "basis": [["1", "0"]]}]},
+     r"^sets\[0\]\.basis\[0\]: expected a number$"),
+    ({"dim": 2, "sets": [{"type": "box", "lower": [False, "-1"], "upper": [1, 1]}]},
+     r"^sets\[0\]\.lower: expected a number$"),
+    ({"dim": 2, "sets": [{"type": "affine", "offset": [0, 0], "basis": [[1, True]]}]},
+     r"^sets\[0\]\.basis\[0\]: expected a number$"),
+    ({"dim": 2, "sets": [{"type": "halfspace", "a": [1, 0], "b": False}]},
+     r"^sets\[0\]\.b: expected a number$"),
     ({"dim": 1, "sets": [{"type": ["ball"]}]}, r"sets\[0\]\.type: unknown set type \['ball'\]"),
     ({"dim": 1, "sets": [{"type": 3}]}, r"sets\[0\]\.type: unknown set type 3"),
     ({"dim": 1, "sets": [{"type": None}]}, r"sets\[0\]\.type: unknown set type None"),
@@ -422,7 +464,8 @@ def test_load_problem_diagnostics_name_fields():
      rf"^dim: too large for an array \(at most {np.iinfo(np.intp).max // 8}\)$"),
     ({"dim": 2**63, "sets": [{"type": "subspace", "basis": []}]},
      rf"^dim: too large for an array \(at most {np.iinfo(np.intp).max // 8}\)$"),
-], ids=["text", "no-sets", "entry", "radius", "basis", "type-list", "type-number",
+], ids=["text", "no-sets", "entry", "radius", "basis", "string-center", "string-basis",
+        "bool-lower", "bool-basis", "bool-offset", "type-list", "type-number",
         "type-null", "nan-offset", "inf-offset", "huge-radius", "huge-center",
         "huge-basis", "huge-offset", "huge-dim", "dim-2**63"])
 def test_load_problem_rejects_malformed_documents(source, message):
