@@ -46,7 +46,7 @@ __all__ = [
     "SWEEPS",
 ]
 
-CSV_HEADER = ("instance_id,theta_F,method,alpha,beta,mu,gamma,"
+CSV_HEADER = ("instance_id,theta_F,method,alpha,beta,mu,gamma,lam,"
               "start_id,status,iterations,final_error,seed")
 
 # rate-fit floor: errors at or below this sit in floating-point noise
@@ -120,6 +120,7 @@ class RunRecord:
     beta: float | None
     mu: float | None
     gamma: float | None
+    lam: float | None
     start_id: int
     status: str
     iterations: int
@@ -201,7 +202,7 @@ def write_runs_csv(path, runs) -> None:
     """Write run records under the canonical header."""
     write_table_csv(path, CSV_HEADER.split(","), [
         [r.instance_id, float(r.theta), r.method, r.alpha, r.beta, r.mu, r.gamma,
-         r.start_id, r.status, r.iterations, float(r.final_error), r.seed]
+         r.lam, r.start_id, r.status, r.iterations, float(r.final_error), r.seed]
         for r in runs])
 
 
@@ -334,7 +335,7 @@ def _grid_task(args):
                                     config.eps, config.max_iter)
         outcomes.update(zip(keys, zip(*batch)))
     return [RunRecord(first + i, pair.angle, spec.kind, spec.alpha, spec.beta, spec.mu,
-                      spec.gamma, start_id, *outcomes[i, j], config.seed)
+                      spec.gamma, spec.lam, start_id, *outcomes[i, j], config.seed)
             for i, pair in enumerate(pairs)
             for j, ((_, start_id), spec) in enumerate(zip(rows, specs[i]))]
 
@@ -996,8 +997,8 @@ def rate_profile(config: SweepConfig, methods=None):
             rule = _EXPECTED_RATES.get(resolved.kind)
             expected = None if rule is None else rule(resolved, theta)
             runs.append(RunRecord(t_index, theta, resolved.kind, resolved.alpha,
-                                  resolved.beta, resolved.mu, resolved.gamma, 0,
-                                  result.status.value, result.iterations,
+                                  resolved.beta, resolved.mu, resolved.gamma, resolved.lam,
+                                  0, result.status.value, result.iterations,
                                   result.final_error, config.seed))
             records.append(RateRecord(theta, resolved.kind, resolved.display(), rate, expected))
             traces.append(list(result.trace))

@@ -1102,6 +1102,20 @@ def test_runs_csv_exact_header_and_determinism(tmp_path):
         assert len(line.split(",")) == ncols
 
 
+def test_every_method_parameter_is_a_runs_csv_column():
+    assert set(MethodSpec.PARAMS) <= set(CSV_HEADER.split(","))
+
+
+def test_runs_csv_tells_cm_lambdas_apart(tmp_path):
+    config = small_config(n_instances=1, n_starts=1)
+    methods = [MethodSpec.parse("cm:lam=1.5"), MethodSpec.parse("cm:lam=1.8")]
+    runs, _ = angle_profile(config, methods=methods)
+    write_runs_csv(tmp_path / "runs.csv", runs)
+    header, *rows = (tmp_path / "runs.csv").read_text().splitlines()
+    column = header.split(",").index("lam")
+    assert [row.split(",")[column] for row in rows] == ["1.5", "1.8"]
+
+
 def test_table_csv_writes_numpy_scalars_as_their_python_values(tmp_path):
     header = ["real", "count", "nan"]
     python = [[0.5, 3, math.nan], [1e-300, -7, 2.0]]

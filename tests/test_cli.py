@@ -581,7 +581,7 @@ def test_bench_beta_writes_every_artifact(tmp_path, capsys):
                          beta_grid=(0.5, 0.7, 0.9))
     expected_runs, expected_best, fit = sweep_beta(config)
     assert len(runs) == 1 + 5 * 3 * 2  # instances x betas x starts
-    assert [tuple(r.split(",")[2:5]) + (r.split(",")[7],) for r in runs[1:]] == [
+    assert [tuple(r.split(",")[2:5]) + (r.split(",")[8],) for r in runs[1:]] == [
         ("aamr", "0.9", repr(r.beta), str(r.start_id)) for r in expected_runs]
     assert best[0] == "instance_id,theta_F,best_beta,median_iterations"
     assert best[1:] == [f"{r.instance_id},{r.theta!r},{r.best_beta!r},"
