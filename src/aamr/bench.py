@@ -460,7 +460,11 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 #     lines (BENCH_20.json);
 #   - caching ``MethodSpec.display()``: ``_profile_report`` calls it 420
 #     times a desk ``angle-profile``, so only perfbench's own report copy
-#     gained (BENCH_18.json).
+#     gained (BENCH_18.json);
+#   - sizing grid tasks by the largest trip family: ``angle_profile`` ×1.014,
+#     faster in 26 of 60 pairs (CHANGES.md);
+#   - the AAMR/DR trip calling ``operators.aamr_update``, for 2 more lines:
+#     the alpha and beta sweeps ×1.041, faster in 4 of 20 pairs (CHANGES.md).
 
 # monitored points per block, and trips per block (the rule above)
 _BLOCK_ROWS = 256

@@ -421,7 +421,7 @@ def _num(entry, key, index, dim):
         raise ProblemFormatError(f"sets[{index}].{key}: {exc}") from None
 
 
-def _reals(value, name, dim):
+def _real_vector(value, name, dim):
     """The vector field ``name`` of length ``dim``; numpy converts an array,
     and every entry of a list must be a number."""
     try:
@@ -434,16 +434,17 @@ def _reals(value, name, dim):
 
 
 def _vec(entry, key, index, dim):
-    return _reals(_field(entry, key, index), f"sets[{index}].{key}", dim)
+    return _real_vector(_field(entry, key, index), f"sets[{index}].{key}", dim)
 
 
 def _matrix_rows(entry, key, index, dim):
     value = _field(entry, key, index)
     if not isinstance(value, list):
         raise ProblemFormatError(f"sets[{index}].{key}: expected a list of rows")
-    rows = [_reals(row, f"sets[{index}].{key}[{j}]", dim) for j, row in enumerate(value)]
-    # rows are basis vectors -> columns
-    return np.stack(rows, axis=1) if rows else np.zeros((dim, 0))
+    rows = [_real_vector(row, f"sets[{index}].{key}[{j}]", dim) for j, row in enumerate(value)]
+    if rows:
+        return np.stack(rows, axis=1)  # rows are basis vectors -> columns
+    return np.zeros((dim, 0))
 
 
 # problem-file type -> (class, fields (file key, reader, set attribute) in the

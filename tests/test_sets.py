@@ -183,17 +183,15 @@ def test_construction_rejects_degenerate_descriptions():
         LinearSubspace(np.zeros(3))
     with pytest.raises(ValueError, match="^ambient dimension must be positive$"):
         LinearSubspace(np.zeros((0, 2)))
-
-
-@pytest.mark.parametrize("make, message", [
-    (lambda: Ball([0.0, 0.0], "1.5"), "radius must be a real number, got str"),
-    (lambda: Ball([0.0, 0.0], True), "radius must be a real number, got bool"),
-    (lambda: Halfspace([1.0, 0.0], "0"), "offset must be a real number, got str"),
-    (lambda: Hyperplane([1.0, 0.0], True), "offset must be a real number, got bool"),
-], ids=["ball-str", "ball-bool", "halfspace-str", "hyperplane-bool"])
-def test_construction_rejects_scalars_that_are_not_real_numbers(make, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        make()
+    # a string or a boolean is not a number
+    with pytest.raises(ValueError, match="^radius must be a real number, got str$"):
+        Ball([0.0, 0.0], "1.5")
+    with pytest.raises(ValueError, match="^radius must be a real number, got bool$"):
+        Ball([0.0, 0.0], True)
+    with pytest.raises(ValueError, match="^offset must be a real number, got str$"):
+        Halfspace([1.0, 0.0], "0")
+    with pytest.raises(ValueError, match="^offset must be a real number, got bool$"):
+        Hyperplane([1.0, 0.0], True)
 
 
 def test_construction_takes_numpy_scalars_and_arrays():
