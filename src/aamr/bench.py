@@ -281,9 +281,10 @@ def _one_blas_thread():
     """Worker initializer: one BLAS thread per ``--jobs`` process.  OpenBLAS
     threads the screen's gemms on large batches, so workers on their default
     threading oversubscribe the cores.  Sets every OpenBLAS loaded in the
-    process (numpy's and scipy's) through ctypes; a worker in which none is
-    found keeps its default threading.  The parent keeps its threads: one
-    process alone runs faster on them."""
+    process through ctypes: numpy's, the only one a grid task loads (scipy's
+    comes with ``scipy.linalg``, which only the beta fit imports); a worker
+    in which none is found keeps its default threading.  The parent keeps
+    its threads: one process alone runs faster on them."""
     import ctypes
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
@@ -457,7 +458,11 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 #     8 % at eps 1e-10 (CHANGES.md, BENCH_25.json);
 #   - calling LAPACK's ``geqp3``/``orgqr`` directly in
 #     ``geometry.orthonormal_columns``: bit-identical, −2 % for a dozen more
-#     lines (BENCH_20.json);
+#     lines (BENCH_20.json).  Taken since, with ``geometry``'s subspace angles
+#     on numpy's LAPACK too, because together they keep ``scipy.linalg`` and
+#     its second OpenBLAS out of the process: ``import aamr`` 0.43 → 0.16 s
+#     and 56.9 → 28.9 MB, perfbench ``peak_rss_mb`` −21 to −23 MB on every
+#     workload (BENCH_29.json);
 #   - caching ``MethodSpec.display()``: ``_profile_report`` calls it 420
 #     times a desk ``angle-profile``, so only perfbench's own report copy
 #     gained (BENCH_18.json);

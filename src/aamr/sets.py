@@ -82,6 +82,22 @@ def _check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
 
 
+def _entries_real(value) -> bool:
+    """The list rule of vector inputs: numpy converts an array as it is, and
+    every entry of anything else must pass ``_is_real`` (numpy alone would
+    read "1" and True as 1.0)."""
+    return isinstance(value, np.ndarray) or all(map(_is_real, value))
+
+
+def _vector_arg(name: str, value, dim: int | None) -> np.ndarray:
+    """``as_vector(value, dim)`` for a constructor's vector argument ``name``,
+    under the list rule."""
+    v = as_vector(value, dim)
+    if not _entries_real(value):
+        raise ValueError(f"{name} entries must be real numbers")
+    return v
+
+
 def membership_tol(x) -> float:
     """Default scale-aware tolerance for membership checks."""
     return 1e-9 * (1.0 + float(np.linalg.norm(x)))
@@ -175,7 +191,7 @@ class AffineSubspace(ConvexSet):
         if not isinstance(direction, LinearSubspace):
             direction = LinearSubspace(direction)
         self.direction = direction
-        self.offset = _freeze(as_vector(offset, direction.dim))
+        self.offset = _freeze(_vector_arg("offset", offset, direction.dim))
         self.dim = direction.dim
 
     def project(self, x) -> np.ndarray:
@@ -188,7 +204,7 @@ class Ball(ConvexSet):
     themselves; the degenerate radius 0 gives the singleton {center}."""
 
     def __init__(self, center, radius):
-        self.center = _freeze(as_vector(center))
+        self.center = _freeze(_vector_arg("center", center, None))
         _check_real("radius", radius)
         self.radius = float(radius)
         if not np.isfinite(self.radius) or self.radius < 0:
@@ -211,7 +227,7 @@ class _NormalSet(ConvexSet):
 
     def __init__(self, normal, offset):
         name = type(self).__name__.lower()
-        self.normal = _freeze(as_vector(normal))
+        self.normal = _freeze(_vector_arg("normal", normal, None))
         _check_real("offset", offset)
         self.offset = float(offset)
         self._sq = float(self.normal @ self.normal)
@@ -246,8 +262,8 @@ class Box(ConvexSet):
     """{x : lower <= x <= upper componentwise}; projects by clamping."""
 
     def __init__(self, lower, upper):
-        lo = as_vector(lower)
-        hi = as_vector(upper, lo.size)
+        lo = _vector_arg("lower", lower, None)
+        hi = _vector_arg("upper", upper, lo.size)
         if np.any(lo > hi):
             raise ValueError("box bounds must satisfy lower <= upper componentwise")
         self.lower = _freeze(lo)
@@ -264,7 +280,7 @@ class Translate(ConvexSet):
 
     def __init__(self, inner: ConvexSet, shift):
         self.inner = inner
-        self.shift = _freeze(as_vector(shift, inner.dim))
+        self.shift = _freeze(_vector_arg("shift", shift, inner.dim))
         self.dim = inner.dim
 
     def project(self, x) -> np.ndarray:
@@ -307,6 +323,9 @@ class Diagonal(ConvexSet):
     """{(x, ..., x)} in (R^n)^r, flattened; projects to the tiled block mean."""
 
     def __init__(self, copies: int, base_dim: int):
+        for name, count in (("copies", copies), ("base_dim", base_dim)):
+            if not _is_integral(count):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         if copies < 1 or base_dim < 1:
             raise ValueError("copies and base_dim must be positive")
         self.copies = int(copies)
@@ -422,13 +441,12 @@ def _num(entry, key, index, dim):
 
 
 def _real_vector(value, name, dim):
-    """The vector field ``name`` of length ``dim``; numpy converts an array,
-    and every entry of a list must be a number."""
+    """The vector field ``name`` of length ``dim``, under the list rule."""
     try:
         v = as_vector(value, dim)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ProblemFormatError(f"{name}: {exc}") from None
-    if not isinstance(value, np.ndarray) and not all(map(_is_real, value)):
+    if not _entries_real(value):
         raise ProblemFormatError(f"{name}: expected a number")
     return v
 

@@ -1069,7 +1069,12 @@ def test_only_the_beta_fit_loads_scipy_optimize(tmp_path):
 import sys
 sys.path.insert(0, {str(Path(bench.__file__).parent.parent)!r})
 import aamr, aamr.bench, aamr.cli
+assert "scipy.linalg" not in sys.modules, "loaded by import"
 assert aamr.cli.main(["solve", {str(problem)!r}, "--q", "1,2,3,4"]) == 0
+assert aamr.cli.main(["angle", {str(problem)!r}]) == 0
+pair = aamr.SubspacePair.from_bases([[1, 0], [0, 1], [0, 0]], [[0, 0], [1, 0], [0, 1]])
+assert aamr.principal_angles(pair.basis_u, pair.basis_v).shape == (2,)
+assert "scipy.linalg" not in sys.modules, "loaded by solve, angle or the angles"
 assert "scipy.optimize" not in sys.modules, "loaded by import or solve"
 records = [aamr.bench.BestBetaRecord(i, t, b, 10.0) for i, (t, b) in
            enumerate([(0.2, 0.87), (0.5, 0.69), (0.8, 0.59), (1.1, 0.53)])]

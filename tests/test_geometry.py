@@ -42,6 +42,8 @@ def test_principal_angles_sorted_and_checked():
     assert np.all(np.diff(angles) >= 0)
     with pytest.raises(ValueError, match="orthonormal"):
         principal_angles(rng.standard_normal((8, 3)), qv)
+    with pytest.raises(ValueError, match="^basis_u: columns are not orthonormal$"):
+        principal_angles(np.where(qu > 0.5, np.nan, qu), qv)
 
 
 def test_friedrichs_angle_examples():
@@ -222,3 +224,79 @@ def test_common_directions_thin_svd_equals_the_full_one_bit_for_bit(n):
         thin = common_directions([pair.basis_u, pair.basis_v])
         assert thin.shape == full.shape and thin.tobytes() == full.tobytes()
         assert pair.intersection.tobytes() == full.tobytes()
+
+
+def _scipy_orthonormal_columns(M, scale=None):
+    """``orthonormal_columns`` on ``scipy.linalg.qr``, the reference."""
+    import scipy.linalg
+    Q, R, _ = scipy.linalg.qr(M, mode="economic", pivoting=True)
+    pivots = np.abs(np.diag(R))
+    ref = pivots[0] if scale is None else scale
+    return Q[:, :int(np.count_nonzero(pivots > 1e-12 * ref))].copy()
+
+
+def _qr_cases():
+    """Seeded matrices with min(m, n) <= 128: tall, wide, square, F-ordered,
+    rank-deficient, a single column or row, and ones that only ``scale=1.0``
+    cuts to rank 0."""
+    rng = np.random.default_rng(29)
+    for m, n in [(1, 1), (5, 1), (1, 5), (3, 2), (10, 3), (3, 10), (25, 25), (50, 25),
+                 (25, 50), (50, 38), (128, 128), (200, 100), (200, 128), (100, 200)]:
+        yield rng.standard_normal((m, n)), None
+        yield np.asfortranarray(rng.standard_normal((m, n))), None
+        rank = max(1, min(m, n) // 3)
+        yield rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)), None
+        yield 1e-14 * rng.standard_normal((m, n)), 1.0
+    yield np.zeros((4, 2)), None
+    normal = rng.standard_normal(6)  # a hyperplane's directions, as sets makes them
+    yield np.eye(6) - np.outer(normal, normal) / (normal @ normal), 1.0
+
+
+@pytest.mark.parametrize("binding", [True, False], ids=["lapack", "scipy-fallback"])
+def test_orthonormal_columns_is_scipys_pivoted_qr_bit_for_bit(monkeypatch, binding):
+    if not binding:  # a numpy built on a BLAS without the symbols
+        monkeypatch.setattr(geometry, "_lapack_qr", lambda: None)
+    elif geometry._lapack_qr() is None:
+        pytest.skip("numpy's BLAS has no scipy_dgeqp3_64_")
+    for M, scale in _qr_cases():
+        want = _scipy_orthonormal_columns(M, scale)
+        got = orthonormal_columns(M, scale)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), (M.shape, scale)
+
+
+def test_qr_workspace_is_scipys_query():
+    # the workspace picks LAPACK's blocked paths, taken past 128 columns
+    from scipy.linalg import lapack
+    if geometry._lapack_qr() is None:
+        pytest.skip("numpy's BLAS has no scipy_dgeqp3_64_")
+    for m, n in [(10, 3), (3, 10), (300, 150), (150, 300)]:
+        k = min(m, n)
+        qp3 = lapack.dgeqp3(np.zeros((m, n), order="F"), lwork=-1)[3][0]
+        gqr = lapack.dorgqr(np.zeros((m, k), order="F"), np.zeros(k), lwork=-1)[1][0]
+        assert geometry._qr_workspace(m, n) == (int(qp3), int(gqr))
+
+
+def test_orthonormal_columns_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            orthonormal_columns([[1.0, bad], [0.0, 1.0]])
+
+
+def test_angles_are_scipys_subspace_angles_bit_for_bit(monkeypatch):
+    # the pairs the program makes, n <= 50 with dimensions in [n/4, 3n/4], and
+    # lines.  Near-square bases (seen from n = 28 on) can get another U from
+    # dgesdd in scipy's OpenBLAS build than in numpy's
+    import scipy.linalg
+    rng = np.random.default_rng(29)
+    pairs = [(col(E1), col(np.array([1.0, 1e-9, 0.0]))), (col(E1, E2), col(E3))]
+    for n in (3, 4, 7, 10, 20, 50):
+        for seed in range(6):
+            pair = random_subspace_pair(n, [seed, 29], (0.02, 1.5) if seed % 2 else None)
+            pairs.append((pair.basis_u, pair.basis_v))
+            pairs.append((orthonormal_columns(rng.standard_normal((n, 1))), pair.basis_v))
+    got = [(principal_angles(u, v), SubspacePair.from_bases(u, v).angle) for u, v in pairs]
+    monkeypatch.setattr(geometry, "_subspace_angles", scipy.linalg.subspace_angles)
+    for (u, v), (angles, angle) in zip(pairs, got):
+        assert angles.tobytes() == principal_angles(u, v).tobytes(), (u.shape, v.shape)
+        assert angle == SubspacePair.from_bases(u, v).angle, (u.shape, v.shape)

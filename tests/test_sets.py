@@ -192,12 +192,36 @@ def test_construction_rejects_degenerate_descriptions():
         Halfspace([1.0, 0.0], "0")
     with pytest.raises(ValueError, match="^offset must be a real number, got bool$"):
         Hyperplane([1.0, 0.0], True)
+    # inside a list vector too, where numpy alone would read "0" and False as 0.0
+    with pytest.raises(ValueError, match="^lower entries must be real numbers$"):
+        Box(["0", False], [1, 1])
+    with pytest.raises(ValueError, match="^upper entries must be real numbers$"):
+        Box([0, 0], [1, True])
+    with pytest.raises(ValueError, match="^center entries must be real numbers$"):
+        Ball(("1", 2.0), 1.0)
+    with pytest.raises(ValueError, match="^normal entries must be real numbers$"):
+        Halfspace([True, 0.0], 1.0)
+    with pytest.raises(ValueError, match="^offset entries must be real numbers$"):
+        AffineSubspace(["0", "0"], np.eye(2)[:, :1])
+    with pytest.raises(ValueError, match="^shift entries must be real numbers$"):
+        Translate(Ball([0.0, 0.0], 1.0), [False, 1.0])
+    # counts are integers, not truncated floats or booleans
+    for args, message in [((2.5, 3), "^copies must be an integer, got 2.5$"),
+                          ((True, 3), "^copies must be an integer, got True$"),
+                          ((2, 3.0), "^base_dim must be an integer, got 3.0$"),
+                          ((2, "3"), "^base_dim must be an integer, got '3'$")]:
+        with pytest.raises(ValueError, match=message):
+            Diagonal(*args)
 
 
 def test_construction_takes_numpy_scalars_and_arrays():
     ball = Ball(np.array([0.0, 0.0]), np.float32(1.5))
     plane = Hyperplane(np.array([1, 0]), np.int64(2))
     assert ball.radius == 1.5 and plane.offset == 2.0
+    # a list may hold numpy numbers; an array converts as numpy converts it
+    box = Box([np.float64(-1.0), np.int32(0)], np.array([True, False]))
+    assert box.lower.tolist() == [-1.0, 0.0] and box.upper.tolist() == [1.0, 0.0]
+    assert Diagonal(np.int64(2), np.int32(3)).dim == 6
     assert np.array_equal(plane.normal, [1.0, 0.0])
 
 
