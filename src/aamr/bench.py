@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import svgplot
-from .geometry import SubspacePair, random_subspace_pair
+from .geometry import SubspacePair, _numpy_blas, random_subspace_pair
 from .operators import DrOperator, Status, StoppingPolicy, iterate
 from .sets import LinearSubspace, _is_integral, _is_real, zero_subspace
 from .solvers import _METHODS, MethodSpec, recommended_beta, solve_best_approximation
@@ -58,14 +58,16 @@ _START_NORM = 10.0
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Every input of the benchmark sweeps, one field per ``aamr bench`` flag.
+    """Every input of the benchmark sweeps; each field but
+    ``alpha_sweep_betas`` has an ``aamr bench`` flag.
 
     Defaults are desk-scale: 20 instances, 10 starts of norm 10, tolerance
     1e-3, a 100-point alpha grid, a 13-point beta grid, three rates angles
-    and one worker process.  Instance angles are spread over ``angle_bins``
-    equal bins of (0, pi/2): random dimension sampling alone concentrates
-    them well below pi/4, which would leave profile figures empty on the right.
-    """
+    and one worker process; ``jobs`` workers run on one thread each of
+    numpy's OpenBLAS, pinned through ``geometry``'s handle.  No grid repeats
+    a value.  Instance angles are spread over ``angle_bins`` equal bins of
+    (0, pi/2): random dimension sampling alone concentrates them well below
+    pi/4, which would leave profile figures empty on the right."""
 
     n: int = 50
     n_instances: int = 20
@@ -96,17 +98,15 @@ class SweepConfig:
                 # before any range comparison
                 if not _is_real(value):
                     raise ValueError(f"config values must be real numbers: {name} has {value!r}")
+            # a repeated value would run its rows twice, while the best-value
+            # tables, traces and chart groups keyed by it would hold them as one
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats an entry: {values!r}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
         for theta in self.rate_thetas:
             if not 0.0 < theta <= math.pi / 2:
                 raise ValueError(f"rate_thetas must lie in (0, pi/2], got {theta}")
-        # a repeated angle or beta would run its rows twice, while the traces
-        # and chart groups keyed by the value would hold them as one
-        for name in ("alpha_sweep_betas", "rate_thetas"):
-            values = getattr(self, name)
-            if len(set(values)) < len(values):
-                raise ValueError(f"{name} repeats an entry: {values!r}")
 
 
 @dataclass(frozen=True)
@@ -280,26 +280,17 @@ def _grid_sweep(config, instances, specs, n):
 def _one_blas_thread():
     """Worker initializer: one BLAS thread per ``--jobs`` process.  OpenBLAS
     threads the screen's gemms on large batches, so workers on their default
-    threading oversubscribe the cores.  Sets every OpenBLAS loaded in the
-    process through ctypes: numpy's, the only one a grid task loads (scipy's
-    comes with ``scipy.linalg``, which only the beta fit imports); a worker
-    in which none is found keeps its default threading.  The parent keeps
-    its threads: one process alone runs faster on them."""
-    import ctypes
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
-    except OSError:
-        return
-    for path in sorted(p for p in paths if p.startswith("/")):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                       "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, symbol):
-                set_threads = getattr(lib, symbol)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-                break
+    threading oversubscribe the cores.  Set through ``geometry``'s handle on
+    numpy's OpenBLAS, the only BLAS a grid task calls, as numpy >= 2 wheels,
+    numpy 1.x wheels or a system OpenBLAS spell the call (with none of them,
+    the default threading stays).  The parent keeps its threads: one process
+    alone runs faster on them."""
+    lib = _numpy_blas()
+    for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                   "openblas_set_num_threads"):
+        if hasattr(lib, symbol):
+            getattr(lib, symbol)(1)
+            return
 
 
 def _instance_sets(pair):
@@ -852,15 +843,17 @@ def sweep_alpha(config: SweepConfig, kind: str):
     runs = _grid_sweep(config, instances, [spec for group in specs for spec in group], 1)
     # a run's median is its iteration count if it converged, else NaN
     median = _block_stats(runs, 1)[0].reshape(len(instances), len(betas), len(grid))
-    best = []
-    for i, pair in enumerate(instances):
-        for group, its in zip(specs, median[i].tolist()):
-            finite = [(m, spec.alpha) for m, spec in zip(its, group) if math.isfinite(m)]
-            if finite:
-                iterations, alpha = min(finite)
-                best.append(BestAlphaRecord(i, pair.angle, kind, group[0].beta, alpha,
-                                            int(iterations)))
+    best = [BestAlphaRecord(i, pair.angle, kind, group[0].beta, alpha, int(iterations))
+            for i, pair in enumerate(instances)
+            for group, medians in zip(specs, median[i].tolist())
+            for iterations, alpha in _least_median(medians, [spec.alpha for spec in group])]
     return runs, best
+
+
+def _least_median(medians, values):
+    """``[(median, value)]`` of the least finite median of ``medians``, one per
+    entry of ``values`` (ties go to the smaller value); ``[]`` if none is."""
+    return sorted((m, v) for m, v in zip(medians, values) if math.isfinite(m))[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -881,13 +874,9 @@ def sweep_beta(config: SweepConfig):
     specs = [MethodSpec("aamr", alpha=0.9, beta=beta) for beta in config.beta_grid]
     runs = _grid_sweep(config, instances, specs, config.n_starts)
     median = _block_stats(runs, config.n_starts)[0].reshape(len(instances), len(specs))
-    best = []
-    for i, pair in enumerate(instances):
-        finite = [(m, spec.beta) for m, spec in zip(median[i].tolist(), specs)
-                  if math.isfinite(m)]
-        if finite:
-            least, beta = min(finite)
-            best.append(BestBetaRecord(i, pair.angle, beta, least))
+    best = [BestBetaRecord(i, pair.angle, beta, least)
+            for i, pair in enumerate(instances)
+            for least, beta in _least_median(median[i].tolist(), [spec.beta for spec in specs])]
     fit = _fit_beta_curve(best)
     return runs, best, fit
 

@@ -59,14 +59,22 @@ def orthonormal_columns(matrix, scale: float | None = None) -> np.ndarray:
 
 
 @functools.cache
-def _lapack_qr():
-    """``(dgeqp3, dorgqr)`` of the OpenBLAS numpy's linear algebra calls
-    (ILP64 integers, every argument by reference), or None where numpy was
-    built on a BLAS without these symbols."""
+def _numpy_blas():
+    """ctypes handle on numpy's linalg module and the BLAS it links, or None."""
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+
+
+@functools.cache
+def _lapack_qr():
+    """``(dgeqp3, dorgqr)`` of ``_numpy_blas()`` (ILP64 integers, every
+    argument by reference), or None where it lacks these symbols."""
+    lib = _numpy_blas()
+    try:  # None (no handle) has neither symbol either
         routines = lib.scipy_dgeqp3_64_, lib.scipy_dorgqr_64_
-    except (OSError, AttributeError):
+    except AttributeError:
         return None
     for routine in routines:
         routine.argtypes, routine.restype = [ctypes.c_void_p] * 9, None

@@ -161,6 +161,8 @@ class LinearSubspace(ConvexSet):
             raise ValueError(f"basis must be a 2-D matrix, got shape {M.shape}")
         if M.shape[0] < 1:
             raise ValueError("ambient dimension must be positive")
+        if not (isinstance(basis, np.ndarray) or all(map(_entries_real, basis))):
+            raise ValueError("basis entries must be real numbers")
         self.basis = _freeze(geometry.orthonormal_columns(M))
         self._basis_t = self.basis.T
         self.dim = self.basis.shape[0]

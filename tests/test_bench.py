@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from aamr import MethodSpec, Status, optimal_rap_mu
-from aamr import bench, solvers
+from aamr import bench, geometry, solvers
 from aamr.sets import ConvexSet
 from aamr.bench import (CSV_HEADER, SWEEPS, SweepConfig, angle_profile,
                         estimate_rate, make_instances, rate_profile,
@@ -959,7 +959,8 @@ def test_config_values_take_numpy_reals():
     assert (config.eps, config.alpha_grid[0], config.rate_thetas[0]) == (1e-3, 0.5, 0.5)
 
 
-@pytest.mark.parametrize("field", ["alpha_sweep_betas", "rate_thetas"])
+@pytest.mark.parametrize("field", ["alpha_sweep_betas", "rate_thetas", "alpha_grid",
+                                   "beta_grid"])
 def test_config_rejects_a_repeated_angle_or_alpha_sweep_beta(field):
     with pytest.raises(ValueError, match=rf"^{field} repeats an entry: \(0.5, 0.7, 0.5\)$"):
         SweepConfig(**{field: (0.5, 0.7, 0.5)})
@@ -1265,29 +1266,23 @@ def test_sweep_rows_equal_scalar_solves():
 
 
 def _blas_thread_counts(task=None):
-    """The thread count of every OpenBLAS loaded in this process, found as
-    ``bench._one_blas_thread`` finds them; also stands in for a grid task."""
-    import ctypes
-    with open("/proc/self/maps", encoding="utf-8") as maps:
-        paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
-    counts = []
-    for path in sorted(p for p in paths if p.startswith("/")):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            if hasattr(lib, symbol):
-                get_threads = getattr(lib, symbol)
-                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                counts.append(get_threads())
-                break
-    return counts
+    """The thread count of numpy's BLAS, read through the handle
+    ``bench._one_blas_thread`` sets it through, as a one-entry list (empty
+    where that BLAS exports no thread-count call); also stands in for a grid
+    task."""
+    lib = geometry._numpy_blas()
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            return [getattr(lib, symbol)()]
+    return []
 
 
 def test_grid_sweep_workers_run_one_blas_thread(monkeypatch):
     # --jobs workers fill the cores, so each runs one BLAS thread, and the
     # calling process keeps its own
-    if not Path("/proc/self/maps").exists() or not _blas_thread_counts():
-        pytest.skip("no OpenBLAS to query in this process")
+    if not _blas_thread_counts():
+        pytest.skip("numpy's BLAS exports no thread-count call")
     before = _blas_thread_counts()
     monkeypatch.setattr(bench, "_grid_task", _blas_thread_counts)
     config = small_config(n_instances=2, jobs=2)

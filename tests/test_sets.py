@@ -205,6 +205,11 @@ def test_construction_rejects_degenerate_descriptions():
         AffineSubspace(["0", "0"], np.eye(2)[:, :1])
     with pytest.raises(ValueError, match="^shift entries must be real numbers$"):
         Translate(Ball([0.0, 0.0], 1.0), [False, 1.0])
+    # and row by row inside a nested-list basis
+    with pytest.raises(ValueError, match="^basis entries must be real numbers$"):
+        LinearSubspace([["1", True], [0, 0]])
+    with pytest.raises(ValueError, match="^basis entries must be real numbers$"):
+        AffineSubspace([0, 0], [[False], ["2"]])
     # counts are integers, not truncated floats or booleans
     for args, message in [((2.5, 3), "^copies must be an integer, got 2.5$"),
                           ((True, 3), "^copies must be an integer, got True$"),
@@ -222,6 +227,9 @@ def test_construction_takes_numpy_scalars_and_arrays():
     box = Box([np.float64(-1.0), np.int32(0)], np.array([True, False]))
     assert box.lower.tolist() == [-1.0, 0.0] and box.upper.tolist() == [1.0, 0.0]
     assert Diagonal(np.int64(2), np.int32(3)).dim == 6
+    # a list basis too, row by row
+    assert LinearSubspace([[np.float64(2.0)], [np.int32(0)]]).rank == 1
+    assert LinearSubspace(np.array([[True], [False]])).rank == 1
     assert np.array_equal(plane.normal, [1.0, 0.0])
 
 
