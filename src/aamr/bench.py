@@ -460,7 +460,11 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 #   - sizing grid tasks by the largest trip family: ``angle_profile`` ×1.014,
 #     faster in 26 of 60 pairs (CHANGES.md);
 #   - the AAMR/DR trip calling ``operators.aamr_update``, for 2 more lines:
-#     the alpha and beta sweeps ×1.041, faster in 4 of 20 pairs (CHANGES.md).
+#     the alpha and beta sweeps ×1.041, faster in 4 of 20 pairs (CHANGES.md);
+#   - one gemm kernel shared by the rows and the scalar solves: a row's gemm
+#     bits depend on the stack's height and the row's place in it, in 3 to 24
+#     of 27 (height, offset) cases per shape on six (n, d) shapes, under
+#     SkylakeX and Haswell alike (ROADMAP).
 
 # monitored points per block, and trips per block (the rule above)
 _BLOCK_ROWS = 256

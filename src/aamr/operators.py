@@ -17,6 +17,11 @@ from .sets import Ball, ConvexSet, _check_real, _is_integral, as_vector
 def _norm(v) -> float:
     return math.sqrt(float(v.dot(v)))
 
+
+def _same(value):
+    return value
+
+
 __all__ = [
     "Status",
     "SolveResult",
@@ -206,13 +211,16 @@ class DrOperator(AamrOperator):
         super().__init__(a_set, b_set, alpha, 1.0)
 
 
-def iterate(step, x0, policy: StoppingPolicy | None = None) -> SolveResult:
+def iterate(step, x0, policy: StoppingPolicy | None = None, shadow=None) -> SolveResult:
     """Run ``step`` from ``x0`` under a stopping policy, by default the
     residual stop at 1e-8.
 
-    ``step(x, k)`` returns ``(x_next, shadow)``: iterate k+1 and the monitored
-    point of iterate k, which the step already computed.  Returns CONVERGED at
-    the first index whose error drops below ``policy.eps``, DIVERGED when the
+    ``step(x, k)`` returns ``(x_next, s)``: iterate k+1 and a value the step
+    already computed, which ``shadow`` maps to the monitored point of iterate
+    k (by default ``s`` is that point).  Only the true-error check reads the
+    monitored point at every iteration, so ``shadow`` runs once per iteration
+    in that mode and otherwise once, at the exit.  Returns CONVERGED at the
+    first index whose error drops below ``policy.eps``, DIVERGED when the
     iterate norm exceeds the policy threshold after monotone growth,
     BUDGET_EXHAUSTED at the budget, and NUMERICAL_FAILURE (with the last
     shadow computed and a NaN error) at the index whose step raises
@@ -220,34 +228,46 @@ def iterate(step, x0, policy: StoppingPolicy | None = None) -> SolveResult:
     """
     if policy is None:
         policy = StoppingPolicy.residual(eps=1e-8)
+    if shadow is None:
+        shadow = _same
+    eps, max_iter, threshold = policy.eps, policy.max_iter, policy.divergence_threshold
+    residual = policy.mode == StoppingPolicy.RESIDUAL
+    error_of = policy.error_of if policy.mode == StoppingPolicy.TRUE_ERROR else None
     x = np.array(as_vector(x0), dtype=float)
     prev = x  # the previous iterate; the drift prev - x is formed only when used
-    residual = policy.mode == StoppingPolicy.RESIDUAL
     trace = [] if policy.record_trace else None
-    shadow = x
-    norm_x = _norm(x)
+    seen = None  # the step's second value, None until a step returns
+    point = x  # the monitored point, x0 itself until a step returns one
+    norm_x = math.sqrt(x.dot(x))
     mono_len = 1  # length of the current nondecreasing norm run
     k = 0
     while True:
         try:
-            x_next, shadow = step(x, k)
+            x_next, seen = step(x, k)
         except NumericalFailure:
             status, err = Status.NUMERICAL_FAILURE, math.nan
             break
-        err = _norm(x_next - x) if residual else policy.error_of(shadow)
+        if error_of is not None:
+            point = shadow(seen)
+            err = error_of(point)
+        elif residual:
+            d = x_next - x
+            err = math.sqrt(d.dot(d))
+        else:
+            err = math.inf
         if trace is not None:
             trace.append((k, err, _norm(prev - x) if k else math.nan))
-        if err < policy.eps:
+        if err < eps:
             status = Status.CONVERGED
             break
-        if (norm_x > policy.divergence_threshold
+        if (norm_x > threshold
                 and mono_len >= max(min(k + 1, _MONO_WINDOW), _MONO_FLOOR)):
             status = Status.DIVERGED
             break
-        if k >= policy.max_iter:
+        if k >= max_iter:
             status = Status.BUDGET_EXHAUSTED
             break
-        norm_next = _norm(x_next)
+        norm_next = math.sqrt(x_next.dot(x_next))
         k += 1
         prev, x = x, x_next
         if not math.isfinite(norm_next):
@@ -255,4 +275,6 @@ def iterate(step, x0, policy: StoppingPolicy | None = None) -> SolveResult:
             break
         mono_len = mono_len + 1 if norm_next >= norm_x else 1
         norm_x = norm_next
-    return SolveResult(status, k, shadow, x, prev - x, err, trace)
+    if error_of is None and seen is not None:
+        point = shadow(seen)
+    return SolveResult(status, k, point, x, prev - x, err, trace)

@@ -59,7 +59,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     if dim is not None and v.size != dim:
         raise DimensionMismatchError(f"expected a vector of dimension {dim}, got {v.size}")
@@ -103,13 +103,20 @@ def membership_tol(x) -> float:
     return 1e-9 * (1.0 + float(np.linalg.norm(x)))
 
 
+_FLOAT = np.dtype(float)
+
+
 def _conform(x, dim: int) -> np.ndarray:
     """Cheap shape-only coercion for hot projection paths.
 
     Boundary inputs (solver arguments, file data) go through ``as_vector``,
     which also rejects non-finite entries; projections preserve finiteness,
-    so internal re-validation would only cost time.
+    so internal re-validation would only cost time.  A float64 vector of the
+    right length, the iterates' own type, is returned as it is, before
+    ``np.asarray``'s conversion check (which would return it too).
     """
+    if type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim == 1 and len(x) == dim:
+        return x
     v = np.asarray(x, dtype=float)
     if v.shape != (dim,):
         raise DimensionMismatchError(
@@ -198,7 +205,8 @@ class AffineSubspace(ConvexSet):
 
     def project(self, x) -> np.ndarray:
         x = _conform(x, self.dim)
-        return self.offset + self.direction.project(x - self.offset)
+        direction = self.direction  # its basis, without a second check of x
+        return self.offset + direction.basis.dot(direction._basis_t.dot(x - self.offset))
 
 
 class Ball(ConvexSet):
@@ -216,7 +224,7 @@ class Ball(ConvexSet):
     def project(self, x) -> np.ndarray:
         x = _conform(x, self.dim)
         d = x - self.center
-        dist = math.sqrt(float(d.dot(d)))
+        dist = math.sqrt(d.dot(d))
         if dist <= self.radius:
             return x.copy()
         return self.center + (self.radius / dist) * d
@@ -315,10 +323,7 @@ class ProductSet(ConvexSet):
         if self._box is not None:
             return self._box.project(x)
         x = _conform(x, self.dim)
-        out = np.empty_like(x)
-        for f, a, b in self._blocks:
-            out[a:b] = f.project(x[a:b])
-        return out
+        return np.concatenate([f.project(x[a:b]) for f, a, b in self._blocks])
 
 
 class Diagonal(ConvexSet):

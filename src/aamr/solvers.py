@@ -144,9 +144,9 @@ def aamr_product_solve(sets, q, x0=None, alpha=0.9, beta: float = 0.7,
 
     def step(x, k):
         pd = diag.project(x)  # every block is the mean of the blocks of x
-        return aamr_update(x, pd, shifted, alpha_of(k), beta), q + pd[:n]
+        return aamr_update(x, pd, shifted, alpha_of(k), beta), pd
 
-    return iterate(step, x0, policy)
+    return iterate(step, x0, policy, shadow=lambda pd: q + pd[:n])
 
 
 def rap_solve(u_set: ConvexSet, v_set: ConvexSet, q, mu: float = 1.0,
@@ -268,6 +268,19 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8):
     diagonal point.  It updates only its own fresh temporaries in place,
     never ``z``.
     """
+    raw_step, mean = _cm_step(sets, q, gamma, lam)
+
+    def step(z, k):
+        z_next, pc = raw_step(z, k)
+        return z_next, mean(pc)
+
+    return step
+
+
+def _cm_step(sets, q, gamma, lam):
+    """``(step, mean)``: the CM update as ``(z, k) -> (z_next, P_C(blend))``,
+    and the block mean that maps its second value to the shadow, so that
+    ``iterate`` forms the shadow only where it is read."""
     sets = list(sets)
     n = _common_dim(sets)
     combettes_beta(gamma)  # checks gamma
@@ -292,9 +305,9 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8):
         w *= lam_k / 2.0
         z_next = (1.0 - lam_k / 2.0) * z
         z_next += w
-        return z_next, diag.mean(pc)
+        return z_next, pc
 
-    return step
+    return step, diag.mean
 
 
 def cm_solve(sets, q, gamma: float = 0.25, lam=1.8,
@@ -305,8 +318,9 @@ def cm_solve(sets, q, gamma: float = 0.25, lam=1.8,
     infimum; the default 1.8 corresponds to an averaging weight of 0.9.
     """
     sets = list(sets)
-    step = cm_recurrence(sets, q, gamma=gamma, lam=lam)
-    return iterate(step, _lift(x0, as_vector(q, sets[0].dim), len(sets)), policy)
+    step, mean = _cm_step(sets, q, gamma, lam)
+    return iterate(step, _lift(x0, as_vector(q, sets[0].dim), len(sets)), policy,
+                   shadow=mean)
 
 
 @dataclass(frozen=True)
@@ -415,7 +429,8 @@ class MethodSpec:
     @classmethod
     def parse(cls, token: str) -> "MethodSpec":
         """Read ``kind[:param=value]...``, e.g. ``aamr:alpha=0.9:beta=0.9``;
-        the kind and the parameter names are case-insensitive."""
+        the kind and the parameter names are case-insensitive, and each name
+        may appear once."""
         kind, *parts = token.strip().split(":")
         values = {}
         for part in parts:
@@ -425,6 +440,9 @@ class MethodSpec:
                 raise ValueError(f"malformed method token {token!r}: expected param=value")
             if key not in cls.PARAMS:
                 raise ValueError(f"unknown method parameter {key!r} in {token!r}")
+            # the last value would silently win
+            if key in values:
+                raise ValueError(f"method token {token!r} names {key} twice")
             try:
                 values[key] = float(value)
             except ValueError:

@@ -63,8 +63,14 @@ def _decade_ticks(lo, hi):
     return [float(d) for d in range(first, last + 1, step)]
 
 
+def _text(value) -> str:
+    """``value`` as SVG text content: ``&``, ``<`` and ``>`` escaped."""
+    return str(value).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_chart(path, series, title="", xlabel="", ylabel="", ylog=False):
-    """Write a chart of the given :class:`Series` list to ``path``."""
+    """Write a chart of the given :class:`Series` list to ``path``; the
+    title, axis labels and series labels are written as escaped text."""
     series = list(series)
     pointsets = [_finite_points(s, ylog) for s in series]
     allpts = [p for pts in pointsets for p in pts]
@@ -143,20 +149,20 @@ def render_chart(path, series, title="", xlabel="", ylabel="", ylog=False):
                        f'x2="{legend_x + 24:.2f}" y2="{row_y - 4:.2f}" '
                        f'stroke="{color}" stroke-width="2"{dash}/>')
         out.append(f'<text x="{legend_x + 30:.2f}" y="{row_y:.2f}" {_FONT} '
-                   f'font-size="11">{s.label}</text>')
+                   f'font-size="11">{_text(s.label)}</text>')
 
     if title:
         out.append(f'<text x="{_WIDTH / 2:.2f}" y="22" {_FONT} font-size="14" '
-                   f'text-anchor="middle">{title}</text>')
+                   f'text-anchor="middle">{_text(title)}</text>')
     if xlabel:
         out.append(f'<text x="{_MARGIN["left"] + plot_w / 2:.2f}" '
                    f'y="{_HEIGHT - 12:.2f}" {_FONT} font-size="12" '
-                   f'text-anchor="middle">{xlabel}</text>')
+                   f'text-anchor="middle">{_text(xlabel)}</text>')
     if ylabel:
         cx, cy = 18.0, _MARGIN["top"] + plot_h / 2
         out.append(f'<text x="{cx:.2f}" y="{cy:.2f}" {_FONT} font-size="12" '
                    f'text-anchor="middle" transform="rotate(-90 {cx:.2f} {cy:.2f})">'
-                   f'{ylabel}</text>')
+                   f'{_text(ylabel)}</text>')
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(out) + "\n")

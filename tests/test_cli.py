@@ -105,6 +105,19 @@ def test_solve_method_token_error_names_the_token(two_balls, capsys):
     assert "'aamr:alpha=abc': alpha must be a number" in capsys.readouterr().err
 
 
+def test_method_token_naming_a_parameter_twice_is_rejected(two_balls, tmp_path, capsys):
+    token = "aamr:ALPHA=0.9:alpha=0.5"
+    code = main(["solve", two_balls, "--q", "2,1", "--method", token])
+    assert code == 1
+    assert f"method token {token!r} names alpha twice" in capsys.readouterr().err
+    out_dir = tmp_path / "out"
+    code = main(["bench", "angle-profile", "--n", "8", "--instances", "1",
+                 "--methods", f"map,{token}", "--out-dir", str(out_dir)])
+    assert code == 1
+    assert f"method token {token!r} names alpha twice" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_solve_free_start_point(two_balls, capsys):
     code = main(["solve", two_balls, "--q", "2,1", "--x0", "5,-3", "--eps", "1e-10",
                  "--method", "aamr:alpha=0.9:beta=0.7"])

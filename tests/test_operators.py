@@ -325,6 +325,36 @@ def test_engine_non_finite_iterate_is_numerical_failure(policy):
     assert res.iterations == 4
 
 
+@pytest.mark.parametrize("policy", [StoppingPolicy.budget_only(max_iter=50),
+                                    StoppingPolicy.residual(eps=1e-12, max_iter=50),
+                                    StoppingPolicy.true_error([0.0, 0.0], eps=1e-12,
+                                                              max_iter=50)])
+def test_engine_shadow_map_on_failure_exits(policy):
+    from aamr import NumericalFailure
+    calls = []
+
+    def shadow(s):
+        calls.append(s)
+        return 10.0 * s
+
+    def broken_at(j):
+        def step(x, k):
+            if k == j:
+                raise NumericalFailure("boom")
+            return 0.5 * x, x + 1.0
+        return step
+
+    # no step returned: the start is the monitored point and the map never runs
+    res = iterate(broken_at(0), np.array([1.0, 2.0]), policy, shadow=shadow)
+    assert res.status is Status.NUMERICAL_FAILURE and res.iterations == 0
+    assert np.array_equal(res.shadow, [1.0, 2.0]) and calls == []
+    # a later failure maps the last value a step returned
+    res = iterate(broken_at(2), np.array([1.0, 2.0]), policy, shadow=shadow)
+    assert res.status is Status.NUMERICAL_FAILURE and res.iterations == 2
+    assert np.array_equal(res.shadow, [15.0, 20.0])
+    assert len(calls) == (2 if policy.mode == StoppingPolicy.TRUE_ERROR else 1)
+
+
 class CountingSet:
     """Wraps a set and counts its projections."""
 

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from aamr import (AffineSubspace, Ball, Box, Diagonal, DimensionMismatchError,
                   ProblemFormatError, ProductSet, Translate, dump_problem,
                   full_space, load_problem, project,
                   project_intersection_oracle, zero_subspace)
+from aamr.sets import _conform, as_vector
 from conftest import VARIANTS, make_variant, scaled_set, shifted_set
 
 
@@ -237,6 +240,68 @@ def test_dimension_mismatch_raises():
     ball = Ball((0.0, 0.0), 1.0)
     with pytest.raises(DimensionMismatchError):
         project(ball, [1.0, 2.0, 3.0])
+
+
+def _reference_conform(x, dim):
+    """``sets._conform`` as it was before its fast path."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (dim,):
+        raise DimensionMismatchError(
+            f"expected a vector of dimension {dim}, got shape {v.shape}")
+    return v
+
+
+def _reference_as_vector(x, dim=None):
+    """``as_vector`` as it was before its one-call finiteness check."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector has non-finite entries")
+    if dim is not None and v.size != dim:
+        raise DimensionMismatchError(f"expected a vector of dimension {dim}, got {v.size}")
+    return v
+
+
+def _outcome(fn, x, *args):
+    try:
+        return fn(x, *args)
+    except Exception as exc:  # the comparison is over the exception raised
+        return exc
+
+
+def _vector_inputs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PendingDeprecationWarning)
+        matrix = np.matrix([[1.0, 2.0, 3.0]])
+    return {"list": [1.0, 2.0, 3.0], "int list": [1, 2, 3], "tuple": (1.0, -0.0, 3.0),
+            "float64": np.array([1.0, 2.0, 3.0]), "int": np.arange(3),
+            "float32": np.array([0.1, 0.2, 0.3], dtype=np.float32),
+            "big-endian": np.array([1.5, 2.0, 3.0], dtype=">f8"),
+            "strided": np.arange(6.0)[::2], "read-only": np.array([1.0, 2.0, 3.0]),
+            "0-d": np.array(2.0), "float": 2.0, "python int": 3,
+            "row": np.ones((1, 3)), "column": np.ones((3, 1)), "matrix": matrix,
+            "long": np.ones(4), "short": np.ones(2), "empty": np.ones(0),
+            "nan": [1.0, math.nan, 3.0], "inf": np.array([1.0, math.inf, 2.0])}
+
+
+def test_vector_coercions_convert_and_reject_as_before():
+    for label, x in _vector_inputs().items():
+        if label == "read-only":
+            x.flags.writeable = False
+        for fn, ref, args in ((_conform, _reference_conform, (3,)),
+                              (_conform, _reference_conform, (4,)),
+                              (as_vector, _reference_as_vector, ()),
+                              (as_vector, _reference_as_vector, (3,))):
+            got, want = _outcome(fn, x, *args), _outcome(ref, x, *args)
+            case = (label, fn.__name__, args)
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want), case
+                continue
+            assert type(got) is np.ndarray and got.dtype == want.dtype, case
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), case
+            # a float vector of the right length comes back as it is
+            assert (got is x) == (want is x), case
 
 
 # --- projector identities over all variants ----------------------------------

@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aamr import (AamrOperator, Ball, Box, DimensionMismatchError, Halfspace,
-                  LinearSubspace, MethodSpec, Status, StoppingPolicy, Translate,
+from aamr import (AamrOperator, Ball, Box, Diagonal, DimensionMismatchError, Halfspace,
+                  LinearSubspace, MethodSpec, ProductSet, Status, StoppingPolicy, Translate,
                   aamr_product_solve, aamr_solve, cm_recurrence, cm_solve, combettes_beta,
                   dr_solve, full_space, haugazeau_solve, hlwb_solve, map_solve, optimal_rap_mu,
                   project_intersection_oracle, random_subspace_pair, rap_solve,
                   recommended_beta, solve_best_approximation)
+from aamr import solvers
 from aamr.operators import aamr_update, iterate
 from aamr.solvers import _haugazeau_project
 from conftest import cm_recast, make_variant
@@ -398,6 +399,89 @@ def test_cm_converges_to_oracle_with_verification():
     assert norm(res.shadow - oracle) <= 1e-5
 
 
+# --- the lazily monitored point ---------------------------------------------------
+
+def _eager_product_step(sets, q, alpha, beta):
+    """``aamr_product_solve``'s step with its shadow formed at every step."""
+    n, r = sets[0].dim, len(sets)
+    diag = Diagonal(r, n)
+    shifted = Translate(ProductSet(sets), np.tile(q, r))
+
+    def step(x, k):
+        pd = diag.project(x)
+        return aamr_update(x, pd, shifted, alpha, beta), q + pd[:n]
+
+    return step
+
+
+def _monitor_cases():
+    """(family, where, driver, sets, q, x0, eager step) cases: per seeded
+    family of three sets through a point p, a query off the sets and one in
+    them (p itself, started where its solve exits at k = 0), each for CM and
+    for product-space AAMR."""
+    n = 12
+    rng = np.random.default_rng(31)
+    cases = []
+    for family, kinds in (("box", ("box",) * 3),
+                          ("kink", ("ball", "halfspace", "hyperplane")),
+                          ("affine", ("affine",) * 3)):
+        p = rng.standard_normal(n)
+        sets = [make_variant(kind, rng, n, p) for kind in kinds]
+        for where, q in (("off", p + 2.0 * rng.standard_normal(n)), ("in", p)):
+            cases.append((family, where, "cm", sets, q, np.tile(q, 3),
+                          cm_recurrence(sets, q, gamma=0.25, lam=1.8)))
+            x0 = np.zeros(3 * n) if where == "in" else np.tile(q, 3)
+            cases.append((family, where, "aamr", sets, q, x0,
+                          _eager_product_step(sets, q, 0.9, 0.7)))
+    return cases
+
+
+def _lazy_solve(driver, sets, q, x0, policy):
+    if driver == "cm":
+        return cm_solve(sets, q, gamma=0.25, lam=1.8, policy=policy, x0=x0)
+    return aamr_product_solve(sets, q, x0=x0, alpha=0.9, beta=0.7, policy=policy)
+
+
+@pytest.mark.parametrize("mode", ["residual", "budget", "true_error"])
+def test_product_drivers_map_the_monitored_point_only_where_it_is_read(mode, monkeypatch):
+    calls = []
+
+    def counting_iterate(step, x0, policy=None, shadow=None):
+        def counted(s):
+            calls.append(1)
+            return shadow(s)
+        return iterate(step, x0, policy, shadow=counted)
+
+    monkeypatch.setattr(solvers, "iterate", counting_iterate)
+    exits_at_zero = 0
+    for family, where, driver, sets, q, x0, eager_step in _monitor_cases():
+        answer = iterate(eager_step, x0, StoppingPolicy.residual(eps=1e-13, max_iter=20_000))
+        policy = {"residual": StoppingPolicy.residual(eps=1e-9, max_iter=2000),
+                  "budget": StoppingPolicy.budget_only(max_iter=150),
+                  "true_error": StoppingPolicy.true_error(answer.shadow, eps=1e-6,
+                                                          max_iter=2000)}[mode]
+        returned = []  # the eager step's monitored points, the last one read below
+
+        def recording(x, k):
+            x_next, shadow = eager_step(x, k)
+            returned.append(shadow)
+            return x_next, shadow
+
+        eager = iterate(recording, x0, policy)
+        calls.clear()
+        lazy = _lazy_solve(driver, sets, q, x0, policy)
+        case = (family, where, driver)
+        assert (lazy.status, lazy.iterations) == (eager.status, eager.iterations), case
+        assert float.hex(lazy.final_error) == float.hex(eager.final_error), case
+        assert lazy.shadow.tobytes() == returned[-1].tobytes(), case
+        for field in ("shadow", "iterate", "drift"):
+            assert getattr(lazy, field).tobytes() == getattr(eager, field).tobytes(), \
+                (case, field)
+        assert len(calls) == (lazy.iterations + 1 if mode == "true_error" else 1), case
+        exits_at_zero += lazy.iterations == 0
+    assert exits_at_zero == (0 if mode == "budget" else 6)
+
+
 def test_cm_gamma_beta_correspondence():
     assert combettes_beta(0.25) == pytest.approx(0.8, abs=1e-15)
     with pytest.raises(ValueError):
@@ -675,6 +759,15 @@ def test_dispatch_rejects_sets_of_mixed_dimensions():
 def test_parameter_values_must_be_real_numbers(make, name):
     with pytest.raises(ValueError, match=f"^{name} must be a real number for "):
         make()
+
+
+@pytest.mark.parametrize("token", ["aamr:alpha=0.9:alpha=0.5", "aamr:ALPHA=0.9:alpha=0.5",
+                                   "cm:lam=1.5:gamma=0.5:Lam=1.5"])
+def test_method_token_rejects_a_parameter_named_twice(token):
+    name = token.split(":")[1].split("=")[0].lower()
+    with pytest.raises(ValueError) as info:
+        MethodSpec.parse(token)
+    assert str(info.value) == f"method token {token!r} names {name} twice"
 
 
 def test_method_spec_takes_numpy_scalars():

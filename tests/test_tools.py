@@ -71,7 +71,8 @@ def test_step_cost_prints_one_line_per_family_dimension_and_driver():
     run = _cost("step", "--iters", "3", timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert lines[0] == "family     n  driver              iters  us_per_iter"
+    assert lines[0] == ("family     n  driver              iters  us_per_iter"
+                        "  res_iters  res_us_per_iter")
     pairs = ["aamr_solve", "dr_solve", "map_solve", "rap_solve", "haugazeau_solve",
              "hlwb_solve", "cm_solve"]
     triples = ["aamr_product_solve", "hlwb_solve", "cm_solve"]
@@ -82,7 +83,10 @@ def test_step_cost_prints_one_line_per_family_dimension_and_driver():
                 for driver in drivers]
     assert [tuple(line.split()[:3]) for line in lines[1:]] == expected
     for line in lines[1:]:
-        assert re.fullmatch(r"\w+\s+\d+\s+\w+\s+\d+\s+\d+\.\d\d", line), line
+        assert re.fullmatch(r"\w+\s+\d+\s+\w+\s+\d+\s+\d+\.\d\d\s+\d+\s+\d+\.\d\d",
+                            line), line
+        # the residual stop runs at most the budget
+        assert int(line.split()[5]) <= 3, line
 
 
 def test_profile_cost_prints_one_line_per_stage():

@@ -12,9 +12,11 @@ peak RSS.
 ``step [--iters 2000]``: cost of a scalar-path iteration.  Runs every
 library driver that takes it on one seeded ``perfbench/families.py``
 instance per family (box and kink pairs and triples, an affine pair) and n
-in ``DIMS``, under a budget-only stop of ``--iters`` iterations with the
-perfbench ``convex`` parameters; prints per (family, n, driver) the
-iterations made and the µs per iteration.
+in ``DIMS``, with the perfbench ``convex`` parameters, twice: under a
+budget-only stop of ``--iters`` iterations, and under the ``convex``
+residual stop (eps ``Convex.eps``) with a budget of ``--iters``, the stop
+whose check ``convex`` pays; prints per (family, n, driver) the iterations
+made and the µs per iteration of each.
 
 ``row [--trips 2000] [--instances 1]``: cost of the row engine.  Runs
 ``bench._batched_pair_sweep`` at tolerance 0 (so every row makes
@@ -146,8 +148,9 @@ PARAMETERS = {"aamr_solve": {"alpha": 0.9, "beta": 0.7},
 
 
 def _step_cost(args):
-    policy = StoppingPolicy.budget_only(max_iter=args.iters)
-    print("family     n  driver              iters  us_per_iter")
+    policies = (StoppingPolicy.budget_only(max_iter=args.iters),
+                StoppingPolicy.residual(eps=workloads.Convex.eps, max_iter=args.iters))
+    print("family     n  driver              iters  us_per_iter  res_iters  res_us_per_iter")
     for n in DIMS:
         rng = np.random.default_rng([19, n])
         instances = [("box2", families.box_family(rng, n)),
@@ -159,10 +162,15 @@ def _step_cost(args):
             for name in PAIR_DRIVERS if len(family.sets) == 2 else TRIPLE_DRIVERS:
                 fn = getattr(solvers, name)
                 sets = family.sets if name in PAIRWISE else (family.sets,)
-                seconds, result = _best(lambda: fn(*sets, family.q, policy=policy,
-                                                   **PARAMETERS.get(name, {})))
-                us = 1e6 * seconds / max(result.iterations, 1)
-                print(f"{label:7s}  {n:3d}  {name:18s}  {result.iterations:5d}  {us:11.2f}")
+                costs = []
+                for policy in policies:
+                    seconds, result = _best(lambda: fn(*sets, family.q, policy=policy,
+                                                       **PARAMETERS.get(name, {})))
+                    costs.append((result.iterations,
+                                  1e6 * seconds / max(result.iterations, 1)))
+                (iters, us), (res_iters, res_us) = costs
+                print(f"{label:7s}  {n:3d}  {name:18s}  {iters:5d}  {us:11.2f}  "
+                      f"{res_iters:9d}  {res_us:15.2f}")
 
 
 # ---------------------------------------------------------------------------
