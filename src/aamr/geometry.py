@@ -42,7 +42,9 @@ def orthonormal_columns(matrix, scale: float | None = None) -> np.ndarray:
     with scipy's workspace sizes: scipy's bits, checked up to 200 x 128.
     Past 128 columns both routines take their blocked paths, where numpy's
     and scipy's OpenBLAS builds round differently (at 300 x 150, R equal
-    and Q within 2.8e-17).
+    and Q within 2.8e-17).  Where numpy's BLAS lacks these routines, the
+    basis is the thin SVD's U, cut at its singular values: the same span and
+    rank, other bits.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2:
@@ -105,12 +107,12 @@ def _qr_workspace(m, n):
 
 def _pivoted_qr(M):
     """Q (F-ordered) of the economic pivoted QR of the finite float matrix
-    ``M``, and the magnitudes of R's diagonal."""
+    ``M``, and the magnitudes of R's diagonal; where numpy's BLAS has no
+    ``dgeqp3``, the thin SVD's U and singular values."""
     routines = _lapack_qr()
-    if routines is None:
-        import scipy.linalg
-        Q, R, _ = scipy.linalg.qr(M, mode="economic", pivoting=True)
-        return Q, np.abs(np.diag(R))
+    if routines is None:  # the singular values are descending, as the pivots
+        u, svals, _ = np.linalg.svd(M, full_matrices=False)
+        return u, svals
     geqp3, orgqr = routines
     m, n = M.shape
     k = min(m, n)

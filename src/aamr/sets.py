@@ -376,7 +376,7 @@ def _affine_parts(set_):
     # hyperplane: direction = normal complement, offset = closest point to 0
     normal = np.asarray(set_.normal)
     directions = geometry.orthonormal_columns(
-        np.eye(set_.dim) - np.outer(normal, normal) / (normal @ normal), scale=1.0)
+        geometry._complement_stack([normal[:, None] / np.linalg.norm(normal)]), scale=1.0)
     return (set_.offset / (normal @ normal)) * normal, directions
 
 

@@ -248,21 +248,32 @@ def _qr_cases():
         yield rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n)), None
         yield 1e-14 * rng.standard_normal((m, n)), 1.0
     yield np.zeros((4, 2)), None
-    normal = rng.standard_normal(6)  # a hyperplane's directions, as sets makes them
+    normal = rng.standard_normal(6)  # a hyperplane's directions
     yield np.eye(6) - np.outer(normal, normal) / (normal @ normal), 1.0
+    yield geometry._complement_stack([normal[:, None] / np.linalg.norm(normal)]), 1.0
 
 
-@pytest.mark.parametrize("binding", [True, False], ids=["lapack", "scipy-fallback"])
-def test_orthonormal_columns_is_scipys_pivoted_qr_bit_for_bit(monkeypatch, binding):
-    if not binding:  # a numpy built on a BLAS without the symbols
-        monkeypatch.setattr(geometry, "_lapack_qr", lambda: None)
-    elif geometry._lapack_qr() is None:
+def test_orthonormal_columns_is_scipys_pivoted_qr_bit_for_bit():
+    if geometry._lapack_qr() is None:
         pytest.skip("numpy's BLAS has no scipy_dgeqp3_64_")
     for M, scale in _qr_cases():
         want = _scipy_orthonormal_columns(M, scale)
         got = orthonormal_columns(M, scale)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes(), (M.shape, scale)
+
+
+def test_orthonormal_columns_svd_fallback_has_the_qr_rank_and_span(monkeypatch):
+    # a numpy built on a BLAS without the symbols; the reference is the
+    # LAPACK QR where this numpy has it, and scipy's pivoted QR otherwise
+    qr = orthonormal_columns if geometry._lapack_qr() else _scipy_orthonormal_columns
+    cases = [(M, scale, qr(M, scale)) for M, scale in _qr_cases()]
+    monkeypatch.setattr(geometry, "_lapack_qr", lambda: None)
+    for M, scale, want in cases:
+        got = orthonormal_columns(M, scale)
+        assert got.shape == want.shape and got.flags.c_contiguous, (M.shape, scale)
+        geometry.check_orthonormal(got)
+        assert np.abs(got @ got.T - want @ want.T).max() <= 1e-10, (M.shape, scale)
 
 
 def test_qr_workspace_is_scipys_query():
