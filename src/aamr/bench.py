@@ -10,7 +10,6 @@ in the status tallies, so plots cannot silently hide failures.
 
 import copy
 import math
-import warnings
 # eager: deferring it saved 0.2 MB of peak memory and no time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -281,7 +280,7 @@ def _one_blas_thread():
     """Worker initializer: one BLAS thread per ``--jobs`` process.  OpenBLAS
     threads the screen's gemms on large batches, so workers on their default
     threading oversubscribe the cores.  Set through ``geometry``'s handle on
-    numpy's OpenBLAS, the only BLAS a grid task calls, as numpy >= 2 wheels,
+    numpy's OpenBLAS, the only BLAS the program loads, as numpy >= 2 wheels,
     numpy 1.x wheels or a system OpenBLAS spell the call (with none of them,
     the default threading stays).  The parent keeps its threads: one process
     alone runs faster on them."""
@@ -447,13 +446,6 @@ def angle_profile(config: SweepConfig, methods=None, instances=None):
 #   - a two-gemm screen with a per-row Python fallback gained nothing, and
 #     sending only each row's first unsettled point to the exact path cost
 #     8 % at eps 1e-10 (CHANGES.md, BENCH_25.json);
-#   - calling LAPACK's ``geqp3``/``orgqr`` directly in
-#     ``geometry.orthonormal_columns``: bit-identical, −2 % for a dozen more
-#     lines (BENCH_20.json).  Taken since, with ``geometry``'s subspace angles
-#     on numpy's LAPACK too, because together they keep ``scipy.linalg`` and
-#     its second OpenBLAS out of the process: ``import aamr`` 0.43 → 0.16 s
-#     and 56.9 → 28.9 MB, perfbench ``peak_rss_mb`` −21 to −23 MB on every
-#     workload (BENCH_29.json);
 #   - caching ``MethodSpec.display()``: ``_profile_report`` calls it 420
 #     times a desk ``angle-profile``, so only perfbench's own report copy
 #     gained (BENCH_18.json);
@@ -885,33 +877,37 @@ def sweep_beta(config: SweepConfig):
     return runs, best, fit
 
 
-# best-beta records the fit needs: more than its three parameters
+# best-beta records the fit needs: more than its three parameters.  No fit
+# either with fewer than 3 distinct angles, with the coarse grid's best b on
+# the edge of its bracket, or with a rank-deficient Jacobian at the solution
+# (curve_fit's "covariance cannot be estimated")
 _FIT_MIN_RECORDS = 4
+_FIT_BRACKET = (-10.0, -0.01)
 
 
 def _fit_beta_curve(best_records) -> BetaFit | None:
-    if len(best_records) < _FIT_MIN_RECORDS:
-        return None
-    # loaded here, not at module level: only this fit needs it, and it costs
-    # every other process about 20 MB of peak memory and 0.1 s of start-up
-    import scipy.optimize
-
+    """The least-squares fit of beta = a*exp(b*theta) + c by variable
+    projection: for a fixed b, (a, c) is the linear fit of beta on exp(b*theta),
+    and b is the best of a 101-point grid refined nine times around its best."""
     thetas = np.array([r.theta for r in best_records])
     betas = np.array([r.best_beta for r in best_records])
-
-    def model(t, a, b, c):
-        return a * np.exp(b * t) + c
-
-    # a covariance curve_fit cannot estimate (it only warns) means no fit
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", scipy.optimize.OptimizeWarning)
-        try:
-            coeffs, _ = scipy.optimize.curve_fit(model, thetas, betas,
-                                                 p0=(0.6, -1.4, 0.4), maxfev=20_000)
-        except (RuntimeError, scipy.optimize.OptimizeWarning):
+    if len(thetas) < _FIT_MIN_RECORDS or len(np.unique(thetas)) < 3:
+        return None
+    lo, hi = _FIT_BRACKET
+    for refinement in range(9):
+        b = np.linspace(lo, hi, 101)
+        e = np.exp(np.outer(b, thetas))
+        de = e - e.mean(axis=1, keepdims=True)
+        a = de @ (betas - betas.mean()) / (de * de).sum(axis=1)
+        c = betas.mean() - a * e.mean(axis=1)
+        best = int(np.argmin(((a[:, None] * e + c[:, None] - betas) ** 2).sum(axis=1)))
+        if refinement == 0 and best in (0, len(b) - 1):
             return None
-    a, b, c = (float(v) for v in coeffs)
-    rms = float(np.sqrt(np.mean((model(thetas, a, b, c) - betas) ** 2)))
+        lo, hi = b[max(best - 1, 0)], b[min(best + 1, len(b) - 1)]
+    a, b, c, e = float(a[best]), float(b[best]), float(c[best]), e[best]
+    if np.linalg.matrix_rank(np.column_stack([e, a * thetas * e, np.ones_like(e)])) < 3:
+        return None
+    rms = float(np.sqrt(np.mean((a * e + c - betas) ** 2)))
     rule = np.array([recommended_beta(t) for t in thetas])
     rule_rms = float(np.sqrt(np.mean((rule - betas) ** 2)))
     return BetaFit(a, b, c, rms, rule_rms)

@@ -1061,7 +1061,50 @@ def test_beta_fit_on_records_at_one_angle_is_degenerate_and_silent():
     assert caught == []
 
 
-def test_only_the_beta_fit_loads_scipy_optimize(tmp_path):
+def _noisy_beta_records(seed):
+    """4 to 40 best-beta records scattered about 0.5*exp(-2.1*theta) + 0.5."""
+    rng = np.random.default_rng([32, seed])
+    count = int(rng.integers(4, 41))
+    thetas = rng.uniform(0.02, 1.5, count)
+    betas = 0.5 * np.exp(-2.1 * thetas) + 0.5 + rng.normal(0.0, 0.05, count)
+    return thetas, betas, [bench.BestBetaRecord(i, float(t), float(b), 10.0)
+                           for i, (t, b) in enumerate(zip(thetas, betas))]
+
+
+def test_beta_fit_has_curve_fits_sum_of_squares():
+    # scipy's curve_fit, from the start the fit used before it ran on numpy,
+    # is the reference wherever its b lies inside the numpy fit's bracket
+    import scipy.optimize
+
+    def model(t, a, b, c):
+        return a * np.exp(b * t) + c
+
+    compared = 0
+    for seed in range(40):
+        thetas, betas, records = _noisy_beta_records(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
+            want, _ = scipy.optimize.curve_fit(model, thetas, betas,
+                                               p0=(0.6, -1.4, 0.4), maxfev=20_000)
+        if not bench._FIT_BRACKET[0] < want[1] < bench._FIT_BRACKET[1]:
+            continue
+        fit = bench._fit_beta_curve(records)
+        got_ss = float(np.sum((fit(thetas) - betas) ** 2))
+        want_ss = float(np.sum((model(thetas, *want) - betas) ** 2))
+        assert abs(got_ss - want_ss) <= 1e-8 * want_ss, seed
+        assert fit.rms_residual == pytest.approx(math.sqrt(got_ss / len(thetas)), rel=1e-12)
+        compared += 1
+    assert compared >= 35
+
+
+def test_beta_fit_of_a_straight_line_runs_off_its_bracket_and_is_none():
+    # the best b tends to 0, where curve_fit stops at b = -0.00027, a = 371
+    thetas = (0.2, 0.5, 0.8, 1.1, 1.4)
+    records = [bench.BestBetaRecord(i, t, 0.9 - 0.1 * t, 10.0) for i, t in enumerate(thetas)]
+    assert bench._fit_beta_curve(records) is None
+
+
+def test_no_aamr_command_loads_scipy(tmp_path):
     problem = tmp_path / "r4.json"
     problem.write_text('{"dim": 4, "sets": ['
                        '{"type": "subspace", "basis": [[1, 0, 0, 0], [0, 1, 0, 0]]},'
@@ -1069,24 +1112,34 @@ def test_only_the_beta_fit_loads_scipy_optimize(tmp_path):
     script = f"""
 import sys
 sys.path.insert(0, {str(Path(bench.__file__).parent.parent)!r})
+
+def no_scipy(after):
+    loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+    assert not loaded, f"{{after}} loaded {{loaded}}"
+
 import aamr, aamr.bench, aamr.cli
-assert "scipy.linalg" not in sys.modules, "loaded by import"
+no_scipy("import")
 assert aamr.cli.main(["solve", {str(problem)!r}, "--q", "1,2,3,4"]) == 0
 assert aamr.cli.main(["angle", {str(problem)!r}]) == 0
+no_scipy("solve and angle")
 pair = aamr.SubspacePair.from_bases([[1, 0], [0, 1], [0, 0]], [[0, 0], [1, 0], [0, 1]])
 assert aamr.principal_angles(pair.basis_u, pair.basis_v).shape == (2,)
-assert "scipy.linalg" not in sys.modules, "loaded by solve, angle or the angles"
-assert "scipy.optimize" not in sys.modules, "loaded by import or solve"
+no_scipy("principal_angles")
 records = [aamr.bench.BestBetaRecord(i, t, b, 10.0) for i, (t, b) in
            enumerate([(0.2, 0.87), (0.5, 0.69), (0.8, 0.59), (1.1, 0.53)])]
 fit = aamr.bench._fit_beta_curve(records)
 assert isinstance(fit, aamr.bench.BetaFit), fit
-assert "scipy.optimize" in sys.modules
+no_scipy("the beta fit")
+assert aamr.cli.main(["bench", "beta", "--n", "8", "--instances", "5", "--starts", "2",
+                      "--bins", "5", "--betas", "0.5,0.7,0.9",
+                      "--out-dir", {str(tmp_path / "beta")!r}]) == 0
+no_scipy("bench beta")
 """
     run = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert "status: converged" in run.stdout
+    assert "exponential fit: beta = " in run.stdout
 
 
 # --- CSV artifacts ----------------------------------------------------------------
