@@ -108,7 +108,7 @@ def _qr_workspace(m, n):
 def _pivoted_qr(M):
     """Q (F-ordered) of the economic pivoted QR of the finite float matrix
     ``M``, and the magnitudes of R's diagonal; where numpy's BLAS has no
-    ``dgeqp3``, the thin SVD's U and singular values."""
+    ``dgeqp3``, the thin SVD's U (C-ordered) and singular values."""
     routines = _lapack_qr()
     if routines is None:  # the singular values are descending, as the pivots
         u, svals, _ = np.linalg.svd(M, full_matrices=False)

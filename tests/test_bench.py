@@ -1072,8 +1072,8 @@ def _noisy_beta_records(seed):
 
 
 def test_beta_fit_has_curve_fits_sum_of_squares():
-    # scipy's curve_fit, from the start the fit used before it ran on numpy,
-    # is the reference wherever its b lies inside the numpy fit's bracket
+    # scipy's curve_fit is the reference wherever the b it finds lies inside
+    # the numpy fit's bracket
     import scipy.optimize
 
     def model(t, a, b, c):

@@ -125,7 +125,7 @@ def test_import_cost_prints_one_line_per_entry_point():
     lines = run.stdout.splitlines()
     assert lines[0] == "entry               wall_s  peak_rss_mb"
     entries = ["import aamr", "import aamr.bench", "import aamr.cli", "aamr solve",
-               "aamr angle"]
+               "aamr angle", "aamr bench beta"]
     assert [line[:18].rstrip() for line in lines[1:]] == entries
     for line in lines[1:]:
         assert re.fullmatch(r"[\w. ]{18}\s+\d+\.\d{3}\s+\d+\.\d", line), line

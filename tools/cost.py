@@ -1,10 +1,11 @@
 """Seeded layer costs of the ``aamr`` package, one subcommand per layer.
 
 ``import [--runs 15]``: start-up cost.  Runs ``import aamr``, ``import
-aamr.bench``, ``import aamr.cli``, and ``aamr solve`` (the point (1, 2, 3,
-4)) and ``aamr angle`` through ``aamr.cli.main`` on two planes in R^4, each
-in ``--runs`` fresh processes; prints per entry the median wall time of a
-process, launch to exit, and the median peak RSS it reports at its end
+aamr.bench``, ``import aamr.cli``, ``aamr solve`` (the point (1, 2, 3, 4))
+and ``aamr angle`` through ``aamr.cli.main`` on two planes in R^4, and the
+desk ``aamr bench beta --seed 0`` with its fit, each in ``--runs`` fresh
+processes; prints per entry the median wall time of a process, launch to
+exit, and the median peak RSS it reports at its end
 (``resource.getrusage``).  The tool itself loads neither numpy nor ``aamr``
 for this subcommand, since on Linux a child reports at least its parent's
 peak RSS.
@@ -117,7 +118,9 @@ def _import_cost(args):
                    ("import aamr.bench", "import aamr.bench"),
                    ("import aamr.cli", "import aamr.cli"),
                    ("aamr solve", cli.format(["solve", str(problem), "--q", "1,2,3,4"])),
-                   ("aamr angle", cli.format(["angle", str(problem)]))]
+                   ("aamr angle", cli.format(["angle", str(problem)])),
+                   ("aamr bench beta", cli.format(["bench", "beta", "--seed", "0",
+                                                   "--out-dir", str(Path(tmp) / "beta")]))]
         print("entry               wall_s  peak_rss_mb")
         for label, body in entries:
             code = CHILD.format(src=str(SRC), body=body)
