@@ -221,7 +221,10 @@ def _complement_stack(bases) -> np.ndarray:
 def _null_directions(stack) -> np.ndarray:
     """Right singular vectors of ``stack`` with singular value at most
     ``ZERO_ANGLE_TOL``, as columns.  The thin SVD: U is never read, and Vt
-    and the singular values are the full SVD's bit for bit."""
+    and the singular values are the full SVD's bit for bit.  It has only
+    min(rows, cols) right vectors, so it returns the whole null space only
+    for a ``stack`` with at least as many rows as columns; pad a wide one
+    with zero rows."""
     _, svals, Vt = np.linalg.svd(stack, full_matrices=False)
     return Vt[svals <= ZERO_ANGLE_TOL].T.copy()
 

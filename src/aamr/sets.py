@@ -368,26 +368,69 @@ _AFFINE_LIKE = (LinearSubspace, AffineSubspace, Hyperplane)
 
 
 def _affine_parts(set_):
-    """(offset point, orthonormal direction basis) of an affine-like set."""
+    """(offset point, orthonormal direction basis) of a linear or affine
+    subspace."""
     if isinstance(set_, LinearSubspace):
         return np.zeros(set_.dim), set_.basis
-    if isinstance(set_, AffineSubspace):
-        return np.asarray(set_.offset), set_.direction.basis
-    # hyperplane: direction = normal complement, offset = closest point to 0
-    normal = np.asarray(set_.normal)
-    directions = geometry.orthonormal_columns(
-        geometry._complement_stack([normal[:, None] / np.linalg.norm(normal)]), scale=1.0)
-    return (set_.offset / (normal @ normal)) * normal, directions
+    return np.asarray(set_.offset), set_.direction.basis
+
+
+def _affine_oracle(sets, x) -> np.ndarray:
+    """Projection of ``x`` onto the intersection of linear and affine
+    subspaces and hyperplanes, in the coordinates of the smallest set.
+
+    The intersection is written as ``y + B a``, with ``(y, B)`` the offset
+    and direction basis of the subspace or affine set with the fewest
+    directions (the first on a tie; ``B = I``, ``y = 0`` when every set is
+    a hyperplane).  Each other such set ``(z, Q)`` adds the rows
+    ``(I - Q Q.T) B`` with right side ``(I - Q Q.T)(z - y)``, and each
+    hyperplane ``<n, x> = b`` the row ``n.T B / |n|`` with right side
+    ``(b - <n, y>) / |n|``: for a unit ``a`` the rows' norm is
+    sqrt(sum_i d(B a, U_i)^2), the sine route of Knyazev and Argentati
+    (2002).  The least-squares ``a`` gives the common point and the null
+    space of the rows the meet.
+    """
+    planes = [s for s in sets if isinstance(s, Hyperplane)]
+    flats = [_affine_parts(s) for s in sets if not isinstance(s, Hyperplane)]
+    if flats:
+        y, B = flats.pop(min(range(len(flats)), key=lambda i: flats[i][1].shape[1]))
+    else:
+        y, B = np.zeros(x.size), np.eye(x.size)
+    rows, rhs, offsets = [], [], [float(np.linalg.norm(y))]
+    for z, Q in flats:
+        gap = z - y
+        rows.append(B - Q @ (Q.T @ B))
+        rhs.append(gap - Q @ (Q.T @ gap))
+        offsets.append(float(np.linalg.norm(z)))
+    for plane in planes:
+        size = math.sqrt(plane._sq)
+        rows.append((plane.normal / size) @ B)
+        rhs.append((plane.offset - float(plane.normal @ y)) / size)
+        offsets.append(abs(plane.offset) / size)
+    M = np.vstack(rows)
+    r = np.hstack(rhs)
+    a, *_ = np.linalg.lstsq(M, r, rcond=None)
+    if np.linalg.norm(M @ a - r) > 1e-8 * (1.0 + max(offsets)):
+        raise ValueError("affine family has empty intersection")
+    if M.shape[0] < M.shape[1]:  # a thin SVD has only min(rows, cols) right vectors
+        M = np.vstack([M, np.zeros((M.shape[1] - M.shape[0], M.shape[1]))])
+    meet = B @ geometry._null_directions(M)
+    point = y + B @ a
+    return point + meet @ (meet.T @ (x - point))
 
 
 def project_intersection_oracle(sets, x) -> np.ndarray:
     """Ground-truth projection onto an intersection, by a closed-form route.
 
     Supported families: a single set of any kind, boxes (the intersection is
-    again a box), and linear/affine subspaces and hyperplanes (a common point
-    is solved for and the intersected direction subspace computed directly).
-    Anything else raises ``NoOracleError``.  The intersection must be
-    nonempty; empty box or affine families raise ``ValueError``.
+    again a box), and linear/affine subspaces and hyperplanes.  An affine
+    family is solved in the coordinates of its subspace or affine set with
+    the fewest directions, d of them (d = n when every set is a hyperplane),
+    each hyperplane by its normal: one ``lstsq`` and one null-space SVD of a
+    constraint matrix with d columns and n rows per other subspace plus one
+    per hyperplane give the common point and the meet, in O(max(rows, d) d^2)
+    arithmetic.  Anything else raises ``NoOracleError``.  The intersection
+    must be nonempty; empty box or affine families raise ``ValueError``.
     """
     sets = list(sets)
     dim = _common_dim(sets)
@@ -410,17 +453,7 @@ def project_intersection_oracle(sets, x) -> np.ndarray:
         return np.clip(x, lo, hi)
 
     if all(isinstance(s, _AFFINE_LIKE) for s in sets):
-        parts = [_affine_parts(s) for s in sets]
-        # row block i is I - Qi Qi.T; the stack's null space spans the meet
-        stacked = geometry._complement_stack([Q for _, Q in parts])
-        blocks = stacked.reshape(len(parts), dim, dim)
-        rhs = np.concatenate([C @ y for C, (y, _) in zip(blocks, parts)])
-        point, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        scale = 1.0 + max(float(np.linalg.norm(y)) for y, _ in parts)
-        if np.linalg.norm(stacked @ point - rhs) > 1e-8 * scale:
-            raise ValueError("affine family has empty intersection")
-        meet = geometry._null_directions(stacked)
-        return point + meet @ (meet.T @ (x - point))
+        return _affine_oracle(sets, x)
 
     raise NoOracleError(
         "no closed-form intersection projector for this set family; "

@@ -9,7 +9,8 @@ from aamr import (AffineSubspace, Ball, Box, Diagonal, DimensionMismatchError,
                   Halfspace, Hyperplane, LinearSubspace, NoOracleError,
                   ProblemFormatError, ProductSet, Translate, dump_problem,
                   full_space, load_problem, project,
-                  project_intersection_oracle, zero_subspace)
+                  geometry, project_intersection_oracle, random_subspace_pair,
+                  zero_subspace)
 from aamr.sets import _conform, as_vector
 from conftest import VARIANTS, make_variant, scaled_set, shifted_set
 
@@ -467,6 +468,104 @@ def test_oracle_rejects_no_sets_mixed_dimensions_and_empty_affine_families():
     with pytest.raises(ValueError, match="affine family has empty intersection"):
         project_intersection_oracle([Hyperplane([1.0, 0.0], 0.0),
                                      Hyperplane([1.0, 0.0], 1.0)], [0.5, 0.5])
+
+
+def _stack_oracle(sets, x):
+    """Reference route of the affine oracle: the normal-space projectors
+    I - Qi Qi.T of every set stacked by rows (a hyperplane's Q is the
+    complement basis of its unit normal), the stack's least-squares solution
+    the common point and its null space the meet."""
+    n = len(x)
+    parts = []
+    for s in sets:
+        if isinstance(s, Hyperplane):
+            unit = s.normal / np.linalg.norm(s.normal)
+            Q = geometry.orthonormal_columns(
+                geometry._complement_stack([unit[:, None]]), scale=1.0)
+            parts.append(((s.offset / (s.normal @ s.normal)) * s.normal, Q))
+        elif isinstance(s, AffineSubspace):
+            parts.append((s.offset, s.direction.basis))
+        else:
+            parts.append((np.zeros(n), s.basis))
+    stacked = geometry._complement_stack([Q for _, Q in parts])
+    blocks = stacked.reshape(len(parts), n, n)
+    rhs = np.concatenate([C @ y for C, (y, _) in zip(blocks, parts)])
+    point, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
+    scale = 1.0 + max(norm(y) for y, _ in parts)
+    if norm(stacked @ point - rhs) > 1e-8 * scale:
+        raise ValueError("affine family has empty intersection")
+    meet = geometry._null_directions(stacked)
+    return point + meet @ (meet.T @ (x - point))
+
+
+def _oracle_family(kind, n, rng):
+    """A seeded affine-like family of ``kind`` in R^n with a nonempty
+    intersection."""
+    point = rng.standard_normal(n)
+    seed = int(rng.integers(2**31))
+
+    def pair(key):
+        p = random_subspace_pair(n, [seed, key], target_angle_interval=(0.4, 1.2))
+        return LinearSubspace(p.basis_u), LinearSubspace(p.basis_v)
+
+    def plane():
+        a = rng.standard_normal(n)
+        return Hyperplane(a, float(a @ point))
+
+    if kind == "subspace-pair":
+        return list(pair(0))
+    if kind == "subspace-triple":
+        return [*pair(0), pair(1)[0]]
+    if kind == "affine-pair":
+        return [AffineSubspace(point, u) for u in pair(0)]
+    if kind == "affine-triple":
+        return [AffineSubspace(point, u) for u in (*pair(0), pair(1)[1])]
+    if kind == "affine-hyperplane":
+        return [AffineSubspace(point, rng.standard_normal((n, max(1, n // 2)))), plane()]
+    if kind == "hyperplane-first":
+        return [plane(), *(AffineSubspace(point, u) for u in pair(0))]
+    if kind == "hyperplanes":
+        return [plane() for _ in range(min(3, n))]
+    if kind == "zero-subspace":
+        return [pair(0)[0], zero_subspace(n), Hyperplane(rng.standard_normal(n), 0.0)]
+    if kind == "full-space":
+        return [full_space(n), pair(0)[1], plane()]
+    if kind == "coincident":
+        u, _ = pair(0)
+        return [u, LinearSubspace(u.basis[:, ::-1])]
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("n", [3, 10, 50, 200])
+@pytest.mark.parametrize("kind", [
+    "subspace-pair", "subspace-triple", "affine-pair", "affine-triple",
+    "affine-hyperplane", "hyperplane-first", "hyperplanes", "zero-subspace",
+    "full-space", "coincident"])
+def test_oracle_matches_the_tall_stack_route(kind, n):
+    rng = np.random.default_rng([33, n, len(kind)])
+    sets = _oracle_family(kind, n, rng)
+    for _ in range(3):
+        x = 3.0 * rng.standard_normal(n)
+        got = project_intersection_oracle(sets, x)
+        assert norm(got - _stack_oracle(sets, x)) <= 1e-12 * (1.0 + norm(x))
+        for s in sets:
+            assert s.distance(got) <= 1e-10 * (1.0 + norm(x))
+
+
+@pytest.mark.parametrize("sets", [
+    [Hyperplane([1.0, 2.0, 0.0], 1.0), Hyperplane([-2.0, -4.0, 0.0], 1.0)],
+    [AffineSubspace([0.0, 0.0, 0.0], [[1.0], [0.0], [0.0]]),   # skew lines
+     AffineSubspace([0.0, 0.0, 1.0], [[0.0], [1.0], [0.0]])],
+    [AffineSubspace([0.0, 0.0, 0.0], [[1.0], [1.0], [0.0]]),   # parallel lines
+     AffineSubspace([0.0, 1.0, 0.0], [[2.0], [2.0], [0.0]])],
+    [AffineSubspace([0.0, 0.0, 0.0], [[1.0], [0.0], [0.0]]),   # line off a plane
+     Hyperplane([1.0, 0.0, 1.0], 0.0), Hyperplane([0.0, 0.0, 1.0], 1.0)],
+], ids=["parallel-hyperplanes", "skew-lines", "parallel-lines", "line-and-planes"])
+def test_oracle_rejects_disjoint_affine_families_as_the_stack_route_does(sets):
+    x = np.array([0.5, -1.0, 2.0])
+    for route in (project_intersection_oracle, _stack_oracle):
+        with pytest.raises(ValueError, match="affine family has empty intersection"):
+            route(sets, x)
 
 
 # --- problem files ------------------------------------------------------------
