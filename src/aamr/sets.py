@@ -316,8 +316,11 @@ class ProductSet(ConvexSet):
         self.dim = ends[-1]
         self._box = None
         if all(type(f) is Box for f in factors):
-            self._box = Box(np.concatenate([f.lower for f in factors]),
-                            np.concatenate([f.upper for f in factors]))
+            # merged from bounds the factors already checked, without a second check
+            box = self._box = Box.__new__(Box)
+            box.lower = _freeze(np.concatenate([f.lower for f in factors]))
+            box.upper = _freeze(np.concatenate([f.upper for f in factors]))
+            box.dim = self.dim
 
     def project(self, x) -> np.ndarray:
         if self._box is not None:

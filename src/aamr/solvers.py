@@ -48,13 +48,15 @@ __all__ = [
 ]
 
 
-def _lift(x0, q, copies: int) -> np.ndarray:
-    """Product-space start: the tiled ``q`` by default, a tiled base-space
-    vector, or an ``(r, n)`` / flat ``r*n`` array."""
-    n = q.size
-    x0 = np.asarray(q if x0 is None else x0, dtype=float)
+def _lift(x0, q_lift, copies: int) -> np.ndarray:
+    """Product-space start: ``q_lift``, the tiled ``q``, by default, a tiled
+    base-space vector, or an ``(r, n)`` / flat ``r*n`` array."""
+    if x0 is None:
+        return q_lift
+    n = q_lift.size // copies
+    x0 = np.asarray(x0, dtype=float)
     x0 = np.tile(x0, copies) if x0.shape == (n,) else x0.ravel()
-    return as_vector(x0, copies * n)
+    return as_vector(x0, q_lift.size)
 
 
 def _schedule(value, param, kind: str, name: str):
@@ -138,8 +140,9 @@ def aamr_product_solve(sets, q, x0=None, alpha=0.9, beta: float = 0.7,
     params["beta"].check("aamr", "beta", beta)
     q = as_vector(q, n)
     diag = Diagonal(len(sets), n)
-    shifted = Translate(ProductSet(sets), np.tile(q, len(sets)))
-    x0 = _lift(x0, q, len(sets))
+    q_lift = np.tile(q, len(sets))
+    shifted = Translate(ProductSet(sets), q_lift)
+    x0 = _lift(x0, q_lift, len(sets))
     alpha_of = _schedule(alpha, params["alpha"], "aamr", "alpha")
 
     def step(x, k):
@@ -268,7 +271,7 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8):
     diagonal point.  It updates only its own fresh temporaries in place,
     never ``z``.
     """
-    raw_step, mean = _cm_step(sets, q, gamma, lam)
+    raw_step, mean, _ = _cm_step(sets, q, gamma, lam)
 
     def step(z, k):
         z_next, pc = raw_step(z, k)
@@ -278,15 +281,16 @@ def cm_recurrence(sets, q, gamma: float = 0.25, lam=1.8):
 
 
 def _cm_step(sets, q, gamma, lam):
-    """``(step, mean)``: the CM update as ``(z, k) -> (z_next, P_C(blend))``,
-    and the block mean that maps its second value to the shadow, so that
-    ``iterate`` forms the shadow only where it is read."""
+    """``(step, mean, q_lift)``: the CM update as ``(z, k) -> (z_next,
+    P_C(blend))``, the block mean that maps its second value to the shadow,
+    so that ``iterate`` forms the shadow only where it is read, and the
+    tiled ``q``."""
     sets = list(sets)
     n = _common_dim(sets)
     combettes_beta(gamma)  # checks gamma
-    q = as_vector(q, n)
     r = len(sets)
-    gamma_q = gamma * np.tile(q, r)
+    q_lift = np.tile(as_vector(q, n), r)
+    gamma_q = gamma * q_lift
     product = ProductSet(sets)
     diag = Diagonal(r, n)
     lam_of = _schedule(lam, _METHODS["cm"].params["lam"], "cm", "lambda")
@@ -307,7 +311,7 @@ def _cm_step(sets, q, gamma, lam):
         z_next += w
         return z_next, pc
 
-    return step, diag.mean
+    return step, diag.mean, q_lift
 
 
 def cm_solve(sets, q, gamma: float = 0.25, lam=1.8,
@@ -318,9 +322,8 @@ def cm_solve(sets, q, gamma: float = 0.25, lam=1.8,
     infimum; the default 1.8 corresponds to an averaging weight of 0.9.
     """
     sets = list(sets)
-    step, mean = _cm_step(sets, q, gamma, lam)
-    return iterate(step, _lift(x0, as_vector(q, sets[0].dim), len(sets)), policy,
-                   shadow=mean)
+    step, mean, q_lift = _cm_step(sets, q, gamma, lam)
+    return iterate(step, _lift(x0, q_lift, len(sets)), policy, shadow=mean)
 
 
 @dataclass(frozen=True)

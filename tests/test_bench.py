@@ -1051,8 +1051,8 @@ def test_sweep_beta_fit_present_with_enough_instances():
 
 
 def test_beta_fit_on_records_at_one_angle_is_degenerate_and_silent():
-    # with every angle equal, curve_fit cannot estimate the covariance: it
-    # warns (it does not raise) and returns its start, which fits nothing
+    # with every angle equal the records hold fewer than 3 distinct angles,
+    # so the fit returns None by that rule, and warns of nothing
     records = [bench.BestBetaRecord(i, 0.5, beta, 10.0)
                for i, beta in enumerate((0.7, 0.75, 0.65, 0.7))]
     with warnings.catch_warnings(record=True) as caught:
