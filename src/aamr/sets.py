@@ -379,20 +379,13 @@ def _affine_parts(set_):
 
 
 def _affine_oracle(sets, x) -> np.ndarray:
-    """Projection of ``x`` onto the intersection of linear and affine
-    subspaces and hyperplanes, in the coordinates of the smallest set.
-
-    The intersection is written as ``y + B a``, with ``(y, B)`` the offset
-    and direction basis of the subspace or affine set with the fewest
-    directions (the first on a tie; ``B = I``, ``y = 0`` when every set is
-    a hyperplane).  Each other such set ``(z, Q)`` adds the rows
-    ``(I - Q Q.T) B`` with right side ``(I - Q Q.T)(z - y)``, and each
-    hyperplane ``<n, x> = b`` the row ``n.T B / |n|`` with right side
-    ``(b - <n, y>) / |n|``: for a unit ``a`` the rows' norm is
-    sqrt(sum_i d(B a, U_i)^2), the sine route of Knyazev and Argentati
-    (2002).  The least-squares ``a`` gives the common point and the null
-    space of the rows the meet.
-    """
+    """Projection of ``x`` onto an intersection of linear and affine
+    subspaces and hyperplanes, written as ``y + B a`` with ``(y, B)`` the
+    offset and basis of the subspace with the fewest directions (the first
+    on a tie).  Each other subspace ``(z, Q)`` adds the rows ``(I - Q Q.T) B``
+    with right side ``(I - Q Q.T)(z - y)``, each hyperplane its unit normal
+    times ``B``: for a unit ``a`` the rows' norm is sqrt(sum_i d(B a, U_i)^2),
+    the sine route of Knyazev and Argentati (2002)."""
     planes = [s for s in sets if isinstance(s, Hyperplane)]
     flats = [_affine_parts(s) for s in sets if not isinstance(s, Hyperplane)]
     if flats:

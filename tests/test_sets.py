@@ -512,18 +512,21 @@ def _oracle_family(kind, n, rng):
         a = rng.standard_normal(n)
         return Hyperplane(a, float(a @ point))
 
+    def through(u):  # offset from the common point along its own directions
+        return AffineSubspace(point + u.basis @ rng.standard_normal(u.rank), u)
+
     if kind == "subspace-pair":
         return list(pair(0))
     if kind == "subspace-triple":
         return [*pair(0), pair(1)[0]]
     if kind == "affine-pair":
-        return [AffineSubspace(point, u) for u in pair(0)]
+        return [through(u) for u in pair(0)]
     if kind == "affine-triple":
-        return [AffineSubspace(point, u) for u in (*pair(0), pair(1)[1])]
+        return [through(u) for u in (*pair(0), pair(1)[1])]
     if kind == "affine-hyperplane":
-        return [AffineSubspace(point, rng.standard_normal((n, max(1, n // 2)))), plane()]
+        return [through(LinearSubspace(rng.standard_normal((n, max(1, n // 2))))), plane()]
     if kind == "hyperplane-first":
-        return [plane(), *(AffineSubspace(point, u) for u in pair(0))]
+        return [plane(), *map(through, pair(0))]
     if kind == "hyperplanes":
         return [plane() for _ in range(min(3, n))]
     if kind == "zero-subspace":
