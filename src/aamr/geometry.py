@@ -220,11 +220,16 @@ def _complement_stack(bases) -> np.ndarray:
 
 def _null_directions(stack) -> np.ndarray:
     """Right singular vectors of ``stack`` with singular value at most
-    ``ZERO_ANGLE_TOL``, as columns.  The thin SVD: U is never read, and Vt
-    and the singular values are the full SVD's bit for bit.  It has only
-    min(rows, cols) right vectors, so it returns the whole null space only
-    for a ``stack`` with at least as many rows as columns; pad a wide one
-    with zero rows."""
+    ``ZERO_ANGLE_TOL``, as columns.  A thin SVD has only min(rows, cols)
+    right vectors, so this returns the whole null space only for a ``stack``
+    with at least as many rows as columns; pad a wide one with zero rows.
+    From ``cols * 11 // 6`` rows on (dgesdd's MNTHR), LAPACK factors the
+    stack as QR and takes the SVD of R (Chan 1982), so the SVD of R alone
+    keeps Vt and the singular values bit for bit and forms no tall U; below
+    it R rounds otherwise.  Checked at, above and below the threshold under
+    OpenBLAS's SkylakeX, Haswell and Prescott kernels."""
+    if stack.shape[0] >= stack.shape[1] * 11 // 6:
+        stack = np.linalg.qr(stack, mode="r")
     _, svals, Vt = np.linalg.svd(stack, full_matrices=False)
     return Vt[svals <= ZERO_ANGLE_TOL].T.copy()
 
@@ -249,7 +254,7 @@ def _angle_past(Qu, Qv, meet) -> float:
     """Smallest principal angle between orthonormal ``Qu`` and ``Qv`` once
     their intersection basis ``meet`` is removed from both."""
     if meet.shape[1]:
-        deflate = _complement_stack([meet])
+        deflate = np.eye(meet.shape[0]) - meet @ meet.T
         # columns were unit vectors, so rank-cut against an absolute scale
         Qu2 = orthonormal_columns(deflate @ Qu, scale=1.0)
         Qv2 = orthonormal_columns(deflate @ Qv, scale=1.0)
@@ -312,19 +317,8 @@ def _constructed_pair(rng, n, du, dv, theta):
     meet = du + dv - n
     pairs = min(du, dv) - meet
     frame = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    pos = 0
-
-    def take(count):
-        nonlocal pos
-        block = frame[:, pos:pos + count]
-        pos += count
-        return block
-
-    shared = take(meet)
-    first = take(pairs)
-    extra_u = take(du - meet - pairs)
-    partners = take(pairs)
-    extra_v = take(dv - meet - pairs)
+    shared, first, extra_u, partners, extra_v = np.split(
+        frame, np.cumsum([meet, pairs, du - meet - pairs, pairs]), axis=1)
     angles = np.concatenate([[theta], rng.uniform(theta, np.pi / 2, pairs - 1)])
     opened = first * np.cos(angles) + partners * np.sin(angles)
     Qu = np.hstack([shared, first, extra_u])

@@ -1,7 +1,14 @@
 """Shared helpers: random set instances of every variant through a common
-point, plus concrete shifted/scaled counterparts for the projector identities."""
+point, concrete shifted/scaled counterparts for the projector identities, and
+a child interpreter on another BLAS kernel."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from aamr import (AffineSubspace, Ball, Box, Diagonal, Halfspace, Hyperplane,
                   LinearSubspace, ProductSet, Translate, combettes_beta)
@@ -103,3 +110,41 @@ def cm_recast(sets, q, gamma=0.25, lam=1.8):
                 + 2.0 * a * (1.0 - beta) * q_lift)
 
     return step
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# OPENBLAS_CORETYPE values, each with the core name numpy's OpenBLAS then
+# reports (it runs Prescott on its Katmai kernel)
+BLAS_KERNELS = {"Haswell": "Haswell", "Prescott": "Katmai"}
+_OTHER_KERNEL = 77  # the child's exit code when it runs another kernel
+
+
+def run_on_blas_kernel(coretype, code, timeout=300):
+    """Run the Python source ``code`` in a child interpreter whose numpy
+    OpenBLAS is forced onto ``coretype`` (a ``BLAS_KERNELS`` key) by
+    ``OPENBLAS_CORETYPE``, set in the child's environment only, with
+    ``src/`` and ``tests/`` on its path; returns the completed process, its
+    output as text.  Skips, saying why, where numpy's BLAS exports no
+    ``scipy_openblas_get_corename64_`` or the child reports another core
+    (an ARM CPU, a system OpenBLAS)."""
+    expected = BLAS_KERNELS[coretype]
+    prelude = f"""import ctypes, sys
+from aamr import geometry
+corename = getattr(geometry._numpy_blas(), "scipy_openblas_get_corename64_", None)
+if corename is None:
+    print("numpy's BLAS exports no scipy_openblas_get_corename64_")
+    sys.exit({_OTHER_KERNEL})
+corename.restype = ctypes.c_char_p
+if corename().decode() != {expected!r}:
+    print("OPENBLAS_CORETYPE={coretype} runs the " + corename().decode()
+          + " kernel, not {expected}")
+    sys.exit({_OTHER_KERNEL})
+"""
+    path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", prelude + code], env=env,
+                         capture_output=True, text=True, timeout=timeout)
+    if run.returncode == _OTHER_KERNEL:
+        pytest.skip(run.stdout.strip())
+    return run

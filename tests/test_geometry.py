@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from aamr import (LinearSubspace, friedrichs_angle, map_solve,
+from aamr import (AffineSubspace, Hyperplane, LinearSubspace, friedrichs_angle, map_solve,
                   orthonormal_columns, principal_angles,
                   project_intersection_oracle, random_subspace_pair,
                   subspace_intersection, StoppingPolicy)
 from aamr import geometry
 from aamr.geometry import SubspacePair, common_directions
+
+from conftest import BLAS_KERNELS, run_on_blas_kernel
 
 
 def col(*vs):
@@ -224,6 +226,99 @@ def test_common_directions_thin_svd_equals_the_full_one_bit_for_bit(n):
         thin = common_directions([pair.basis_u, pair.basis_v])
         assert thin.shape == full.shape and thin.tobytes() == full.tobytes()
         assert pair.intersection.tobytes() == full.tobytes()
+
+
+def _oracle_constraints(n, rng):
+    """The constraint matrices ``project_intersection_oracle`` hands
+    ``_null_directions`` on seeded affine-like families in R^n: a subspace
+    pair, a pair and its intersection, an affine set and a hyperplane, and
+    three hyperplanes (wide, so zero-padded to square)."""
+    pair = random_subspace_pair(n, [int(rng.integers(2**31)), 34],
+                                target_angle_interval=(0.4, 1.2))
+    U, V = LinearSubspace(pair.basis_u), LinearSubspace(pair.basis_v)
+    planes = [Hyperplane(rng.standard_normal(n), 0.0) for _ in range(3)]
+    families = [[U, V], [U, V, LinearSubspace(pair.intersection)],
+                [AffineSubspace(np.zeros(n), pair.basis_u), planes[0]], planes]
+    null, seen = geometry._null_directions, []
+    geometry._null_directions = lambda M: seen.append(M) or null(M)
+    try:
+        for family in families:
+            project_intersection_oracle(family, rng.standard_normal(n))
+    finally:
+        geometry._null_directions = null
+    return seen
+
+
+def _svd_route_cases():
+    """(name, matrix) for ``_null_directions``: complement stacks of 1, 2 and
+    3 bases (1 is below dgesdd's ``cols * 11 // 6`` threshold), a
+    zero-column stack, rank-deficient stacks, the intersection oracle's
+    constraint matrices, and Gaussian and rank-2 matrices just below, at and
+    just above the threshold."""
+    cases = [("zero-column", np.zeros((5, 0)))]
+    for n in (3, 10, 50, 200):
+        rng = np.random.default_rng([n, 34])
+        pair = random_subspace_pair(n, [n, 34], target_angle_interval=(0.02, 1.5))
+        bases = [pair.basis_u, pair.basis_v, pair.intersection]
+        for count in (1, 2, 3):
+            cases.append((f"stack-{count}-n{n}", geometry._complement_stack(bases[:count])))
+        cases.append((f"coincident-n{n}", geometry._complement_stack([pair.basis_u] * 2)))
+        cases.append((f"full-space-n{n}", geometry._complement_stack([np.eye(n)] * 2)))
+        for i, M in enumerate(_oracle_constraints(n, rng)):
+            cases.append((f"oracle-{i}-n{n}", M))
+    rng = np.random.default_rng(34)
+    for cols in (2, 6, 25, 100, 150):
+        for rows in (cols * 11 // 6 - 1, cols * 11 // 6, cols * 11 // 6 + 1):
+            low = rng.standard_normal((rows, 2)) @ rng.standard_normal((2, cols))
+            cases.append((f"gauss-{rows}x{cols}", rng.standard_normal((rows, cols))))
+            cases.append((f"rank2-{rows}x{cols}", low))
+    return cases
+
+
+def _svd_route_mismatches():
+    """Names of the ``_svd_route_cases`` where ``_null_directions`` does not
+    decompose the stack's R factor from ``cols * 11 // 6`` rows on and the
+    stack itself below, or where that SVD's singular values, right vectors
+    or null directions differ by a byte from the stack's own thin SVD."""
+    svd, seen, bad = np.linalg.svd, [], []
+
+    def spy(a, *args, **kwargs):
+        seen.append((a.shape, svd(a, *args, **kwargs)))
+        return seen[-1][1]
+
+    np.linalg.svd = spy
+    try:
+        for name, M in _svd_route_cases():
+            seen.clear()
+            got = geometry._null_directions(M)
+            (shape, (_, svals, Vt)), = seen
+            _, ref_svals, ref_Vt = svd(M, full_matrices=False)
+            rows, cols = M.shape
+            route = (cols, cols) if rows >= cols * 11 // 6 else M.shape
+            ref = ref_Vt[ref_svals <= geometry.ZERO_ANGLE_TOL].T.copy()
+            if (shape != route or svals.tobytes() != ref_svals.tobytes()
+                    or Vt.tobytes() != ref_Vt.tobytes()
+                    or got.shape != ref.shape or got.tobytes() != ref.tobytes()):
+                bad.append(name)
+    finally:
+        np.linalg.svd = svd
+    return bad
+
+
+def test_null_directions_is_the_stacks_own_svd_bit_for_bit():
+    # from dgesdd's threshold on, the SVD of the R factor; below it, of the
+    # stack: the same bytes either way
+    names = [name for name, _ in _svd_route_cases()]
+    assert len(names) == len(set(names)) == 67
+    assert _svd_route_mismatches() == []
+
+
+@pytest.mark.parametrize("coretype", sorted(BLAS_KERNELS))
+def test_null_directions_is_the_stacks_own_svd_on_other_blas_kernels(coretype):
+    run = run_on_blas_kernel(
+        coretype, "import test_geometry\nprint(test_geometry._svd_route_mismatches())")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def _scipy_orthonormal_columns(M, scale=None):
