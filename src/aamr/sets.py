@@ -453,7 +453,8 @@ def project_intersection_oracle(sets, x) -> np.ndarray:
 
     raise NoOracleError(
         "no closed-form intersection projector for this set family; "
-        "supported: a single set, all boxes, or all linear/affine subspaces")
+        "supported: a single set, all boxes, or all linear/affine subspaces "
+        "and hyperplanes")
 
 
 # ---------------------------------------------------------------------------

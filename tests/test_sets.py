@@ -445,6 +445,13 @@ def test_oracle_rejects_unsupported_family():
         project_intersection_oracle([Ball([0.0], 1.0), Box([0.0], [1.0])], [0.5])
 
 
+def test_oracle_rejection_names_every_family_it_takes():
+    with pytest.raises(NoOracleError) as caught:
+        project_intersection_oracle([Ball([0.0], 1.0), Hyperplane([1.0], 0.0)], [0.5])
+    assert str(caught.value).endswith(
+        "a single set, all boxes, or all linear/affine subspaces and hyperplanes")
+
+
 def test_oracle_collapses_boxes_crossed_within_the_tolerance_to_their_midpoint():
     lo, hi = 1.0 + 1e-12, 1.0
     boxes = [Box([0.0, 0.0], [hi, 2.0]), Box([lo, 0.5], [2.0, 3.0])]
