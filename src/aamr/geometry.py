@@ -202,33 +202,42 @@ def common_directions(bases) -> np.ndarray:
     exactly on the intersection.  Genuinely shared directions come out at the
     1e-15 level.
     """
-    return _null_directions(_complement_stack(bases))
+    return _null_directions(_complement_stack(_checked_bases(bases)))
 
 
-def _complement_stack(bases) -> np.ndarray:
-    """``I - Qi Qi.T`` of orthonormal ``bases`` in one R^n, stacked by rows."""
-    mats = [check_orthonormal(Q, f"bases[{i}]") for i, Q in enumerate(bases)]
+def _checked_bases(bases) -> list:
+    """``bases`` checked orthonormal and in one R^n, as float arrays; an
+    error names a basis by its key in a mapping, or by its index."""
+    named = bases.items() if isinstance(bases, dict) else (
+        (f"bases[{i}]", Q) for i, Q in enumerate(bases))
+    mats = [check_orthonormal(Q, name) for name, Q in named]
     if not mats:
         raise ValueError("need at least one basis")
-    n = mats[0].shape[0]
-    for Q in mats:
-        if Q.shape[0] != n:
-            raise ValueError("bases live in different ambient dimensions")
-    eye = np.eye(n)
+    if len({Q.shape[0] for Q in mats}) > 1:
+        raise ValueError("bases live in different ambient dimensions")
+    return mats
+
+
+def _complement_stack(mats) -> np.ndarray:
+    """``I - Qi Qi.T`` of orthonormal ``mats`` in one R^n, stacked by rows."""
+    eye = np.eye(mats[0].shape[0])
     return np.vstack([eye - Q @ Q.T for Q in mats])
 
 
 def _null_directions(stack) -> np.ndarray:
     """Right singular vectors of ``stack`` with singular value at most
-    ``ZERO_ANGLE_TOL``, as columns.  A thin SVD has only min(rows, cols)
-    right vectors, so this returns the whole null space only for a ``stack``
-    with at least as many rows as columns; pad a wide one with zero rows.
-    From ``cols * 11 // 6`` rows on (dgesdd's MNTHR), LAPACK factors the
-    stack as QR and takes the SVD of R (Chan 1982), so the SVD of R alone
-    keeps Vt and the singular values bit for bit and forms no tall U; below
-    it R rounds otherwise.  Checked at, above and below the threshold under
-    OpenBLAS's SkylakeX, Haswell and Prescott kernels."""
-    if stack.shape[0] >= stack.shape[1] * 11 // 6:
+    ``ZERO_ANGLE_TOL``, as columns: the whole null space for any shape.  A
+    thin SVD has only min(rows, cols) right vectors, so a wide ``stack`` is
+    first padded with zero rows to square.  From ``cols * 11 // 6`` rows on
+    (dgesdd's MNTHR), LAPACK factors the stack as QR and takes the SVD of R
+    (Chan 1982), so the SVD of R alone keeps Vt and the singular values bit
+    for bit and forms no tall U; below it R rounds otherwise.  Checked at,
+    above and below the threshold under OpenBLAS's SkylakeX, Haswell and
+    Prescott kernels."""
+    rows, cols = stack.shape
+    if rows < cols:
+        stack = np.vstack([stack, np.zeros((cols - rows, cols))])
+    if stack.shape[0] >= cols * 11 // 6:
         stack = np.linalg.qr(stack, mode="r")
     _, svals, Vt = np.linalg.svd(stack, full_matrices=False)
     return Vt[svals <= ZERO_ANGLE_TOL].T.copy()
@@ -236,7 +245,7 @@ def _null_directions(stack) -> np.ndarray:
 
 def subspace_intersection(basis_u, basis_v) -> np.ndarray:
     """Orthonormal basis of span(U) ∩ span(V); may have zero columns."""
-    return common_directions([basis_u, basis_v])
+    return common_directions({"basis_u": basis_u, "basis_v": basis_v})
 
 
 def friedrichs_angle(basis_u, basis_v) -> float:
@@ -282,9 +291,9 @@ class SubspacePair:
 
     @classmethod
     def from_bases(cls, basis_u, basis_v):
-        # copies, so that freezing them leaves the caller's arrays writeable
-        Qu = check_orthonormal(basis_u, "basis_u").copy(order="K")
-        Qv = check_orthonormal(basis_v, "basis_v").copy(order="K")
+        # copies, so that freezing them leaves the caller's arrays writeable;
+        # the intersection checks them
+        Qu, Qv = (np.asarray(Q, dtype=float).copy(order="K") for Q in (basis_u, basis_v))
         meet = subspace_intersection(Qu, Qv)
         angle = _angle_past(Qu, Qv, meet)
         for arr in (Qu, Qv, meet):

@@ -408,8 +408,6 @@ def _affine_oracle(sets, x) -> np.ndarray:
     a, *_ = np.linalg.lstsq(M, r, rcond=None)
     if np.linalg.norm(M @ a - r) > 1e-8 * (1.0 + max(offsets)):
         raise ValueError("affine family has empty intersection")
-    if M.shape[0] < M.shape[1]:  # a thin SVD has only min(rows, cols) right vectors
-        M = np.vstack([M, np.zeros((M.shape[1] - M.shape[0], M.shape[1]))])
     meet = B @ geometry._null_directions(M)
     point = y + B @ a
     return point + meet @ (meet.T @ (x - point))

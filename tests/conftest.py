@@ -1,6 +1,7 @@
 """Shared helpers: random set instances of every variant through a common
-point, concrete shifted/scaled counterparts for the projector identities, and
-a child interpreter on another BLAS kernel."""
+point, concrete shifted/scaled counterparts for the projector identities, the
+complement stack that intersections are checked against, and a child
+interpreter on another BLAS kernel."""
 
 import os
 import subprocess
@@ -87,6 +88,15 @@ def scaled_set(s, lam):
     if isinstance(s, Translate):
         return Translate(scaled_set(s.inner, lam), lam * s.shift)
     raise TypeError(type(s))
+
+
+def complement_stack(bases):
+    """The projector complements ``I - Q Q.T`` of orthonormal ``bases`` in
+    one R^n, stacked by rows: a unit x has stacked norm sqrt(sum_i d(x, U_i)^2),
+    so the stack's null space is the bases' intersection.  The reference
+    route to ``geometry.common_directions`` and the intersection oracle."""
+    eye = np.eye(bases[0].shape[0])
+    return np.vstack([eye - Q @ Q.T for Q in bases])
 
 
 def cm_recast(sets, q, gamma=0.25, lam=1.8):

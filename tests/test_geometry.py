@@ -10,7 +10,7 @@ from aamr import (AffineSubspace, Hyperplane, LinearSubspace, friedrichs_angle,
 from aamr import geometry
 from aamr.geometry import SubspacePair, common_directions
 
-from conftest import BLAS_KERNELS, run_on_blas_kernel
+from conftest import BLAS_KERNELS, complement_stack, run_on_blas_kernel
 
 
 def col(*vs):
@@ -203,6 +203,26 @@ def test_pair_computes_its_intersection_once(monkeypatch):
     assert np.allclose(np.abs(pair.intersection[:, 0]), E1)
 
 
+def test_pair_checks_each_basis_once(monkeypatch):
+    seen, check = [], geometry.check_orthonormal
+
+    def spy(basis, name="basis"):
+        seen.append(name)
+        return check(basis, name)
+
+    monkeypatch.setattr(geometry, "check_orthonormal", spy)
+    SubspacePair.from_bases(col(E1, E2), col(E1, E3))
+    assert seen == ["basis_u", "basis_v"]
+    seen.clear()
+    with pytest.raises(ValueError, match="^basis_u: columns are not orthonormal$"):
+        SubspacePair.from_bases(col(E1, E1), col(E2))
+    with pytest.raises(ValueError, match="^basis_v: columns are not orthonormal$"):
+        SubspacePair.from_bases(col(E1), col(E2, E2))
+    with pytest.raises(ValueError, match="^bases live in different ambient dimensions$"):
+        SubspacePair.from_bases(col(E1), np.eye(4)[:, :1])
+    assert seen == ["basis_u", "basis_u", "basis_v", "basis_u", "basis_v"]
+
+
 def test_pair_freezes_copies_not_the_callers_bases():
     basis_u, basis_v = col(E1, E2), col(E1, E3)
     pair = SubspacePair.from_bases(basis_u, basis_v)
@@ -232,7 +252,7 @@ def _oracle_constraints(n, rng):
     """The constraint matrices ``project_intersection_oracle`` hands
     ``_null_directions`` on seeded affine-like families in R^n: a subspace
     pair, a pair and its intersection, an affine set and a hyperplane, and
-    three hyperplanes (wide, so zero-padded to square)."""
+    three hyperplanes (wide)."""
     pair = random_subspace_pair(n, [int(rng.integers(2**31)), 34],
                                 target_angle_interval=(0.4, 1.2))
     U, V = LinearSubspace(pair.basis_u), LinearSubspace(pair.basis_v)
@@ -261,9 +281,9 @@ def _svd_route_cases():
         pair = random_subspace_pair(n, [n, 34], target_angle_interval=(0.02, 1.5))
         bases = [pair.basis_u, pair.basis_v, pair.intersection]
         for count in (1, 2, 3):
-            cases.append((f"stack-{count}-n{n}", geometry._complement_stack(bases[:count])))
-        cases.append((f"coincident-n{n}", geometry._complement_stack([pair.basis_u] * 2)))
-        cases.append((f"full-space-n{n}", geometry._complement_stack([np.eye(n)] * 2)))
+            cases.append((f"stack-{count}-n{n}", complement_stack(bases[:count])))
+        cases.append((f"coincident-n{n}", complement_stack([pair.basis_u] * 2)))
+        cases.append((f"full-space-n{n}", complement_stack([np.eye(n)] * 2)))
         for i, M in enumerate(_oracle_constraints(n, rng)):
             cases.append((f"oracle-{i}-n{n}", M))
     rng = np.random.default_rng(34)
@@ -279,7 +299,8 @@ def _svd_route_mismatches():
     """Names of the ``_svd_route_cases`` where ``_null_directions`` does not
     decompose the stack's R factor from ``cols * 11 // 6`` rows on and the
     stack itself below, or where that SVD's singular values, right vectors
-    or null directions differ by a byte from the stack's own thin SVD."""
+    or null directions differ by a byte from the stack's own thin SVD; a
+    wide stack is the stack padded with zero rows to square."""
     svd, seen, bad = np.linalg.svd, [], []
 
     def spy(a, *args, **kwargs):
@@ -292,6 +313,8 @@ def _svd_route_mismatches():
             seen.clear()
             got = geometry._null_directions(M)
             (shape, (_, svals, Vt)), = seen
+            if M.shape[0] < M.shape[1]:
+                M = np.vstack([M, np.zeros((M.shape[1] - M.shape[0], M.shape[1]))])
             _, ref_svals, ref_Vt = svd(M, full_matrices=False)
             rows, cols = M.shape
             route = (cols, cols) if rows >= cols * 11 // 6 else M.shape
@@ -343,7 +366,7 @@ def _qr_cases():
     yield np.zeros((4, 2)), None
     normal = rng.standard_normal(6)  # a hyperplane's directions
     yield np.eye(6) - np.outer(normal, normal) / (normal @ normal), 1.0
-    yield geometry._complement_stack([normal[:, None] / np.linalg.norm(normal)]), 1.0
+    yield complement_stack([normal[:, None] / np.linalg.norm(normal)]), 1.0
 
 
 def test_orthonormal_columns_is_scipys_pivoted_qr_bit_for_bit():

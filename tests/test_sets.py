@@ -12,7 +12,7 @@ from aamr import (AffineSubspace, Ball, Box, Diagonal, DimensionMismatchError,
                   geometry, project_intersection_oracle, random_subspace_pair,
                   zero_subspace)
 from aamr.sets import _conform, as_vector
-from conftest import VARIANTS, make_variant, scaled_set, shifted_set
+from conftest import VARIANTS, complement_stack, make_variant, scaled_set, shifted_set
 
 
 def norm(v):
@@ -488,13 +488,13 @@ def _stack_oracle(sets, x):
         if isinstance(s, Hyperplane):
             unit = s.normal / np.linalg.norm(s.normal)
             Q = geometry.orthonormal_columns(
-                geometry._complement_stack([unit[:, None]]), scale=1.0)
+                complement_stack([unit[:, None]]), scale=1.0)
             parts.append(((s.offset / (s.normal @ s.normal)) * s.normal, Q))
         elif isinstance(s, AffineSubspace):
             parts.append((s.offset, s.direction.basis))
         else:
             parts.append((np.zeros(n), s.basis))
-    stacked = geometry._complement_stack([Q for _, Q in parts])
+    stacked = complement_stack([Q for _, Q in parts])
     blocks = stacked.reshape(len(parts), n, n)
     rhs = np.concatenate([C @ y for C, (y, _) in zip(blocks, parts)])
     point, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
