@@ -196,18 +196,14 @@ def _subspace_angles(A, B):
 def common_directions(bases) -> np.ndarray:
     """Orthonormal basis of the intersection of several subspaces.
 
-    Stacks the projector complements ``I - Qi Qi.T`` and takes the right
-    singular vectors with singular value at most ``ZERO_ANGLE_TOL``: for a unit
-    vector x the stacked norm is sqrt(sum_i d(x, U_i)^2), which vanishes
-    exactly on the intersection.  Genuinely shared directions come out at the
-    1e-15 level.
+    Works in the coordinates of the basis ``B`` with the fewest columns (the
+    first on a tie), by the sine route of Knyazev and Argentati (2002): each
+    other basis ``Q`` adds the rows ``B - Q (Q.T B)``, whose norm at a unit
+    ``a`` is sqrt(sum_i d(B a, U_i)^2), and the meet is ``B`` times their
+    null space (``B`` itself for one basis).  For r bases of R^n that is one
+    SVD of an (r - 1) n x d matrix, d = ``B``'s columns.  An error names a
+    basis by its key in a mapping, or by its index.
     """
-    return _null_directions(_complement_stack(_checked_bases(bases)))
-
-
-def _checked_bases(bases) -> list:
-    """``bases`` checked orthonormal and in one R^n, as float arrays; an
-    error names a basis by its key in a mapping, or by its index."""
     named = bases.items() if isinstance(bases, dict) else (
         (f"bases[{i}]", Q) for i, Q in enumerate(bases))
     mats = [check_orthonormal(Q, name) for name, Q in named]
@@ -215,20 +211,15 @@ def _checked_bases(bases) -> list:
         raise ValueError("need at least one basis")
     if len({Q.shape[0] for Q in mats}) > 1:
         raise ValueError("bases live in different ambient dimensions")
-    return mats
-
-
-def _complement_stack(mats) -> np.ndarray:
-    """``I - Qi Qi.T`` of orthonormal ``mats`` in one R^n, stacked by rows."""
-    eye = np.eye(mats[0].shape[0])
-    return np.vstack([eye - Q @ Q.T for Q in mats])
+    B = mats.pop(min(range(len(mats)), key=lambda i: mats[i].shape[1]))
+    return B @ _null_directions(np.vstack([B[:0], *(B - Q @ (Q.T @ B) for Q in mats)]))
 
 
 def _null_directions(stack) -> np.ndarray:
     """Right singular vectors of ``stack`` with singular value at most
-    ``ZERO_ANGLE_TOL``, as columns: the whole null space for any shape.  A
-    thin SVD has only min(rows, cols) right vectors, so a wide ``stack`` is
-    first padded with zero rows to square.  From ``cols * 11 // 6`` rows on
+    ``ZERO_ANGLE_TOL``, as columns: the whole null space, since a wide
+    ``stack`` is padded with zero rows to square first (a thin SVD has only
+    min(rows, cols) right vectors).  From ``cols * 11 // 6`` rows on
     (dgesdd's MNTHR), LAPACK factors the stack as QR and takes the SVD of R
     (Chan 1982), so the SVD of R alone keeps Vt and the singular values bit
     for bit and forms no tall U; below it R rounds otherwise.  Checked at,
@@ -291,8 +282,8 @@ class SubspacePair:
 
     @classmethod
     def from_bases(cls, basis_u, basis_v):
-        # copies, so that freezing them leaves the caller's arrays writeable;
-        # the intersection checks them
+        # copies, which the intersection checks; freezing them leaves the
+        # caller's arrays writeable
         Qu, Qv = (np.asarray(Q, dtype=float).copy(order="K") for Q in (basis_u, basis_v))
         meet = subspace_intersection(Qu, Qv)
         angle = _angle_past(Qu, Qv, meet)

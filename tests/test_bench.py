@@ -1248,6 +1248,11 @@ def test_runs_csv_match_golden_files(tmp_path):
     # The golden files hold the output of the code before the step(x, k)
     # engine contract and pin the solvers bit for bit across refactors; never
     # regenerate them to make a change pass.
+    # 2026-10-22: golden_runs_angle_profile.csv regenerated once, on purpose,
+    # when subspace pairs took U ∩ V in the smaller basis' coordinates: only
+    # theta_F (42 of 56 rows, <= 7.5e-15 relative), mu (6 rows, <= 9.6e-16)
+    # and final_error (all 56 rows, <= 1.8e-11) moved; statuses and counts
+    # did not.  golden_runs_rates.csv did not move.
     config = SweepConfig(n=10, n_instances=4, n_starts=2, angle_bins=4, seed=0)
     runs, _ = angle_profile(config)
     write_runs_csv(tmp_path / "profile.csv", runs)
@@ -1264,6 +1269,9 @@ def test_profile_table_matches_golden_file(tmp_path):
     # repeats a kind and resolves rap's mu from the angle, and the budget
     # leaves some blocks unconverged, so the grouping of runs into records is
     # pinned.  Never regenerate this file to make a change pass.
+    # 2026-10-22: regenerated once, on purpose, when subspace pairs took
+    # U ∩ V in the smaller basis' coordinates: only theta_F moved (12 of 16
+    # rows, <= 7.5e-15 relative); medians, stds and counts did not.
     config = SweepConfig(n=10, n_instances=4, n_starts=3, angle_bins=4, seed=0,
                          max_iter=45)
     methods = [MethodSpec("rap"), MethodSpec("aamr", alpha=0.9, beta=0.7),
@@ -1297,6 +1305,10 @@ def test_sweep_runs_csv_match_golden_files(tmp_path):
     # the per-row kernel: only final_error moved (all 33 alpha rows and all
     # 24 beta rows), to the scalar solver's values, which
     # test_sweep_rows_equal_scalar_solves pins; statuses and counts did not.
+    # 2026-10-22: regenerated once more, on purpose, when subspace pairs took
+    # U ∩ V in the smaller basis' coordinates: only theta_F (22 of 33 alpha
+    # and 16 of 24 beta rows, <= 6.9e-16 relative) and final_error (every
+    # row, <= 1.4e-11) moved; statuses and counts did not.
     alpha_runs, beta_runs = golden_sweep_runs()
     write_runs_csv(tmp_path / "alpha.csv", alpha_runs)
     write_runs_csv(tmp_path / "beta.csv", beta_runs)

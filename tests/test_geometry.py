@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from aamr import (AffineSubspace, Hyperplane, LinearSubspace, friedrichs_angle,
                   project_intersection_oracle, random_subspace_pair,
                   subspace_intersection, StoppingPolicy)
 from aamr import geometry
+from aamr.cli import main
 from aamr.geometry import SubspacePair, common_directions
 
 from conftest import BLAS_KERNELS, complement_stack, run_on_blas_kernel
@@ -223,6 +225,34 @@ def test_pair_checks_each_basis_once(monkeypatch):
     assert seen == ["basis_u", "basis_u", "basis_v", "basis_u", "basis_v"]
 
 
+NEAR_COINCIDENT = {  # pairs in R^3 whose angles past a shared line are 1e-9
+    "lines": (col(E1), col([1.0, 1e-9, 0.0])),
+    "line-off-plane": (col([1.0, 0.0, 1e-9]), col(E1, E2)),
+    "planes": (col(E1, E2), col(E1, [0.0, 1.0, 1e-9]))}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_COINCIDENT))
+def test_pairs_within_the_zero_angle_tolerance_are_coincident(name, tmp_path, capsys):
+    # the meet takes every direction within ZERO_ANGLE_TOL, so no angle is
+    # left past it
+    basis_u, basis_v = NEAR_COINCIDENT[name]
+    with pytest.raises(ValueError, match="coincident subspaces"):
+        SubspacePair.from_bases(basis_u, basis_v)
+    with pytest.raises(ValueError, match="coincident subspaces"):
+        friedrichs_angle(basis_u, basis_v)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"dim": 3, "sets": [
+        {"type": "subspace", "basis": Q.T.tolist()} for Q in (basis_u, basis_v)]}))
+    assert main(["angle", str(path)]) == 1
+    assert "coincident subspaces" in capsys.readouterr().err
+
+
+def test_lines_apart_by_more_than_the_zero_angle_tolerance_keep_their_angle():
+    pair = SubspacePair.from_bases(col(E1), col([1.0, 1e-7, 0.0]))
+    assert pair.intersection.shape == (3, 0)
+    assert pair.angle == pytest.approx(1e-7, rel=1e-9)
+
+
 def test_pair_freezes_copies_not_the_callers_bases():
     basis_u, basis_v = col(E1, E2), col(E1, E3)
     pair = SubspacePair.from_bases(basis_u, basis_v)
@@ -233,19 +263,53 @@ def test_pair_freezes_copies_not_the_callers_bases():
     assert np.array_equal(pair.basis_u, col(E1, E2))
 
 
-@pytest.mark.parametrize("n", [10, 50, 200])
-def test_common_directions_thin_svd_equals_the_full_one_bit_for_bit(n):
-    # the thin SVD skips U; Vt and the singular values, and so the basis of
-    # the intersection, keep the full-matrix SVD's bytes
-    for seed in range(4):
-        pair = random_subspace_pair(n, [seed, 61],
-                                    target_angle_interval=(0.02, 1.5) if seed % 2 else None)
-        K = np.vstack([np.eye(n) - Q @ Q.T for Q in (pair.basis_u, pair.basis_v)])
-        _, svals, Vt = np.linalg.svd(K)
-        full = Vt[svals <= geometry.ZERO_ANGLE_TOL].T.copy()
-        thin = common_directions([pair.basis_u, pair.basis_v])
-        assert thin.shape == full.shape and thin.tobytes() == full.tobytes()
-        assert pair.intersection.tobytes() == full.tobytes()
+def _meet_cases(n):
+    """(name, bases) in R^n for ``common_directions``: seeded pairs and
+    triples, a zero subspace, the full space, coincident bases and a trivial
+    meet."""
+    rng = np.random.default_rng([n, 35])
+    drawn = random_subspace_pair(n, [n, 35])
+    built = random_subspace_pair(n, [n, 36], target_angle_interval=(0.02, 1.5))
+    shared = rng.standard_normal((n, 1))
+    planes = [orthonormal_columns(np.hstack([shared, rng.standard_normal((n, max(1, n // 3)))]))
+              for _ in range(3)]
+    lines = [orthonormal_columns(rng.standard_normal((n, 1))) for _ in range(2)]
+    return [("drawn-pair", [drawn.basis_u, drawn.basis_v]),
+            ("built-pair", [built.basis_u, built.basis_v]),
+            ("pair-and-meet", [built.basis_u, built.basis_v, built.intersection]),
+            ("shared-line", planes),
+            ("zero-subspace", [drawn.basis_u, np.zeros((n, 0))]),
+            ("full-space", [np.eye(n), drawn.basis_v]),
+            ("coincident", [drawn.basis_u, drawn.basis_u[:, ::-1]]),
+            ("trivial-meet", lines)]
+
+
+@pytest.mark.parametrize("n", [3, 10, 50, 200])
+def test_common_directions_spans_the_tall_stacks_null_space(n):
+    # the reference is the null space of the complement stack, by its full SVD
+    for name, bases in _meet_cases(n):
+        got = common_directions(bases)
+        _, svals, Vt = np.linalg.svd(complement_stack(bases))
+        want = Vt[svals <= geometry.ZERO_ANGLE_TOL].T
+        assert got.shape == want.shape, name
+        assert np.abs(got @ got.T - want @ want.T).max() <= 1e-12, name
+        geometry.check_orthonormal(got)
+        if len(bases) == 2 and name in ("zero-subspace", "full-space", "coincident"):
+            with pytest.raises(ValueError, match="coincident subspaces"):
+                SubspacePair.from_bases(*bases)
+        elif len(bases) == 2:
+            assert SubspacePair.from_bases(*bases).intersection.tobytes() == got.tobytes()
+
+
+def _handed_to_null_directions(run):
+    """The matrices ``run()`` hands ``geometry._null_directions``."""
+    null, seen = geometry._null_directions, []
+    geometry._null_directions = lambda M: seen.append(M) or null(M)
+    try:
+        run()
+    finally:
+        geometry._null_directions = null
+    return seen
 
 
 def _oracle_constraints(n, rng):
@@ -259,22 +323,18 @@ def _oracle_constraints(n, rng):
     planes = [Hyperplane(rng.standard_normal(n), 0.0) for _ in range(3)]
     families = [[U, V], [U, V, LinearSubspace(pair.intersection)],
                 [AffineSubspace(np.zeros(n), pair.basis_u), planes[0]], planes]
-    null, seen = geometry._null_directions, []
-    geometry._null_directions = lambda M: seen.append(M) or null(M)
-    try:
-        for family in families:
-            project_intersection_oracle(family, rng.standard_normal(n))
-    finally:
-        geometry._null_directions = null
-    return seen
+    return _handed_to_null_directions(
+        lambda: [project_intersection_oracle(f, rng.standard_normal(n)) for f in families])
 
 
 def _svd_route_cases():
     """(name, matrix) for ``_null_directions``: complement stacks of 1, 2 and
     3 bases (1 is below dgesdd's ``cols * 11 // 6`` threshold), a
-    zero-column stack, rank-deficient stacks, the intersection oracle's
-    constraint matrices, and Gaussian and rank-2 matrices just below, at and
-    just above the threshold."""
+    zero-column stack, rank-deficient stacks, the matrices
+    ``common_directions`` hands it for a pair (n x d) and for the pair and
+    its meet ((r - 1) n x d), the intersection oracle's constraint matrices,
+    and Gaussian and rank-2 matrices just below, at and just above the
+    threshold."""
     cases = [("zero-column", np.zeros((5, 0)))]
     for n in (3, 10, 50, 200):
         rng = np.random.default_rng([n, 34])
@@ -284,6 +344,9 @@ def _svd_route_cases():
             cases.append((f"stack-{count}-n{n}", complement_stack(bases[:count])))
         cases.append((f"coincident-n{n}", complement_stack([pair.basis_u] * 2)))
         cases.append((f"full-space-n{n}", complement_stack([np.eye(n)] * 2)))
+        for count in (2, 3):
+            (M,) = _handed_to_null_directions(lambda: common_directions(bases[:count]))
+            cases.append((f"meet-{count}-n{n}", M))
         for i, M in enumerate(_oracle_constraints(n, rng)):
             cases.append((f"oracle-{i}-n{n}", M))
     rng = np.random.default_rng(34)
@@ -330,7 +393,7 @@ def _svd_route_mismatches():
 
 def test_null_directions_is_the_stacks_own_svd_bit_for_bit():
     names = [name for name, _ in _svd_route_cases()]
-    assert len(names) == len(set(names)) == 67
+    assert len(names) == len(set(names)) == 75
     assert _svd_route_mismatches() == []
 
 
@@ -416,14 +479,19 @@ def test_angles_are_scipys_subspace_angles_bit_for_bit(monkeypatch):
     # dgesdd in scipy's OpenBLAS build than in numpy's
     import scipy.linalg
     rng = np.random.default_rng(29)
-    pairs = [(col(E1), col(np.array([1.0, 1e-9, 0.0]))), (col(E1, E2), col(E3))]
+    lines = (col(E1), col(np.array([1.0, 1e-9, 0.0])))  # 1e-9 < ZERO_ANGLE_TOL
+    with pytest.raises(ValueError, match="coincident subspaces"):
+        SubspacePair.from_bases(*lines)
+    pairs = [lines, (col(E1, E2), col(E3))]
     for n in (3, 4, 7, 10, 20, 50):
         for seed in range(6):
             pair = random_subspace_pair(n, [seed, 29], (0.02, 1.5) if seed % 2 else None)
             pairs.append((pair.basis_u, pair.basis_v))
             pairs.append((orthonormal_columns(rng.standard_normal((n, 1))), pair.basis_v))
-    got = [(principal_angles(u, v), SubspacePair.from_bases(u, v).angle) for u, v in pairs]
+    got = [principal_angles(u, v) for u, v in pairs]
+    got_pairs = [SubspacePair.from_bases(u, v).angle for u, v in pairs[1:]]
     monkeypatch.setattr(geometry, "_subspace_angles", scipy.linalg.subspace_angles)
-    for (u, v), (angles, angle) in zip(pairs, got):
+    for (u, v), angles in zip(pairs, got):
         assert angles.tobytes() == principal_angles(u, v).tobytes(), (u.shape, v.shape)
+    for (u, v), angle in zip(pairs[1:], got_pairs):
         assert angle == SubspacePair.from_bases(u, v).angle, (u.shape, v.shape)
