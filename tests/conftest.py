@@ -132,11 +132,12 @@ _OTHER_KERNEL = 77  # the child's exit code when it runs another kernel
 def run_on_blas_kernel(coretype, code, timeout=300):
     """Run the Python source ``code`` in a child interpreter whose numpy
     OpenBLAS is forced onto ``coretype`` (a ``BLAS_KERNELS`` key) by
-    ``OPENBLAS_CORETYPE``, set in the child's environment only, with
-    ``src/`` and ``tests/`` on its path; returns the completed process, its
-    output as text.  Skips, saying why, where numpy's BLAS exports no
-    ``scipy_openblas_get_corename64_`` or the child reports another core
-    (an ARM CPU, a system OpenBLAS)."""
+    ``OPENBLAS_CORETYPE``, on one thread (``OPENBLAS_NUM_THREADS=1``: a
+    second thread only waits for a core on a loaded box), both set in the
+    child's environment only, with ``src/`` and ``tests/`` on its path;
+    returns the completed process, its output as text.  Skips, saying why,
+    where numpy's BLAS exports no ``scipy_openblas_get_corename64_`` or the
+    child reports another core (an ARM CPU, a system OpenBLAS)."""
     expected = BLAS_KERNELS[coretype]
     prelude = f"""import ctypes, sys
 from aamr import geometry
@@ -151,7 +152,7 @@ if corename().decode() != {expected!r}:
     sys.exit({_OTHER_KERNEL})
 """
     path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, path)))
     run = subprocess.run([sys.executable, "-c", prelude + code], env=env,
                          capture_output=True, text=True, timeout=timeout)
