@@ -212,6 +212,7 @@ def common_directions(bases) -> np.ndarray:
     if len({Q.shape[0] for Q in mats}) > 1:
         raise ValueError("bases live in different ambient dimensions")
     B = mats.pop(min(range(len(mats)), key=lambda i: mats[i].shape[1]))
+    # B[:0] has no rows; with no other basis the whole of B is the meet
     return B @ _null_directions(np.vstack([B[:0], *(B - Q @ (Q.T @ B) for Q in mats)]))
 
 
