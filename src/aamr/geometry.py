@@ -204,6 +204,16 @@ def common_directions(bases) -> np.ndarray:
     SVD of an (r - 1) n x d matrix, d = ``B``'s columns.  An error names a
     basis by its key in a mapping, or by its index.
     """
+    B, others = _smallest_first(bases)
+    # B[:0] has no rows; with no other basis the whole of B is the meet
+    null, _ = _null_directions(np.vstack([B[:0], *(B - Q @ (Q.T @ B) for Q in others)]))
+    return B @ null
+
+
+def _smallest_first(bases):
+    """The checked ``bases`` (a sequence, or a mapping of names to bases) as
+    the one with the fewest columns, the first on a tie, and a list of the
+    others."""
     named = bases.items() if isinstance(bases, dict) else (
         (f"bases[{i}]", Q) for i, Q in enumerate(bases))
     mats = [check_orthonormal(Q, name) for name, Q in named]
@@ -211,28 +221,27 @@ def common_directions(bases) -> np.ndarray:
         raise ValueError("need at least one basis")
     if len({Q.shape[0] for Q in mats}) > 1:
         raise ValueError("bases live in different ambient dimensions")
-    B = mats.pop(min(range(len(mats)), key=lambda i: mats[i].shape[1]))
-    # B[:0] has no rows; with no other basis the whole of B is the meet
-    return B @ _null_directions(np.vstack([B[:0], *(B - Q @ (Q.T @ B) for Q in mats)]))
+    return mats.pop(min(range(len(mats)), key=lambda i: mats[i].shape[1])), mats
 
 
-def _null_directions(stack) -> np.ndarray:
+def _null_directions(stack):
     """Right singular vectors of ``stack`` with singular value at most
-    ``ZERO_ANGLE_TOL``, as columns: the whole null space, since a wide
-    ``stack`` is padded with zero rows to square first (a thin SVD has only
-    min(rows, cols) right vectors).  From ``cols * 11 // 6`` rows on
-    (dgesdd's MNTHR), LAPACK factors the stack as QR and takes the SVD of R
-    (Chan 1982), so the SVD of R alone keeps Vt and the singular values bit
-    for bit and forms no tall U; below it R rounds otherwise.  Checked at,
-    above and below the threshold under OpenBLAS's SkylakeX, Haswell and
-    Prescott kernels."""
+    ``ZERO_ANGLE_TOL``, as columns, and all its singular values, descending.
+    The columns are the whole null space, since a wide ``stack`` is padded
+    with zero rows to square first (a thin SVD has only min(rows, cols)
+    right vectors).  From ``cols * 11 // 6`` rows on (dgesdd's MNTHR),
+    LAPACK factors the stack as QR and takes the SVD of R (Chan 1982), so
+    the SVD of R alone keeps Vt and the singular values bit for bit and
+    forms no tall U; below it R rounds otherwise.  Checked at, above and
+    below the threshold under OpenBLAS's SkylakeX, Haswell and Prescott
+    kernels."""
     rows, cols = stack.shape
     if rows < cols:
         stack = np.vstack([stack, np.zeros((cols - rows, cols))])
     if stack.shape[0] >= cols * 11 // 6:
         stack = np.linalg.qr(stack, mode="r")
     _, svals, Vt = np.linalg.svd(stack, full_matrices=False)
-    return Vt[svals <= ZERO_ANGLE_TOL].T.copy()
+    return Vt[svals <= ZERO_ANGLE_TOL].T.copy(), svals
 
 
 def subspace_intersection(basis_u, basis_v) -> np.ndarray:

@@ -408,7 +408,7 @@ def _affine_oracle(sets, x) -> np.ndarray:
     a, *_ = np.linalg.lstsq(M, r, rcond=None)
     if np.linalg.norm(M @ a - r) > 1e-8 * (1.0 + max(offsets)):
         raise ValueError("affine family has empty intersection")
-    meet = B @ geometry._null_directions(M)
+    meet = B @ geometry._null_directions(M)[0]
     point = y + B @ a
     return point + meet @ (meet.T @ (x - point))
 

@@ -361,8 +361,9 @@ def _svd_route_cases():
 def _svd_route_mismatches():
     """Names of the ``_svd_route_cases`` where ``_null_directions`` does not
     decompose the stack's R factor from ``cols * 11 // 6`` rows on and the
-    stack itself below, or where that SVD's singular values, right vectors
-    or null directions differ by a byte from the stack's own thin SVD; a
+    stack itself below, or where that SVD's singular values (as taken and as
+    returned), right vectors or null directions differ by a byte from the
+    stack's own thin SVD; a
     wide stack is the stack padded with zero rows to square."""
     svd, seen, bad = np.linalg.svd, [], []
 
@@ -374,7 +375,7 @@ def _svd_route_mismatches():
     try:
         for name, M in _svd_route_cases():
             seen.clear()
-            got = geometry._null_directions(M)
+            got, got_svals = geometry._null_directions(M)
             (shape, (_, svals, Vt)), = seen
             if M.shape[0] < M.shape[1]:
                 M = np.vstack([M, np.zeros((M.shape[1] - M.shape[0], M.shape[1]))])
@@ -383,6 +384,7 @@ def _svd_route_mismatches():
             route = (cols, cols) if rows >= cols * 11 // 6 else M.shape
             ref = ref_Vt[ref_svals <= geometry.ZERO_ANGLE_TOL].T.copy()
             if (shape != route or svals.tobytes() != ref_svals.tobytes()
+                    or got_svals.tobytes() != ref_svals.tobytes()
                     or Vt.tobytes() != ref_Vt.tobytes()
                     or got.shape != ref.shape or got.tobytes() != ref.tobytes()):
                 bad.append(name)

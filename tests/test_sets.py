@@ -501,7 +501,7 @@ def _stack_oracle(sets, x):
     scale = 1.0 + max(norm(y) for y, _ in parts)
     if norm(stacked @ point - rhs) > 1e-8 * scale:
         raise ValueError("affine family has empty intersection")
-    meet = geometry._null_directions(stacked)
+    meet, _ = geometry._null_directions(stacked)
     return point + meet @ (meet.T @ (x - point))
 
 
