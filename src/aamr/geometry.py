@@ -24,8 +24,9 @@ __all__ = [
     "random_subspace_pair",
 ]
 
-# Principal angles below this (radians) count as shared directions.  Far below
-# any benchmark angle, far above the ~1e-15 noise of the sine-based SVD route.
+# Principal angles at or below this (radians) are the shared directions: the
+# meet is cut from the SVD of the sines at this value.  Far below any benchmark
+# angle, far above the ~1e-15 noise of a sine.
 ZERO_ANGLE_TOL = 1e-8
 
 
@@ -150,47 +151,13 @@ def check_orthonormal(basis, name: str = "basis") -> np.ndarray:
 def principal_angles(basis_u, basis_v) -> np.ndarray:
     """Principal angles between two subspaces, in nondecreasing order.
 
-    The cosines are the singular values of ``Qu.T @ Qv``; small angles are
-    computed through the numerically safe sine route.  Inputs must have
-    orthonormal columns.
+    One per column of the smaller basis, from the SVD that gives the
+    intersection: sines for the angles up to pi/4 and cosines past it, so
+    the angles at or below ``ZERO_ANGLE_TOL`` are exactly as many as the
+    columns of ``subspace_intersection``.  Inputs must have orthonormal
+    columns.
     """
-    Qu = check_orthonormal(basis_u, "basis_u")
-    Qv = check_orthonormal(basis_v, "basis_v")
-    if Qu.shape[0] != Qv.shape[0]:
-        raise ValueError("bases live in different ambient dimensions")
-    if Qu.shape[1] == 0 or Qv.shape[1] == 0:
-        return np.zeros(0)
-    return np.sort(_subspace_angles(Qu, Qv))
-
-
-def _orth(A):
-    """``scipy.linalg.orth(A)``: the left singular vectors past scipy's rank
-    cut.  F-ordered like scipy's, since the gemms that read it round by
-    layout.  dgesdd can give a near-square ``A`` (seen from 28 x 27 on)
-    another U in numpy's OpenBLAS build than in scipy's; the pairs
-    ``random_subspace_pair`` draws at n <= 60 got scipy's bits in 5,220 of
-    5,220 seeded cases."""
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
-    tol = np.amax(s, initial=0.0) * np.finfo(float).eps * max(A.shape)
-    return np.asfortranarray(u)[:, :np.count_nonzero(s > tol)]
-
-
-def _subspace_angles(A, B):
-    """``scipy.linalg.subspace_angles(A, B)`` step for step (Knyazev and
-    Argentati 2002: cosines from the singular values of ``QA.T QB``, sines
-    for the angles below pi/4), on numpy's LAPACK; in descending order."""
-    QA, QB = _orth(A), _orth(B)
-    cross = np.dot(QA.T, QB)
-    sigma = np.linalg.svd(cross, compute_uv=False)
-    if QA.shape[1] >= QB.shape[1]:
-        gap = QB - np.dot(QA, cross)
-    else:
-        gap = QA - np.dot(QB, cross.T)
-    mask = sigma ** 2 >= 0.5
-    sines = 0.0
-    if mask.any():
-        sines = np.arcsin(np.clip(np.linalg.svd(gap, compute_uv=False), -1.0, 1.0))
-    return np.where(mask, sines, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
+    return _pair_spectrum(basis_u, basis_v)[1]
 
 
 def common_directions(bases) -> np.ndarray:
@@ -224,6 +191,28 @@ def _smallest_first(bases):
     return mats.pop(min(range(len(mats)), key=lambda i: mats[i].shape[1])), mats
 
 
+def _pair_spectrum(basis_u, basis_v):
+    """The meet of two subspaces and all d of their principal angles, in
+    nondecreasing order, d the smaller dimension.  With ``B`` the smaller
+    basis (the first on a tie) and ``Q`` the other, the singular values of
+    ``B - Q (Q.T B)`` are the sines and those of ``Q.T B`` the cosines
+    (Knyazev and Argentati 2002): an angle takes ``arcsin`` where its sine
+    squared is at most 1/2 and ``arccos`` otherwise, so the cosines' SVD
+    runs only when some angle lies past pi/4.  The meet is ``B`` times the
+    null directions of the same SVD that gives the sines, so an angle at or
+    below ``ZERO_ANGLE_TOL`` is exactly a meet direction."""
+    B, (Q,) = _smallest_first({"basis_u": basis_u, "basis_v": basis_v})
+    cross = Q.T @ B
+    null, svals = _null_directions(B - Q @ cross)
+    sines = svals[::-1]
+    far = sines ** 2 > 0.5
+    angles = np.arcsin(np.minimum(sines, 1.0))
+    if far.any():
+        angles[far] = np.arccos(np.linalg.svd(cross, compute_uv=False)[far])
+    # the two SVDs may disagree by an ulp at pi/4
+    return B @ null, np.sort(angles)
+
+
 def _null_directions(stack):
     """Right singular vectors of ``stack`` with singular value at most
     ``ZERO_ANGLE_TOL``, as columns, and all its singular values, descending.
@@ -252,28 +241,12 @@ def subspace_intersection(basis_u, basis_v) -> np.ndarray:
 def friedrichs_angle(basis_u, basis_v) -> float:
     """Friedrichs angle between two subspaces, in (0, pi/2].
 
-    Equals the first principal angle past the shared directions: the
-    intersection is removed from both subspaces and the smallest remaining
-    principal angle is returned.  Raises ``ValueError`` for coincident or
+    Equals the first principal angle past the shared directions: with k the
+    dimension of the intersection, the (k + 1)-th of ``principal_angles``,
+    from the same SVD.  Raises ``ValueError`` for coincident or
     nested subspaces, where no angle past the intersection exists.
     """
     return SubspacePair.from_bases(basis_u, basis_v).angle
-
-
-def _angle_past(Qu, Qv, meet) -> float:
-    """Smallest principal angle between orthonormal ``Qu`` and ``Qv`` once
-    their intersection basis ``meet`` is removed from both."""
-    if meet.shape[1]:
-        deflate = np.eye(meet.shape[0]) - meet @ meet.T
-        # columns were unit vectors, so rank-cut against an absolute scale
-        Qu2 = orthonormal_columns(deflate @ Qu, scale=1.0)
-        Qv2 = orthonormal_columns(deflate @ Qv, scale=1.0)
-    else:
-        Qu2, Qv2 = Qu, Qv
-    if Qu2.shape[1] == 0 or Qv2.shape[1] == 0:
-        raise ValueError("coincident subspaces: one contains the other, "
-                         "no angle beyond the intersection")
-    return float(np.min(_subspace_angles(Qu2, Qv2)))
 
 
 @dataclass(frozen=True)
@@ -292,14 +265,16 @@ class SubspacePair:
 
     @classmethod
     def from_bases(cls, basis_u, basis_v):
-        # copies, which the intersection checks; freezing them leaves the
+        # copies, which _pair_spectrum checks; freezing them leaves the
         # caller's arrays writeable
         Qu, Qv = (np.asarray(Q, dtype=float).copy(order="K") for Q in (basis_u, basis_v))
-        meet = subspace_intersection(Qu, Qv)
-        angle = _angle_past(Qu, Qv, meet)
+        meet, angles = _pair_spectrum(Qu, Qv)
+        if meet.shape[1] == angles.size:
+            raise ValueError("coincident subspaces: one contains the other, "
+                             "no angle beyond the intersection")
         for arr in (Qu, Qv, meet):
             arr.flags.writeable = False
-        return cls(Qu, Qv, meet, angle)
+        return cls(Qu, Qv, meet, float(angles[meet.shape[1]]))
 
 
 def _sample_dims(rng, n):

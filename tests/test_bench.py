@@ -1253,6 +1253,11 @@ def test_runs_csv_match_golden_files(tmp_path):
     # theta_F (42 of 56 rows, <= 7.5e-15 relative), mu (6 rows, <= 9.6e-16)
     # and final_error (all 56 rows, <= 1.8e-11) moved; statuses and counts
     # did not.  golden_runs_rates.csv did not move.
+    # 2026-10-22: regenerated once more, on purpose, when a pair's Friedrichs
+    # angle came from the SVD that gives its meet: only theta_F (all 56
+    # rows, <= 8.1e-16 relative), mu (2 rows, <= 1.5e-16) and final_error
+    # (2 rows, <= 6.8e-13) moved; statuses and counts did not.
+    # golden_runs_rates.csv did not move.
     config = SweepConfig(n=10, n_instances=4, n_starts=2, angle_bins=4, seed=0)
     runs, _ = angle_profile(config)
     write_runs_csv(tmp_path / "profile.csv", runs)
@@ -1272,6 +1277,9 @@ def test_profile_table_matches_golden_file(tmp_path):
     # 2026-10-22: regenerated once, on purpose, when subspace pairs took
     # U ∩ V in the smaller basis' coordinates: only theta_F moved (12 of 16
     # rows, <= 7.5e-15 relative); medians, stds and counts did not.
+    # 2026-10-22: regenerated once more, on purpose, when a pair's Friedrichs
+    # angle came from the SVD that gives its meet: only theta_F moved (16 of
+    # 16 rows, <= 8.1e-16 relative); medians, stds and counts did not.
     config = SweepConfig(n=10, n_instances=4, n_starts=3, angle_bins=4, seed=0,
                          max_iter=45)
     methods = [MethodSpec("rap"), MethodSpec("aamr", alpha=0.9, beta=0.7),
@@ -1309,6 +1317,10 @@ def test_sweep_runs_csv_match_golden_files(tmp_path):
     # U ∩ V in the smaller basis' coordinates: only theta_F (22 of 33 alpha
     # and 16 of 24 beta rows, <= 6.9e-16 relative) and final_error (every
     # row, <= 1.4e-11) moved; statuses and counts did not.
+    # 2026-10-22: regenerated a third time, on purpose, when a pair's
+    # Friedrichs angle came from the SVD that gives its meet: only theta_F
+    # moved (22 of 33 alpha and 16 of 24 beta rows, <= 5.5e-16 relative);
+    # final_error, statuses and counts did not.
     alpha_runs, beta_runs = golden_sweep_runs()
     write_runs_csv(tmp_path / "alpha.csv", alpha_runs)
     write_runs_csv(tmp_path / "beta.csv", beta_runs)

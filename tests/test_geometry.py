@@ -191,16 +191,11 @@ def test_pair_in_three_dimensions_has_an_angle():
         assert max(pair.basis_u.shape[1], pair.basis_v.shape[1]) < 3
 
 
-def test_pair_computes_its_intersection_once(monkeypatch):
-    calls = []
-
-    def counting(bases, *args, **kwargs):
-        calls.append(len(bases))
-        return common_directions(bases, *args, **kwargs)
-
-    monkeypatch.setattr(geometry, "common_directions", counting)
+def test_pair_computes_its_intersection_once():
+    seen = _handed_to_null_directions(
+        lambda: SubspacePair.from_bases(col(E1, E2), col(E1, E3)))
+    assert [M.shape for M in seen] == [(3, 2)]
     pair = SubspacePair.from_bases(col(E1, E2), col(E1, E3))
-    assert calls == [2]
     assert pair.angle == pytest.approx(math.pi / 2)
     assert np.allclose(np.abs(pair.intersection[:, 0]), E1)
 
@@ -475,25 +470,83 @@ def test_orthonormal_columns_rejects_non_finite_entries():
             orthonormal_columns([[1.0, bad], [0.0, 1.0]])
 
 
-def test_angles_are_scipys_subspace_angles_bit_for_bit(monkeypatch):
-    # the pairs the program makes, n <= 50 with dimensions in [n/4, 3n/4], and
-    # lines.  Near-square bases (seen from n = 28 on) can get another U from
-    # dgesdd in scipy's OpenBLAS build than in numpy's
+def _planes(a, b):
+    """Planes in R^4 with principal angles a and b: span(e1, e2) and
+    span(cos a e1 + sin a e3, cos b e2 + sin b e4)."""
+    e = np.eye(4)
+    return e[:, :2], col(np.cos(a) * e[0] + np.sin(a) * e[2],
+                         np.cos(b) * e[1] + np.sin(b) * e[3])
+
+
+def _constructed(n, key, interval):
+    """A pair from ``geometry._constructed_pair`` after
+    ``random_subspace_pair``'s draws, its meet dimension, and the angles it
+    opens past the meet, replayed from the same draws, in order."""
+    rng = np.random.default_rng(key)
+    du, dv = geometry._sample_dims(rng, n)
+    theta = float(rng.uniform(*interval))
+    state = rng.bit_generator.state
+    basis_u, basis_v = geometry._constructed_pair(rng, n, du, dv, theta)
+    rng.bit_generator.state = state
+    rng.standard_normal((n, n))  # the frame
+    meet = du + dv - n
+    rest = rng.uniform(theta, np.pi / 2, min(du, dv) - meet - 1)
+    return basis_u, basis_v, meet, np.sort(np.concatenate([[theta], rest]))
+
+
+def test_principal_angles_read_known_angles():
+    # each angle from its sine up to pi/4 and from its cosine past it; the
+    # parent route took cosines for as many small angles as there were
+    # angles past pi/4 (4.4e-5 relative error at t = 1e-6 beside 1.4)
+    for t in (1e-6, 1e-4, 0.02):
+        got = principal_angles(*_planes(t, 1.4))
+        assert abs(got[0] - t) <= 1e-15 * t and abs(got[1] - 1.4) <= 1e-15, t
+    near_right = np.pi / 2 - 1e-7
+    got = principal_angles(*_planes(near_right, 0.1))
+    assert abs(got[0] - 0.1) <= 1e-15 and abs(got[1] - near_right) <= 1e-15
+    for interval in [(0.001, 0.05), (0.02, 1.5), (1.5, np.pi / 2)]:
+        for n in (10, 50, 200):
+            for seed in range(4):
+                basis_u, basis_v, k, want = _constructed(n, [n, seed, 36], interval)
+                got = principal_angles(basis_u, basis_v)
+                assert got.shape == (k + want.size,)
+                assert np.all(got[:k] <= 1e-14), (interval, n, seed)
+                err = np.abs(got[k:] - want)
+                assert np.all(err <= 1e-14) and np.all(err <= 1e-13 * want), (interval, n, seed)
+
+
+def test_principal_angles_are_scipys_where_every_angle_is_on_one_side_of_pi_over_4():
+    # there scipy's mask picks the sine or the cosine route as this one does
     import scipy.linalg
     rng = np.random.default_rng(29)
     lines = (col(E1), col(np.array([1.0, 1e-9, 0.0])))  # 1e-9 < ZERO_ANGLE_TOL
     with pytest.raises(ValueError, match="coincident subspaces"):
         SubspacePair.from_bases(*lines)
-    pairs = [lines, (col(E1, E2), col(E3))]
+    pairs = [lines, (col(E1, E2), col(E3)), _planes(1e-6, 0.5), _planes(0.02, 0.7),
+             _planes(0.9, 1.4), _planes(1.2, np.pi / 2 - 1e-7)]
     for n in (3, 4, 7, 10, 20, 50):
         for seed in range(6):
             pair = random_subspace_pair(n, [seed, 29], (0.02, 1.5) if seed % 2 else None)
-            pairs.append((pair.basis_u, pair.basis_v))
             pairs.append((orthonormal_columns(rng.standard_normal((n, 1))), pair.basis_v))
-    got = [principal_angles(u, v) for u, v in pairs]
-    got_pairs = [SubspacePair.from_bases(u, v).angle for u, v in pairs[1:]]
-    monkeypatch.setattr(geometry, "_subspace_angles", scipy.linalg.subspace_angles)
-    for (u, v), angles in zip(pairs, got):
-        assert angles.tobytes() == principal_angles(u, v).tobytes(), (u.shape, v.shape)
-    for (u, v), angle in zip(pairs[1:], got_pairs):
-        assert angle == SubspacePair.from_bases(u, v).angle, (u.shape, v.shape)
+    for u, v in pairs:
+        want = np.sort(scipy.linalg.subspace_angles(u, v))
+        assert np.all(want <= np.pi / 4) or np.all(want > np.pi / 4)
+        assert np.abs(principal_angles(u, v) - want).max() <= 1e-15, (u.shape, v.shape)
+
+
+def _seeded_pairs():
+    """The 256 pairs ``random_subspace_pair(n, [7, s])`` and ``(n, [7, s],
+    (0.02, 1.5))``, n in {10, 20, 50, 200}, s < 32."""
+    return [random_subspace_pair(n, [7, s], interval)
+            for n in (10, 20, 50, 200) for s in range(32) for interval in (None, (0.02, 1.5))]
+
+
+def test_principal_angles_count_the_meet_and_hold_the_friedrichs_angle():
+    # one SVD gives the meet and the sines, so an angle at or below the
+    # tolerance is exactly a meet direction; the parent's route read shared
+    # directions as arccos(1 - ulp) ~ 1.5e-8 and miscounted 114 of these
+    for pair in _seeded_pairs():
+        k = pair.intersection.shape[1]
+        angles = principal_angles(pair.basis_u, pair.basis_v)
+        assert np.count_nonzero(angles <= geometry.ZERO_ANGLE_TOL) == k
+        assert float.hex(pair.angle) == float.hex(angles[k])
