@@ -30,13 +30,12 @@ __all__ = [
 ZERO_ANGLE_TOL = 1e-8
 
 
-def orthonormal_columns(matrix, scale: float | None = None) -> np.ndarray:
+def orthonormal_columns(matrix) -> np.ndarray:
     """Orthonormal basis of the column span of ``matrix``.
 
     Uses QR with column pivoting; columns whose pivot magnitude is at most
-    ``1e-12 * scale`` are dropped, so rank deficiency is resolved here.
-    ``scale`` defaults to the largest pivot; pass an absolute scale (e.g. 1.0
-    for unit-norm inputs) when the whole matrix may be numerically zero.
+    ``1e-12`` times the largest pivot are dropped, so rank deficiency is
+    resolved here.
 
     The QR is ``scipy.linalg.qr(matrix, mode="economic", pivoting=True)``
     computed by LAPACK ``dgeqp3`` and ``dorgqr`` in numpy's own OpenBLAS
@@ -56,8 +55,7 @@ def orthonormal_columns(matrix, scale: float | None = None) -> np.ndarray:
     if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     Q, pivots = _pivoted_qr(M)
-    ref = pivots[0] if scale is None else scale
-    rank = int(np.count_nonzero(pivots > 1e-12 * ref))
+    rank = int(np.count_nonzero(pivots > 1e-12 * pivots[0]))
     return Q[:, :rank].copy()
 
 

@@ -487,8 +487,7 @@ def _stack_oracle(sets, x):
     for s in sets:
         if isinstance(s, Hyperplane):
             unit = s.normal / np.linalg.norm(s.normal)
-            Q = geometry.orthonormal_columns(
-                complement_stack([unit[:, None]]), scale=1.0)
+            Q = geometry.orthonormal_columns(complement_stack([unit[:, None]]))
             parts.append(((s.offset / (s.normal @ s.normal)) * s.normal, Q))
         elif isinstance(s, AffineSubspace):
             parts.append((s.offset, s.direction.basis))
