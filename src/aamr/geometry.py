@@ -207,7 +207,7 @@ def _pair_spectrum(basis_u, basis_v):
     angles = np.arcsin(np.minimum(sines, 1.0))
     if far.any():
         angles[far] = np.arccos(np.linalg.svd(cross, compute_uv=False)[far])
-    # the two SVDs may disagree by an ulp at pi/4
+    # angles within an ulp of pi/4 come from both SVDs, not always in order
     return B @ null, np.sort(angles)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -44,6 +45,13 @@ def test_principal_angles_sorted_and_checked():
     qv = orthonormal_columns(rng.standard_normal((8, 4)))
     angles = principal_angles(qu, qv)
     assert np.all(np.diff(angles) >= 0)
+    # angles within an ulp of pi/4 come from both the sines and the cosines
+    for _ in range(200):
+        frame = orthonormal_columns(rng.standard_normal((12, 8)))
+        opened = np.pi / 4 + rng.uniform(-3e-16, 3e-16, 4)
+        tilted = frame[:, :4] * np.cos(opened) + frame[:, 4:] * np.sin(opened)
+        angles = principal_angles(frame[:, :4], orthonormal_columns(tilted))
+        assert np.all(np.diff(angles) >= 0), angles
     with pytest.raises(ValueError, match="orthonormal"):
         principal_angles(rng.standard_normal((8, 3)), qv)
     with pytest.raises(ValueError, match="^basis_u: columns are not orthonormal$"):
@@ -358,8 +366,8 @@ def _svd_route_mismatches():
     decompose the stack's R factor from ``cols * 11 // 6`` rows on and the
     stack itself below, or where that SVD's singular values (as taken and as
     returned), right vectors or null directions differ by a byte from the
-    stack's own thin SVD; a
-    wide stack is the stack padded with zero rows to square."""
+    stack's own thin SVD; a wide stack is the stack padded with zero rows to
+    square."""
     svd, seen, bad = np.linalg.svd, [], []
 
     def spy(a, *args, **kwargs):
@@ -532,18 +540,14 @@ def test_principal_angles_are_scipys_where_every_angle_is_on_one_side_of_pi_over
         assert np.abs(principal_angles(u, v) - want).max() <= 2e-15, (u.shape, v.shape)
 
 
-def _seeded_pairs():
-    """The 256 pairs ``random_subspace_pair(n, [7, s])`` and ``(n, [7, s],
-    (0.02, 1.5))``, n in {10, 20, 50, 200}, s < 32."""
-    return [random_subspace_pair(n, [7, s], interval)
-            for n in (10, 20, 50, 200) for s in range(32) for interval in (None, (0.02, 1.5))]
-
-
 def test_principal_angles_count_the_meet_and_hold_the_friedrichs_angle():
     # one SVD gives the meet and the sines, so an angle at or below the
     # tolerance is exactly a meet direction; scipy's mask read shared
-    # directions as arccos(1 - ulp) ~ 1.5e-8 and undercounted 113-114 of these
-    for pair in _seeded_pairs():
+    # directions as arccos(1 - ulp) ~ 1.5e-8 and undercounted 113-114 of
+    # these 256 pairs
+    for n, s, interval in itertools.product((10, 20, 50, 200), range(32),
+                                            (None, (0.02, 1.5))):
+        pair = random_subspace_pair(n, [7, s], interval)
         k = pair.intersection.shape[1]
         angles = principal_angles(pair.basis_u, pair.basis_v)
         assert np.count_nonzero(angles <= geometry.ZERO_ANGLE_TOL) == k
